@@ -34,11 +34,11 @@ from ..config import OnlineConfig
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..sim.events import Event, EventKind
-from ..solver.interface import WarmStartState, solve_lp
+from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
 from ..telemetry.audit import get_journal
 from ..telemetry.metrics import get_metrics
-from .lp_relaxation import LpPtWorkspace, build_lp_pt
+from .lp_relaxation import build_lp_pt
 from .rounding import DEFAULT_ROUNDING_SCALE, admit_slot_by_slot, \
     randomized_round
 
@@ -54,12 +54,6 @@ class DynamicRR:
             None).
         lp_backend: LP solver backend for LP-PT.
         rounding_scale: the ``y/4`` divisor.
-        warm_start: carry LP-PT build/solve state across rounds (the
-            incremental :class:`~repro.core.lp_relaxation.LpPtWorkspace`
-            plus the :class:`~repro.solver.interface.WarmStartState`
-            fingerprint cache).  Produces exactly the same placements,
-            journals, and records as the cold path - disable only to
-            measure the cold baseline.
         rng: randomness for rounding and realization order.
     """
 
@@ -70,7 +64,6 @@ class DynamicRR:
                  rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_rounds: int = 24,
                  bandit_policy: str = "se",
-                 warm_start: bool = True,
                  rng: RngLike = None) -> None:
         if bandit_policy not in ("se", "ucb1", "egreedy"):
             raise ValueError(
@@ -85,9 +78,6 @@ class DynamicRR:
         #: successive elimination ("se"), UCB1 ("ucb1"), or
         #: epsilon-greedy ("egreedy") - the latter two for ablations.
         self.bandit_policy = bandit_policy
-        self.warm_start = warm_start
-        self._workspace: Optional[LpPtWorkspace] = None
-        self._solve_state: Optional[WarmStartState] = None
         self._rng = ensure_rng(rng)
         self._engine = None
         self._bandit: Optional[LipschitzBandit] = None
@@ -123,9 +113,6 @@ class DynamicRR:
         self.tracker = RegretTracker()
         self._cumulative_reward = 0.0
         self._reward_scale = self._estimate_reward_scale(engine)
-        # Fresh per run so state never leaks between replications.
-        self._workspace = LpPtWorkspace() if self.warm_start else None
-        self._solve_state = WarmStartState() if self.warm_start else None
 
     def schedule(self, slot: int,
                  pending: Sequence[ARRequest]) -> List:
@@ -161,19 +148,13 @@ class DynamicRR:
         if not r_t:
             return []
 
-        with tracer.span("build_lp", algorithm=self.name) as build_span:
+        with tracer.span("build_lp", algorithm=self.name):
             waiting = {r.request_id: engine.waiting_ms(r, slot)
                        for r in r_t}
-            lp, index = build_lp_pt(engine.instance, r_t, waiting,
-                                    workspace=self._workspace)
-            if self._workspace is not None:
-                build_span.annotate(warm=self._workspace.last_mode)
-            else:
-                build_span.annotate(warm="cold")
+            lp, index = build_lp_pt(engine.instance, r_t, waiting)
         if lp.num_variables == 0:
             return []
-        solution = solve_lp(lp, backend=self.lp_backend,
-                            warm_start=self._solve_state)
+        solution = solve_lp(lp, backend=self.lp_backend)
         ledger = self._seeded_ledger(engine, threshold)
         placements: List = []
         remaining = list(r_t)
@@ -324,25 +305,12 @@ class DynamicRR:
     # Checkpoint/restore (streaming service)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot everything :meth:`begin` initializes plus learning.
-
-        The bandit, the LP-PT workspace, and the warm-start cache are
-        deep-copied *jointly* in one call: :class:`WarmStartState`
-        caches by object identity against the workspace's model, so
-        copying them separately would silently turn every post-restore
-        solve into a cold start (same placements, different journal-free
-        perf) - one ``deepcopy`` of the tuple preserves the shared
-        references.
-        """
+        """Snapshot everything :meth:`begin` initializes plus learning."""
         import copy
 
-        bandit, workspace, solve_state, tracker = copy.deepcopy(
-            (self._bandit, self._workspace, self._solve_state,
-             self.tracker))
+        bandit, tracker = copy.deepcopy((self._bandit, self.tracker))
         return {
             "bandit": bandit,
-            "workspace": workspace,
-            "solve_state": solve_state,
             "tracker": tracker,
             "rng_state": self._rng.bit_generator.state,
             "cumulative_reward": self._cumulative_reward,
@@ -358,8 +326,6 @@ class DynamicRR:
         overwrites the fresh learning state with the checkpointed one.
         """
         self._bandit = state["bandit"]
-        self._workspace = state["workspace"]
-        self._solve_state = state["solve_state"]
         self.tracker = state["tracker"]
         self._rng.bit_generator.state = state["rng_state"]
         self._cumulative_reward = state["cumulative_reward"]

@@ -81,9 +81,8 @@ class Heu:
             return result
 
         tracer = get_tracer()
-        with tracer.span("build_lp", algorithm=self.name) as build_span:
+        with tracer.span("build_lp", algorithm=self.name):
             lp, index = build_lp_relaxation(instance, requests)
-            build_span.annotate(warm="cold")
         if lp.num_variables == 0:
             for request in requests:
                 result.add(OffloadDecision(request_id=request.request_id))

@@ -35,12 +35,8 @@ slot geometry into per-slot max-rate arrays.  Every coefficient the
 model receives is bit-identical to the one the naive per-triple loops
 would produce - only the bookkeeping around them is vectorized.
 
-:class:`LpPtWorkspace` carries those tables *across* DynamicRR rounds
-and additionally keeps the previous round's model: an unchanged round
-returns the same model object (so a warm-started solve is a pure cache
-hit), a round that only changed the fair-share count ``|R_t|`` mutates
-the capped rows in place, and any other round rebuilds from the cached
-tables.
+Every call builds a fresh model from scratch; DynamicRR builds one
+LP-PT per round and nothing is carried between rounds.
 """
 
 from __future__ import annotations
@@ -139,8 +135,7 @@ class _DistTables:
     slice-and-dot expression as ``expected_reward_within`` so the
     floats are bit-identical to the per-triple evaluation.
     ``truncated()`` memoizes ``expected_truncated_rate`` per cap - the
-    prefix rows query the same handful of caps for every station and,
-    through :class:`LpPtWorkspace`, for every DynamicRR round.
+    prefix rows query the same handful of caps for every station.
     """
 
     __slots__ = ("distribution", "rates", "reward_prefix", "_trunc")
@@ -178,26 +173,6 @@ class _DistTables:
         counts = np.searchsorted(self.rates, max_rates + _PROB_TOL,
                                  side="right")
         return self.reward_prefix[counts]
-
-
-class _TableCache:
-    """Per-request :class:`_DistTables`, keyed by request id.
-
-    The distribution object is identity-checked so a stale entry (same
-    id, different workload) can never leak between builds.
-    """
-
-    __slots__ = ("_by_rid",)
-
-    def __init__(self) -> None:
-        self._by_rid: Dict[int, _DistTables] = {}
-
-    def get(self, request: ARRequest) -> _DistTables:
-        entry = self._by_rid.get(request.request_id)
-        if entry is None or entry.distribution is not request.distribution:
-            entry = _DistTables(request.distribution)
-            self._by_rid[request.request_id] = entry
-        return entry
 
 
 @dataclass(frozen=True)
@@ -245,24 +220,15 @@ class _StationBlocks:
     first_cols: List[int]
     tables: List[_DistTables]
 
-    def prefix_row(self, m: int, cap: float) -> Dict[int, float]:
-        coeffs: Dict[int, float] = {}
-        update = coeffs.update
-        for first, tab in zip(self.first_cols, self.tables):
-            truncated = tab.truncated(cap)
-            if truncated <= 0:
-                continue
-            update(dict.fromkeys(range(first, first + m), truncated))
-        return coeffs
-
     def prefix_rows(self, prefix_caps: Sequence[float]
                     ) -> Iterator[Tuple[int, Dict[int, float]]]:
         """All non-empty prefix rows at once: yields ``(m, coeffs)``.
 
-        Row-for-row identical to calling :meth:`prefix_row` per ``m``
-        (same keys in the same ascending order, same float values -
-        float64 arrays round-trip exactly); the batched assembly runs
-        the per-column work in numpy instead of per-entry Python.
+        Row ``m`` maps the first ``m`` columns of every block whose
+        truncated rate at ``prefix_caps[m - 1]`` is positive to that
+        rate, keys ascending (float64 arrays round-trip exactly); the
+        batched assembly runs the per-column work in numpy instead of
+        per-entry Python.
         """
         if not self.first_cols:
             return
@@ -295,23 +261,20 @@ class _StationBlocks:
         return dict(zip(cols.tolist(), data.tolist()))
 
 
-def _effective_caps(geometry: _StationGeometry,
-                    share_rate: Optional[float]
-                    ) -> Tuple[List[float], float]:
-    """Per-m prefix caps and the capacity-row cap of one station."""
-    if share_rate is None:
-        return list(geometry.threshold_rates), geometry.capacity_rate
-    return ([min(threshold, share_rate)
-             for threshold in geometry.threshold_rates],
-            min(geometry.capacity_rate, share_rate))
+def _row_caps(geometry: _StationGeometry, instance: ProblemInstance,
+              fair_share_count: Optional[int]
+              ) -> Tuple[List[float], float]:
+    """Per-m prefix caps and the capacity-row cap of one station.
 
-
-def _share_rate(geometry: _StationGeometry, instance: ProblemInstance,
-                fair_share_count: Optional[int]) -> Optional[float]:
+    LP-PT (Eq. 23) also caps each by the fair share ``C(bs_i) / |R_t|``
+    in rate space; the plain LP passes ``fair_share_count=None``.
+    """
     if fair_share_count is None:
-        return None
-    return geometry.capacity_mhz / (max(fair_share_count, 1)
-                                    * instance.c_unit)
+        return list(geometry.threshold_rates), geometry.capacity_rate
+    share = geometry.capacity_mhz / (fair_share_count * instance.c_unit)
+    return ([min(threshold, share)
+             for threshold in geometry.threshold_rates],
+            min(geometry.capacity_rate, share))
 
 
 # ----------------------------------------------------------------------
@@ -320,11 +283,8 @@ def _share_rate(geometry: _StationGeometry, instance: ProblemInstance,
 def _build_model(lp: LinearProgram, instance: ProblemInstance,
                  requests: Sequence[ARRequest],
                  waiting: Mapping[int, float],
-                 fair_share_count: Optional[int],
-                 tables: _TableCache,
-                 feasible: Optional[Mapping[int, Sequence[int]]] = None
-                 ) -> Tuple[LpIndex, Dict[int, _StationBlocks]]:
-    """Assemble the slot-indexed LP into `lp`; returns index + blocks.
+                 fair_share_count: Optional[int]) -> LpIndex:
+    """Assemble the slot-indexed LP into `lp`; returns its index.
 
     Byte-compatible with the historical per-triple build: same variable
     and constraint names, same insertion order, same float values.
@@ -344,10 +304,9 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
 
     for request in requests:
         rid = request.request_id
-        tab = tables.get(request)
-        stations = tuple(feasible[rid] if feasible is not None
-                         else instance.latency.feasible_stations(
-                             request, waiting.get(rid, 0.0)))
+        tab = _DistTables(request.distribution)
+        stations = tuple(instance.latency.feasible_stations(
+            request, waiting.get(rid, 0.0)))
         if not stations:
             by_request[rid] = []
             continue
@@ -403,8 +362,8 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     for sid in instance.network.station_ids:
         station = blocks[sid]
         geo = station.geometry
-        share = _share_rate(geo, instance, fair_share_count)
-        prefix_caps, capacity_cap = _effective_caps(geo, share)
+        prefix_caps, capacity_cap = _row_caps(geo, instance,
+                                              fair_share_count)
         for m, coeffs in station.prefix_rows(prefix_caps):
             lp.add_constraint_indexed(
                 coeffs, "<=",
@@ -415,10 +374,9 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
             lp.add_constraint_indexed(coeffs, "<=", geo.capacity_rate,
                                       name=f"capacity_{sid}")
 
-    index = LpIndex(
+    return LpIndex(
         triples=triples,
         by_request={rid: tuple(names) for rid, names in by_request.items()})
-    return index, blocks
 
 
 def build_lp_relaxation(instance: ProblemInstance,
@@ -439,17 +397,14 @@ def build_lp_relaxation(instance: ProblemInstance,
     """
     waiting = dict(waiting_ms or {})
     lp = LinearProgram(name="LP", maximize=True)
-    index, _blocks = _build_model(lp, instance, requests, waiting,
-                                  fair_share_count=None,
-                                  tables=_TableCache())
+    index = _build_model(lp, instance, requests, waiting,
+                         fair_share_count=None)
     return lp, index
 
 
 def build_lp_pt(instance: ProblemInstance,
                 requests: Sequence[ARRequest],
-                waiting_ms: Optional[Mapping[int, float]] = None,
-                workspace: Optional["LpPtWorkspace"] = None,
-                fair_share_count: Optional[int] = None
+                waiting_ms: Optional[Mapping[int, float]] = None
                 ) -> Tuple[LinearProgram, LpIndex]:
     """Build **LP-PT** (Eqs. 22-23) for one time slot of DynamicRR.
 
@@ -462,175 +417,9 @@ def build_lp_pt(instance: ProblemInstance,
         instance: the problem instance.
         requests: the slot's selected set ``R_t``.
         waiting_ms: accumulated waiting of each request in ``R_t``.
-        workspace: optional :class:`LpPtWorkspace` enabling the
-            incremental cross-round build (table reuse, model reuse,
-            in-place fair-share mutation).  The returned model is
-            byte-identical to a from-scratch build either way.
-        fair_share_count: override for ``|R_t|`` (defaults to
-            ``len(requests)``; ablations may pin it).
     """
     waiting = dict(waiting_ms or {})
-    count = (max(len(requests), 1) if fair_share_count is None
-             else max(int(fair_share_count), 1))
-    if workspace is not None:
-        return workspace.build(instance, requests, waiting, count)
     lp = LinearProgram(name="LP-PT", maximize=True)
-    index, _blocks = _build_model(lp, instance, requests, waiting,
-                                  fair_share_count=count,
-                                  tables=_TableCache())
+    index = _build_model(lp, instance, requests, waiting,
+                         fair_share_count=max(len(requests), 1))
     return lp, index
-
-
-class LpPtWorkspace:
-    """Incremental cross-round build state for LP-PT.
-
-    DynamicRR solves a fresh LP-PT every bandit round, but successive
-    rounds share almost all of their structure: the instance geometry
-    is fixed, pending requests persist across slots, and the only
-    round-dependent inputs are the selected set ``R_t``, the waiting
-    times (which act through deadline pruning), and the fair-share
-    count ``|R_t|``.  The workspace exploits that:
-
-    * **table reuse** - per-request :class:`_DistTables` (including the
-      truncated-rate memo) survive across rounds, so a rebuild touches
-      no distribution arithmetic for previously seen (request, cap)
-      pairs;
-    * **model reuse** - when the column structure (request order and
-      feasible-station sets) and the fair-share count are unchanged,
-      the previous round's model object is returned as-is, letting a
-      warm-started solve hit its fingerprint cache without re-solving;
-    * **in-place mutation** - when only the fair-share count changed,
-      the rows whose effective cap ``min(threshold, share)`` moved are
-      rewritten in place via
-      :meth:`~repro.solver.model.LinearProgram.update_constraint_indexed`
-      instead of regenerating the model.
-
-    All three paths produce a model byte-identical to a from-scratch
-    :func:`build_lp_pt`; the counters (:attr:`rebuilds`,
-    :attr:`reuses`, :attr:`row_updates`) are exported as telemetry by
-    DynamicRR.
-    """
-
-    def __init__(self) -> None:
-        self._tables = _TableCache()
-        #: request_id -> (request, sorted (placement_delay, sid) list);
-        #: placement delays are waiting-independent, so the per-round
-        #: deadline pruning reduces to one threshold pass.
-        self._delays: Dict[int, Tuple[ARRequest,
-                                      List[Tuple[float, int]]]] = {}
-        self._delay_instance: Optional[ProblemInstance] = None
-        self._instance: Optional[ProblemInstance] = None
-        self._columns: Optional[Tuple] = None
-        self._count: Optional[int] = None
-        self._model: Optional[LinearProgram] = None
-        self._index: Optional[LpIndex] = None
-        self._blocks: Optional[Dict[int, _StationBlocks]] = None
-        #: Rounds that rebuilt the model (cached tables only).
-        self.rebuilds = 0
-        #: Rounds that returned the previous model unchanged.
-        self.reuses = 0
-        #: Rounds that mutated the fair-share rows in place.
-        self.row_updates = 0
-        #: What the most recent :meth:`build` call did.
-        self.last_mode = "none"
-
-    def build(self, instance: ProblemInstance,
-              requests: Sequence[ARRequest],
-              waiting: Mapping[int, float],
-              fair_share_count: int
-              ) -> Tuple[LinearProgram, LpIndex]:
-        """Build (or reuse / patch) the round's LP-PT."""
-        if instance is not self._delay_instance:
-            self._delays.clear()
-            self._delay_instance = instance
-        feasible = {
-            r.request_id: self._feasible_stations(
-                instance, r, waiting.get(r.request_id, 0.0))
-            for r in requests}
-        columns = tuple((r.request_id, tuple(feasible[r.request_id]))
-                        for r in requests)
-        unchanged = (self._model is not None
-                     and instance is self._instance
-                     and columns == self._columns)
-        if unchanged and fair_share_count == self._count:
-            self.reuses += 1
-            self.last_mode = "reuse"
-            return self._model, self._index
-        if unchanged:
-            self._patch_share_rows(instance, fair_share_count)
-            self._count = fair_share_count
-            self.row_updates += 1
-            self.last_mode = "row_update"
-            return self._model, self._index
-
-        lp = LinearProgram(name="LP-PT", maximize=True)
-        index, blocks = _build_model(lp, instance, requests, waiting,
-                                     fair_share_count=fair_share_count,
-                                     tables=self._tables,
-                                     feasible=feasible)
-        self._instance = instance
-        self._columns = columns
-        self._count = fair_share_count
-        self._model = lp
-        self._index = index
-        self._blocks = blocks
-        self.rebuilds += 1
-        self.last_mode = "rebuild"
-        return lp, index
-
-    def _feasible_stations(self, instance: ProblemInstance,
-                           request: ARRequest,
-                           waiting_ms: float) -> List[int]:
-        """Deadline pruning with cached placement delays.
-
-        Same stations, same order (sorted by placement delay then id),
-        and the same float comparison as
-        :meth:`~repro.core.latency.LatencyModel.feasible_stations` -
-        only the waiting-independent delay table is computed once per
-        request instead of once per round.
-        """
-        entry = self._delays.get(request.request_id)
-        if entry is None or entry[0] is not request:
-            arr = instance.latency.placement_delays(request)
-            delays = sorted(zip(arr.tolist(),
-                                instance.network.station_ids))
-            entry = (request, delays)
-            self._delays[request.request_id] = entry
-        threshold = request.deadline_ms + 1e-9
-        return [sid for delay, sid in entry[1]
-                if waiting_ms + delay <= threshold]
-
-    def _patch_share_rows(self, instance: ProblemInstance,
-                          fair_share_count: int) -> None:
-        """Rewrite rows whose effective cap moved with ``|R_t|``.
-
-        Row *presence* is invariant under a share change: a station
-        with columns always has ``truncated(cap) > 0`` for its
-        ``cap > 0`` rows, so every affected row already exists and the
-        patch never needs to add or drop one.
-        """
-        assert self._model is not None and self._blocks is not None
-        lp = self._model
-        for sid, station in self._blocks.items():
-            if not station.first_cols:
-                continue
-            geo = station.geometry
-            old_share = _share_rate(geo, instance, self._count)
-            new_share = _share_rate(geo, instance, fair_share_count)
-            old_prefix, old_capacity = _effective_caps(geo, old_share)
-            new_prefix, new_capacity = _effective_caps(geo, new_share)
-            for m in range(1, geo.num_slots + 1):
-                if new_prefix[m - 1] == old_prefix[m - 1]:
-                    continue
-                coeffs = station.prefix_row(m, new_prefix[m - 1])
-                if coeffs:
-                    lp.update_constraint_indexed(f"prefix_{sid}_{m}",
-                                                 coeffs)
-            # Exact on purpose: an unchanged cap means the row's
-            # coefficients are the same floats - only bit-level moves
-            # warrant a rewrite (tolerances would skip real changes).
-            if new_capacity != old_capacity:  # repro: noqa NUM001 -- bitwise change detection
-                coeffs = station.capacity_row(new_capacity)
-                if coeffs:
-                    lp.update_constraint_indexed(f"capacity_{sid}",
-                                                 coeffs)

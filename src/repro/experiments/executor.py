@@ -167,7 +167,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
     With ``spec.profile`` the run additionally executes under a fresh
     tracer (shared with ``trace``), a fresh
     :class:`~repro.telemetry.metrics.MetricsRegistry` (so solver
-    counters like ``simplex_iterations_total{phase}`` attribute to the
+    counters like ``simplex_iterations_total`` attribute to the
     run), and ``cProfile``; the record carries a
     :class:`~repro.telemetry.profiling.ProfileDigest` plus picklable
     cProfile stats.  ``spec.profile_mem`` captures ``tracemalloc`` top

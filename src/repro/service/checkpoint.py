@@ -2,7 +2,7 @@
 
 A checkpoint freezes everything the service needs to continue a run as
 if it had never stopped: the engine's queues and realization RNG, the
-policy's learning state (bandit, warm-start caches), the arrival
+policy's learning state (bandit and regret tracker), the arrival
 stream's position, the decision journal's cursor, and the service's
 cumulative counters.  The proof obligation - enforced by the property
 tests and the CI smoke job - is *journal byte-identity*: kill the
@@ -12,9 +12,10 @@ uninterrupted run (``trace-diff`` exit 0).
 
 Files are written atomically (temp file + ``os.replace``) so a crash
 mid-checkpoint leaves the previous checkpoint intact.  The payload is a
-pickle of plain dataclasses, numpy generator states, and the solver
-workspace objects - everything the repository already keeps
-deterministic.
+pickle of plain dataclasses and numpy generator states - everything the
+repository already keeps deterministic.  No solver state is stored:
+every LP is built and solved from scratch, so a resumed run needs
+none.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from ..exceptions import ConfigurationError
 
 #: Format tag stored in every checkpoint; bumped on layout changes so a
 #: stale file fails loudly instead of resuming garbage.  /2 added the
-#: ``metrics_state`` field (PR 8): resumed services continue their
-#: metric series instead of restarting them from zero.
-CHECKPOINT_SCHEMA = "repro.service-checkpoint/2"
+#: ``metrics_state`` field: resumed services continue their metric
+#: series instead of restarting them from zero.  /3 dropped the LP-PT
+#: ``workspace`` and ``solve_state`` keys from DynamicRR's
+#: ``policy_state``.
+CHECKPOINT_SCHEMA = "repro.service-checkpoint/3"
 
 
 @dataclass

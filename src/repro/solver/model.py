@@ -10,22 +10,16 @@ HiGHS backend consumes CSR directly.  :meth:`dense_rows` remains for
 the dense tableau simplex and for tests that want to see the full
 matrices.
 
-The container also supports in-place *incremental* edits
-(:meth:`update_constraint`, :meth:`set_variable_bounds`,
-:meth:`set_objective`) so a caller re-solving a near-identical model -
-DynamicRR's per-round LP-PT is the canonical case - can mutate the few
-changed rows instead of regenerating everything.  A monotonically
-increasing version counter invalidates the cached exports and feeds the
-:meth:`content_key` fingerprint that warm-started solves use to detect
-an unchanged model.
+The container is append-only: variables and constraints are added,
+never edited or removed, so a column or row never changes once it
+exists.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -114,7 +108,7 @@ class LinearProgram:
         # slot-indexed LPs append tens of thousands of columns per
         # build, and plain list appends beat dataclass construction by
         # an order of magnitude.  The Variable view is materialized
-        # lazily (and cached per version) by :attr:`variables`.
+        # lazily (and cached per column count) by :attr:`variables`.
         self._names: List[str] = []
         self._lows: List[float] = []
         self._highs: List[float] = []
@@ -123,23 +117,7 @@ class LinearProgram:
         self._var_index: Dict[str, int] = {}
         self._constraints: List[Constraint] = []
         self._con_names: Dict[str, int] = {}
-        #: Bumped on every structural edit; keys the export/fingerprint
-        #: caches and lets warm-start state detect "same model object,
-        #: unchanged since the last solve".
-        self._version = 0
-        self._vars_cache: Optional[Tuple[int, Tuple[Variable, ...]]] = None
-        self._sparse_cache: Optional[Tuple[int, Tuple[Any, ...]]] = None
-        self._key_cache: Optional[Tuple[int, bytes]] = None
-        self._bounds_cache: Optional[
-            Tuple[int, Optional[Tuple[float, float]]]] = None
-
-    @property
-    def version(self) -> int:
-        """Mutation counter (bumped by every add/update call)."""
-        return self._version
-
-    def _touch(self) -> None:
-        self._version += 1
+        self._vars_cache: Tuple[Variable, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -168,7 +146,6 @@ class LinearProgram:
         self._objs.append(var.objective)
         self._ints.append(var.integer)
         self._var_index[name] = index
-        self._touch()
         return var
 
     def add_variables_bulk(self, names: Sequence[str],
@@ -209,7 +186,6 @@ class LinearProgram:
         self._highs.extend(highs_f)
         self._objs.extend(objs_f)
         self._ints.extend([bool(integer)] * len(names))
-        self._touch()
         return first
 
     def add_constraint(self, coeffs: Mapping[str, float], sense: str,
@@ -291,106 +267,7 @@ class LinearProgram:
         con = Constraint(name=name, coeffs=row, sense=sense, rhs=rhs)
         self._con_names[name] = len(self._constraints)
         self._constraints.append(con)
-        self._touch()
         return con
-
-    # ------------------------------------------------------------------
-    # Incremental (in-place) edits
-    # ------------------------------------------------------------------
-    def update_constraint(self, name: str,
-                          coeffs: Optional[Mapping[str, float]] = None,
-                          rhs: Optional[float] = None) -> Constraint:
-        """Replace a row's coefficients and/or right-hand side in place.
-
-        The row keeps its position (export order is unchanged) and its
-        sense.  This is the incremental-model primitive: DynamicRR's
-        LP-PT differs between rounds only in the fair-share-capped rows
-        and the arrival set, so mutating those rows beats regenerating
-        the whole model.
-
-        Args:
-            coeffs: new name->coefficient mapping (None keeps the row).
-            rhs: new right-hand side (None keeps it).
-
-        Raises:
-            ConfigurationError: unknown row/variables.
-        """
-        try:
-            position = self._con_names[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: unknown constraint {name!r}") from None
-        old = self._constraints[position]
-        row: Mapping[int, float]
-        if coeffs is None:
-            row = old.coeffs
-        else:
-            new_row: Dict[int, float] = {}
-            for var_name, coef in coeffs.items():
-                if var_name not in self._var_index:
-                    raise ConfigurationError(
-                        f"{self.name}: unknown variable {var_name!r}")
-                if coef != 0.0:  # repro: noqa NUM001 -- structural zero-drop
-                    new_row[self._var_index[var_name]] = float(coef)
-            row = new_row
-        new_rhs = old.rhs if rhs is None else float(rhs)
-        con = Constraint(name=name, coeffs=row, sense=old.sense,
-                         rhs=new_rhs)
-        self._constraints[position] = con
-        self._touch()
-        return con
-
-    def update_constraint_indexed(self, name: str,
-                                  coeffs: Mapping[int, float],
-                                  rhs: Optional[float] = None
-                                  ) -> Constraint:
-        """Index-keyed sibling of :meth:`update_constraint` (fast path).
-
-        Raises:
-            ConfigurationError: unknown row or out-of-range indices.
-        """
-        try:
-            position = self._con_names[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: unknown constraint {name!r}") from None
-        old = self._constraints[position]
-        n = len(self._names)
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
-            raise ConfigurationError(
-                f"{self.name}: column index {bad} out of range [0, {n})")
-        row = _indexed_row(coeffs)
-        new_rhs = old.rhs if rhs is None else float(rhs)
-        con = Constraint(name=name, coeffs=row, sense=old.sense,
-                         rhs=new_rhs)
-        self._constraints[position] = con
-        self._touch()
-        return con
-
-    def set_variable_bounds(self, name: str, low: float,
-                            high: float) -> Variable:
-        """Change one variable's bounds in place (column kept).
-
-        Raises:
-            ConfigurationError: unknown variable or ``low > high``.
-        """
-        if low > high:
-            raise ConfigurationError(
-                f"{self.name}: variable {name!r} has low {low} > "
-                f"high {high}")
-        index = self._index_of(name)
-        self._lows[index] = float(low)
-        self._highs[index] = float(high)
-        self._touch()
-        return self._make_variable(index)
-
-    def set_objective(self, name: str, objective: float) -> Variable:
-        """Change one variable's objective coefficient in place."""
-        index = self._index_of(name)
-        self._objs[index] = float(objective)
-        self._touch()
-        return self._make_variable(index)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -410,16 +287,17 @@ class LinearProgram:
 
     @property
     def variables(self) -> Tuple[Variable, ...]:
-        """All variables, by column index (materialized lazily)."""
-        cached = self._vars_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        view = tuple(Variable(name=name, index=i, low=low, high=high,
-                              objective=obj, integer=integer)
-                     for i, (name, low, high, obj, integer)
-                     in enumerate(zip(self._names, self._lows, self._highs,
-                                      self._objs, self._ints)))
-        self._vars_cache = (self._version, view)
+        """All variables, by column index (materialized lazily).
+
+        Columns are append-only, so the cached view only needs
+        extending when new columns arrived since the last call.
+        """
+        view = self._vars_cache
+        if len(view) < len(self._names):
+            view += tuple(
+                self._make_variable(i)
+                for i in range(len(view), len(self._names)))
+            self._vars_cache = view
         return view
 
     def variable_names(self) -> List[str]:
@@ -467,12 +345,8 @@ class LinearProgram:
         Returns None when variables disagree (or there are none).  The
         paper's programs bound every ``y`` by [0, 1], and scipy accepts
         one shared pair without materializing the per-variable list -
-        backends use this as a fast path.  Cached by :attr:`version`.
+        backends use this as a fast path.
         """
-        cached = self._bounds_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        result: Optional[Tuple[float, float]] = None
         if self._names:
             low, high = self._lows[0], self._highs[0]
             # Exact on purpose: a fast path may only trigger when the
@@ -481,9 +355,8 @@ class LinearProgram:
             n = len(self._names)
             if (self._lows.count(low) == n  # repro: noqa NUM001 -- bitwise fast-path guard
                     and self._highs.count(high) == n):
-                result = (low, high)
-        self._bounds_cache = (self._version, result)
-        return result
+                return low, high
+        return None
 
     def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray]:
@@ -528,13 +401,7 @@ class LinearProgram:
         points (``linprog``/``milp``) consume CSR directly.  Column
         indices are emitted sorted per row (canonical CSR), so the
         matrices are bit-identical to ``csr_array(dense_rows()[...])``.
-
-        The export is cached against the model version; repeated solves
-        of an unmutated model pay the assembly once.
         """
-        if (self._sparse_cache is not None
-                and self._sparse_cache[0] == self._version):
-            return self._sparse_cache[1]  # type: ignore[return-value]
         n = self.num_variables
         ub_indptr = [0]
         ub_indices: List[int] = []
@@ -572,39 +439,8 @@ class LinearProgram:
              np.asarray(eq_indices, dtype=np.int32),
              np.asarray(eq_indptr, dtype=np.int32)),
             shape=(len(eq_rhs), n))
-        export = (a_ub, np.asarray(ub_rhs, dtype=float),
-                  a_eq, np.asarray(eq_rhs, dtype=float))
-        self._sparse_cache = (self._version, export)
-        return export
-
-    def content_key(self) -> bytes:
-        """Digest of the full model content (variables, rows, senses).
-
-        Two models with equal keys describe byte-identical programs, so
-        a deterministic backend returns the same solution for both -
-        the property :class:`~repro.solver.interface.WarmStartState`
-        relies on to reuse a previous solve exactly.  Cached against
-        the model version.
-        """
-        if (self._key_cache is not None
-                and self._key_cache[0] == self._version):
-            return self._key_cache[1]
-        h = hashlib.blake2b(digest_size=16)
-        h.update(b"max" if self.maximize else b"min")
-        h.update("\x00".join(self._names).encode())
-        meta = np.array([(low, high, obj, float(integer))
-                         for low, high, obj, integer
-                         in zip(self._lows, self._highs, self._objs,
-                                self._ints)], dtype=float)
-        h.update(meta.tobytes())
-        a_ub, b_ub, a_eq, b_eq = self.sparse_rows()
-        for arr in (a_ub.indptr, a_ub.indices, a_ub.data, b_ub,
-                    a_eq.indptr, a_eq.indices, a_eq.data, b_eq):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update("\x00".join(c.name for c in self._constraints).encode())
-        key = h.digest()
-        self._key_cache = (self._version, key)
-        return key
+        return (a_ub, np.asarray(ub_rhs, dtype=float),
+                a_eq, np.asarray(eq_rhs, dtype=float))
 
     def evaluate_objective(self, values: Mapping[str, float]) -> float:
         """Objective value of an assignment (natural direction)."""

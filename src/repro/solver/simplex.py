@@ -28,15 +28,6 @@ expressions that reproduce the classical per-element loops *exactly*
 leaving row - minimum ratio with ties broken by lowest basis index;
 same multiply-then-subtract per tableau entry), so the pivot sequence
 is identical to the textbook implementation's.
-
-Warm starts: :func:`solve_with_simplex_state` returns the optimal basis
-(column indices of the internal standard form) and accepts one from a
-previous solve.  A valid, primal-feasible warm basis skips phase 1
-entirely - the tableau is refactorized from the basis columns and
-phase 2 resumes from there.  The refactorization goes through a dense
-linear solve, so warm-started results agree with cold ones to solver
-tolerance (not bitwise); callers needing bit-reproducibility solve
-cold.
 """
 
 from __future__ import annotations
@@ -204,36 +195,6 @@ def _run_simplex(tableau: np.ndarray, basis: List[int],
     raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
-def _phase2_from_basis(form: _StandardForm,
-                       basis: Sequence[int]) -> Optional[np.ndarray]:
-    """Refactorize a phase-2 tableau from a (warm) basis.
-
-    Returns None when the basis is structurally invalid for this form
-    (wrong size, out of range, duplicated), singular, or not primal
-    feasible - callers then fall back to the cold two-phase path.
-    """
-    a, b = form.a, form.b
-    m, n = a.shape
-    if len(basis) != m or len(set(basis)) != m:
-        return None
-    cols = np.asarray(basis, dtype=int)
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        return None
-    try:
-        body = np.linalg.solve(a[:, cols],
-                               np.concatenate([a, b[:, None]], axis=1))
-    except np.linalg.LinAlgError:
-        return None
-    rhs = body[:, -1]
-    if rhs.min() < -1e-7:
-        return None  # basis not primal feasible for the new rhs
-    tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :] = body
-    tableau[:m, -1] = np.maximum(rhs, 0.0)
-    tableau[-1, :n] = form.c
-    return tableau
-
-
 def _recover_solution(lp: LinearProgram, form: _StandardForm,
                       tableau: np.ndarray, basis: Sequence[int]
                       ) -> Tuple[float, Dict[str, float]]:
@@ -252,12 +213,10 @@ def _recover_solution(lp: LinearProgram, form: _StandardForm,
     return lp.evaluate_objective(values), values
 
 
-def solve_with_simplex_state(lp: LinearProgram,
-                             max_iter: int = 100_000,
-                             warm_basis: Optional[Sequence[int]] = None
-                             ) -> Tuple[float, Dict[str, float],
-                                        List[int], bool]:
-    """Solve a (continuous) LP, optionally warm-started from a basis.
+def solve_with_simplex(lp: LinearProgram,
+                       max_iter: int = 100_000) -> Tuple[float,
+                                                         Dict[str, float]]:
+    """Solve a (continuous) LP with the from-scratch simplex.
 
     Integrality flags are ignored (this is the relaxation solver that
     branch-and-bound builds on).
@@ -265,16 +224,9 @@ def solve_with_simplex_state(lp: LinearProgram,
     Args:
         lp: the model.
         max_iter: pivot budget shared by both phases.
-        warm_basis: standard-form basis columns from a previous
-            :func:`solve_with_simplex_state` on a structurally similar
-            model.  When it is valid and primal feasible for this
-            model, phase 1 is skipped; otherwise the cold path runs.
 
     Returns:
-        ``(objective, values, basis, warm_used)`` - the optimum in the
-        model's natural direction, the optimal standard-form basis
-        (reusable as ``warm_basis``), and whether the warm basis was
-        actually applied.
+        ``(objective, values)`` in the model's natural direction.
 
     Raises:
         InfeasibleProblemError: no feasible point exists.
@@ -302,24 +254,7 @@ def solve_with_simplex_state(lp: LinearProgram,
                     f"variable {var.name} unbounded with nonzero objective")
             values[var.name] = best
             objective += var.objective * best
-        return objective, values, [], False
-
-    # ---------------- Warm path ----------------
-    if warm_basis is not None:
-        tableau2 = _phase2_from_basis(form, warm_basis)
-        if tableau2 is not None:
-            basis = list(warm_basis)
-            # Price out the basic columns.
-            for i, bj in enumerate(basis):
-                if abs(tableau2[-1, bj]) > _TOL:
-                    tableau2[-1, :] -= tableau2[-1, bj] * tableau2[i, :]
-            pivots = _run_simplex(tableau2, basis, num_cols=n,
-                                  max_iter=max_iter)
-            get_metrics().inc("simplex_iterations_total", pivots,
-                              phase="warm")
-            objective, values = _recover_solution(lp, form, tableau2,
-                                                  basis)
-            return objective, values, list(basis), True
+        return objective, values
 
     # ---------------- Phase 1 ----------------
     tableau = np.zeros((m + 1, n + m + 1))
@@ -371,27 +306,5 @@ def solve_with_simplex_state(lp: LinearProgram,
             tableau2[-1, :] -= tableau2[-1, bj] * tableau2[i, :]
     pivots += _run_simplex(tableau2, basis, num_cols=n,
                            max_iter=max_iter)
-    get_metrics().inc("simplex_iterations_total", pivots, phase="cold")
-
-    objective, values = _recover_solution(lp, form, tableau2, basis)
-    return objective, values, list(basis), False
-
-
-def solve_with_simplex(lp: LinearProgram,
-                       max_iter: int = 100_000) -> Tuple[float,
-                                                         Dict[str, float]]:
-    """Solve a (continuous) LP with the from-scratch simplex.
-
-    Thin cold-start wrapper around :func:`solve_with_simplex_state`.
-
-    Returns:
-        ``(objective, values)`` in the model's natural direction.
-
-    Raises:
-        InfeasibleProblemError: no feasible point exists.
-        UnboundedProblemError: the objective is unbounded.
-        SolverError: iteration budget exhausted.
-    """
-    objective, values, _basis, _warm = solve_with_simplex_state(
-        lp, max_iter=max_iter)
-    return objective, values
+    get_metrics().inc("simplex_iterations_total", pivots)
+    return _recover_solution(lp, form, tableau2, basis)

@@ -10,10 +10,10 @@ Two classes of signal, mirroring the deterministic/advisory split of
 :mod:`repro.telemetry.regression`:
 
 * **Deterministic attribution** - span paths, per-span call counts,
-  and domain counters (``simplex_iterations_total{phase}``,
-  ``lp_solves_total{mode}``, ...) are pure functions of config + seeds.
+  and domain counters (``simplex_iterations_total``,
+  ``lp_solves_total``, ...) are pure functions of config + seeds.
   They gate at ``--tol`` in *both* directions: a new hot span, a 4x
-  jump in phase-2 simplex iterations, or a vanished ``presolve`` span
+  jump in simplex iterations, or a vanished ``presolve`` span
   all exit 1 on any machine, however noisy its clock.
 
 * **Advisory timing** - per-span self/cumulative wall time is printed
@@ -25,7 +25,7 @@ The report ends with the **worst regressed span**: the span whose
 deterministic or gated-time relative delta is largest, together with
 its self-time movement and the counter deltas
 :data:`~repro.telemetry.profiling.COUNTER_OWNERS` joins onto it -
-"simplex phase-2 iterations +4.1x, self-time +380 ms in
+"simplex iterations +4.1x, self-time +380 ms in
 ``offline_run/build_lp/lp_solve``".
 
 Exit codes match ``bench-diff`` / ``trace-diff``:

@@ -10,8 +10,8 @@ module closes that gap with three layers:
   many merged) runs: per **span path** (``offline_run/build_lp/
   lp_solve``) the call count, cumulative wall time, exclusive self
   time, and min/max per call, plus every domain counter
-  (``simplex_iterations_total{phase="warm"}``,
-  ``lp_solves_total{mode="basis"}``, ``bnb_nodes``, ...) joined onto
+  (``simplex_iterations_total``, ``lp_solves_total``, ``bnb_nodes``,
+  ...) joined onto
   its owning span via :data:`COUNTER_OWNERS`.  Digests merge
   associatively (per algorithm, across ProcessPool workers), serialize
   to JSON, and split cleanly into a *deterministic* part (calls,

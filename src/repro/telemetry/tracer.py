@@ -67,12 +67,6 @@ class _SpanContext:
         self._tracer._stack.pop()
         return False
 
-    def annotate(self, **labels) -> None:
-        """Attach labels discovered *inside* the span (e.g. whether a
-        solve was a warm-start hit).  Values must follow the same
-        determinism convention as span labels."""
-        self._record["labels"].update(labels)
-
 
 class _NullSpan:
     """Shared no-op context manager returned by :class:`NullTracer`."""
@@ -84,9 +78,6 @@ class _NullSpan:
 
     def __exit__(self, *exc) -> bool:
         return False
-
-    def annotate(self, **labels) -> None:
-        """Discard labels (no-op tracer)."""
 
 
 _NULL_SPAN = _NullSpan()

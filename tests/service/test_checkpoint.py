@@ -10,6 +10,7 @@ parsed events; byte equality is the stronger claim).
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ class TestCheckpointFiles:
     def test_read_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
+
+    def test_read_schema_2_checkpoint_raises(self, tmp_path):
+        """A /2 file still carries DynamicRR's LP-PT ``workspace`` and
+        ``solve_state``; it must fail at read time with a typed error,
+        not with a KeyError halfway through a restore."""
+        stale = ServiceCheckpoint(
+            config={"policy": "dynamicrr"}, slot=9,
+            engine_state={"slot": 9},
+            policy_state={"bandit": None, "workspace": None,
+                          "solve_state": None, "tracker": None},
+            stream_state={"next_id": 3},
+            journal=JournalCursor(), schema="repro.service-checkpoint/2")
+        path = tmp_path / "stale.ckpt"
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ConfigurationError, match="stale checkpoint"):
+            read_checkpoint(str(path))
 
     def test_read_garbage_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,8 +1,8 @@
-"""Bulk construction, incremental edits, and sparse export of the model.
+"""Bulk construction and sparse export of the append-only model.
 
-These APIs form the warm-started LP hot path: vectorized builders
-append whole column blocks (`add_variables_bulk`), mutate single rows
-in place (`update_constraint*`), and export CSR matrices in O(nnz)
+These APIs form the LP hot path: vectorized builders append whole
+column blocks (`add_variables_bulk`) and index-keyed rows
+(`add_constraint_indexed`), and backends export CSR matrices in O(nnz)
 (`sparse_rows`).  The tests pin the contract the solvers rely on -
 byte-identical semantics to the scalar/dense paths.
 """
@@ -72,6 +72,19 @@ class TestBulkVariables:
         lp = knapsack_lp()
         assert lp.variable_names() == ["x0", "x1", "x2", "x3"]
 
+    def test_variables_view_sees_appended_columns(self):
+        """The cached Variable view extends when columns are appended
+        after a first read."""
+        lp = knapsack_lp()
+        first = lp.variables
+        assert lp.variables is first  # cached while nothing was added
+        lp.add_variable("x4", high=2.0, objective=5.0)
+        lp.add_variables_bulk(["x5"], (0.0,), (1.0,), (0.5,))
+        view = lp.variables
+        assert view[:4] == first
+        assert [(v.name, v.index, v.high, v.objective) for v in view[4:]] \
+            == [("x4", 4, 2.0, 5.0), ("x5", 5, 1.0, 0.5)]
+
 
 class TestIndexedConstraints:
     def test_row_content(self):
@@ -103,55 +116,6 @@ class TestIndexedConstraints:
             lp.add_constraint_indexed({0: 0.0}, ">=", 1.0)
 
 
-class TestIncrementalEdits:
-    def test_update_rhs_keeps_row_position(self):
-        lp = knapsack_lp()
-        before = [c.name for c in lp.constraints]
-        lp.update_constraint_indexed("cap", {0: 2.0, 1: 1.0, 2: 3.0},
-                                     rhs=5.0)
-        assert [c.name for c in lp.constraints] == before
-        assert lp.constraints[0].rhs == 5.0
-        assert lp.constraints[0].sense == "<="
-
-    def test_update_coeffs_by_name(self):
-        lp = knapsack_lp()
-        lp.update_constraint("floor", coeffs={"x1": 2.0})
-        assert lp.constraints[1].coeffs == {1: 2.0}
-        assert lp.constraints[1].rhs == 0.5  # rhs untouched
-
-    def test_unknown_row_rejected(self):
-        lp = knapsack_lp()
-        with pytest.raises(ConfigurationError):
-            lp.update_constraint_indexed("nope", {0: 1.0})
-
-    def test_set_variable_bounds_and_objective(self):
-        lp = knapsack_lp()
-        lp.set_variable_bounds("x1", 0.25, 0.75)
-        lp.set_objective("x1", 9.0)
-        var = lp.variable("x1")
-        assert (var.low, var.high, var.objective) == (0.25, 0.75, 9.0)
-
-    def test_version_bumps_on_every_edit(self):
-        lp = knapsack_lp()
-        seen = {lp.version}
-        lp.update_constraint_indexed("cap", {0: 1.0})
-        seen.add(lp.version)
-        lp.set_variable_bounds("x0", 0.0, 0.5)
-        seen.add(lp.version)
-        lp.set_objective("x0", 1.0)
-        seen.add(lp.version)
-        assert len(seen) == 4  # strictly increasing
-
-    def test_content_key_tracks_content(self):
-        lp = knapsack_lp()
-        key = lp.content_key()
-        assert lp.content_key() == key  # stable while unmutated
-        assert knapsack_lp().content_key() == key  # content-based
-        lp.update_constraint_indexed("cap", {0: 2.0, 1: 1.0, 2: 3.0},
-                                     rhs=5.0)
-        assert lp.content_key() != key
-
-
 class TestSparseExport:
     def test_sparse_matches_dense(self):
         lp = knapsack_lp()
@@ -170,15 +134,6 @@ class TestSparseExport:
         assert a_ub.indptr.tolist() == ref_ub.indptr.tolist()
         assert a_ub.indices.tolist() == ref_ub.indices.tolist()
         assert a_ub.data.tolist() == ref_ub.data.tolist()
-
-    def test_export_cache_invalidated_by_edit(self):
-        lp = knapsack_lp()
-        first = lp.sparse_rows()
-        assert lp.sparse_rows() is first  # cached while unmutated
-        lp.update_constraint_indexed("cap", {0: 1.0}, rhs=2.0)
-        second = lp.sparse_rows()
-        assert second is not first
-        assert second[0].toarray()[0, 0] == 1.0
 
     def test_empty_groups_have_column_width(self):
         lp = LinearProgram()
@@ -205,13 +160,3 @@ class TestUniformBounds:
 
     def test_empty_model_returns_none(self):
         assert LinearProgram().uniform_bounds() is None
-
-    def test_cache_tracks_edits(self):
-        lp = LinearProgram()
-        lp.add_variables_bulk(["a", "b"], (0.0,) * 2, (1.0,) * 2,
-                              (0.0,) * 2)
-        assert lp.uniform_bounds() == (0.0, 1.0)
-        lp.set_variable_bounds("b", 0.0, 0.5)
-        assert lp.uniform_bounds() is None
-        lp.set_variable_bounds("b", 0.0, 1.0)
-        assert lp.uniform_bounds() == (0.0, 1.0)

@@ -10,8 +10,7 @@ second phase could pivot on a zero row.
 import pytest
 
 from repro.solver.model import LinearProgram
-from repro.solver.simplex import solve_with_simplex, \
-    solve_with_simplex_state
+from repro.solver.simplex import solve_with_simplex
 
 
 def redundant_lp() -> LinearProgram:
@@ -67,13 +66,3 @@ class TestRedundantRows:
         obj_simplex, _ = solve_with_simplex(lp)
         obj_scipy, _ = solve_lp_scipy(lp)
         assert obj_simplex == pytest.approx(obj_scipy, abs=1e-8)
-
-    def test_state_solver_matches_plain(self):
-        lp = redundant_lp()
-        obj_plain, values_plain = solve_with_simplex(lp)
-        obj_state, values_state, basis, warm_used = \
-            solve_with_simplex_state(lp)
-        assert not warm_used
-        assert obj_state == obj_plain
-        assert values_state == values_plain
-        assert basis is not None and len(basis) > 0

@@ -157,6 +157,5 @@ class TestCurrentTracer:
             solve_lp(lp)
         spans = [e for e in tracer.events() if e["kind"] == "span"]
         assert any(e["name"] == "lp_solve"
-                   and e["labels"] == {"backend": "scipy",
-                                       "warm": "cold"}
+                   and e["labels"] == {"backend": "scipy"}
                    for e in spans)
