@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
+from ..core.latency import meets_deadline
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -86,7 +87,7 @@ def admit_sequential(algorithm_name: str,
             reward=earned,
             latency_ms=latency,
             waiting_ms=0.0,
-            deadline_met=latency <= request.deadline_ms + 1e-9,
+            deadline_met=meets_deadline(latency, request.deadline_ms),
         ))
     result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
     return result
@@ -156,11 +157,10 @@ class OnlineBaselinePolicy:
         assert engine is not None
         return engine.free_mhz(station_id) - planned_mhz.get(station_id, 0.0)
 
-    def _deadline_ok(self, request: ARRequest, station_id: int,
-                     slot: int) -> bool:
+    def _feasible_stations(self, request: ARRequest) -> List[int]:
+        """Stations meeting the deadline if placed this slot, nearest
+        first (:meth:`LatencyModel.feasible_stations` at the wait)."""
         engine = self._engine
         assert engine is not None
-        waiting = engine.waiting_ms(request, slot)
-        latency = engine.instance.latency.total_delay_ms(
-            request, station_id, waiting)
-        return latency <= request.deadline_ms + 1e-9
+        return engine.instance.latency.feasible_stations(
+            request, engine.waiting_ms(request, self._slot))

@@ -24,8 +24,7 @@ from ..core.instance import ProblemInstance
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike
-from .base import (OnlineBaselinePolicy, admit_sequential,
-                   expected_feasible_stations)
+from .base import OnlineBaselinePolicy, admit_sequential
 
 
 def _execution_time_key(instance: ProblemInstance,
@@ -57,8 +56,7 @@ def _min_latency_station(instance: ProblemInstance, request: ARRequest,
     feasible = instance.latency.feasible_stations(request)
     if not feasible:
         return None
-    best = min(feasible, key=lambda sid: (
-        instance.latency.placement_delay_ms(request, sid), sid))
+    best = feasible[0]
     if not ledger.fits(best, request.expected_demand_mhz):
         return None
     return best
@@ -91,16 +89,10 @@ class GreedyOnline(OnlineBaselinePolicy):
 
     def pick_station(self, request: ARRequest,
                      planned_mhz) -> Optional[int]:
-        engine = self._engine
-        assert engine is not None
-        feasible = [
-            sid for sid in engine.instance.network.station_ids
-            if self._deadline_ok(request, sid, self._slot)
-        ]
+        feasible = self._feasible_stations(request)
         if not feasible:
             return None
-        best = min(feasible, key=lambda sid: (
-            engine.instance.latency.placement_delay_ms(request, sid), sid))
+        best = feasible[0]
         if self._free_for(best, planned_mhz) < request.expected_demand_mhz:
             return None  # optimal server full: wait, no fallback
         return best

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
+from ..core.latency import meets_deadline
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -101,7 +102,7 @@ class HeuKktOffline:
                 realized_rate_mbps=rate,
                 reward=earned,
                 latency_ms=latency,
-                deadline_met=latency <= request.deadline_ms + 1e-9,
+                deadline_met=meets_deadline(latency, request.deadline_ms),
             ))
         result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
         return result
@@ -119,7 +120,7 @@ class HeuKktOffline:
             realized_rate_mbps=request.realized_rate_mbps,
             reward=0.0,
             latency_ms=CLOUD_RTT_MS,
-            deadline_met=CLOUD_RTT_MS <= request.deadline_ms,
+            deadline_met=meets_deadline(CLOUD_RTT_MS, request.deadline_ms),
         ))
 
 
@@ -169,11 +170,12 @@ class HeuKktOnline(OnlineBaselinePolicy):
             capacity = engine.instance.network.station(sid).capacity_mhz
             return utilization(sid) + demand / capacity
 
+        feasible = set(self._feasible_stations(request))
         candidates = [
             sid for sid in engine.instance.network.station_ids
-            if self._free_for(sid, planned_mhz) >= demand
+            if sid in feasible
+            and self._free_for(sid, planned_mhz) >= demand
             and utilization_after(sid) <= EDGE_UTIL_TARGET + 1e-9
-            and self._deadline_ok(request, sid, self._slot)
         ]
         if not candidates:
             return None

@@ -22,8 +22,7 @@ from ..core.instance import ProblemInstance
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike
-from .base import (OnlineBaselinePolicy, admit_sequential,
-                   expected_feasible_stations)
+from .base import OnlineBaselinePolicy, admit_sequential
 
 
 def _ocorp_order(requests: Sequence[ARRequest]) -> List[ARRequest]:
@@ -45,8 +44,7 @@ LOCAL_CANDIDATES = 2
 def _local_candidates(instance: ProblemInstance,
                       request: ARRequest) -> List[int]:
     """The request's nearest deadline-feasible stations."""
-    feasible = instance.latency.feasible_stations(request)
-    return feasible[:LOCAL_CANDIDATES]
+    return instance.latency.feasible_stations(request)[:LOCAL_CANDIDATES]
 
 
 def _best_fit_station(instance: ProblemInstance, request: ARRequest,
@@ -84,13 +82,12 @@ class OcorpOnline(OnlineBaselinePolicy):
 
     def pick_station(self, request: ARRequest,
                      planned_mhz) -> Optional[int]:
-        engine = self._engine
-        assert engine is not None
+        # Waiting only trims the far end of the nearest-first list, so
+        # the local candidates still feasible now are its head.
         demand = request.expected_demand_mhz
         candidates = [
-            sid for sid in _local_candidates(engine.instance, request)
+            sid for sid in self._feasible_stations(request)[:LOCAL_CANDIDATES]
             if self._free_for(sid, planned_mhz) >= demand
-            and self._deadline_ok(request, sid, self._slot)
         ]
         if not candidates:
             return None

@@ -71,10 +71,10 @@ class RandomOnline(OnlineBaselinePolicy):
         engine = self._engine
         assert engine is not None
         demand = request.expected_demand_mhz
+        feasible = set(self._feasible_stations(request))
         candidates = [
             sid for sid in engine.instance.network.station_ids
-            if self._free_for(sid, planned_mhz) >= demand
-            and self._deadline_ok(request, sid, self._slot)
+            if sid in feasible and self._free_for(sid, planned_mhz) >= demand
         ]
         if not candidates:
             return None

@@ -24,6 +24,7 @@ from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
+from .latency import meets_deadline
 from .lp_relaxation import build_lp_relaxation
 from .rounding import (DEFAULT_ROUNDING_SCALE, AdmissionOutcome,
                        admit_slot_by_slot, randomized_round)
@@ -134,5 +135,5 @@ class Appro:
                 reward=outcome.reward,
                 latency_ms=latency,
                 waiting_ms=0.0,
-                deadline_met=latency <= request.deadline_ms + 1e-9,
+                deadline_met=meets_deadline(latency, request.deadline_ms),
             ))

@@ -82,9 +82,7 @@ def clairvoyant_bound(instance: ProblemInstance,
         demand = request.realized_demand_mhz
         duration = request.stream_duration_slots
         # Latest start still meeting the deadline via the best station.
-        best_delay = min(
-            instance.latency.placement_delay_ms(request, sid)
-            for sid in instance.network.station_ids)
+        best_delay = float(instance.latency.placement_delays(request).min())
         budget_ms = request.deadline_ms - best_delay
         if budget_ms < 0:
             continue

@@ -28,6 +28,7 @@ from ..telemetry.audit import get_journal
 from ..telemetry.metrics import get_metrics
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
+from .latency import meets_deadline
 from .lp_relaxation import build_lp_relaxation
 from .rounding import (DEFAULT_ROUNDING_SCALE, AdmissionOutcome,
                        admit_slot_by_slot, randomized_round)
@@ -199,7 +200,7 @@ class Heu:
                 trial[task_idx] = target
                 latency = instance.latency.split_delay_ms(
                     donor, primary_of[donor.request_id], trial)
-                if latency > donor.deadline_ms + 1e-9:
+                if not meets_deadline(latency, donor.deadline_ms):
                     skipped.append((target, ledger.free_mhz(target),
                                     "latency"))
                     continue
@@ -253,5 +254,5 @@ class Heu:
                 reward=outcome.reward,
                 latency_ms=latency,
                 waiting_ms=0.0,
-                deadline_met=latency <= request.deadline_ms + 1e-9,
+                deadline_met=meets_deadline(latency, request.deadline_ms),
             ))

@@ -1,4 +1,4 @@
-"""The latency model of Eq. (2).
+"""The latency model of Eqs. (1) and (2).
 
 The experienced latency of request ``r_j`` assigned to station
 ``bs_i`` is::
@@ -10,7 +10,10 @@ The experienced latency of request ``r_j`` assigned to station
 Per-task processing delays ``d^pro_{jki}`` "vary between base stations"
 (Section III-D): we draw a base per-``rho_unit`` task delay for every
 station and scale it by each task's compute weight, so rendering
-dominates and fast stations are consistently fast.
+dominates and fast stations are consistently fast.  Eq. (2) is thus
+separable: :meth:`LatencyModel.placement_delays` is the one kernel
+``rt[serving_j] + base * w_j`` over all stations, every scalar delay is
+a view of it, and :func:`meets_deadline` is the one Eq. (1) test.
 """
 
 from __future__ import annotations
@@ -26,8 +29,30 @@ from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 
 
+_DEADLINE_TOL_MS = 1e-9  # float slack of the Eq. (1) comparison
+
+
+def meets_deadline(latency_ms, deadline_ms):
+    """Eq. (1) ``D_j <= D_hat_j``, with a 1e-9 ms float tolerance.
+
+    Elementwise on arrays: ``meets_deadline(waiting +
+    model.placement_delays(r), r.deadline_ms)`` is the per-station mask
+    in ``station_ids`` order.
+    """
+    return latency_ms <= deadline_ms + _DEADLINE_TOL_MS
+
+
+def _checked_waiting(waiting_ms: float) -> float:
+    if waiting_ms < 0:
+        raise ConfigurationError(f"waiting must be >= 0, got {waiting_ms}")
+    return waiting_ms
+
+
 class LatencyModel:
     """Evaluates Eq. (2) for any (request, station) pair.
+
+    Holds the per-station base delays as one array in
+    ``network.station_ids`` order, plus cached round-trip rows.
 
     Args:
         network: the MEC network.
@@ -50,39 +75,34 @@ class LatencyModel:
         rng = ensure_rng(rng)
         self._network = network
         self._paths = path_table
-        self._base_delay_ms: Dict[int, float] = {
-            sid: float(rng.uniform(lo, hi))
-            for sid in network.station_ids
-        }
-        # Vectorized mirrors of the per-station scalars, in
-        # ``network.station_ids`` order.  ``a + b * w`` elementwise is
-        # the same multiply-then-add as the scalar path, so the array
-        # route below is bit-identical to calling
-        # :meth:`placement_delay_ms` per station.
-        self._station_order: List[int] = list(network.station_ids)
-        self._base_arr = np.array(
-            [self._base_delay_ms[sid] for sid in self._station_order])
+        self._ids: List[int] = list(network.station_ids)
+        self._index = {sid: k for k, sid in enumerate(self._ids)}
+        self._base = np.array([float(rng.uniform(lo, hi))
+                               for _ in self._ids])
         self._rt_rows: Dict[int, np.ndarray] = {}
 
     def restore_base_delays(self, base_delay_ms: Dict[int, float]) -> None:
         """Replace the drawn per-station base delays (deserialization).
 
-        Refreshes the vectorized mirrors too - mutating
-        ``_base_delay_ms`` directly would leave them stale.
-
         Raises:
             ConfigurationError: the mapping does not cover exactly the
-                network's stations.
+                network's stations, or a delay is not a finite number
+                ``>= 0``.
         """
-        if set(base_delay_ms) != set(self._station_order):
+        if set(base_delay_ms) != set(self._ids):
             raise ConfigurationError(
                 "base delay mapping does not match the network's "
                 "stations")
-        self._base_delay_ms = {sid: float(base_delay_ms[sid])
-                               for sid in self._station_order}
-        self._base_arr = np.array(
-            [self._base_delay_ms[sid] for sid in self._station_order])
-        self._rt_rows.clear()
+        try:
+            base = np.array([base_delay_ms[sid] for sid in self._ids],
+                            dtype=float)
+            valid = bool(np.all(np.isfinite(base) & (base >= 0)))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                "base delays must be finite numbers >= 0")
+        self._base = base
 
     @property
     def network(self) -> MECNetwork:
@@ -94,44 +114,43 @@ class LatencyModel:
         """The underlying path table."""
         return self._paths
 
-    def station_base_delay_ms(self, station_id: int) -> float:
-        """Base per-task processing delay of one station."""
+    def _position(self, station_id: int) -> int:
         try:
-            return self._base_delay_ms[station_id]
+            return self._index[station_id]
         except KeyError:
             raise ConfigurationError(
                 f"unknown station id {station_id}") from None
 
-    def task_proc_delay_ms(self, request: ARRequest, task_index: int,
-                           station_id: int) -> float:
-        """``d^pro_{jki}`` for one task of a request at one station."""
-        task = request.pipeline[task_index]
-        return self.station_base_delay_ms(station_id) * task.compute_weight
+    def _round_trips(self, src: int) -> np.ndarray:
+        """``sum_e 2 * d^trans_je`` from ``src`` to every station."""
+        row = self._rt_rows.get(src)
+        if row is None:
+            row = self._rt_rows[src] = np.array([
+                self._paths.round_trip_delay_ms(src, sid)
+                for sid in self._ids])
+        return row
 
-    def proc_delay_ms(self, request: ARRequest, station_id: int) -> float:
-        """``sum_k d^pro_{jki}`` - whole pipeline at one station."""
-        return (self.station_base_delay_ms(station_id)
-                * request.pipeline.total_compute_weight)
+    def base_delay_ms(self, station_id: int) -> float:
+        """Base per-task processing delay of one station."""
+        return float(self._base[self._position(station_id)])
 
-    def transfer_delay_ms(self, request: ARRequest,
-                          station_id: int) -> float:
-        """Round-trip transmission delay ``sum_e 2 * d^trans_je``."""
-        return self._paths.round_trip_delay_ms(request.serving_station,
-                                               station_id)
+    def placement_delays(self, request: ARRequest) -> np.ndarray:
+        """Transmission + processing part of Eq. (2) (no waiting), to
+        every station in ``station_ids`` order."""
+        return (self._round_trips(request.serving_station)
+                + self._base * request.pipeline.total_compute_weight)
 
     def placement_delay_ms(self, request: ARRequest,
                            station_id: int) -> float:
-        """Transmission + processing part of Eq. (2) (no waiting)."""
-        return (self.transfer_delay_ms(request, station_id)
-                + self.proc_delay_ms(request, station_id))
+        """:meth:`placement_delays` at one station."""
+        return float(self.placement_delays(request)[
+            self._position(station_id)])
 
     def total_delay_ms(self, request: ARRequest, station_id: int,
                        waiting_ms: float = 0.0) -> float:
         """Full Eq. (2): waiting + transmission + processing."""
-        if waiting_ms < 0:
-            raise ConfigurationError(
-                f"waiting must be >= 0, got {waiting_ms}")
-        return waiting_ms + self.placement_delay_ms(request, station_id)
+        return (_checked_waiting(waiting_ms)
+                + self.placement_delay_ms(request, station_id))
 
     def split_delay_ms(self, request: ARRequest, primary: int,
                        migrated_tasks: Dict[int, int],
@@ -148,34 +167,22 @@ class LatencyModel:
             migrated_tasks: task index -> hosting station id.
             waiting_ms: scheduling wait.
         """
-        total = waiting_ms + self.transfer_delay_ms(request, primary)
-        for k in range(len(request.pipeline)):
-            host = migrated_tasks.get(k, primary)
-            total += self.task_proc_delay_ms(request, k, host)
-            if host != primary:
-                total += self._paths.round_trip_delay_ms(primary, host)
+        at = self._position(primary)
+        hops = self._round_trips(primary)
+        total = waiting_ms + float(
+            self._round_trips(request.serving_station)[at])
+        for k, task in enumerate(request.pipeline):
+            host = self._position(migrated_tasks.get(k, primary))
+            total += float(self._base[host]) * task.compute_weight
+            if host != at:
+                total += float(hops[host])
         return total
 
     def is_feasible(self, request: ARRequest, station_id: int,
                     waiting_ms: float = 0.0) -> bool:
         """Whether Eq. (1) ``D_j <= D_hat_j`` holds for a placement."""
-        return (self.total_delay_ms(request, station_id, waiting_ms)
-                <= request.deadline_ms + 1e-9)
-
-    def placement_delays(self, request: ARRequest) -> np.ndarray:
-        """Placement delays to every station, in ``station_ids`` order.
-
-        Bit-identical to calling :meth:`placement_delay_ms` per
-        station (elementwise multiply-then-add on the same floats).
-        """
-        serving = request.serving_station
-        rt = self._rt_rows.get(serving)
-        if rt is None:
-            rt = np.array([
-                self._paths.round_trip_delay_ms(serving, sid)
-                for sid in self._station_order])
-            self._rt_rows[serving] = rt
-        return rt + self._base_arr * request.pipeline.total_compute_weight
+        return meets_deadline(self.total_delay_ms(
+            request, station_id, waiting_ms), request.deadline_ms)
 
     def feasible_stations(self, request: ARRequest,
                           waiting_ms: float = 0.0) -> List[int]:
@@ -185,12 +192,10 @@ class LatencyModel:
         (a binary solution satisfies Eq. (11) iff every selected station
         is in this list).
         """
-        if waiting_ms < 0:
-            raise ConfigurationError(
-                f"waiting must be >= 0, got {waiting_ms}")
         delays = self.placement_delays(request)
-        mask = waiting_ms + delays <= request.deadline_ms + 1e-9
-        ids = self._station_order
+        mask = meets_deadline(_checked_waiting(waiting_ms) + delays,
+                              request.deadline_ms)
+        ids = self._ids
         order = sorted(np.flatnonzero(mask).tolist(),
                        key=lambda k: (delays[k], ids[k]))
         return [ids[k] for k in order]

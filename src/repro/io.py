@@ -121,7 +121,7 @@ def save_instance(instance: ProblemInstance, path: PathLike) -> Path:
                 "id": bs.station_id,
                 "capacity_mhz": bs.capacity_mhz,
                 "position": list(bs.position),
-                "base_delay_ms": instance.latency.station_base_delay_ms(
+                "base_delay_ms": instance.latency.base_delay_ms(
                     bs.station_id),
             }
             for bs in instance.network

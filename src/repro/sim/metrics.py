@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.latency import meets_deadline
 from ..exceptions import ConfigurationError
 
 
@@ -63,7 +64,7 @@ class LatencyMeter:
             raise ConfigurationError(
                 f"latency must be >= 0, got {latency_ms}")
         self._latencies_ms.append(float(latency_ms))
-        if latency_ms <= deadline_ms + 1e-9:
+        if meets_deadline(latency_ms, deadline_ms):
             self._deadline_hits += 1
 
     @property

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
+from ..core.latency import meets_deadline
 from ..exceptions import ConfigurationError, SchedulingError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -402,7 +403,7 @@ class OnlineEngine:
         for request in self._pending:
             best_case = (self.waiting_ms(request, t)
                          + self.min_placement_delay_ms(request))
-            if best_case > request.deadline_ms + 1e-9:
+            if not meets_deadline(best_case, request.deadline_ms):
                 if not self.streaming:
                     self._decided[request.request_id] = OffloadDecision(
                         request_id=request.request_id, admitted=False,
@@ -475,7 +476,7 @@ class OnlineEngine:
         request.realize(self._rng)
         waiting = self.clock.waiting_ms(request.arrival_slot, t)
         latency = waiting + CLOUD_LATENCY_MS
-        met = latency <= request.deadline_ms + 1e-9
+        met = meets_deadline(latency, request.deadline_ms)
         reward = request.realized_reward if met else 0.0
         self._min_delay_cache.pop(request.request_id, None)
         if not self.streaming:
@@ -529,7 +530,7 @@ class OnlineEngine:
                 # Started on a dead station: no response at all.
                 latency = None
             met = (latency is not None
-                   and latency <= request.deadline_ms + 1e-9)
+                   and meets_deadline(latency, request.deadline_ms))
             reward = request.realized_reward if met else 0.0
             active.reward = reward
             active.latency_ms = latency
@@ -582,10 +583,11 @@ class OnlineEngine:
         request = active.request
         waiting = self.clock.waiting_ms(request.arrival_slot,
                                         active.start_slot)
-        transfer = self.instance.latency.transfer_delay_ms(
-            request, active.station_id)
-        processing = self.instance.latency.proc_delay_ms(
-            request, active.station_id)
+        transfer = self.instance.paths.round_trip_delay_ms(
+            request.serving_station, active.station_id)
+        processing = (
+            self.instance.latency.base_delay_ms(active.station_id)
+            * request.pipeline.total_compute_weight)
         return waiting + transfer + processing * active.slowdown()
 
     def finalize(self) -> None:

@@ -38,38 +38,48 @@ def make_request(serving=0, deadline=200.0, num_tasks=4):
 class TestComponents:
     def test_base_delays_in_range(self, net, model):
         for sid in net.station_ids:
-            assert 5.0 <= model.station_base_delay_ms(sid) <= 15.0
+            assert 5.0 <= model.base_delay_ms(sid) <= 15.0
 
     def test_unknown_station(self, model):
         with pytest.raises(ConfigurationError):
-            model.station_base_delay_ms(99)
+            model.base_delay_ms(99)
+        with pytest.raises(ConfigurationError):
+            model.placement_delay_ms(make_request(), 99)
 
     def test_proc_delay_scales_with_weights(self, model):
-        req = make_request()
-        total = sum(model.task_proc_delay_ms(req, k, 0)
-                    for k in range(len(req.pipeline)))
-        assert model.proc_delay_ms(req, 0) == pytest.approx(total)
+        """At the serving station the delay is pure processing: the
+        sum of the per-task delays ``base * weight``."""
+        req = make_request(serving=0)
+        total = sum(model.base_delay_ms(0) * task.compute_weight
+                    for task in req.pipeline)
+        assert model.placement_delay_ms(req, 0) == pytest.approx(total)
 
-    def test_render_task_heavier(self, model):
+    def test_render_task_heavier(self, model, net):
+        """Moving the render task to the fastest station saves more than
+        moving the lighter tracking task there."""
         req = make_request()
-        assert (model.task_proc_delay_ms(req, 0, 0)
-                > model.task_proc_delay_ms(req, 1, 0))
+        slow = max(net.station_ids, key=model.base_delay_ms)
+        fast = min(net.station_ids, key=model.base_delay_ms)
+        assert (model.split_delay_ms(req, slow, {0: fast})
+                < model.split_delay_ms(req, slow, {1: fast}))
 
     def test_local_placement_no_transfer(self, model):
         req = make_request(serving=3)
-        assert model.transfer_delay_ms(req, 3) == 0.0
+        assert model.placement_delay_ms(req, 3) == (
+            model.base_delay_ms(3) * req.pipeline.total_compute_weight)
 
     def test_remote_placement_round_trip(self, model, table):
         req = make_request(serving=0)
-        assert model.transfer_delay_ms(req, 4) == pytest.approx(
+        proc = model.base_delay_ms(4) * req.pipeline.total_compute_weight
+        assert model.placement_delay_ms(req, 4) - proc == pytest.approx(
             2.0 * table.one_way_delay_ms(0, 4))
 
-    def test_total_decomposition(self, model):
+    def test_total_decomposition(self, model, table):
         req = make_request(serving=0)
         total = model.total_delay_ms(req, 2, waiting_ms=30.0)
         assert total == pytest.approx(
-            30.0 + model.transfer_delay_ms(req, 2)
-            + model.proc_delay_ms(req, 2))
+            30.0 + table.round_trip_delay_ms(0, 2)
+            + model.base_delay_ms(2) * req.pipeline.total_compute_weight)
 
     def test_negative_waiting_rejected(self, model):
         with pytest.raises(ConfigurationError):
@@ -79,22 +89,39 @@ class TestComponents:
 class TestRestoreBaseDelays:
     def test_restore_refreshes_vectorized_delays(self, net, table):
         """Regression: the deserialization path replaces the drawn base
-        delays, and the precomputed delay arrays must follow - a stale
-        mirror silently reorders feasible_stations."""
+        delays, and every delay must follow - a stale copy silently
+        reorders feasible_stations."""
         model = LatencyModel(net, table, rng=0)
         req = make_request(serving=0)
         model.placement_delays(req)  # populate the round-trip cache
         replaced = {sid: 7.5 for sid in net.station_ids}
         model.restore_base_delays(replaced)
+        weight = req.pipeline.total_compute_weight
         for k, sid in enumerate(net.station_ids):
-            assert model.station_base_delay_ms(sid) == 7.5
-            assert model.placement_delays(req)[k] == pytest.approx(
-                model.placement_delay_ms(req, sid))
+            assert model.base_delay_ms(sid) == 7.5
+            assert model.placement_delays(req)[k] == (
+                table.round_trip_delay_ms(0, sid) + 7.5 * weight)
+            assert model.placement_delay_ms(req, sid) == (
+                model.placement_delays(req)[k])
 
     def test_restore_rejects_mismatched_stations(self, net, table):
         model = LatencyModel(net, table, rng=0)
         with pytest.raises(ConfigurationError):
             model.restore_base_delays({0: 7.5})
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"),
+                                     None, "slow", [7.5]])
+    def test_restore_rejects_bad_values(self, net, table, bad):
+        """A negative, NaN or infinite delay would make a station
+        silently never or always feasible."""
+        model = LatencyModel(net, table, rng=0)
+        before = [model.base_delay_ms(sid) for sid in net.station_ids]
+        delays = {sid: 7.5 for sid in net.station_ids}
+        delays[net.station_ids[-1]] = bad
+        with pytest.raises(ConfigurationError):
+            model.restore_base_delays(delays)
+        assert [model.base_delay_ms(sid)
+                for sid in net.station_ids] == before
 
 
 class TestSplitDelay:
@@ -108,8 +135,9 @@ class TestSplitDelay:
         base = model.split_delay_ms(req, 1, {})
         migrated = model.split_delay_ms(req, 1, {2: 3})
         extra_rt = table.round_trip_delay_ms(1, 3)
-        delta_proc = (model.task_proc_delay_ms(req, 2, 3)
-                      - model.task_proc_delay_ms(req, 2, 1))
+        weight = req.pipeline[2].compute_weight
+        delta_proc = (model.base_delay_ms(3) * weight
+                      - model.base_delay_ms(1) * weight)
         assert migrated == pytest.approx(base + extra_rt + delta_proc)
 
     def test_migration_to_primary_is_noop(self, model):

@@ -32,8 +32,8 @@ class TestInstanceRoundTrip:
         for sid in small_instance.network.station_ids:
             assert (clone.network.station(sid).capacity_mhz
                     == small_instance.network.station(sid).capacity_mhz)
-            assert (clone.latency.station_base_delay_ms(sid)
-                    == small_instance.latency.station_base_delay_ms(sid))
+            assert (clone.latency.base_delay_ms(sid)
+                    == small_instance.latency.base_delay_ms(sid))
         assert (sorted(clone.network.graph.edges)
                 == sorted(small_instance.network.graph.edges))
         for u, v in small_instance.network.graph.edges:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.appro import Appro
 from repro.exceptions import ConfigurationError
-from repro.io import load_instance, load_result, save_result
+from repro.io import load_instance, load_result, save_instance, save_result
 from repro.sim.engine import run_offline
 
 
@@ -67,3 +67,17 @@ class TestReportTheoremPath:
         assert "Thm. 1" in text and "0.200" in text
         assert "Thm. 3" in text and "+1.0%" in text
         assert "0.900" in text
+
+
+class TestInstanceBaseDelays:
+    @pytest.mark.parametrize("bad", [-3.0, float("nan"), float("inf")])
+    def test_tampered_base_delay_rejected(self, small_instance, tmp_path,
+                                          bad):
+        """A saved station delay that is negative, NaN or infinite would
+        make that station silently never or always feasible."""
+        path = save_instance(small_instance, tmp_path / "instance.json")
+        payload = json.loads(path.read_text())
+        payload["stations"][1]["base_delay_ms"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="base delays"):
+            load_instance(path)
