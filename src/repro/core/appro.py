@@ -91,13 +91,13 @@ class Appro:
         outcomes: List[AdmissionOutcome] = []
         remaining = list(requests)
         stalled_rounds = 0
-        options = index.options_table(solution.values)
+        options = index.options_table(solution.x)
         for _ in range(self.max_rounds):
             if not remaining or stalled_rounds >= 4:
                 break
             with tracer.span("rounding", algorithm=self.name):
                 assignments = randomized_round(
-                    index, solution.values, remaining,
+                    index, solution.x, remaining,
                     rng=rng, scale=self.rounding_scale,
                     options_table=options)
                 round_outcomes = admit_slot_by_slot(

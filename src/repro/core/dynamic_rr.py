@@ -159,12 +159,12 @@ class DynamicRR:
         placements: List = []
         remaining = list(r_t)
         stalled_rounds = 0
-        options = index.options_table(solution.values)
+        options = index.options_table(solution.x)
         for _ in range(self.max_rounds):
             if not remaining or stalled_rounds >= 4:
                 break
             with tracer.span("rounding", algorithm=self.name):
-                assignments = randomized_round(index, solution.values,
+                assignments = randomized_round(index, solution.x,
                                                remaining, rng=self._rng,
                                                scale=self.rounding_scale,
                                                options_table=options)

@@ -25,15 +25,22 @@ share ``C(bs_i) / |R_t|``.
 Build strategy
 --------------
 
-The model is assembled from precomputed arrays, not per-coefficient
-Python loops: each request's distribution is lowered once into a
-:class:`_DistTables` (a reward-prefix table evaluated with the same
-slice-and-dot expression as
-:meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`,
-plus a memo of truncated expected rates per cap), and each station's
-slot geometry into per-slot max-rate arrays.  Every coefficient the
-model receives is bit-identical to the one the naive per-triple loops
-would produce - only the bookkeeping around them is vectorized.
+The model is the block matrix over the index sets J x I x L, emitted
+from index arrays.  A *block* is the ``L_i`` contiguous columns of one
+feasible (request, station) pair.  Each station has ``L_i + 1``
+candidate rows - the prefix rows ``m = 1..L_i`` of Eq. (10)/(23), then
+its capacity row - and every (block, candidate row) pair at a station
+contributes the block's first ``m`` (or all ``L_i``) columns with the
+request's truncated rate, when that rate is positive.  One pass over
+those pairs yields every row; a candidate row with no entry is not
+emitted.
+
+Only the per-request expectations stay scalar: each reward prefix and
+each truncated rate is one 1-D dot, exactly as
+:meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`
+and ``expected_truncated_rate`` compute it, because a batched product
+would round differently.  Variable and constraint names are produced
+only when a caller asks for them.
 
 Every call builds a fresh model from scratch; DynamicRR builds one
 LP-PT per round and nothing is carried between rounds.
@@ -42,11 +49,12 @@ LP-PT per round and nothing is carried between rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..requests.distributions import RateRewardDistribution, _PROB_TOL
+from ..exceptions import ConfigurationError
+from ..requests.distributions import _PROB_TOL
 from ..requests.request import ARRequest
 from ..solver.model import LinearProgram
 from .instance import ProblemInstance
@@ -54,59 +62,61 @@ from .instance import ProblemInstance
 #: Slack factor on the prefix-demand constraint (the ``2`` in Eq. 10).
 PREFIX_SLACK = 2.0
 
-
-def _var_name(request_id: int, station_id: int, slot: int) -> str:
-    return f"y_{request_id}_{station_id}_{slot}"
+#: LP mass at or below this is no option (it also absorbs the solver's
+#: tiny negative noise); see :func:`repro.core.rounding.randomized_round`.
+MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpIndex:
-    """Maps LP variables back to (request, station, slot) triples.
+    """Maps LP columns back to (request, station, slot) triples.
 
     Attributes:
-        triples: variable name -> (request_id, station_id, slot).
-        by_request: request_id -> list of its variable names.
+        request_id, station_id, slot: int arrays, one entry per column.
+        ranges: request_id -> its contiguous column range, for every
+            request of the build in input order (empty when no station
+            meets its deadline).
     """
 
-    triples: Mapping[str, Tuple[int, int, int]]
-    by_request: Mapping[int, Tuple[str, ...]]
+    request_id: np.ndarray
+    station_id: np.ndarray
+    slot: np.ndarray
+    ranges: Mapping[int, range]
 
-    def assignment_options(self, values: Mapping[str, float],
-                           request_id: int,
-                           tol: float = 1e-9
+    def variable_names(self) -> List[str]:
+        """``y_{rid}_{sid}_{slot}`` per column."""
+        return [f"y_{rid}_{sid}_{slot}" for rid, sid, slot in zip(
+            self.request_id.tolist(), self.station_id.tolist(),
+            self.slot.tolist())]
+
+    def _options(self, x: np.ndarray, cols: np.ndarray
+                 ) -> List[Tuple[int, int, float]]:
+        return list(zip(self.station_id[cols].tolist(),
+                        self.slot[cols].tolist(), x[cols].tolist()))
+
+    def assignment_options(self, x: np.ndarray, request_id: int,
+                           tol: float = MASS_TOL
                            ) -> List[Tuple[int, int, float]]:
-        """Positive-mass (station, slot, probability) options of a request.
+        """Options ``(station, slot, mass)`` of one request with mass > tol.
 
         Args:
-            values: an LP solution.
+            x: an LP solution, in column order.
             request_id: the request.
-            tol: drop options below this mass.
+            tol: drop options at or below this mass.
         """
-        options: List[Tuple[int, int, float]] = []
-        for name in self.by_request.get(request_id, ()):
-            mass = float(values.get(name, 0.0))
-            if mass > tol:
-                _, station_id, slot = self.triples[name]
-                options.append((station_id, slot, mass))
-        return options
+        cols = self.ranges.get(request_id, range(0))
+        keep = np.flatnonzero(x[cols.start:cols.stop] > tol) + cols.start
+        return self._options(x, keep)
 
-    def options_table(self, values: Mapping[str, float],
-                      tol: float = 1e-9
+    def options_table(self, x: np.ndarray, tol: float = MASS_TOL
                       ) -> Dict[int, List[Tuple[int, int, float]]]:
-        """Positive-mass options of *every* request, in one pass.
-
-        Returns the same lists (same order) as calling
-        :meth:`assignment_options` per request; rounding loops that
-        re-query one solution across many rounds use this to avoid the
-        per-round re-extraction.
-        """
+        """:meth:`assignment_options` of *every* request, in one pass."""
         table: Dict[int, List[Tuple[int, int, float]]] = {
-            rid: [] for rid in self.by_request}
-        get = values.get
-        for name, (rid, station_id, slot) in self.triples.items():
-            mass = float(get(name, 0.0))
-            if mass > tol:
-                table[rid].append((station_id, slot, mass))
+            rid: [] for rid in self.ranges}
+        keep = np.flatnonzero(x > tol)
+        for rid, option in zip(self.request_id[keep].tolist(),
+                               self._options(x, keep)):
+            table[rid].append(option)
         return table
 
 
@@ -124,230 +134,94 @@ def expected_reward_coefficient(instance: ProblemInstance,
     return request.distribution.expected_reward_within(max_rate)
 
 
-# ----------------------------------------------------------------------
-# Precomputed per-distribution / per-station tables
-# ----------------------------------------------------------------------
-class _DistTables:
-    """Cached expectation tables of one request's distribution.
-
-    ``reward_prefix[k]`` is the expected reward counting only the ``k``
-    smallest support rates, evaluated with the same contiguous
-    slice-and-dot expression as ``expected_reward_within`` so the
-    floats are bit-identical to the per-triple evaluation.
-    ``truncated()`` memoizes ``expected_truncated_rate`` per cap - the
-    prefix rows query the same handful of caps for every station.
-    """
-
-    __slots__ = ("distribution", "rates", "reward_prefix", "_trunc")
-
-    def __init__(self, distribution: RateRewardDistribution) -> None:
-        self.distribution = distribution
-        probs = distribution.probabilities
-        rewards = distribution.rewards
-        self.rates = distribution.rates_mbps
-        n = int(self.rates.size)
-        self.reward_prefix = np.array(
-            [float(probs[:k] @ rewards[:k]) for k in range(n + 1)])
-
-        self._trunc: Dict[float, float] = {}
-
-    def truncated(self, cap: float) -> float:
-        """Memoized ``E[min(rho, cap)]`` (exact same float as uncached).
-
-        Caps at or above the support's largest rate all truncate
-        nothing - ``np.minimum(rates, cap)`` returns ``rates``
-        elementwise exactly - so they share one memo entry.
-        """
-        value = self._trunc.get(cap)
-        if value is None:
-            top = self.rates[-1]
-            if cap > top:
-                value = self.truncated(float(top))
-            else:
-                value = self.distribution.expected_truncated_rate(cap)
-            self._trunc[cap] = value
-        return value
-
-    def reward_within(self, max_rates: np.ndarray) -> np.ndarray:
-        """Vectorized ``ER`` over a station's per-slot max rates."""
-        counts = np.searchsorted(self.rates, max_rates + _PROB_TOL,
-                                 side="right")
-        return self.reward_prefix[counts]
-
-
-@dataclass(frozen=True)
-class _StationGeometry:
-    """Slot geometry of one station, lowered to rate space once."""
-
-    num_slots: int
-    capacity_rate: float
-    capacity_mhz: float
-    #: ``m * C_l / C_unit`` for m = 1..L (Eq. 10 thresholds).
-    threshold_rates: Tuple[float, ...]
-    #: ``(C(bs_i) - l * C_l) / C_unit`` for l = 0..L-1 (Eq. 8 budgets).
-    max_rates: np.ndarray
-
-
-def _station_geometry(instance: ProblemInstance
-                      ) -> Dict[int, _StationGeometry]:
-    slot_size = instance.slot_size_mhz
-    c_unit = instance.c_unit
-    out: Dict[int, _StationGeometry] = {}
-    for sid in instance.network.station_ids:
-        num_slots = instance.network.num_slots(sid)
-        capacity = instance.network.station(sid).capacity_mhz
-        offsets = np.arange(num_slots) * slot_size
-        out[sid] = _StationGeometry(
-            num_slots=num_slots,
-            capacity_rate=capacity / c_unit,
-            capacity_mhz=capacity,
-            threshold_rates=tuple(m * slot_size / c_unit
-                                  for m in range(1, num_slots + 1)),
-            max_rates=(capacity - offsets) / c_unit)
-    return out
-
-
-@dataclass
-class _StationBlocks:
-    """Column blocks landed at one station, in insertion order.
-
-    Each feasible (request, station) pair contributes one contiguous
-    block of ``num_slots`` columns; the prefix row for threshold ``m``
-    takes the first ``m`` columns of every block.
-    """
-
-    geometry: _StationGeometry
-    first_cols: List[int]
-    tables: List[_DistTables]
-
-    def prefix_rows(self, prefix_caps: Sequence[float]
-                    ) -> Iterator[Tuple[int, Dict[int, float]]]:
-        """All non-empty prefix rows at once: yields ``(m, coeffs)``.
-
-        Row ``m`` maps the first ``m`` columns of every block whose
-        truncated rate at ``prefix_caps[m - 1]`` is positive to that
-        rate, keys ascending (float64 arrays round-trip exactly); the
-        batched assembly runs the per-column work in numpy instead of
-        per-entry Python.
-        """
-        if not self.first_cols:
-            return
-        firsts = np.asarray(self.first_cols)
-        num_caps = len(prefix_caps)
-        trunc = np.empty((len(self.tables), num_caps))
-        for i, tab in enumerate(self.tables):
-            memo = tab.truncated
-            trunc[i] = [memo(cap) for cap in prefix_caps]
-        for m in range(1, num_caps + 1):
-            col = trunc[:, m - 1]
-            mask = col > 0
-            if not mask.any():
-                continue
-            cols = (firsts[mask][:, None] + np.arange(m)).ravel()
-            data = np.repeat(col[mask], m)
-            yield m, dict(zip(cols.tolist(), data.tolist()))
-
-    def capacity_row(self, cap: float) -> Dict[int, float]:
-        num_slots = self.geometry.num_slots
-        if not self.first_cols:
-            return {}
-        firsts = np.asarray(self.first_cols)
-        trunc = np.array([tab.truncated(cap) for tab in self.tables])
-        mask = trunc > 0
-        if not mask.any():
-            return {}
-        cols = (firsts[mask][:, None] + np.arange(num_slots)).ravel()
-        data = np.repeat(trunc[mask], num_slots)
-        return dict(zip(cols.tolist(), data.tolist()))
-
-
-def _row_caps(geometry: _StationGeometry, instance: ProblemInstance,
-              fair_share_count: Optional[int]
-              ) -> Tuple[List[float], float]:
-    """Per-m prefix caps and the capacity-row cap of one station.
-
-    LP-PT (Eq. 23) also caps each by the fair share ``C(bs_i) / |R_t|``
-    in rate space; the plain LP passes ``fair_share_count=None``.
-    """
-    if fair_share_count is None:
-        return list(geometry.threshold_rates), geometry.capacity_rate
-    share = geometry.capacity_mhz / (fair_share_count * instance.c_unit)
-    return ([min(threshold, share)
-             for threshold in geometry.threshold_rates],
-            min(geometry.capacity_rate, share))
-
-
-# ----------------------------------------------------------------------
-# Model assembly
-# ----------------------------------------------------------------------
 def _build_model(lp: LinearProgram, instance: ProblemInstance,
                  requests: Sequence[ARRequest],
                  waiting: Mapping[int, float],
                  fair_share_count: Optional[int]) -> LpIndex:
-    """Assemble the slot-indexed LP into `lp`; returns its index.
+    """Assemble the slot-indexed LP into `lp`; returns its index."""
+    network = instance.network
+    slot_size, c_unit = instance.slot_size_mhz, instance.c_unit
+    stations = [network.station(sid) for sid in network.station_ids]
+    station_ids = np.array([bs.station_id for bs in stations], dtype=np.int64)
+    position = {bs.station_id: p for p, bs in enumerate(stations)}
+    num_slots = np.array([bs.num_slots(slot_size) for bs in stations],
+                         dtype=np.int64)
+    capacity = np.array([bs.capacity_mhz for bs in stations], dtype=float)
+    capacity_rate = capacity / c_unit
 
-    Byte-compatible with the historical per-triple build: same variable
-    and constraint names, same insertion order, same float values.
-    """
-    geometry = _station_geometry(instance)
-    triples: Dict[str, Tuple[int, int, int]] = {}
-    by_request: Dict[int, List[str]] = {}
-    blocks: Dict[int, _StationBlocks] = {
-        sid: _StationBlocks(geometry=geo, first_cols=[], tables=[])
-        for sid, geo in geometry.items()}
+    # Candidate rows, station by station: prefix m = 1..L_i, capacity.
+    row_first = np.cumsum(num_slots + 1) - (num_slots + 1)
+    row_station = np.repeat(np.arange(station_ids.size), num_slots + 1)
+    row_m = np.arange(row_station.size) - row_first[row_station] + 1
+    is_capacity = row_m > num_slots[row_station]
+    threshold = row_m * slot_size / c_unit
+    row_width = np.where(is_capacity, num_slots[row_station], row_m)
+    row_rhs = np.where(is_capacity, capacity_rate[row_station],
+                       PREFIX_SLACK * threshold)
+    row_cap = np.where(is_capacity, capacity_rate[row_station], threshold)
+    if fair_share_count is not None:
+        share = capacity / (fair_share_count * c_unit)
+        row_cap = np.minimum(row_cap, share[row_station])
+    caps, row_cap_at = np.unique(row_cap, return_inverse=True)
 
-    # Feasible-station sets repeat heavily across requests; cache each
-    # set's concatenated per-slot budget array (one searchsorted per
-    # request instead of one per (request, station)).
-    concat_cache: Dict[Tuple[int, ...],
-                       Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]] = {}
-
-    for request in requests:
+    # Blocks: one per feasible (request, station), in column order.
+    ranges: Dict[int, range] = {}
+    block_req: List[int] = []
+    block_station: List[int] = []
+    first = 0
+    for r, request in enumerate(requests):
         rid = request.request_id
-        tab = _DistTables(request.distribution)
-        stations = tuple(instance.latency.feasible_stations(
-            request, waiting.get(rid, 0.0)))
-        if not stations:
-            by_request[rid] = []
-            continue
-        entry = concat_cache.get(stations)
-        if entry is None:
-            geos = [geometry[sid] for sid in stations]
-            spans: List[Tuple[int, int]] = []
-            offset = 0
-            for geo in geos:
-                spans.append((offset, geo.num_slots))
-                offset += geo.num_slots
-            entry = (np.concatenate([geo.max_rates for geo in geos]),
-                     tuple(spans))
-            concat_cache[stations] = entry
-        concat_max, spans = entry
-        ers_all = tab.reward_within(concat_max)
-        names: List[str] = []
-        for sid, (_offset, num_slots) in zip(stations, spans):
-            names.extend(_var_name(rid, sid, slot)
-                         for slot in range(num_slots))
-        first = lp.add_variables_bulk(names, (0.0,) * len(names),
-                                      (1.0,) * len(names), ers_all)
-        for sid, (offset, num_slots) in zip(stations, spans):
-            for slot in range(num_slots):
-                triples[names[offset + slot]] = (rid, sid, slot)
-            station = blocks[sid]
-            station.first_cols.append(first + offset)
-            station.tables.append(tab)
-        by_request[rid] = names
+        feasible = [position[sid] for sid in instance.latency.
+                    feasible_stations(request, waiting.get(rid, 0.0))]
+        block_req += [r] * len(feasible)
+        block_station += feasible
+        width = int(num_slots[feasible].sum())
+        ranges[rid] = range(first, first + width)
+        first += width
+    if len(ranges) != len(requests):
+        raise ConfigurationError("LP requests must have distinct ids")
+    block_req_arr = np.array(block_req, dtype=np.int64)
+    block_station_arr = np.array(block_station, dtype=np.int64)
+    block_width = num_slots[block_station_arr]
+    block_first = np.cumsum(block_width) - block_width
 
-    # Constraint (9): each request starts in at most one slot.  A
-    # request's columns are contiguous (its blocks were appended
-    # back-to-back), so the row is a pure index range.
-    next_first = 0
-    for rid, names in by_request.items():
-        if names:
-            first = next_first
-            lp.add_constraint_indexed(
-                dict.fromkeys(range(first, first + len(names)), 1.0),
-                "<=", 1.0, name=f"choice_{rid}")
-        next_first += len(names)
+    # Supports of the requests with columns, padded with +inf.
+    dists = [request.distribution for request in requests]
+    rates_of = [dist.rates_mbps for dist in dists]
+    probs_of = [dist.probabilities for dist in dists]
+    used = sorted(set(block_req))
+    levels = max((dists[r].num_levels for r in used), default=0)
+    rates = np.full((len(requests), levels), np.inf)
+    for r in used:
+        rates[r, :rates_of[r].size] = rates_of[r]
+
+    # Columns and their Eq. (8) objective: the reward prefix over the
+    # ``k`` rates that fit the capacity left after the slot offset.
+    col_block = np.repeat(np.arange(block_first.size), block_width)
+    col_req = block_req_arr[col_block]
+    col_station = block_station_arr[col_block]
+    col_slot = np.arange(col_block.size) - block_first[col_block]
+    max_rate = (capacity[col_station] - col_slot * slot_size) / c_unit
+    fits = (rates[col_req] <= (max_rate + _PROB_TOL)[:, None]).sum(axis=1)
+    index = LpIndex(request_id=np.array([r.request_id for r in requests],
+                                        dtype=np.int64)[col_req],
+                    station_id=station_ids[col_station],
+                    slot=col_slot, ranges=ranges)
+    # One dot per distinct (request, k), as expected_reward_within.
+    distinct, where = np.unique(col_req * (levels + 1) + fits,
+                                return_inverse=True)
+    rewards = np.array([
+        probs_of[r][:k] @ dists[r].rewards[:k]
+        for r, k in zip(*(part.tolist() for part in
+                          np.divmod(distinct, levels + 1)))],
+        dtype=float)[where]
+    lp.add_columns(np.zeros(col_block.size), np.ones(col_block.size),
+                   rewards, index.variable_names)
+
+    # Constraint (9): each request starts in at most one slot; its
+    # columns are one contiguous range, and the ranges tile all columns.
+    chosen = [(rid, cols) for rid, cols in ranges.items() if cols]
+    choice_nnz = np.array([len(cols) for _, cols in chosen], dtype=np.int64)
 
     # Constraints (10)/(23) + the per-station expected-capacity row.
     # The capacity row is a valid per-station bound with no slack
@@ -359,24 +233,55 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     # *choose* which requests to carry when the workload exceeds
     # capacity - which is where the expected-reward awareness of the
     # objective actually bites.
-    for sid in instance.network.station_ids:
-        station = blocks[sid]
-        geo = station.geometry
-        prefix_caps, capacity_cap = _row_caps(geo, instance,
-                                              fair_share_count)
-        for m, coeffs in station.prefix_rows(prefix_caps):
-            lp.add_constraint_indexed(
-                coeffs, "<=",
-                PREFIX_SLACK * geo.threshold_rates[m - 1],
-                name=f"prefix_{sid}_{m}")
-        coeffs = station.capacity_row(capacity_cap)
-        if coeffs:
-            lp.add_constraint_indexed(coeffs, "<=", geo.capacity_rate,
-                                      name=f"capacity_{sid}")
+    #
+    # Pairs (block, candidate row of its station), sorted by row; the
+    # stable sort keeps blocks - hence columns - ascending in a row.
+    pair_block = np.repeat(np.arange(block_first.size), block_width + 1)
+    pair_row = (np.arange(pair_block.size)
+                - np.repeat(np.cumsum(block_width + 1) - block_width - 1,
+                            block_width + 1)
+                + row_first[block_station_arr[pair_block]])
+    order = np.argsort(pair_row, kind="stable")
+    pair_block, pair_row = pair_block[order], pair_row[order]
+    # E[min(rho, cap)] per (request, cap), one dot each as in
+    # expected_truncated_rate.  Caps from ``caps[clip]`` on are at or
+    # above every top rate: they truncate nothing and share one column.
+    clip = int(np.searchsorted(caps, max((rates_of[r][-1] for r in used),
+                                         default=0.0)))
+    col_caps = caps[:clip + 1, None]
+    trunc = np.zeros((len(requests), col_caps.size))
+    for r in used:
+        trunc[r] = list(map(probs_of[r].dot,
+                            np.minimum(rates_of[r], col_caps)))
+    coef = trunc[block_req_arr[pair_block],
+                 np.minimum(row_cap_at[pair_row], clip)]
+    keep = coef > 0
+    pair_block, pair_row, coef = pair_block[keep], pair_row[keep], coef[keep]
+    width = row_width[pair_row]
+    row_nnz = np.bincount(pair_row, weights=width,
+                          minlength=row_station.size).astype(np.int64)
+    rows = np.flatnonzero(row_nnz)
+    entry_start = np.cumsum(width) - width
+    cols = (np.repeat(block_first[pair_block] - entry_start, width)
+            + np.arange(int(width.sum())))
 
-    return LpIndex(
-        triples=triples,
-        by_request={rid: tuple(names) for rid, names in by_request.items()})
+    def row_names() -> List[str]:
+        names = [f"choice_{rid}" for rid, _ in chosen]
+        for sid, m, cap_row in zip(station_ids[row_station[rows]].tolist(),
+                                   row_m[rows].tolist(),
+                                   is_capacity[rows].tolist()):
+            names.append(f"capacity_{sid}" if cap_row
+                         else f"prefix_{sid}_{m}")
+        return names
+
+    lp.add_rows(
+        np.concatenate([choice_nnz, row_nnz[rows]]),
+        np.concatenate([np.arange(col_block.size), cols]),
+        np.concatenate([np.ones(col_block.size), np.repeat(coef, width)]),
+        "<=",
+        np.concatenate([np.ones(choice_nnz.size), row_rhs[rows]]),
+        row_names)
+    return index
 
 
 def build_lp_relaxation(instance: ProblemInstance,
@@ -393,7 +298,7 @@ def build_lp_relaxation(instance: ProblemInstance,
             offline batch problem.
 
     Returns:
-        ``(lp, index)`` - the model and the variable index maps.
+        ``(lp, index)`` - the model and its column index.
     """
     waiting = dict(waiting_ms or {})
     lp = LinearProgram(name="LP", maximize=True)

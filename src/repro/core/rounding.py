@@ -13,12 +13,22 @@ Only after admission does the request *realize* its data rate; the
 realized demand is reserved (truncated at the physical capacity), and
 the reward is earned only when the untruncated demand fits - the event
 whose expectation is ``ER_{jil}`` (Eq. 8).
+
+Solver tolerance: HiGHS returns ``y`` only within its feasibility
+tolerance, so entries can be slightly negative and a request's mass can
+exceed constraint (9)'s 1 by rounding noise.  Rounding has one
+documented tolerance, :data:`~repro.core.lp_relaxation.MASS_TOL`
+(1e-9): entries at or below it are dropped (negatives included), a
+per-request mass up to ``1 + MASS_TOL`` is accepted as is, and anything
+above raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..network.capacity import CapacityLedger
@@ -29,7 +39,7 @@ from ..telemetry.audit import get_journal
 from ..telemetry.metrics import get_metrics
 from .assignment import SlotAssignment
 from .instance import ProblemInstance
-from .lp_relaxation import LpIndex
+from .lp_relaxation import MASS_TOL, LpIndex
 
 #: The paper's rounding scale: assignment probability is y / ROUNDING_SCALE.
 DEFAULT_ROUNDING_SCALE = 4.0
@@ -60,7 +70,7 @@ class AdmissionOutcome:
     reserved_mhz: float = 0.0
 
 
-def randomized_round(index: LpIndex, values: Mapping[str, float],
+def randomized_round(index: LpIndex, x: np.ndarray,
                      requests: Sequence[ARRequest],
                      rng: RngLike = None,
                      scale: float = DEFAULT_ROUNDING_SCALE,
@@ -70,21 +80,25 @@ def randomized_round(index: LpIndex, values: Mapping[str, float],
     """Round a fractional LP solution into tentative slot assignments.
 
     Args:
-        index: variable index of the solved LP.
-        values: the fractional solution.
+        index: column index of the solved LP.
+        x: the fractional solution, in column order.
         requests: the workload the LP was built over.
         rng: randomness.
         scale: divide each ``y_{jil}`` by this before sampling (the
             paper uses 4).
         options_table: precomputed
             :meth:`~repro.core.lp_relaxation.LpIndex.options_table` of
-            ``values`` - callers that round the same solution over many
+            ``x`` - callers that round the same solution over many
             rounds pass it to skip the per-round re-extraction.  The
             sampled stream is identical either way.
 
     Returns:
         At most one :class:`SlotAssignment` per request; requests that
         drew the "ignore" outcome are absent.
+
+    Raises:
+        ConfigurationError: on ``scale < 1``, or when a request's LP
+            mass exceeds ``1 + MASS_TOL`` (constraint (9) violated).
     """
     if scale < 1.0:
         raise ConfigurationError(
@@ -96,15 +110,14 @@ def randomized_round(index: LpIndex, values: Mapping[str, float],
         if options_table is not None:
             options = options_table.get(request.request_id, ())
         else:
-            options = index.assignment_options(values,
-                                               request.request_id)
+            options = index.assignment_options(x, request.request_id)
         if not options:
             continue
-        total_mass = sum(mass for _, _, mass in options) / scale
-        if total_mass > 1.0 + 1e-9:
+        total_mass = sum(mass for _, _, mass in options)
+        if total_mass > 1.0 + MASS_TOL:
             raise ConfigurationError(
-                f"request {request.request_id} has rounded mass "
-                f"{total_mass:.4f} > 1; constraint (9) violated upstream")
+                f"request {request.request_id} has LP mass "
+                f"{total_mass!r} > 1; constraint (9) violated upstream")
         draw = rng.random()
         cumulative = 0.0
         for station_id, slot, mass in options:

@@ -5,7 +5,7 @@ algorithm rounds an LP relaxation (**LP** / **LP-PT**).  This subpackage
 provides everything needed to solve them:
 
 * :class:`~repro.solver.model.LinearProgram` - a solver-agnostic model
-  container (named variables, linear constraints, bounds, integrality),
+  container (a column store and a CSR row store; names are lazy views),
 * :mod:`~repro.solver.simplex` - a from-scratch two-phase dense simplex
   (Bland's rule, bounded variables via substitution rows),
 * :mod:`~repro.solver.branch_and_bound` - a from-scratch best-first

@@ -16,15 +16,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..exceptions import InfeasibleProblemError, SolverError
 from ..telemetry import get_tracer
 from .model import LinearProgram
 
-#: An LP oracle: model -> (objective, values).  Must raise
+#: An LP oracle: model -> (objective, x in column order).  Must raise
 #: InfeasibleProblemError on infeasible nodes.
-LpOracle = Callable[[LinearProgram], Tuple[float, Dict[str, float]]]
+LpOracle = Callable[[LinearProgram], Tuple[float, np.ndarray]]
 
 _INT_TOL = 1e-6
+
+#: Column -> (low, high) bounds a node overrides.
+Overrides = Dict[int, Tuple[float, float]]
 
 
 @dataclass(order=True)
@@ -33,45 +38,20 @@ class _Node:
 
     sort_key: float
     counter: int
-    overrides: Dict[str, Tuple[float, float]] = field(compare=False)
+    overrides: Overrides = field(compare=False)
 
 
-def _clone_with_bounds(lp: LinearProgram,
-                       overrides: Dict[str, Tuple[float, float]]
-                       ) -> LinearProgram:
-    """Copy a model, replacing selected variables' bounds."""
-    clone = LinearProgram(name=f"{lp.name}:node", maximize=lp.maximize)
-    for var in lp.variables:
-        low, high = overrides.get(var.name, (var.low, var.high))
-        clone.add_variable(var.name, low=low, high=high,
-                           objective=var.objective, integer=var.integer)
-    for con in lp.constraints:
-        coeffs = {lp.variables[idx].name: coef
-                  for idx, coef in con.coeffs.items()}
-        clone.add_constraint(coeffs, con.sense, con.rhs, name=con.name)
-    return clone
-
-
-def _most_fractional(lp: LinearProgram,
-                     values: Dict[str, float]) -> Optional[str]:
-    """Name of the integer variable farthest from integrality, or None."""
-    best_name: Optional[str] = None
-    best_frac = _INT_TOL
-    for var in lp.variables:
-        if not var.integer:
-            continue
-        val = values.get(var.name, 0.0)
-        frac = abs(val - round(val))
-        if frac > best_frac:
-            best_frac = frac
-            best_name = var.name
-    return best_name
+def _most_fractional(is_int: np.ndarray, x: np.ndarray) -> Optional[int]:
+    """Integer column farthest from integrality (lowest on ties), or None."""
+    frac = np.where(is_int, np.abs(x - np.round(x)), 0.0)
+    col = int(np.argmax(frac)) if frac.size else 0
+    return col if frac.size and frac[col] > _INT_TOL else None
 
 
 def solve_with_branch_and_bound(
         lp: LinearProgram,
         lp_oracle: LpOracle,
-        max_nodes: int = 20_000) -> Tuple[float, Dict[str, float]]:
+        max_nodes: int = 20_000) -> Tuple[float, np.ndarray]:
     """Solve a mixed-integer program exactly.
 
     Args:
@@ -81,21 +61,24 @@ def solve_with_branch_and_bound(
         max_nodes: node budget before giving up.
 
     Returns:
-        ``(objective, values)`` of an optimal integral solution.
+        ``(objective, x)`` of an optimal integral solution, with ``x``
+        in column order.
 
     Raises:
         InfeasibleProblemError: no integral feasible point exists.
         SolverError: node budget exhausted before proving optimality.
     """
     sign = -1.0 if lp.maximize else 1.0  # heap pops smallest sort_key
+    lows, highs, is_int = lp.lows(), lp.highs(), lp.integer_mask()
 
-    def relax(overrides: Dict[str, Tuple[float, float]]
-              ) -> Tuple[float, Dict[str, float]]:
-        node_lp = _clone_with_bounds(lp, overrides)
-        return lp_oracle(node_lp)
+    def relax(overrides: Overrides) -> Tuple[float, np.ndarray]:
+        low, high = lows.copy(), highs.copy()
+        for col, (lo, hi) in overrides.items():
+            low[col], high[col] = lo, hi
+        return lp_oracle(lp.with_bounds(low, high))
 
     try:
-        root_obj, root_vals = relax({})
+        root_obj, _root_x = relax({})
     except InfeasibleProblemError:
         raise InfeasibleProblemError(f"{lp.name}: root relaxation infeasible")
 
@@ -103,7 +86,7 @@ def solve_with_branch_and_bound(
     heap: List[_Node] = [
         _Node(sort_key=sign * root_obj, counter=next(counter), overrides={})]
     incumbent_obj: Optional[float] = None
-    incumbent_vals: Dict[str, float] = {}
+    incumbent_x = np.zeros(lp.num_variables)
     nodes_explored = 0
 
     tracer = get_tracer()
@@ -115,7 +98,7 @@ def solve_with_branch_and_bound(
             raise SolverError(
                 f"{lp.name}: branch-and-bound exceeded {max_nodes} nodes")
         try:
-            obj, vals = relax(node.overrides)
+            obj, x = relax(node.overrides)
         except InfeasibleProblemError:
             continue
         # Bound pruning: a node cannot beat the incumbent.
@@ -124,30 +107,27 @@ def solve_with_branch_and_bound(
                 continue
             if not lp.maximize and obj >= incumbent_obj - 1e-9:
                 continue
-        branch_var = _most_fractional(lp, vals)
-        if branch_var is None:
-            rounded = {name: (round(val) if lp.variable(name).integer
-                              else val)
-                       for name, val in vals.items()}
-            obj_int = lp.evaluate_objective(rounded)
+        branch_col = _most_fractional(is_int, x)
+        if branch_col is None:
+            # + 0.0: a rounded -0.0 becomes 0.0, as with Python's round.
+            rounded = np.where(is_int, np.round(x) + 0.0, x)
+            obj_int = lp.objective_value(rounded)
             better = (incumbent_obj is None
                       or (lp.maximize and obj_int > incumbent_obj)
                       or (not lp.maximize and obj_int < incumbent_obj))
             if better:
                 incumbent_obj = obj_int
-                incumbent_vals = rounded
+                incumbent_x = rounded
             continue
-        val = vals[branch_var]
-        var = lp.variable(branch_var)
-        cur_low, cur_high = node.overrides.get(branch_var,
-                                               (var.low, var.high))
-        floor_val, ceil_val = math.floor(val), math.ceil(val)
+        val = float(x[branch_col])
+        cur_low, cur_high = node.overrides.get(
+            branch_col, (float(lows[branch_col]), float(highs[branch_col])))
         down = dict(node.overrides)
-        down[branch_var] = (cur_low, float(floor_val))
+        down[branch_col] = (cur_low, float(math.floor(val)))
         up = dict(node.overrides)
-        up[branch_var] = (float(ceil_val), cur_high)
+        up[branch_col] = (float(math.ceil(val)), cur_high)
         for child in (down, up):
-            lo, hi = child[branch_var]
+            lo, hi = child[branch_col]
             if lo <= hi:
                 heapq.heappush(heap, _Node(sort_key=sign * obj,
                                            counter=next(counter),
@@ -156,4 +136,4 @@ def solve_with_branch_and_bound(
     if incumbent_obj is None:
         raise InfeasibleProblemError(
             f"{lp.name}: no integral feasible solution found")
-    return incumbent_obj, incumbent_vals
+    return incumbent_obj, incumbent_x

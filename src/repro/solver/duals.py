@@ -107,6 +107,5 @@ def solve_lp_with_duals(lp: LinearProgram) -> DualSolution:
             duals[name] = float(sign * marginal)
             slacks[name] = float(residual)
 
-    values = dict(zip(lp.variable_names(), result.x.tolist()))
-    return DualSolution(objective=lp.evaluate_objective(values),
+    return DualSolution(objective=lp.objective_value(result.x),
                         duals=duals, slacks=slacks)

@@ -11,9 +11,12 @@ solves.
 from __future__ import annotations
 
 import enum
+import functools
 import time
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List
+
+import numpy as np
 
 from ..exceptions import SolverError
 from ..telemetry import get_tracer
@@ -35,7 +38,7 @@ class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Result of an LP/ILP solve.
 
@@ -43,16 +46,24 @@ class Solution:
         status: terminal status (always OPTIMAL for a returned
             solution; failures raise instead).
         objective: objective value in the model's natural direction.
-        values: variable name -> value.
+        x: variable values, in column order.
         backend: which backend produced it.
         solve_time_s: wall-clock solve time.
+        names: the model's variable names (called only by
+            :attr:`values`).
     """
 
     status: SolveStatus
     objective: float
-    values: Mapping[str, float]
+    x: np.ndarray
     backend: str
     solve_time_s: float
+    names: Callable[[], List[str]] = field(repr=False)
+
+    @functools.cached_property
+    def values(self) -> Dict[str, float]:
+        """Variable name -> value (built on first access)."""
+        return dict(zip(self.names(), self.x.tolist()))
 
     def value(self, name: str) -> float:
         """Value of one variable (0.0 when absent)."""
@@ -81,13 +92,14 @@ def solve_lp(lp: LinearProgram,
     start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
     with get_tracer().span("lp_solve", backend=backend):
         if backend == "scipy":
-            objective, values = solve_lp_scipy(lp)
+            objective, x = solve_lp_scipy(lp)
         else:
-            objective, values = solve_with_simplex(lp)
+            objective, x = solve_with_simplex(lp)
         get_metrics().inc("lp_solves_total")
     elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-    return Solution(status=SolveStatus.OPTIMAL, objective=objective,
-                    values=values, backend=backend, solve_time_s=elapsed)
+    return Solution(status=SolveStatus.OPTIMAL, objective=objective, x=x,
+                    backend=backend, solve_time_s=elapsed,
+                    names=lp.variable_names)
 
 
 def solve_ilp(lp: LinearProgram,
@@ -108,18 +120,16 @@ def solve_ilp(lp: LinearProgram,
     start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
     with get_tracer().span("ilp_solve", backend=backend):
         if backend == "scipy":
-            objective, values = solve_ilp_scipy(lp)
+            objective, x = solve_ilp_scipy(lp)
         elif backend == "bnb":
-            def oracle(node_lp: LinearProgram):
-                if lp_backend == "scipy":
-                    return solve_lp_scipy(node_lp)
-                if lp_backend == "simplex":
-                    return solve_with_simplex(node_lp)
+            oracles = {"scipy": solve_lp_scipy, "simplex": solve_with_simplex}
+            if lp_backend not in oracles:
                 raise SolverError(f"unknown LP backend {lp_backend!r}")
-
-            objective, values = solve_with_branch_and_bound(lp, oracle)
+            objective, x = solve_with_branch_and_bound(lp,
+                                                       oracles[lp_backend])
         else:
             raise SolverError(f"unknown ILP backend {backend!r}")
     elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-    return Solution(status=SolveStatus.OPTIMAL, objective=objective,
-                    values=values, backend=backend, solve_time_s=elapsed)
+    return Solution(status=SolveStatus.OPTIMAL, objective=objective, x=x,
+                    backend=backend, solve_time_s=elapsed,
+                    names=lp.variable_names)

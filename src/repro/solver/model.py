@@ -1,57 +1,45 @@
 """Solver-agnostic linear program model container.
 
-A :class:`LinearProgram` accumulates named variables (with bounds,
-objective coefficients, and integrality flags) and linear constraints,
-then exports matrices for whichever backend solves it.  Rows are stored
-sparsely (index -> coefficient maps) and the preferred export is
-:meth:`LinearProgram.sparse_rows`, which assembles CSR matrices in
-O(nnz) - the paper's slot-indexed LPs are overwhelmingly zero, and the
-HiGHS backend consumes CSR directly.  :meth:`dense_rows` remains for
-the dense tableau simplex and for tests that want to see the full
-matrices.
+A :class:`LinearProgram` is one column store (low, high, objective and
+integrality arrays) and one CSR row store (row lengths, column indices,
+coefficients, sense codes and right-hand sides), both appended in
+blocks.  Builders that already hold index arrays append whole blocks
+with :meth:`LinearProgram.add_columns` / :meth:`LinearProgram.add_rows`;
+the scalar :meth:`~LinearProgram.add_variable` /
+:meth:`~LinearProgram.add_constraint` used by ILP-RM, presolve and
+branch-and-bound are one-column / one-row appends to the same store.
+:meth:`~LinearProgram.sparse_rows` (the HiGHS input) is a concatenation
+of the stored arrays and :meth:`~LinearProgram.dense_rows` is that same
+CSR, densified.
 
-The container is append-only: variables and constraints are added,
-never edited or removed, so a column or row never changes once it
+Names are a view.  A block append passes a callable that produces its
+names, so a model built from arrays formats no name until a caller asks
+for one (:meth:`~LinearProgram.variable_names`,
+:attr:`~LinearProgram.constraints`, :meth:`~LinearProgram.values_of`).
+
+The container is append-only: a column or row never changes once it
 exists.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from scipy import sparse
 
 from ..exceptions import ConfigurationError
 
-#: Allowed constraint senses.
+#: Allowed constraint senses; a row stores its sense as the index here.
 SENSES = ("<=", ">=", "==")
+_GE, _EQ = 1, 2
 
-
-def _float_list(seq: Sequence[float]) -> List[float]:
-    """`seq` as a list of Python floats (identical values, C-speed)."""
-    if isinstance(seq, np.ndarray):
-        return seq.astype(float, copy=False).tolist()
-    return [float(x) for x in seq]
-
-
-def _indexed_row(coeffs: Mapping[int, float]) -> Dict[int, float]:
-    """Normalize an index-keyed row: int keys, float values, no zeros.
-
-    ``map``/``zip``/``dict`` run the conversions at C speed; the
-    explicit comprehension only runs in the rare case a structural zero
-    actually needs dropping.
-    """
-    row = dict(zip(map(int, coeffs.keys()), map(float, coeffs.values())))
-    if 0.0 in row.values():
-        # Exact comparison on purpose: only *structural* zeros are
-        # dropped - a near-zero coefficient is part of the formulation
-        # and must reach the solver untouched.
-        row = {idx: coef for idx, coef in row.items()
-               if coef != 0.0}  # repro: noqa NUM001 -- structural zero-drop
-    return row
+#: Names of a block: a list, or a callable producing it on first use.
+Names = Union[Sequence[str], Callable[[], Sequence[str]]]
 
 
 @dataclass(frozen=True)
@@ -92,6 +80,70 @@ class Constraint:
     rhs: float
 
 
+class _Blocks:
+    """Append-only chunks of one array, joined (once) on read."""
+
+    __slots__ = ("chunks", "dtype")
+
+    def __init__(self, dtype: type) -> None:
+        self.chunks: List[np.ndarray] = []
+        self.dtype = dtype
+
+    def append(self, values) -> None:
+        self.chunks.append(np.asarray(values, dtype=self.dtype))
+
+    def array(self) -> np.ndarray:
+        if len(self.chunks) != 1:
+            self.chunks[:] = [np.concatenate(self.chunks) if self.chunks
+                              else np.empty(0, dtype=self.dtype)]
+        return self.chunks[0]
+
+
+class _NameList:
+    """Names in append order: literal lists and lazy block sources."""
+
+    __slots__ = ("parts", "_index")
+
+    def __init__(self) -> None:
+        self.parts: List[Names] = []
+        #: name -> position; None after a lazy block, rebuilt on demand.
+        self._index: Optional[Dict[str, int]] = {}
+
+    def names(self) -> List[str]:
+        parts = self.parts
+        if len(parts) != 1 or callable(parts[0]):
+            flat: List[str] = []
+            for part in parts:
+                flat.extend(part() if callable(part) else part)
+            self.parts = [flat]
+        return self.parts[0]  # type: ignore[return-value]
+
+    def index(self) -> Dict[str, int]:
+        if self._index is None:
+            self._index = {name: i for i, name in enumerate(self.names())}
+        return self._index
+
+    def extend(self, names: Names, what: str, owner: str) -> None:
+        """Append a block of names.
+
+        A literal name that repeats raises before anything is appended;
+        a lazy block is trusted to produce unique names.
+        """
+        if callable(names):
+            self.parts.append(names)
+            self._index = None
+            return
+        index, flat = self.index(), self.names()
+        seen = set()
+        for name in names:
+            if name in index or name in seen:
+                raise ConfigurationError(
+                    f"{owner}: duplicate {what} {name!r}")
+            seen.add(name)
+        index.update(zip(names, range(len(flat), len(flat) + len(names))))
+        flat.extend(names)
+
+
 class LinearProgram:
     """A (mixed-integer) linear program in natural form.
 
@@ -104,375 +156,379 @@ class LinearProgram:
     def __init__(self, name: str = "lp", maximize: bool = True) -> None:
         self.name = name
         self.maximize = maximize
-        # Columns live in parallel lists, not Variable objects: the
-        # slot-indexed LPs append tens of thousands of columns per
-        # build, and plain list appends beat dataclass construction by
-        # an order of magnitude.  The Variable view is materialized
-        # lazily (and cached per column count) by :attr:`variables`.
-        self._names: List[str] = []
-        self._lows: List[float] = []
-        self._highs: List[float] = []
-        self._objs: List[float] = []
-        self._ints: List[bool] = []
-        self._var_index: Dict[str, int] = {}
-        self._constraints: List[Constraint] = []
-        self._con_names: Dict[str, int] = {}
+        self._low, self._high, self._obj = (_Blocks(float), _Blocks(float),
+                                            _Blocks(float))
+        self._int = _Blocks(bool)
+        self._row_nnz = _Blocks(np.int64)
+        self._indices = _Blocks(np.int32)
+        self._data = _Blocks(float)
+        self._sense = _Blocks(np.int8)
+        self._rhs = _Blocks(float)
+        self._col_names = _NameList()
+        self._row_names = _NameList()
+        self._num_cols = 0
+        self._num_rows = 0
         self._vars_cache: Tuple[Variable, ...] = ()
+        self._cons_cache: Tuple[Constraint, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def add_columns(self, low, high, objective, names: Names,
+                    integer: bool = False) -> int:
+        """Append a block of columns; returns the first column index.
+
+        Args:
+            low, high, objective: one entry per column.
+            names: the block's names, or a callable producing them when
+                first asked for.
+            integer: integrality of every column of the block.
+
+        Raises:
+            ConfigurationError: on mismatched lengths or ``low > high``.
+        """
+        low = np.asarray(low, dtype=float)
+        high = np.asarray(high, dtype=float)
+        objective = np.asarray(objective, dtype=float)
+        if not low.shape == high.shape == objective.shape:
+            raise ConfigurationError(
+                f"{self.name}: column block has mismatched lengths")
+        bad = np.flatnonzero(low > high)
+        if bad.size:
+            raise ConfigurationError(
+                f"{self.name}: column {self._num_cols + int(bad[0])} has "
+                f"low {low[bad[0]]} > high {high[bad[0]]}")
+        self._col_names.extend(names, "variable", self.name)
+        first = self._num_cols
+        self._low.append(low)
+        self._high.append(high)
+        self._obj.append(objective)
+        self._int.append(np.full(low.size, bool(integer)))
+        self._num_cols += low.size
+        return first
+
+    def add_rows(self, row_nnz, indices, data, sense: str, rhs,
+                 names: Names) -> None:
+        """Append a block of CSR rows sharing one sense.
+
+        Args:
+            row_nnz: entries per row.
+            indices, data: the rows' column indices and coefficients,
+                row after row; indices strictly increase within a row.
+            sense: one of :data:`SENSES`, for every row of the block.
+            rhs: one right-hand side per row.
+            names: the block's row names, or a callable producing them.
+
+        Structural zeros are dropped.  An empty row is kept when it is
+        trivially satisfiable, so the row count matches the formulation.
+
+        Raises:
+            ConfigurationError: on a bad sense, an out-of-range or
+                unsorted index, or a trivially infeasible empty row.
+        """
+        if sense not in SENSES:
+            raise ConfigurationError(
+                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
+        row_nnz = np.asarray(row_nnz, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if indices.size and (indices.min() < 0
+                             or indices.max() >= self._num_cols):
+            bad = indices.min() if indices.min() < 0 else indices.max()
+            raise ConfigurationError(
+                f"{self.name}: column index {bad} out of range "
+                f"[0, {self._num_cols})")
+        row_of = np.repeat(np.arange(row_nnz.size), row_nnz)
+        if np.any((np.diff(indices) <= 0) & (np.diff(row_of) == 0)):
+            raise ConfigurationError(
+                f"{self.name}: row indices must strictly increase")
+        # Exact comparison on purpose: only *structural* zeros are
+        # dropped.  A near-zero coefficient is part of the formulation
+        # and must reach the solver untouched.
+        nonzero = data != 0.0  # repro: noqa NUM001 -- structural zero-drop
+        if not nonzero.all():
+            row_nnz = np.bincount(row_of[nonzero], minlength=row_nnz.size)
+            indices, data = indices[nonzero], data[nonzero]
+        empty = rhs[row_nnz == 0]
+        infeasible = {"<=": empty < 0, ">=": empty > 0,
+                      "==": empty != 0}[sense]
+        if infeasible.any():
+            raise ConfigurationError(
+                f"{self.name}: empty constraint row with sense {sense} "
+                f"rhs {empty[infeasible][0]} is infeasible")
+        self._row_names.extend(names, "constraint", self.name)
+        self._row_nnz.append(row_nnz)
+        self._indices.append(indices)
+        self._data.append(data)
+        self._sense.append(np.full(row_nnz.size, SENSES.index(sense)))
+        self._rhs.append(rhs)
+        self._num_rows += row_nnz.size
+
     def add_variable(self, name: str, low: float = 0.0,
                      high: float = math.inf, objective: float = 0.0,
                      integer: bool = False) -> Variable:
-        """Add a variable; returns its handle.
+        """Add one named variable; returns its handle.
 
         Raises:
             ConfigurationError: on duplicate names or ``low > high``.
         """
-        if name in self._var_index:
-            raise ConfigurationError(
-                f"{self.name}: duplicate variable {name!r}")
         if low > high:
             raise ConfigurationError(
                 f"{self.name}: variable {name!r} has low {low} > high {high}")
-        index = len(self._names)
-        var = Variable(name=name, index=index, low=float(low),
+        self._col_names.extend((name,), "variable", self.name)
+        var = Variable(name=name, index=self._num_cols, low=float(low),
                        high=float(high), objective=float(objective),
                        integer=bool(integer))
-        self._names.append(name)
-        self._lows.append(var.low)
-        self._highs.append(var.high)
-        self._objs.append(var.objective)
-        self._ints.append(var.integer)
-        self._var_index[name] = index
+        self._low.append((var.low,))
+        self._high.append((var.high,))
+        self._obj.append((var.objective,))
+        self._int.append((var.integer,))
+        self._num_cols += 1
         return var
-
-    def add_variables_bulk(self, names: Sequence[str],
-                           lows: Sequence[float],
-                           highs: Sequence[float],
-                           objectives: Sequence[float],
-                           integer: bool = False) -> int:
-        """Append a block of variables; returns the first column index.
-
-        The bulk path exists for vectorized model builders (the
-        slot-indexed LP creates ``|R| x |BS| x L`` columns): it skips
-        the per-call overhead of :meth:`add_variable` while performing
-        the same validation.
-
-        Raises:
-            ConfigurationError: on duplicate names, mismatched sequence
-                lengths, or ``low > high``.
-        """
-        if not (len(names) == len(lows) == len(highs) == len(objectives)):
-            raise ConfigurationError(
-                f"{self.name}: bulk sequences have mismatched lengths")
-        lows_f = _float_list(lows)
-        highs_f = _float_list(highs)
-        objs_f = _float_list(objectives)
-        first = len(self._names)
-        var_index = self._var_index
-        for offset, name in enumerate(names):
-            if name in var_index:
-                raise ConfigurationError(
-                    f"{self.name}: duplicate variable {name!r}")
-            if lows_f[offset] > highs_f[offset]:
-                raise ConfigurationError(
-                    f"{self.name}: variable {name!r} has low "
-                    f"{lows_f[offset]} > high {highs_f[offset]}")
-            var_index[name] = first + offset
-        self._names.extend(names)
-        self._lows.extend(lows_f)
-        self._highs.extend(highs_f)
-        self._objs.extend(objs_f)
-        self._ints.extend([bool(integer)] * len(names))
-        return first
 
     def add_constraint(self, coeffs: Mapping[str, float], sense: str,
                        rhs: float, name: Optional[str] = None) -> Constraint:
-        """Add a constraint given by a name->coefficient mapping.
+        """Add one row given by a name->coefficient mapping.
 
         Zero coefficients are dropped; an empty row raises unless it is
-        trivially satisfiable, in which case it is stored anyway so the
-        model's constraint count matches the formulation.
+        trivially satisfiable, in which case it is stored anyway.
 
         Raises:
-            ConfigurationError: on unknown variables, bad senses, or a
-                trivially infeasible empty row.
+            ConfigurationError: on unknown variables, bad senses,
+                duplicate names, or a trivially infeasible empty row.
         """
-        if sense not in SENSES:
-            raise ConfigurationError(
-                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
+        col_index = self._col_names.index()
         row: Dict[int, float] = {}
         for var_name, coef in coeffs.items():
-            if var_name not in self._var_index:
+            if var_name not in col_index:
                 raise ConfigurationError(
                     f"{self.name}: unknown variable {var_name!r}")
-            # Exact comparison on purpose: only *structural* zeros are
-            # dropped from the row.  A near-zero coefficient is part of
-            # the formulation and must reach the solver untouched - a
-            # tolerance here would silently change the model.
+            # Exact on purpose: only structural zeros are dropped.
             if coef != 0.0:  # repro: noqa NUM001 -- structural zero-drop
-                row[self._var_index[var_name]] = float(coef)
-        if not row:
-            trivially_ok = ((sense == "<=" and rhs >= 0)
-                            or (sense == ">=" and rhs <= 0)
-                            or (sense == "==" and rhs == 0))
-            if not trivially_ok:
-                raise ConfigurationError(
-                    f"{self.name}: empty constraint row with sense {sense} "
-                    f"rhs {rhs} is infeasible")
-        return self._append_constraint(row, sense, float(rhs), name)
-
-    def add_constraint_indexed(self, coeffs: Mapping[int, float],
-                               sense: str, rhs: float,
-                               name: Optional[str] = None) -> Constraint:
-        """Add a constraint keyed by column *index* (fast path).
-
-        Vectorized builders already hold column indices, so this path
-        skips the name->index resolution of :meth:`add_constraint`.
-        The same structural-zero drop applies; indices are validated
-        against the current column count.
-
-        Raises:
-            ConfigurationError: on bad senses, out-of-range indices, or
-                a trivially infeasible empty row.
-        """
-        if sense not in SENSES:
-            raise ConfigurationError(
-                f"{self.name}: bad sense {sense!r}, want one of {SENSES}")
-        n = len(self._names)
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
-            raise ConfigurationError(
-                f"{self.name}: column index {bad} out of range [0, {n})")
-        row = _indexed_row(coeffs)
-        if not row:
-            trivially_ok = ((sense == "<=" and rhs >= 0)
-                            or (sense == ">=" and rhs <= 0)
-                            or (sense == "==" and rhs == 0))
-            if not trivially_ok:
-                raise ConfigurationError(
-                    f"{self.name}: empty constraint row with sense {sense} "
-                    f"rhs {rhs} is infeasible")
-        return self._append_constraint(row, sense, float(rhs), name)
-
-    def _append_constraint(self, row: Dict[int, float], sense: str,
-                           rhs: float, name: Optional[str]) -> Constraint:
+                row[col_index[var_name]] = float(coef)
         if name is None:
-            name = f"c{len(self._constraints)}"
-        if name in self._con_names:
-            raise ConfigurationError(
-                f"{self.name}: duplicate constraint {name!r}")
-        con = Constraint(name=name, coeffs=row, sense=sense, rhs=rhs)
-        self._con_names[name] = len(self._constraints)
-        self._constraints.append(con)
-        return con
+            name = f"c{self._num_rows}"
+        keys = sorted(row)
+        self.add_rows((len(keys),), keys, [row[k] for k in keys], sense,
+                      (rhs,), (name,))
+        return Constraint(name=name, coeffs={k: row[k] for k in keys},
+                          sense=sense, rhs=float(rhs))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _make_variable(self, index: int) -> Variable:
-        return Variable(name=self._names[index], index=index,
-                        low=self._lows[index], high=self._highs[index],
-                        objective=self._objs[index],
-                        integer=self._ints[index])
-
-    def _index_of(self, name: str) -> int:
-        try:
-            return self._var_index[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: unknown variable {name!r}") from None
-
     @property
     def variables(self) -> Tuple[Variable, ...]:
-        """All variables, by column index (materialized lazily).
-
-        Columns are append-only, so the cached view only needs
-        extending when new columns arrived since the last call.
-        """
+        """All variables, by column index (materialized lazily)."""
         view = self._vars_cache
-        if len(view) < len(self._names):
-            view += tuple(
-                self._make_variable(i)
-                for i in range(len(view), len(self._names)))
+        if len(view) < self._num_cols:
+            start = len(view)
+            view += tuple(map(
+                Variable, self.variable_names()[start:],
+                range(start, self._num_cols),
+                self._low.array()[start:].tolist(),
+                self._high.array()[start:].tolist(),
+                self._obj.array()[start:].tolist(),
+                self._int.array()[start:].tolist()))
             self._vars_cache = view
+        return view
+
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """All rows, in insertion order (materialized lazily)."""
+        view = self._cons_cache
+        if len(view) < self._num_rows:
+            start = len(view)
+            ends = np.cumsum(self._row_nnz.array()).tolist()
+            indices = self._indices.array().tolist()
+            data = self._data.array().tolist()
+            names = self.constraint_names()
+            senses = self._sense.array().tolist()
+            rhs = self._rhs.array().tolist()
+            begin = ends[start - 1] if start else 0
+            new = []
+            for row in range(start, self._num_rows):
+                end = ends[row]
+                new.append(Constraint(
+                    name=names[row],
+                    coeffs=dict(zip(indices[begin:end], data[begin:end])),
+                    sense=SENSES[senses[row]], rhs=rhs[row]))
+                begin = end
+            view += tuple(new)
+            self._cons_cache = view
         return view
 
     def variable_names(self) -> List[str]:
         """All variable names, by column index."""
-        return list(self._names)
+        return self._col_names.names()
 
-    @property
-    def constraints(self) -> Tuple[Constraint, ...]:
-        """All constraints, in insertion order."""
-        return tuple(self._constraints)
+    def constraint_names(self) -> List[str]:
+        """All row names, in insertion order."""
+        return self._row_names.names()
 
     @property
     def num_variables(self) -> int:
         """Number of columns."""
-        return len(self._names)
+        return self._num_cols
 
     @property
     def num_constraints(self) -> int:
         """Number of rows."""
-        return len(self._constraints)
+        return self._num_rows
 
     @property
     def has_integers(self) -> bool:
         """Whether any variable is integral."""
-        return any(self._ints)
+        return bool(self._int.array().any())
 
     def variable(self, name: str) -> Variable:
         """Look a variable up by name."""
-        return self._make_variable(self._index_of(name))
+        try:
+            return self.variables[self._col_names.index()[name]]
+        except KeyError:
+            raise ConfigurationError(
+                f"{self.name}: unknown variable {name!r}") from None
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def objective_vector(self) -> np.ndarray:
         """Dense objective coefficients (natural direction)."""
-        return np.array(self._objs, dtype=float)
+        return self._obj.array().copy()
+
+    def lows(self) -> np.ndarray:
+        """Per-column lower bounds."""
+        return self._low.array().copy()
+
+    def highs(self) -> np.ndarray:
+        """Per-column upper bounds."""
+        return self._high.array().copy()
+
+    def integer_mask(self) -> np.ndarray:
+        """Per-column integrality flags."""
+        return self._int.array().copy()
 
     def bounds(self) -> List[Tuple[float, float]]:
         """Per-variable (low, high) bounds."""
-        return list(zip(self._lows, self._highs))
+        return list(zip(self._low.array().tolist(),
+                        self._high.array().tolist()))
 
     def uniform_bounds(self) -> Optional[Tuple[float, float]]:
         """The single (low, high) pair shared by *every* variable.
 
         Returns None when variables disagree (or there are none).  The
         paper's programs bound every ``y`` by [0, 1], and scipy accepts
-        one shared pair without materializing the per-variable list -
-        backends use this as a fast path.
+        one shared pair without materializing the per-variable list.
         """
-        if self._names:
-            low, high = self._lows[0], self._highs[0]
-            # Exact on purpose: a fast path may only trigger when the
-            # bounds are the *same floats* the per-variable list would
-            # carry.  list.count uses the same == as the explicit loop.
-            n = len(self._names)
-            if (self._lows.count(low) == n  # repro: noqa NUM001 -- bitwise fast-path guard
-                    and self._highs.count(high) == n):
-                return low, high
+        low, high = self._low.array(), self._high.array()
+        # Exact on purpose: the shared pair must be the *same floats*
+        # the per-variable list would carry.
+        if low.size and (low == low[0]).all() and (high == high[0]).all():
+            return float(low[0]), float(high[0])
         return None
 
-    def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-        """Export as ``(A_ub, b_ub, A_eq, b_eq)``.
+    def with_bounds(self, low: np.ndarray,
+                    high: np.ndarray) -> "LinearProgram":
+        """A copy of this model with every column's bounds replaced."""
+        clone = LinearProgram(name=f"{self.name}:node",
+                              maximize=self.maximize)
+        for mine, theirs in zip(self._stores(), clone._stores()):
+            theirs.chunks[:] = [mine.array()]
+        clone._low.chunks[:] = [np.asarray(low, dtype=float)]
+        clone._high.chunks[:] = [np.asarray(high, dtype=float)]
+        clone._col_names.extend(self.variable_names, "variable", clone.name)
+        clone._row_names.extend(self.constraint_names, "constraint",
+                                clone.name)
+        clone._num_cols, clone._num_rows = self._num_cols, self._num_rows
+        return clone
 
-        ``>=`` rows are negated into ``<=`` form.  Empty matrices have
-        shape ``(0, num_variables)``.
-        """
-        n = self.num_variables
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for con in self._constraints:
-            row = np.zeros(n)
-            for idx, coef in con.coeffs.items():
-                row[idx] = coef
-            if con.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(con.rhs)
-            elif con.sense == ">=":
-                ub_rows.append(-row)
-                ub_rhs.append(-con.rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-        a_ub = (np.vstack(ub_rows) if ub_rows
-                else np.zeros((0, n)))
-        a_eq = (np.vstack(eq_rows) if eq_rows
-                else np.zeros((0, n)))
-        return (a_ub, np.array(ub_rhs, dtype=float),
-                a_eq, np.array(eq_rhs, dtype=float))
+    def _stores(self) -> Tuple[_Blocks, ...]:
+        return (self._low, self._high, self._obj, self._int, self._row_nnz,
+                self._indices, self._data, self._sense, self._rhs)
 
     def sparse_rows(self) -> Tuple["sparse.csr_array", np.ndarray,
                                    "sparse.csr_array", np.ndarray]:
         """Export as CSR ``(A_ub, b_ub, A_eq, b_eq)`` in O(nnz).
 
-        Same row semantics as :meth:`dense_rows` (``>=`` rows negated
-        into ``<=`` form, insertion order preserved within each group)
-        without ever materializing the dense matrices - the slot-indexed
-        LPs are >99% zero at experiment scale, and both scipy entry
-        points (``linprog``/``milp``) consume CSR directly.  Column
-        indices are emitted sorted per row (canonical CSR), so the
-        matrices are bit-identical to ``csr_array(dense_rows()[...])``.
+        ``>=`` rows are negated into ``<=`` form; insertion order is
+        kept within each group and column indices ascend within a row
+        (canonical CSR).
         """
-        n = self.num_variables
-        ub_indptr = [0]
-        ub_indices: List[int] = []
-        ub_data: List[float] = []
-        ub_rhs: List[float] = []
-        eq_indptr = [0]
-        eq_indices: List[int] = []
-        eq_data: List[float] = []
-        eq_rhs: List[float] = []
-        for con in self._constraints:
-            coeffs = con.coeffs
-            keys = sorted(coeffs)
-            if con.sense == "==":
-                eq_indices.extend(keys)
-                eq_data.extend(map(coeffs.__getitem__, keys))
-                eq_indptr.append(len(eq_indices))
-                eq_rhs.append(con.rhs)
-            elif con.sense == "<=":
-                ub_indices.extend(keys)
-                ub_data.extend(map(coeffs.__getitem__, keys))
-                ub_indptr.append(len(ub_indices))
-                ub_rhs.append(con.rhs)
-            else:  # ">=" rows are negated into "<=" form
-                ub_indices.extend(keys)
-                ub_data.extend(-coeffs[k] for k in keys)
-                ub_indptr.append(len(ub_indices))
-                ub_rhs.append(-con.rhs)
-        a_ub = sparse.csr_array(
-            (np.asarray(ub_data, dtype=float),
-             np.asarray(ub_indices, dtype=np.int32),
-             np.asarray(ub_indptr, dtype=np.int32)),
-            shape=(len(ub_rhs), n))
-        a_eq = sparse.csr_array(
-            (np.asarray(eq_data, dtype=float),
-             np.asarray(eq_indices, dtype=np.int32),
-             np.asarray(eq_indptr, dtype=np.int32)),
-            shape=(len(eq_rhs), n))
-        return (a_ub, np.asarray(ub_rhs, dtype=float),
-                a_eq, np.asarray(eq_rhs, dtype=float))
+        row_nnz, indices = self._row_nnz.array(), self._indices.array()
+        data, rhs = self._data.array(), self._rhs.array()
+        sense = self._sense.array()
+        ge = sense == _GE
+        if ge.any():
+            data = np.where(np.repeat(ge, row_nnz), -data, data)
+            rhs = np.where(ge, -rhs, rhs)
+        eq = sense == _EQ
+
+        def group(rows: np.ndarray) -> "sparse.csr_array":
+            entries = np.repeat(rows, row_nnz)
+            indptr = np.zeros(np.count_nonzero(rows) + 1, dtype=np.int32)
+            indptr[1:] = np.cumsum(row_nnz[rows])
+            return sparse.csr_array(
+                (data[entries], indices[entries], indptr),
+                shape=(indptr.size - 1, self._num_cols))
+
+        return group(~eq), rhs[~eq], group(eq), rhs[eq]
+
+    def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+        """:meth:`sparse_rows`, densified: ``(A_ub, b_ub, A_eq, b_eq)``."""
+        a_ub, b_ub, a_eq, b_eq = self.sparse_rows()
+        return a_ub.toarray(), b_ub, a_eq.toarray(), b_eq
+
+    # ------------------------------------------------------------------
+    # Assignments
+    # ------------------------------------------------------------------
+    def objective_value(self, x: np.ndarray) -> float:
+        """Objective value of a column-ordered assignment.
+
+        A plain left-to-right Python sum of ``objective * x``, so the
+        value does not depend on how a BLAS would order a dot product.
+        """
+        return float(sum(map(operator.mul, self._obj.array().tolist(),
+                             np.asarray(x, dtype=float).tolist())))
+
+    def values_of(self, x: np.ndarray) -> Dict[str, float]:
+        """A column-ordered assignment keyed by variable name."""
+        return dict(zip(self.variable_names(),
+                        np.asarray(x, dtype=float).tolist()))
+
+    def _vector(self, values: Union[Mapping[str, float], np.ndarray]
+                ) -> np.ndarray:
+        if isinstance(values, Mapping):
+            get = values.get
+            return np.array([get(name, 0.0) for name in
+                             self.variable_names()], dtype=float)
+        return np.asarray(values, dtype=float)
 
     def evaluate_objective(self, values: Mapping[str, float]) -> float:
-        """Objective value of an assignment (natural direction)."""
-        get = values.get
-        # A list comprehension sums in the same left-to-right order as
-        # the equivalent generator (identical floats), only faster.
-        return float(sum([obj * get(name, 0.0)
-                          for name, obj in zip(self._names, self._objs)]))
+        """Objective value of a named assignment (missing names are 0)."""
+        return self.objective_value(self._vector(values))
 
-    def check_feasible(self, values: Mapping[str, float],
+    def check_feasible(self, values: Union[Mapping[str, float], np.ndarray],
                        tol: float = 1e-6) -> List[str]:
         """Names of constraints/bounds violated by an assignment.
 
-        Returns an empty list when the assignment is feasible within
-        `tol`.  Useful in tests and for auditing rounded solutions.
+        `values` is keyed by name (missing names are 0) or is a
+        column-ordered array.  Returns an empty list when the
+        assignment is feasible within `tol`.
         """
+        x = self._vector(values)
         violations: List[str] = []
-        for name, low, high, integer in zip(self._names, self._lows,
-                                            self._highs, self._ints):
-            val = values.get(name, 0.0)
-            if val < low - tol or val > high + tol:
-                violations.append(f"bound:{name}")
-            if integer and abs(val - round(val)) > tol:
-                violations.append(f"integrality:{name}")
-        for con in self._constraints:
-            lhs = sum(coef * values.get(self._names[idx], 0.0)
-                      for idx, coef in con.coeffs.items())
-            if con.sense == "<=" and lhs > con.rhs + tol:
-                violations.append(f"constraint:{con.name}")
-            elif con.sense == ">=" and lhs < con.rhs - tol:
-                violations.append(f"constraint:{con.name}")
-            elif con.sense == "==" and abs(lhs - con.rhs) > tol:
+        for var, val in zip(self.variables, x.tolist()):
+            if val < var.low - tol or val > var.high + tol:
+                violations.append(f"bound:{var.name}")
+            if var.integer and abs(val - round(val)) > tol:
+                violations.append(f"integrality:{var.name}")
+        for con in self.constraints:
+            lhs = sum(coef * x[idx] for idx, coef in con.coeffs.items())
+            if ((con.sense == "<=" and lhs > con.rhs + tol)
+                    or (con.sense == ">=" and lhs < con.rhs - tol)
+                    or (con.sense == "==" and abs(lhs - con.rhs) > tol)):
                 violations.append(f"constraint:{con.name}")
         return violations
 

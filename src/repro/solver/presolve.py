@@ -17,9 +17,9 @@ solves in the test suite.
 
 Usage::
 
-    reduced, recover = presolve(lp)
-    objective, values = solve_with_simplex(reduced)
-    full_values = recover(values)
+    reduced, recover, offset = presolve(lp)
+    objective, x = solve_with_simplex(reduced)
+    full_x = recover(x)
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Tuple
 
+import numpy as np
+
 from ..exceptions import InfeasibleProblemError
 from ..telemetry import get_tracer
 from .model import LinearProgram
 
-#: Maps a reduced solution back to a full-variable assignment.
-Recover = Callable[[Dict[str, float]], Dict[str, float]]
+#: Maps a reduced solution (column order) back to the full model's.
+Recover = Callable[[np.ndarray], np.ndarray]
 
 _TOL = 1e-9
 
@@ -119,9 +121,12 @@ def presolve(lp: LinearProgram) -> Tuple[LinearProgram, Recover, float]:
             continue
         reduced.add_constraint(coeffs, con.sense, rhs, name=con.name)
 
-    def recover(values: Dict[str, float]) -> Dict[str, float]:
-        full = dict(fixed)
-        full.update(values)
+    kept = [var.index for var in lp.variables if var.name not in fixed]
+    fixed_x = np.array([fixed.get(var.name, 0.0) for var in lp.variables])
+
+    def recover(x: np.ndarray) -> np.ndarray:
+        full = fixed_x.copy()
+        full[kept] = x
         return full
 
     return reduced, recover, offset
@@ -129,16 +134,16 @@ def presolve(lp: LinearProgram) -> Tuple[LinearProgram, Recover, float]:
 
 def solve_with_presolve(lp: LinearProgram,
                         solver: Callable[[LinearProgram],
-                                         Tuple[float, Dict[str, float]]]
-                        ) -> Tuple[float, Dict[str, float]]:
+                                         Tuple[float, np.ndarray]]
+                        ) -> Tuple[float, np.ndarray]:
     """Presolve, solve the reduction, and recover the full solution.
 
     Args:
         lp: the model.
-        solver: any ``model -> (objective, values)`` LP solver.
+        solver: any ``model -> (objective, x)`` LP solver.
 
     Returns:
-        ``(objective, values)`` for the *original* model.
+        ``(objective, x)`` for the *original* model.
     """
     tracer = get_tracer()
     with tracer.span("presolve"):
@@ -148,8 +153,7 @@ def solve_with_presolve(lp: LinearProgram,
     tracer.count("presolve_removed_rows",
                  len(lp.constraints) - len(reduced.constraints))
     if reduced.num_variables == 0:
-        values = recover({})
-        return lp.evaluate_objective(values), values
-    objective, values = solver(reduced)
-    full = recover(values)
-    return objective + offset, full
+        x = recover(np.empty(0))
+        return lp.objective_value(x), x
+    objective, x = solver(reduced)
+    return objective + offset, recover(x)

@@ -8,7 +8,7 @@ kept for validation and pedagogy.  Both backends consume the exact same
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import optimize
@@ -28,13 +28,14 @@ def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
                       f"{message}")
 
 
-def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, Dict[str, float]]:
+def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     """Solve the continuous relaxation with ``scipy.optimize.linprog``.
 
     Integrality flags are ignored.
 
     Returns:
-        ``(objective, values)`` in the model's natural direction.
+        ``(objective, x)``: the objective in the model's natural
+        direction and the solution in column order.
     """
     c = lp.objective_vector()
     if lp.maximize:
@@ -56,17 +57,15 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, Dict[str, float]]:
     )
     if not result.success:
         _raise_for_status(lp, result.status, result.message)
-    # tolist() yields the same Python floats as per-element float();
-    # names are in column order, matching result.x.
-    values = dict(zip(lp.variable_names(), result.x.tolist()))
-    return lp.evaluate_objective(values), values
+    return lp.objective_value(result.x), result.x
 
 
-def solve_ilp_scipy(lp: LinearProgram) -> Tuple[float, Dict[str, float]]:
+def solve_ilp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     """Solve the mixed-integer program with ``scipy.optimize.milp``.
 
     Returns:
-        ``(objective, values)`` in the model's natural direction.
+        ``(objective, x)`` as :func:`solve_lp_scipy`; integer columns
+        are rounded to the nearest integer (``+0.0``, never ``-0.0``).
     """
     c = lp.objective_vector()
     if lp.maximize:
@@ -79,29 +78,23 @@ def solve_ilp_scipy(lp: LinearProgram) -> Tuple[float, Dict[str, float]]:
     if a_eq.shape[0]:
         constraints.append(optimize.LinearConstraint(
             a_eq, lb=b_eq, ub=b_eq))
-    bounds_arr = np.array(lp.bounds(), dtype=float)
-    integrality = np.array(
-        [1 if var.integer else 0 for var in lp.variables])
+    low, high = lp.lows(), lp.highs()
+    is_int = lp.integer_mask()
     # Integralize integer variables' bounds: mathematically equivalent
     # (an integer point never sits in the shaved fraction) and works
     # around a HiGHS presolve defect that can return a suboptimal
     # solution when integer variables carry fractional bounds.
-    is_int = integrality == 1
-    bounds_arr[is_int, 0] = np.ceil(bounds_arr[is_int, 0] - 1e-9)
-    bounds_arr[is_int, 1] = np.floor(bounds_arr[is_int, 1] + 1e-9)
-    bounds = optimize.Bounds(lb=bounds_arr[:, 0], ub=bounds_arr[:, 1])
+    low[is_int] = np.ceil(low[is_int] - 1e-9)
+    high[is_int] = np.floor(high[is_int] + 1e-9)
     result = optimize.milp(
         c,
         constraints=constraints or None,
-        bounds=bounds,
-        integrality=integrality,
+        bounds=optimize.Bounds(lb=low, ub=high),
+        integrality=is_int.astype(np.int64),
     )
     if not result.success:
         _raise_for_status(lp, result.status, result.message)
-    values = {}
-    for var in lp.variables:
-        val = float(result.x[var.index])
-        if var.integer:
-            val = float(round(val))
-        values[var.name] = val
-    return lp.evaluate_objective(values), values
+    # np.round keeps the sign of a zero (round(-0.3) -> -0.0); adding
+    # +0.0 turns it into 0.0, as Python's float(round(v)) gives.
+    x = np.where(is_int, np.round(result.x) + 0.0, result.x)
+    return lp.objective_value(x), x

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,25 +197,23 @@ def _run_simplex(tableau: np.ndarray, basis: List[int],
 
 def _recover_solution(lp: LinearProgram, form: _StandardForm,
                       tableau: np.ndarray, basis: Sequence[int]
-                      ) -> Tuple[float, Dict[str, float]]:
+                      ) -> Tuple[float, np.ndarray]:
     n = form.a.shape[1]
     solution = np.zeros(n)
     for i, bj in enumerate(basis):
         if bj < n:
             solution[bj] = tableau[i, -1]
-    values = {}
-    for var in lp.variables:
-        pos, neg, low = form.recover[var.index]
+    x = np.empty(lp.num_variables)
+    for index, (pos, neg, low) in enumerate(form.recover):
         val = solution[pos] + low
         if neg is not None:
             val -= solution[neg]
-        values[var.name] = float(val)
-    return lp.evaluate_objective(values), values
+        x[index] = val
+    return lp.objective_value(x), x
 
 
 def solve_with_simplex(lp: LinearProgram,
-                       max_iter: int = 100_000) -> Tuple[float,
-                                                         Dict[str, float]]:
+                       max_iter: int = 100_000) -> Tuple[float, np.ndarray]:
     """Solve a (continuous) LP with the from-scratch simplex.
 
     Integrality flags are ignored (this is the relaxation solver that
@@ -226,7 +224,8 @@ def solve_with_simplex(lp: LinearProgram,
         max_iter: pivot budget shared by both phases.
 
     Returns:
-        ``(objective, values)`` in the model's natural direction.
+        ``(objective, x)``: the objective in the model's natural
+        direction and the solution in column order.
 
     Raises:
         InfeasibleProblemError: no feasible point exists.
@@ -239,7 +238,7 @@ def solve_with_simplex(lp: LinearProgram,
 
     if m == 0:
         # No constraints: each variable sits at its best finite bound.
-        values: Dict[str, float] = {}
+        x = np.empty(lp.num_variables)
         objective = 0.0
         for var in lp.variables:
             coef = var.objective if lp.maximize else -var.objective
@@ -252,9 +251,9 @@ def solve_with_simplex(lp: LinearProgram,
             if math.isinf(best):
                 raise UnboundedProblemError(
                     f"variable {var.name} unbounded with nonzero objective")
-            values[var.name] = best
+            x[var.index] = best
             objective += var.objective * best
-        return objective, values
+        return objective, x
 
     # ---------------- Phase 1 ----------------
     tableau = np.zeros((m + 1, n + m + 1))

@@ -1,0 +1,94 @@
+"""A/B equivalence of the array LP builder against the frozen named one.
+
+``named_lp_oracle`` keeps the string-named builder the array build
+replaced.  On random configs - 1-30 stations, varied capacities and
+slot sizes (stations with no slot included), 1-8 rate levels, random
+waiting times, deadlines tight enough that some requests have no
+feasible station, and 0-40 requests - both builders must hand HiGHS
+byte-for-byte the same problem: CSR arrays, right-hand sides,
+objective and bounds, plus the same variable and constraint names.
+On the HiGHS solution, ``options_table`` must equal the old name-keyed
+one.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from named_lp_oracle import build_named_lp_pt, build_named_lp_relaxation
+
+from repro.config import NetworkConfig, RequestConfig, SimulationConfig
+from repro.core.instance import ProblemInstance
+from repro.core.lp_relaxation import build_lp_pt, build_lp_relaxation
+from repro.solver.interface import solve_lp
+
+BUILDERS = {"lp": (build_lp_relaxation, build_named_lp_relaxation),
+            "lp_pt": (build_lp_pt, build_named_lp_pt)}
+
+
+@st.composite
+def cases(draw):
+    num_stations = draw(st.integers(1, 30))
+    cap_lo = draw(st.floats(200.0, 4000.0))
+    cap_hi = cap_lo + draw(st.floats(0.0, 3000.0))
+    slot = cap_hi * draw(st.floats(0.08, 1.0))
+    rate_lo = draw(st.floats(5.0, 60.0))
+    rate_hi = rate_lo + draw(st.floats(1.0, 40.0))
+    num_requests = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**16))
+    config = SimulationConfig(
+        network=NetworkConfig(num_base_stations=num_stations,
+                              capacity_range_mhz=(cap_lo, cap_hi),
+                              slot_size_mhz=slot),
+        requests=RequestConfig(
+            num_requests=max(num_requests, 1),
+            data_rate_range_mbps=(rate_lo, rate_hi),
+            num_rate_levels=draw(st.integers(1, 8)),
+            c_unit_mhz_per_mbps=draw(st.sampled_from([10.0, 20.0, 35.0])),
+            deadline_ms=draw(st.floats(15.0, 250.0))),
+        seed=seed).validate()
+    instance = ProblemInstance.build(config, seed=seed)
+    requests = (instance.new_workload(num_requests=num_requests, seed=seed)
+                if num_requests else [])
+    waiting = {r.request_id: draw(st.one_of(st.just(0.0),
+                                            st.floats(0.0, 150.0)))
+               for r in requests}
+    return instance, requests, waiting
+
+
+def exported(lp):
+    """Every array HiGHS sees, as ``(dtype, shape, bytes)``."""
+    a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
+    arrays = (a_ub.indptr, a_ub.indices, a_ub.data, b_ub,
+              a_eq.indptr, a_eq.indices, a_eq.data, b_eq,
+              lp.objective_vector(), np.asarray(lp.bounds(), dtype=float))
+    return [(arr.dtype.str, arr.shape, np.ascontiguousarray(arr).tobytes())
+            for arr in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases(), kind=st.sampled_from(sorted(BUILDERS)))
+def test_array_build_matches_named_build(case, kind):
+    instance, requests, waiting = case
+    build, build_named = BUILDERS[kind]
+    lp, index = build(instance, requests, waiting)
+    old, old_index = build_named(instance, requests, waiting)
+    assert exported(lp) == exported(old)
+    assert lp.variable_names() == old.variable_names()
+    assert [c.name for c in lp.constraints] == old.constraint_names()
+    assert list(index.ranges) == list(old_index.by_request)
+    if lp.num_variables:
+        solution = solve_lp(lp)
+        named = dict(zip(old.variable_names(), solution.x.tolist()))
+        assert index.options_table(solution.x) == \
+            old_index.options_table(named)
+
+
+def test_some_cases_prune_every_station(small_instance, small_workload):
+    """Tight deadlines leave requests with no column and no choice row."""
+    waiting = {r.request_id: 1e4 for r in small_workload[:3]}
+    lp, index = build_lp_pt(small_instance, small_workload[:6], waiting)
+    old, _ = build_named_lp_pt(small_instance, small_workload[:6], waiting)
+    assert [len(index.ranges[r.request_id])
+            for r in small_workload[:3]] == [0, 0, 0]
+    assert exported(lp) == exported(old)
+    assert [c.name for c in lp.constraints] == old.constraint_names()

@@ -15,13 +15,15 @@ class TestVariablesAndPruning:
         n_stations = len(small_instance.network)
         assert lp.num_variables <= (len(small_workload) * n_stations
                                     * max_slots)
-        assert len(index.triples) == lp.num_variables
+        assert (index.request_id.size == index.station_id.size
+                == index.slot.size == lp.num_variables)
 
     def test_deadline_pruning(self, small_instance, small_workload):
         """Variables only exist for deadline-feasible (j, i) pairs."""
         lp, index = build_lp_relaxation(small_instance, small_workload)
         by_id = {r.request_id: r for r in small_workload}
-        for name, (rid, sid, _slot) in index.triples.items():
+        for rid, sid in zip(index.request_id.tolist(),
+                            index.station_id.tolist()):
             request = by_id[rid]
             assert small_instance.latency.is_feasible(request, sid)
 
@@ -59,8 +61,11 @@ class TestErCoefficients:
     def test_objective_uses_er(self, small_instance, small_workload):
         lp, index = build_lp_relaxation(small_instance, small_workload)
         by_id = {r.request_id: r for r in small_workload}
-        for name, (rid, sid, slot) in index.triples.items():
-            var = lp.variable(name)
+        for col, (rid, sid, slot) in enumerate(zip(
+                index.request_id.tolist(), index.station_id.tolist(),
+                index.slot.tolist())):
+            var = lp.variables[col]
+            assert var.name == f"y_{rid}_{sid}_{slot}"
             expected = expected_reward_coefficient(
                 small_instance, by_id[rid], sid, slot)
             assert var.objective == pytest.approx(expected)
@@ -72,7 +77,7 @@ class TestConstraints:
         lp, index = build_lp_relaxation(small_instance, small_workload)
         names = {c.name for c in lp.constraints}
         for request in small_workload:
-            if index.by_request.get(request.request_id):
+            if index.ranges[request.request_id]:
                 assert f"choice_{request.request_id}" in names
 
     def test_solution_satisfies_choice(self, small_instance,
@@ -80,9 +85,8 @@ class TestConstraints:
         lp, index = build_lp_relaxation(small_instance, small_workload)
         solution = solve_lp(lp)
         for request in small_workload:
-            mass = sum(solution.value(name)
-                       for name in index.by_request.get(
-                           request.request_id, ()))
+            cols = index.ranges[request.request_id]
+            mass = sum(solution.x[cols.start:cols.stop].tolist())
             assert mass <= 1.0 + 1e-6
 
     def test_lp_objective_bounded_by_total_expected_reward(
@@ -104,10 +108,11 @@ class TestConstraints:
             cap_rate = (small_instance.network.station(sid).capacity_mhz
                         / small_instance.c_unit)
             load = 0.0
-            for name, (rid, vsid, _slot) in index.triples.items():
+            for col, (rid, vsid) in enumerate(zip(
+                    index.request_id.tolist(), index.station_id.tolist())):
                 if vsid == sid:
                     req = by_id[rid]
-                    load += (solution.value(name)
+                    load += (float(solution.x[col])
                              * req.distribution.expected_truncated_rate(
                                  cap_rate))
             assert load <= cap_rate + 1e-6
@@ -126,7 +131,7 @@ class TestLpPt:
     def test_lp_pt_empty_workload(self, small_instance):
         lp, index = build_lp_pt(small_instance, [])
         assert lp.num_variables == 0
-        assert index.by_request == {}
+        assert index.ranges == {}
 
 
 class TestIndex:
@@ -135,7 +140,7 @@ class TestIndex:
         lp, index = build_lp_relaxation(small_instance, small_workload)
         solution = solve_lp(lp)
         for request in small_workload:
-            options = index.assignment_options(solution.values,
+            options = index.assignment_options(solution.x,
                                                request.request_id)
             for sid, slot, mass in options:
                 assert mass > 0

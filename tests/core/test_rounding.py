@@ -20,18 +20,18 @@ class TestRandomizedRound:
     def test_at_most_one_assignment_per_request(self, solved,
                                                 small_workload):
         index, solution = solved
-        assignments = randomized_round(index, solution.values,
+        assignments = randomized_round(index, solution.x,
                                        small_workload, rng=0)
         ids = [a.request_id for a in assignments]
         assert len(ids) == len(set(ids))
 
     def test_assignments_follow_lp_support(self, solved, small_workload):
         index, solution = solved
-        assignments = randomized_round(index, solution.values,
+        assignments = randomized_round(index, solution.x,
                                        small_workload, rng=1)
         for a in assignments:
             options = index.assignment_options(
-                solution.values, a.request_id)
+                solution.x, a.request_id)
             assert (a.station_id, a.slot) in [
                 (sid, slot) for sid, slot, _ in options]
 
@@ -39,11 +39,11 @@ class TestRandomizedRound:
         """Larger scale -> smaller per-request assignment probability."""
         index, solution = solved
         count_small_scale = np.mean([
-            len(randomized_round(index, solution.values, small_workload,
+            len(randomized_round(index, solution.x, small_workload,
                                  rng=seed, scale=1.0))
             for seed in range(30)])
         count_paper_scale = np.mean([
-            len(randomized_round(index, solution.values, small_workload,
+            len(randomized_round(index, solution.x, small_workload,
                                  rng=seed, scale=4.0))
             for seed in range(30)])
         assert count_paper_scale < count_small_scale
@@ -55,8 +55,8 @@ class TestRandomizedRound:
             mass
             for r in small_workload
             for (_s, _l, mass) in index.assignment_options(
-                solution.values, r.request_id))
-        counts = [len(randomized_round(index, solution.values,
+                solution.x, r.request_id))
+        counts = [len(randomized_round(index, solution.x,
                                        small_workload, rng=seed,
                                        scale=4.0))
                   for seed in range(60)]
@@ -66,23 +66,85 @@ class TestRandomizedRound:
     def test_invalid_scale(self, solved, small_workload):
         index, solution = solved
         with pytest.raises(ConfigurationError):
-            randomized_round(index, solution.values, small_workload,
+            randomized_round(index, solution.x, small_workload,
                              rng=0, scale=0.5)
 
     def test_deterministic_with_seed(self, solved, small_workload):
         index, solution = solved
-        a = randomized_round(index, solution.values, small_workload,
+        a = randomized_round(index, solution.x, small_workload,
                              rng=9)
-        b = randomized_round(index, solution.values, small_workload,
+        b = randomized_round(index, solution.x, small_workload,
                              rng=9)
         assert a == b
+
+
+class TestSolverTolerance:
+    """One documented tolerance (MASS_TOL = 1e-9) on solver noise."""
+
+    def first_request_cols(self, index, workload):
+        for request in workload:
+            cols = index.ranges[request.request_id]
+            if len(cols) >= 2:
+                return request, cols
+        raise AssertionError("no request with two columns")
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_tiny_negative_entries_are_dropped(self, solved,
+                                               small_workload,
+                                               precomputed):
+        index, solution = solved
+        noisy = solution.x.copy()
+        zeros = np.flatnonzero(noisy == 0.0)
+        assert zeros.size
+        noisy[zeros] = -1e-12
+        assert (index.options_table(noisy)
+                == index.options_table(solution.x))
+        table = index.options_table(noisy) if precomputed else None
+        assert (randomized_round(index, noisy, small_workload, rng=4,
+                                 options_table=table)
+                == randomized_round(index, solution.x, small_workload,
+                                    rng=4))
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_mass_within_tolerance_is_accepted(self, solved,
+                                               small_workload,
+                                               precomputed):
+        index, solution = solved
+        request, cols = self.first_request_cols(index, small_workload)
+        x = solution.x.copy()
+        x[cols.start:cols.stop] = 0.0
+        x[cols.start] = 0.5
+        x[cols.start + 1] = 0.5 + 5e-10
+        table = index.options_table(x) if precomputed else None
+        assignments = randomized_round(index, x, [request], rng=0,
+                                       scale=1.0, options_table=table)
+        assert [(a.station_id, a.slot) for a in assignments] in (
+            [(int(index.station_id[cols.start]),
+              int(index.slot[cols.start]))],
+            [(int(index.station_id[cols.start + 1]),
+              int(index.slot[cols.start + 1]))])
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_mass_beyond_tolerance_raises(self, solved, small_workload,
+                                          precomputed, scale):
+        index, solution = solved
+        request, cols = self.first_request_cols(index, small_workload)
+        x = solution.x.copy()
+        x[cols.start:cols.stop] = 0.0
+        x[cols.start] = 0.5
+        x[cols.start + 1] = 0.5 + 1e-6
+        table = index.options_table(x) if precomputed else None
+        with pytest.raises(ConfigurationError, match="constraint \\(9\\)"):
+            randomized_round(index, x, [request], rng=0, scale=scale,
+                             options_table=table)
 
 
 class TestAdmission:
     def run_admission(self, instance, workload, seed=0):
         lp, index = build_lp_relaxation(instance, workload)
         solution = solve_lp(lp)
-        assignments = randomized_round(index, solution.values, workload,
+        assignments = randomized_round(index, solution.x, workload,
                                        rng=seed, scale=1.5)
         ledger = instance.new_ledger()
         outcomes = admit_slot_by_slot(instance, workload, assignments,
@@ -125,7 +187,7 @@ class TestAdmission:
         slot l, prior occupancy was <= l * C_l."""
         lp, index = build_lp_relaxation(small_instance, small_workload)
         solution = solve_lp(lp)
-        assignments = randomized_round(index, solution.values,
+        assignments = randomized_round(index, solution.x,
                                        small_workload, rng=3, scale=1.5)
         ledger = small_instance.new_ledger()
         outcomes = admit_slot_by_slot(small_instance, small_workload,
@@ -139,7 +201,7 @@ class TestAdmission:
     def test_reserve_cap(self, small_instance, small_workload):
         lp, index = build_lp_relaxation(small_instance, small_workload)
         solution = solve_lp(lp)
-        assignments = randomized_round(index, solution.values,
+        assignments = randomized_round(index, solution.x,
                                        small_workload, rng=5, scale=1.5)
         ledger = small_instance.new_ledger()
         outcomes = admit_slot_by_slot(small_instance, small_workload,
@@ -154,7 +216,7 @@ class TestAdmission:
         workload = small_instance.new_workload(num_requests=15, seed=1)
         lp, index = build_lp_relaxation(small_instance, workload)
         solution = solve_lp(lp)
-        assignments = randomized_round(index, solution.values, workload,
+        assignments = randomized_round(index, solution.x, workload,
                                        rng=1, scale=1.0)
         ledger = small_instance.new_ledger()
         # Pre-fill every station so every prefix test fails.

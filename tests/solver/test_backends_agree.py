@@ -118,3 +118,41 @@ class TestInterface:
             solve_lp(lp, backend="scipy")
         with pytest.raises(InfeasibleProblemError):
             solve_lp(lp, backend="simplex")
+
+    def test_solution_carries_x_and_a_lazy_name_view(self):
+        lp = random_lp(3, 4, 2, integer=False)
+        sol = solve_lp(lp)
+        assert isinstance(sol.x, np.ndarray)
+        assert sol.values == dict(zip(lp.variable_names(), sol.x.tolist()))
+        assert sol.objective == sum(
+            obj * val for obj, val in zip(lp.objective_vector().tolist(),
+                                          sol.x.tolist()))
+
+
+class TestIlpRounding:
+    """HiGHS MILP values go through one array rounding, bit-identical to
+    the per-variable ``float(round(v))`` it replaced - signed zero
+    included (``np.round(-0.3)`` is ``-0.0``)."""
+
+    def test_matches_python_round(self, monkeypatch):
+        from scipy import optimize
+
+        from repro.solver import scipy_backend
+
+        raw = np.array([-0.3, 2.5, 3.5, -0.0, -0.2, 0.7, -1e-12])
+        lp = LinearProgram(maximize=True)
+        for j, integer in enumerate([True, True, True, True, False,
+                                     True, True]):
+            lp.add_variable(f"x{j}", low=-5.0, high=5.0, objective=1.0,
+                            integer=integer)
+
+        def fake_milp(c, constraints=None, bounds=None, integrality=None):
+            return optimize.OptimizeResult(x=raw.copy(), success=True,
+                                           status=0, message="")
+
+        monkeypatch.setattr(scipy_backend.optimize, "milp", fake_milp)
+        _obj, x = scipy_backend.solve_ilp_scipy(lp)
+        expected = [float(round(v)) if var.integer else float(v)
+                    for var, v in zip(lp.variables, raw.tolist())]
+        assert x.tolist() == expected
+        assert np.signbit(x).tolist() == np.signbit(expected).tolist()

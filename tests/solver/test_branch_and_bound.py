@@ -10,7 +10,9 @@ from repro.solver.simplex import solve_with_simplex
 
 
 def solve_bnb(lp, oracle=solve_lp_scipy):
-    return solve_with_branch_and_bound(lp, oracle)
+    """``(objective, name -> value)`` of branch-and-bound on `lp`."""
+    obj, x = solve_with_branch_and_bound(lp, oracle)
+    return obj, lp.values_of(x)
 
 
 class TestKnapsack:

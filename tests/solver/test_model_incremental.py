@@ -1,8 +1,8 @@
-"""Bulk construction and sparse export of the append-only model.
+"""Block construction and sparse export of the append-only model.
 
-These APIs form the LP hot path: vectorized builders append whole
-column blocks (`add_variables_bulk`) and index-keyed rows
-(`add_constraint_indexed`), and backends export CSR matrices in O(nnz)
+These APIs form the LP hot path: array builders append whole column
+blocks (`add_columns`) and CSR row blocks (`add_rows`), names are
+produced lazily, and backends export CSR matrices in O(nnz)
 (`sparse_rows`).  The tests pin the contract the solvers rely on -
 byte-identical semantics to the scalar/dense paths.
 """
@@ -20,14 +20,12 @@ from repro.solver.model import LinearProgram
 def knapsack_lp() -> LinearProgram:
     """A small mixed-sense LP touching every export branch."""
     lp = LinearProgram(name="knap")
-    lp.add_variables_bulk(
-        ["x0", "x1", "x2", "x3"],
+    lp.add_columns(
         (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0),
-        np.array([3.0, 1.0, 4.0, 1.5]))
-    lp.add_constraint_indexed({0: 2.0, 1: 1.0, 2: 3.0}, "<=", 4.0,
-                              name="cap")
-    lp.add_constraint_indexed({1: 1.0, 3: 1.0}, ">=", 0.5, name="floor")
-    lp.add_constraint_indexed({0: 1.0, 3: -1.0}, "==", 0.0, name="tie")
+        np.array([3.0, 1.0, 4.0, 1.5]), ["x0", "x1", "x2", "x3"])
+    lp.add_rows([3], [0, 1, 2], [2.0, 1.0, 3.0], "<=", [4.0], ["cap"])
+    lp.add_rows([2], [1, 3], [1.0, 1.0], ">=", [0.5], ["floor"])
+    lp.add_rows([2], [0, 3], [1.0, -1.0], "==", [0.0], ["tie"])
     return lp
 
 
@@ -35,8 +33,8 @@ class TestBulkVariables:
     def test_block_appends_after_existing(self):
         lp = LinearProgram()
         lp.add_variable("w")
-        first = lp.add_variables_bulk(["a", "b"], (0.0, 0.0),
-                                      (1.0, 2.0), (0.5, 0.25))
+        first = lp.add_columns((0.0, 0.0), (1.0, 2.0), (0.5, 0.25),
+                               ["a", "b"])
         assert first == 1
         assert lp.num_variables == 3
         assert [v.name for v in lp.variables] == ["w", "a", "b"]
@@ -46,27 +44,26 @@ class TestBulkVariables:
     def test_numpy_objectives_round_trip(self):
         lp = LinearProgram()
         objs = np.linspace(0.1, 0.9, 5)
-        lp.add_variables_bulk([f"y{i}" for i in range(5)],
-                              (0.0,) * 5, (1.0,) * 5, objs)
+        lp.add_columns((0.0,) * 5, (1.0,) * 5, objs,
+                       [f"y{i}" for i in range(5)])
         assert lp.objective_vector().tolist() == objs.tolist()
 
     def test_mismatched_lengths_rejected(self):
         lp = LinearProgram()
         with pytest.raises(ConfigurationError):
-            lp.add_variables_bulk(["a", "b"], (0.0,), (1.0, 1.0),
-                                  (0.0, 0.0))
+            lp.add_columns((0.0,), (1.0, 1.0), (0.0, 0.0), ["a", "b"])
 
     def test_duplicate_rejected(self):
         lp = LinearProgram()
         lp.add_variable("a")
         with pytest.raises(ConfigurationError):
-            lp.add_variables_bulk(["b", "a"], (0.0, 0.0), (1.0, 1.0),
-                                  (0.0, 0.0))
+            lp.add_columns((0.0, 0.0), (1.0, 1.0), (0.0, 0.0),
+                           ["b", "a"])
 
     def test_inverted_bounds_rejected(self):
         lp = LinearProgram()
         with pytest.raises(ConfigurationError):
-            lp.add_variables_bulk(["a"], (2.0,), (1.0,), (0.0,))
+            lp.add_columns((2.0,), (1.0,), (0.0,), ["a"])
 
     def test_variable_names_in_column_order(self):
         lp = knapsack_lp()
@@ -79,11 +76,40 @@ class TestBulkVariables:
         first = lp.variables
         assert lp.variables is first  # cached while nothing was added
         lp.add_variable("x4", high=2.0, objective=5.0)
-        lp.add_variables_bulk(["x5"], (0.0,), (1.0,), (0.5,))
+        lp.add_columns((0.0,), (1.0,), (0.5,), ["x5"])
         view = lp.variables
         assert view[:4] == first
         assert [(v.name, v.index, v.high, v.objective) for v in view[4:]] \
             == [("x4", 4, 2.0, 5.0), ("x5", 5, 1.0, 0.5)]
+
+
+class TestLazyNames:
+    def test_block_names_are_produced_on_first_use(self):
+        calls = []
+
+        def names():
+            calls.append(1)
+            return ["p", "q"]
+
+        lp = LinearProgram()
+        lp.add_columns((0.0, 0.0), (1.0, 1.0), (2.0, 3.0), names)
+        lp.add_rows([2], [0, 1], [1.0, 1.0], "<=", [1.0],
+                    lambda: ["row"])
+        lp.sparse_rows()
+        assert calls == []
+        assert lp.variable_names() == ["p", "q"]
+        assert lp.variable_names() == ["p", "q"]
+        assert calls == [1]
+        assert [c.name for c in lp.constraints] == ["row"]
+
+    def test_scalar_appends_after_a_lazy_block(self):
+        lp = LinearProgram()
+        lp.add_columns((0.0,), (1.0,), (1.0,), lambda: ["a"])
+        with pytest.raises(ConfigurationError):
+            lp.add_variable("a")
+        lp.add_variable("b")
+        assert lp.variable_names() == ["a", "b"]
+        assert lp.variable("b").index == 1
 
 
 class TestIndexedConstraints:
@@ -95,25 +121,34 @@ class TestIndexedConstraints:
 
     def test_structural_zero_dropped(self):
         lp = LinearProgram()
-        lp.add_variables_bulk(["a", "b"], (0.0,) * 2, (1.0,) * 2,
-                              (0.0,) * 2)
-        con = lp.add_constraint_indexed({0: 0.0, 1: 1.0}, "<=", 1.0)
-        assert con.coeffs == {1: 1.0}
+        lp.add_columns((0.0,) * 2, (1.0,) * 2, (0.0,) * 2, ["a", "b"])
+        lp.add_rows([2], [0, 1], [0.0, 1.0], "<=", [1.0], ["c0"])
+        assert lp.constraints[-1].coeffs == {1: 1.0}
 
     def test_out_of_range_rejected(self):
         lp = LinearProgram()
         lp.add_variable("a")
         with pytest.raises(ConfigurationError):
-            lp.add_constraint_indexed({1: 1.0}, "<=", 1.0)
+            lp.add_rows([1], [1], [1.0], "<=", [1.0], ["c0"])
         with pytest.raises(ConfigurationError):
-            lp.add_constraint_indexed({-1: 1.0}, "<=", 1.0)
+            lp.add_rows([1], [-1], [1.0], "<=", [1.0], ["c0"])
+
+    def test_unsorted_row_rejected(self):
+        lp = LinearProgram()
+        lp.add_columns((0.0,) * 2, (1.0,) * 2, (0.0,) * 2, ["a", "b"])
+        with pytest.raises(ConfigurationError):
+            lp.add_rows([2], [1, 0], [1.0, 1.0], "<=", [1.0], ["c0"])
+        lp.add_rows([1, 1], [1, 0], [1.0, 1.0], "<=", [1.0, 1.0],
+                    ["c0", "c1"])
+        assert [c.coeffs for c in lp.constraints] == [{1: 1.0}, {0: 1.0}]
 
     def test_empty_row_rules(self):
         lp = LinearProgram()
         lp.add_variable("a")
-        lp.add_constraint_indexed({0: 0.0}, "<=", 1.0)  # trivially ok
+        lp.add_rows([1], [0], [0.0], "<=", [1.0], ["ok"])  # trivially ok
         with pytest.raises(ConfigurationError):
-            lp.add_constraint_indexed({0: 0.0}, ">=", 1.0)
+            lp.add_rows([1], [0], [0.0], ">=", [1.0], ["bad"])
+        assert lp.num_constraints == 1
 
 
 class TestSparseExport:
@@ -137,9 +172,8 @@ class TestSparseExport:
 
     def test_empty_groups_have_column_width(self):
         lp = LinearProgram()
-        lp.add_variables_bulk(["a", "b"], (0.0,) * 2, (1.0,) * 2,
-                              (1.0,) * 2)
-        lp.add_constraint_indexed({0: 1.0}, "<=", 1.0)
+        lp.add_columns((0.0,) * 2, (1.0,) * 2, (1.0,) * 2, ["a", "b"])
+        lp.add_rows([1], [0], [1.0], "<=", [1.0], ["c0"])
         a_ub, _, a_eq, b_eq = lp.sparse_rows()
         assert a_eq.shape == (0, 2)
         assert b_eq.size == 0
@@ -148,8 +182,8 @@ class TestSparseExport:
 class TestUniformBounds:
     def test_shared_pair(self):
         lp = LinearProgram()
-        lp.add_variables_bulk(["a", "b", "c"], (0.0,) * 3, (1.0,) * 3,
-                              (0.0,) * 3)
+        lp.add_columns((0.0,) * 3, (1.0,) * 3, (0.0,) * 3,
+                       ["a", "b", "c"])
         assert lp.uniform_bounds() == (0.0, 1.0)
 
     def test_disagreement_returns_none(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for LP presolve."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ class TestReductions:
         # The constraint rhs absorbed the fixed part: y <= 4.
         con = reduced.constraints[0]
         assert con.rhs == pytest.approx(4.0)
-        full = recover({"y": 4.0})
+        full = lp.values_of(recover(np.array([4.0])))
         assert full == {"x": 2.0, "y": 4.0}
 
     def test_singleton_row_becomes_bound(self):
@@ -81,22 +82,22 @@ class TestSolveWithPresolve:
         lp.add_constraint({"x": 1.0, "y": 1.0, "z": 1.0}, "<=", 4.0)
         lp.add_constraint({"z": 1.0}, "<=", 1.5)
         direct_obj, _ = solve_with_simplex(lp)
-        pre_obj, values = solve_with_presolve(lp, solve_with_simplex)
+        pre_obj, x = solve_with_presolve(lp, solve_with_simplex)
+        values = lp.values_of(x)
         assert pre_obj == pytest.approx(direct_obj)
         assert lp.check_feasible(values) == []
 
     def test_fully_fixed_model(self):
         lp = LinearProgram(maximize=True)
         lp.add_variable("x", low=2.0, high=2.0, objective=5.0)
-        obj, values = solve_with_presolve(lp, solve_with_simplex)
+        obj, x = solve_with_presolve(lp, solve_with_simplex)
+        values = lp.values_of(x)
         assert obj == pytest.approx(10.0)
         assert values == {"x": 2.0}
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_presolved_simplex_matches_scipy_property(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         lp = LinearProgram(maximize=True)
         n = 5
@@ -121,6 +122,7 @@ class TestSolveWithPresolve:
             with pytest.raises(InfeasibleProblemError):
                 solve_with_presolve(lp, solve_with_simplex)
             return
-        pre_obj, values = solve_with_presolve(lp, solve_with_simplex)
+        pre_obj, x = solve_with_presolve(lp, solve_with_simplex)
+        values = lp.values_of(x)
         assert pre_obj == pytest.approx(scipy_obj, abs=1e-6)
         assert lp.check_feasible(values) == []

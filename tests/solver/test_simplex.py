@@ -18,7 +18,8 @@ class TestTextbookCases:
         lp.add_variable("y", objective=2.0)
         lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 4.0)
         lp.add_constraint({"x": 1.0}, "<=", 2.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(10.0)
         assert values["x"] == pytest.approx(2.0)
         assert values["y"] == pytest.approx(2.0)
@@ -30,7 +31,8 @@ class TestTextbookCases:
         lp.add_variable("y", objective=1.0)
         lp.add_constraint({"x": 1.0, "y": 2.0}, ">=", 4.0)
         lp.add_constraint({"x": 3.0, "y": 1.0}, ">=", 6.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(2.8)
         assert values["x"] == pytest.approx(1.6)
         assert values["y"] == pytest.approx(1.2)
@@ -41,7 +43,8 @@ class TestTextbookCases:
         lp.add_variable("y", objective=1.0)
         lp.add_constraint({"x": 1.0, "y": 1.0}, "==", 3.0)
         lp.add_constraint({"x": 1.0}, "<=", 1.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(3.0)
         assert values["x"] + values["y"] == pytest.approx(3.0)
 
@@ -49,7 +52,8 @@ class TestTextbookCases:
         lp = LinearProgram(maximize=True)
         lp.add_variable("x", low=0.0, high=0.7, objective=1.0)
         lp.add_constraint({"x": 1.0}, "<=", 5.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(0.7)
 
     def test_lower_bound_shift(self):
@@ -57,7 +61,8 @@ class TestTextbookCases:
         lp = LinearProgram(maximize=False)
         lp.add_variable("x", low=2.0, high=10.0, objective=1.0)
         lp.add_constraint({"x": 1.0}, "<=", 10.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(2.0)
 
     def test_free_variable(self):
@@ -66,7 +71,8 @@ class TestTextbookCases:
         lp.add_variable("x", low=-math.inf, objective=1.0)
         lp.add_variable("y", objective=5.0)
         lp.add_constraint({"x": 1.0}, ">=", -3.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(-3.0)
         assert values["x"] == pytest.approx(-3.0)
 
@@ -91,7 +97,8 @@ class TestEdgeCases:
     def test_no_constraints_bounded(self):
         lp = LinearProgram(maximize=True)
         lp.add_variable("x", low=0.0, high=3.0, objective=2.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(6.0)
 
     def test_no_constraints_unbounded(self):
@@ -122,7 +129,8 @@ class TestEdgeCases:
         lp.add_variable("y", objective=0.0)
         lp.add_constraint({"x": 1.0, "y": -1.0}, "==", 0.0)
         lp.add_constraint({"y": 1.0}, "<=", 2.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(2.0)
         assert values["x"] == pytest.approx(values["y"])
 
@@ -131,5 +139,6 @@ class TestEdgeCases:
         lp.add_variable("x", high=1.0, objective=1.0)
         lp.add_variable("y", high=1.0, objective=2.0)
         lp.add_constraint({"x": 1.0, "y": 2.0}, "<=", 2.5)
-        _obj, values = solve_with_simplex(lp)
+        _obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert lp.check_feasible(values) == []

@@ -28,7 +28,9 @@ def redundant_lp() -> LinearProgram:
 
 class TestRedundantRows:
     def test_duplicated_equality_rows(self):
-        obj, values = solve_with_simplex(redundant_lp())
+        lp = redundant_lp()
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         # obj = x + 2(2 - x) = 4 - x, maximized at x = 0.
         assert obj == pytest.approx(4.0)
         assert values["x"] == pytest.approx(0.0)
@@ -42,7 +44,8 @@ class TestRedundantRows:
         lp.add_constraint({"x": 1.0, "y": 1.0}, "==", 3.0)
         lp.add_constraint({"x": 2.0, "y": 2.0}, "==", 6.0)
         lp.add_constraint({"x": 3.0, "y": 3.0}, "==", 9.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(3.0)
         assert values["x"] + values["y"] == pytest.approx(3.0)
 
@@ -54,7 +57,8 @@ class TestRedundantRows:
         lp.add_variable("y", objective=3.0)
         lp.add_constraint({"x": 1.0, "y": 1.0}, "==", 4.0)
         lp.add_constraint({"x": 2.0, "y": 2.0}, ">=", 8.0)
-        obj, values = solve_with_simplex(lp)
+        obj, x = solve_with_simplex(lp)
+        values = lp.values_of(x)
         assert obj == pytest.approx(4.0)
         assert values["x"] == pytest.approx(4.0)
         assert values["y"] == pytest.approx(0.0)
