@@ -14,8 +14,6 @@ DET003     no unsorted set/dict-keys iteration feeding serialization
 NUM001     no float ``==``/``!=`` on reward/capacity/rate expressions
 UNIT001    ``*_mhz``/``*_mbps`` only mix via ``repro.units``
 PKL001     no lambdas/closures/local classes in RunSpec/Event payloads
-EVT001     every EventKind has a timeline glyph and an audit check
-MET001     every audited EventKind increments a registered metric
 DET010     no wall-clock/entropy *value* reaching a serialization
            sink through any call chain (whole-program taint)
 CONC001    no module-level global written from worker-reachable code
@@ -35,9 +33,7 @@ from __future__ import annotations
 
 # Importing the rule modules populates the registry.
 from . import determinism as _determinism  # noqa: F401
-from . import events_rule as _events_rule  # noqa: F401
 from . import interprocedural as _interprocedural  # noqa: F401
-from . import metrics_rule as _metrics_rule  # noqa: F401
 from . import numerics as _numerics  # noqa: F401
 from . import pickles as _pickles  # noqa: F401
 from .baseline import (apply_baseline, load_baseline,
@@ -47,7 +43,7 @@ from .cli import main
 from .dataflow import ProjectContext, TaintAnalysis, build_context
 from .findings import Finding, sort_findings
 from .framework import (RULES, AnalysisReport, DataflowRule,
-                        ModuleInfo, ProjectRule, Rule, analyze_source,
+                        ModuleInfo, Rule, analyze_source,
                         cache_version, module_from_source, register,
                         run_analysis)
 
@@ -57,7 +53,6 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "ProjectContext",
-    "ProjectRule",
     "RULES",
     "Rule",
     "SummaryCache",

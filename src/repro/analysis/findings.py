@@ -20,7 +20,7 @@ class Finding:
     """One rule violation located in a scanned source tree.
 
     Attributes:
-        rule: rule identifier (``"DET001"`` ... ``"EVT001"``).
+        rule: rule identifier (``"DET001"`` ... ``"UNIT010"``).
         path: path of the offending file, relative to the scanned
             root, in POSIX form.
         line: 1-based line number of the violation.

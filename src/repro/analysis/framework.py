@@ -2,9 +2,8 @@
 
 The pass is a small, dependency-free AST walker.  Each rule is a class
 with an id, a rationale, and a ``check`` hook; file rules see one
-parsed module at a time, project rules (:class:`ProjectRule`) see the
-whole scanned tree at once and can enforce cross-module consistency
-(e.g. EVT001's EventKind coverage).
+parsed module at a time, dataflow rules (:class:`DataflowRule`) see the
+whole-program call graph built over the scanned tree.
 
 Suppression uses a project-specific pragma so it can never collide
 with flake8/ruff ``# noqa`` handling::
@@ -142,19 +141,6 @@ class Rule:
                        line=lineno, col=col, message=message,
                        hint=self.hint if hint is None else hint,
                        snippet=module.line(lineno))
-
-
-class ProjectRule(Rule):
-    """A rule that needs the whole scanned tree at once."""
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, modules: Sequence[ModuleInfo]
-                      ) -> Iterator[Finding]:
-        """Yield findings after seeing every scanned module."""
-        raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class DataflowRule(Rule):
@@ -342,9 +328,6 @@ def run_rules(modules: Sequence[ModuleInfo],
         if isinstance(rule, DataflowRule):
             assert context is not None
             for finding in rule.check_context(context):
-                admit(finding)
-        elif isinstance(rule, ProjectRule):
-            for finding in rule.check_project(modules):
                 admit(finding)
         else:
             for module in modules:

@@ -22,7 +22,6 @@ from typing import List
 import numpy as np
 
 from ..exceptions import BanditError, ConfigurationError
-from ..telemetry import get_tracer
 
 
 class SuccessiveElimination:
@@ -164,10 +163,7 @@ class SuccessiveElimination:
             # Numerically impossible for the maximizer itself, but be
             # safe: keep the best empirical arm.
             survivors = [self.best_active_arm()]
-        eliminated = set(active) - set(survivors)
-        if eliminated:
-            get_tracer().count("arm_eliminations", len(eliminated))
-        for arm in eliminated:
+        for arm in set(active) - set(survivors):
             self._active[arm] = False
 
     def _check_arm(self, arm: int) -> None:

@@ -28,7 +28,7 @@ from ..core.latency import meets_deadline
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
-from ..telemetry import get_tracer
+from ..telemetry.metrics import get_metrics
 from .base import OnlineBaselinePolicy, expected_feasible_stations
 
 #: Round-trip-plus-processing latency of the remote cloud path (ms).
@@ -111,7 +111,7 @@ class HeuKktOffline:
     def _serve_from_cloud(request: ARRequest, result: ScheduleResult,
                           rng) -> None:
         """The removed-capacity share: served remotely, reward lost."""
-        get_tracer().count("cloud_served")
+        get_metrics().inc("engine_cloud_served_total")
         request.realize(rng)
         result.add(OffloadDecision(
             request_id=request.request_id,

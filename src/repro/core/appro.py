@@ -105,7 +105,6 @@ class Appro:
             admitted_ids = {o.request.request_id for o in round_outcomes
                             if o.admitted}
             tracer.count("rounding_rounds")
-            tracer.count("requests_admitted", len(admitted_ids))
             outcomes.extend(o for o in round_outcomes if o.admitted)
             remaining = [r for r in remaining
                          if r.request_id not in admitted_ids]

@@ -33,10 +33,10 @@ from ..bandits.regret import RegretTracker
 from ..config import OnlineConfig
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
-from ..sim.events import Event, EventKind
+from ..sim.events import EventKind
 from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
+from ..telemetry.audit import emit, emit_many, get_journal
 from ..telemetry.metrics import get_metrics
 from .lp_relaxation import build_lp_pt
 from .rounding import DEFAULT_ROUNDING_SCALE, admit_slot_by_slot, \
@@ -131,16 +131,10 @@ class DynamicRR:
             self._selected_this_slot = True
             self._last_arm_value = threshold
             tracer.observe("threshold_mhz", threshold)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("bandit_rounds_total")
-                metrics.set_gauge("bandit_threshold_mhz", threshold)
-            journal = get_journal()
-            if journal.enabled:
-                journal.record(Event(
-                    slot=slot, kind=EventKind.ARM_SELECTED,
-                    arm=self._bandit.grid.nearest_arm(threshold),
-                    value=threshold))
+            emit(EventKind.ARM_SELECTED, slot,
+                 arm=self._bandit.grid.nearest_arm(threshold),
+                 value=threshold)
+            get_metrics().set_gauge("bandit_threshold_mhz", threshold)
 
             from .threshold import select_slot_requests
             r_t = select_slot_requests(pending, engine.total_free_mhz(),
@@ -206,12 +200,7 @@ class DynamicRR:
                   and active_arms is not None else None)
         self._bandit.record(normalized)
         if before is not None:
-            after = set(active_arms())
-            eliminated = len(before) - len(after)
-            if eliminated and metrics.enabled:
-                metrics.inc("bandit_arms_eliminated_total", eliminated)
-            if journal.enabled:
-                self._journal_eliminations(slot, before, after, journal)
+            self._emit_eliminations(slot, before, set(active_arms()))
         arm = self._bandit.grid.nearest_arm(self._last_arm_value)
         self.tracker.record(arm, normalized)
         self._cumulative_reward += slot_reward
@@ -236,9 +225,10 @@ class DynamicRR:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _journal_eliminations(self, slot: int, before: set, after: set,
-                              journal) -> None:
-        """Journal arms this round's record() eliminated.
+    def _emit_eliminations(self, slot: int, before: set,
+                           after: set) -> None:
+        """Emit an ARM_ELIMINATED for each arm this round's record()
+        eliminated.
 
         The justification payload is the pair the elimination rule
         compared - the arm's UCB and the best LCB over the arms active
@@ -252,12 +242,11 @@ class DynamicRR:
         has_bounds = (hasattr(policy, "ucb") and hasattr(policy, "lcb"))
         best_lcb = (max(policy.lcb(a) for a in before)
                     if has_bounds else None)
-        for arm in eliminated:
-            detail = ((policy.ucb(arm), best_lcb)
-                      if has_bounds else None)
-            journal.record(Event(
-                slot=slot, kind=EventKind.ARM_ELIMINATED, arm=arm,
-                value=self._bandit.grid.value(arm), detail=detail))
+        emit_many(EventKind.ARM_ELIMINATED, slot, eliminated,
+                  lambda arm: dict(
+                      arm=arm, value=self._bandit.grid.value(arm),
+                      detail=((policy.ucb(arm), best_lcb)
+                              if has_bounds else None)))
 
     def _seeded_ledger(self, engine, threshold_mhz: float):
         """A ledger pre-loaded with the *guaranteed shares* of running

@@ -21,11 +21,10 @@ from typing import Dict, List, Optional, Sequence
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
-from ..sim.events import Event, EventKind
+from ..sim.events import EventKind
 from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
-from ..telemetry.metrics import get_metrics
+from ..telemetry.audit import emit
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
 from .latency import meets_deadline
@@ -169,7 +168,6 @@ class Heu:
                         key=lambda r: (-r.realized_rate_mbps,
                                        r.request_id))
         targets = instance.paths.stations_by_delay(station_id)
-        journal = get_journal()
         for donor in donors:
             pipeline = donor.pipeline
             existing = migrations.get(donor.request_id, {})
@@ -208,17 +206,10 @@ class Heu:
                                share)
                 migrations[donor.request_id] = trial
                 self.last_num_migrations += 1
-                get_tracer().count("migrations")
-                get_metrics().inc("migrations_total")
-                if journal.enabled:
-                    journal.record(Event(
-                        slot=slot, kind=EventKind.MIGRATE,
-                        request_id=donor.request_id,
-                        station_id=target,
-                        src_station_id=station_id,
-                        task_index=task_idx,
-                        reserved_mhz=share,
-                        detail=tuple(skipped)))
+                emit(EventKind.MIGRATE, slot, request_id=donor.request_id,
+                     station_id=target, src_station_id=station_id,
+                     task_index=task_idx, reserved_mhz=share,
+                     detail=tuple(skipped))
                 return True
         return False
 

@@ -34,9 +34,8 @@ from ..exceptions import ConfigurationError
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
-from ..sim.events import Event, EventKind
-from ..telemetry.audit import get_journal
-from ..telemetry.metrics import get_metrics
+from ..sim.events import EventKind
+from ..telemetry.audit import emit
 from .assignment import SlotAssignment
 from .instance import ProblemInstance
 from .lp_relaxation import MASS_TOL, LpIndex
@@ -167,7 +166,6 @@ def admit_slot_by_slot(instance: ProblemInstance,
         One outcome per tentative assignment, in admission order.
     """
     rng = ensure_rng(rng)
-    journal = get_journal()
     request_by_id = {r.request_id: r for r in requests}
     by_station_slot: Dict[tuple, List[SlotAssignment]] = {}
     for assignment in assignments:
@@ -201,12 +199,9 @@ def admit_slot_by_slot(instance: ProblemInstance,
                     attempts += 1
                     open_now = ledger.prefix_open(station_id, slot)
                 if not open_now:
-                    get_metrics().inc("rounding_rejects_total")
-                    if journal.enabled:
-                        journal.record(Event(
-                            slot=slot, kind=EventKind.REJECT_ROUNDING,
-                            request_id=request.request_id,
-                            station_id=station_id))
+                    emit(EventKind.REJECT_ROUNDING, slot,
+                         request_id=request.request_id,
+                         station_id=station_id)
                     continue
                 rate, reward = request.realize(rng)
                 demand = request.demand_of_rate_mhz(rate)
@@ -218,19 +213,15 @@ def admit_slot_by_slot(instance: ProblemInstance,
                     ledger.reserve(request.request_id, station_id, reserved)
                 outcome.admitted = True
                 outcome.reserved_mhz = reserved
-                get_metrics().inc("rounding_admits_total")
                 if demand <= free + 1e-9:
                     outcome.reward = reward
-                if journal.enabled:
-                    # Guaranteed-share admissions (the online RR
-                    # setting) are elastic; batch admissions commit the
-                    # reservation - the monitor accumulates only the
-                    # latter against capacity.
-                    committed = reserve_cap_mhz is None
-                    journal.record(Event(
-                        slot=slot, kind=EventKind.ADMIT,
-                        request_id=request.request_id,
-                        station_id=station_id, reward=outcome.reward,
-                        reserved_mhz=reserved if committed else None,
-                        share_mhz=None if committed else reserved))
+                # Guaranteed-share admissions (the online RR setting)
+                # are elastic; batch admissions commit the reservation -
+                # the monitor accumulates only the latter against
+                # capacity.
+                committed = reserve_cap_mhz is None
+                emit(EventKind.ADMIT, slot, request_id=request.request_id,
+                     station_id=station_id, reward=outcome.reward,
+                     reserved_mhz=reserved if committed else None,
+                     share_mhz=None if committed else reserved)
     return outcomes

@@ -164,11 +164,11 @@ def execute_run(spec: RunSpec) -> RunRecord:
     :class:`~repro.telemetry.audit.Journal` and carries the audit
     events home.
 
-    With ``spec.profile`` the run additionally executes under a fresh
-    tracer (shared with ``trace``), a fresh
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (so solver
-    counters like ``simplex_iterations_total`` attribute to the
-    run), and ``cProfile``; the record carries a
+    A traced or profiled run also executes under a fresh
+    :class:`~repro.telemetry.metrics.MetricsRegistry`, whose counters
+    (event counts, solver counters like ``simplex_iterations_total``)
+    join the trace as counter events.  With ``spec.profile`` the run
+    additionally executes under ``cProfile``; the record carries a
     :class:`~repro.telemetry.profiling.ProfileDigest` plus picklable
     cProfile stats.  ``spec.profile_mem`` captures ``tracemalloc`` top
     allocation sites.  All of it is observation only: the metrics,
@@ -181,7 +181,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
         return _execute_untraced(spec)
     tracer = Tracer() if (spec.trace or spec.profile) else None
     journal = Journal() if spec.journal else None
-    registry = MetricsRegistry() if spec.profile else None
+    registry = MetricsRegistry() if tracer is not None else None
     profiler = cProfile.Profile() if spec.profile else None
     memory_rows: Optional[List[Dict[str, object]]] = None
     with ExitStack() as stack:
@@ -209,16 +209,20 @@ def execute_run(spec: RunSpec) -> RunRecord:
                     tracemalloc.take_snapshot())
             if own_tracemalloc:
                 tracemalloc.stop()
+    if tracer is not None and registry is not None:
+        # The registry's counters join the trace as counter events, so
+        # trace summaries and profile digests read event counts too.
+        for (name, labels), value in \
+                registry.export_state()["counters"].items():
+            tracer.count(name, value, **dict(labels))
     if spec.trace and tracer is not None:
         record = dataclasses.replace(record,
                                      trace=tuple(tracer.events()))
     if journal is not None:
         record = dataclasses.replace(record,
                                      journal=tuple(journal.events()))
-    if spec.profile and tracer is not None and registry is not None \
-            and profiler is not None:
-        digest = profiling.digest_from_events(
-            tracer.events(), registry.snapshot()["counters"])
+    if spec.profile and tracer is not None and profiler is not None:
+        digest = profiling.digest_from_events(tracer.events())
         record = dataclasses.replace(
             record, profile=digest.to_dict(),
             profile_stats=profiling.capture_stats(profiler))

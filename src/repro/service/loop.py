@@ -30,7 +30,7 @@ import time
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..baselines import GreedyOnline, RandomOnline
 from ..config import SimulationConfig
@@ -42,7 +42,7 @@ from ..requests.generator import RequestGenerator
 from ..rng import RngForks
 from ..sim.events import Event, EventKind
 from ..sim.online_engine import OnlineEngine, SlotOutcome
-from ..telemetry.audit import Journal, use_journal
+from ..telemetry.audit import Journal, emit, emit_many, use_journal
 from ..telemetry.metrics import (MetricsRegistry, StreamingHistogram,
                                  get_metrics, use_metrics)
 from .checkpoint import (JournalCursor, ServiceCheckpoint,
@@ -194,6 +194,15 @@ def _make_policy(config: ServiceConfig, forks: RngForks):
     return GreedyOnline()
 
 
+class _RecordSink:
+    """An always-enabled, journal-shaped sink for :func:`emit`."""
+
+    enabled = True
+
+    def __init__(self, record: Callable[[Event], None]) -> None:
+        self.record = record
+
+
 class AdmissionService:
     """One streaming admission run (see the module docstring).
 
@@ -245,6 +254,7 @@ class AdmissionService:
         #: markers); never part of the decision journal.  Bounded: the
         #: full stream goes to ``config.ops_journal_path`` when set.
         self.ops_events: Deque[Event] = deque(maxlen=4096)
+        self._ops_sink = _RecordSink(self._ops_record)
         self.last_checkpoint_slot: Optional[int] = None
         self.done = False
         self._started = False
@@ -317,10 +327,9 @@ class AdmissionService:
         self._stream.restore_state(checkpoint.stream_state)
         self.counters.update(checkpoint.counters)
         self._metrics.restore_state(checkpoint.metrics_state)
-        self._metrics.inc("service_resumes_total")
         self.last_checkpoint_slot = checkpoint.slot
-        self._ops_record(Event(slot=checkpoint.slot,
-                               kind=EventKind.RESUME))
+        with use_metrics(self._metrics):
+            emit(EventKind.RESUME, checkpoint.slot, journal=self._ops_sink)
 
     # ------------------------------------------------------------------
     # The slot loop
@@ -344,40 +353,29 @@ class AdmissionService:
         slot, batch = self._stream.next_batch()
         self._engine.clock.advance_to(slot)
         metrics.advance_slot(slot)
-        with use_journal(self._journal) as journal, \
-                use_metrics(metrics):
+        with use_journal(self._journal), use_metrics(metrics):
             room = max(0, self.config.queue_limit
                        - self._engine.pending_count())
             accepted = list(batch[:room])
             shed = list(batch[room:])
-            if shed:
-                metrics.inc("service_shed_total", len(shed))
-                if journal.enabled:
-                    depth = float(self._engine.pending_count()
-                                  + len(accepted))
-                    for request in shed:
-                        journal.record(Event(
-                            slot=slot, kind=EventKind.SHED,
-                            request_id=request.request_id, value=depth))
+            depth = float(self._engine.pending_count() + len(accepted))
+            emit_many(EventKind.SHED, slot, shed,
+                      lambda request: dict(request_id=request.request_id,
+                                           value=depth))
             outcome = self._engine.step(self._policy, slot, accepted)
-            deferred = 0
+            deferred: List = []
             if accepted:
                 metrics.inc("service_admitted_total", len(accepted))
                 still_pending = set(self._engine.pending_ids())
-                for request in accepted:
-                    if request.request_id in still_pending:
-                        deferred += 1
-                        if journal.enabled:
-                            journal.record(Event(
-                                slot=slot,
-                                kind=EventKind.ADMIT_DEFERRED,
-                                request_id=request.request_id,
-                                value=float(outcome.pending_after)))
-            if deferred:
-                metrics.inc("service_deferred_total", deferred)
+                deferred = [request for request in accepted
+                            if request.request_id in still_pending]
+            emit_many(EventKind.ADMIT_DEFERRED, slot, deferred,
+                      lambda request: dict(
+                          request_id=request.request_id,
+                          value=float(outcome.pending_after)))
             # Account before checkpointing so the checkpoint's
             # counters include the slot it closes.
-            self._account(outcome, len(shed), deferred)
+            self._account(outcome, len(shed), len(deferred))
             if metrics.enabled:
                 metrics.inc("service_slots_total")
                 metrics.set_gauge("service_queue_depth",
@@ -386,7 +384,7 @@ class AdmissionService:
                                   float(outcome.active_after))
                 metrics.observe("service_batch_size",
                                 float(len(batch)), slot=slot)
-            checkpointed = self._maybe_checkpoint(slot, journal)
+            checkpointed = self._maybe_checkpoint(slot)
             self._maybe_snapshot_metrics(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
         self.slot_latency.observe(tick_seconds, slot)
@@ -411,7 +409,7 @@ class AdmissionService:
         elif slot >= self.config.horizon_slots - 1:
             self.done = True
         return SlotReport(outcome=outcome, num_shed=len(shed),
-                          num_deferred=deferred,
+                          num_deferred=len(deferred),
                           checkpointed=checkpointed,
                           admitted_total=int(self.counters["accepted"]),
                           deferred_total=int(self.counters["deferred"]),
@@ -458,12 +456,14 @@ class AdmissionService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self, slot: int, journal) -> bool:
+    def _maybe_checkpoint(self, slot: int) -> bool:
         every = self.config.checkpoint_every
         if every is None or (slot + 1) % every != 0:
             return False
-        if journal.enabled:
-            journal.record(Event(slot=slot, kind=EventKind.CHECKPOINT))
+        # Count the checkpoint *before* exporting the registry, so the
+        # checkpoint includes its own write and a resumed series
+        # continues exactly (no off-by-one against an uninterrupted run).
+        emit(EventKind.CHECKPOINT, slot)
         cursor = JournalCursor()
         if self._journal is not None:
             cursor = JournalCursor(
@@ -472,10 +472,6 @@ class AdmissionService:
         policy_state = None
         if hasattr(self._policy, "export_state"):
             policy_state = self._policy.export_state()
-        # Count the checkpoint *before* exporting the registry, so the
-        # checkpoint includes its own write and a resumed series
-        # continues exactly (no off-by-one against an uninterrupted run).
-        self._metrics.inc("service_checkpoints_total")
         checkpoint = ServiceCheckpoint(
             config=self.config,
             slot=slot,
@@ -502,9 +498,12 @@ class AdmissionService:
         every = self.config.metrics_snapshot_every
         if every is None or (slot + 1) % every != 0:
             return
-        self._metrics.inc("service_metrics_snapshots_total")
+        emit(EventKind.METRICS_SNAPSHOT, slot, journal=self._ops_sink,
+             detail=self._snapshot_detail)
+
+    def _snapshot_detail(self) -> Tuple:
         snapshot = self._metrics.snapshot()
-        detail = tuple(
+        return tuple(
             [("slot", snapshot["slot"])]
             + [("counter", series, value)
                for series, value in sorted(snapshot["counters"].items())]
@@ -514,9 +513,6 @@ class AdmissionService:
                 stats["p50"], stats["p95"], stats["p99"])
                for series, stats in sorted(snapshot["histograms"].items())]
         )
-        self._ops_record(Event(slot=slot,
-                               kind=EventKind.METRICS_SNAPSHOT,
-                               detail=detail))
 
     def _ops_record(self, event: Event) -> None:
         self.ops_events.append(event)

@@ -22,8 +22,8 @@ from ..core.instance import ProblemInstance
 from ..requests.request import ARRequest
 from ..rng import RngForks
 from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
-from .events import Event, EventKind
+from ..telemetry.audit import emit, emit_many
+from .events import EventKind
 
 
 class OfflineAlgorithm(Protocol):
@@ -72,23 +72,19 @@ def run_offline(algorithm: OfflineAlgorithm,
         The algorithm's :class:`ScheduleResult`.
     """
     tracer = get_tracer()
-    journal = get_journal()
     with tracer.span("prepare_workload"):
         prepared = _prepare(requests, seed)
         forks = RngForks(seed)
-    if journal.enabled:
-        _journal_arrivals(instance, prepared, journal)
+    _emit_arrivals(instance, prepared)
     with tracer.span("offline_run", algorithm=algorithm.name):
         result = algorithm.run(instance, prepared,
                                rng=forks.child(f"algo_{algorithm.name}"))
-    if journal.enabled:
-        _journal_decisions(prepared, result, journal)
+    _emit_decisions(prepared, result)
     return result
 
 
-def _journal_arrivals(instance: ProblemInstance,
-                      requests: Sequence[ARRequest],
-                      journal) -> None:
+def _emit_arrivals(instance: ProblemInstance,
+                   requests: Sequence[ARRequest]) -> None:
     """Open the offline audit trail: stations, then the batch.
 
     Offline is a single decision epoch, so every lifecycle event lives
@@ -96,17 +92,17 @@ def _journal_arrivals(instance: ProblemInstance,
     carry *resource-slot* indices instead - see
     :class:`~repro.sim.events.Event`).
     """
-    for sid in instance.network.station_ids:
-        journal.record(Event(
-            slot=0, kind=EventKind.STATION_UP, station_id=sid,
-            value=instance.network.station(sid).capacity_mhz))
-    for request in sorted(requests, key=lambda r: r.request_id):
-        journal.record(Event(slot=0, kind=EventKind.ARRIVAL,
-                             request_id=request.request_id))
+    network = instance.network
+    emit_many(EventKind.STATION_UP, 0, network.station_ids,
+              lambda sid: dict(station_id=sid,
+                               value=network.station(sid).capacity_mhz))
+    emit_many(EventKind.ARRIVAL, 0,
+              sorted(requests, key=lambda r: r.request_id),
+              lambda request: dict(request_id=request.request_id))
 
 
-def _journal_decisions(requests: Sequence[ARRequest],
-                       result: ScheduleResult, journal) -> None:
+def _emit_decisions(requests: Sequence[ARRequest],
+                    result: ScheduleResult) -> None:
     """Close the offline audit trail from the final decisions.
 
     Every admitted request gets a START (with its settled reward and
@@ -118,16 +114,9 @@ def _journal_decisions(requests: Sequence[ARRequest],
     for request in sorted(requests, key=lambda r: r.request_id):
         decision = decisions.get(request.request_id)
         if decision is None or not decision.admitted:
-            journal.record(Event(slot=0, kind=EventKind.DROP,
-                                 request_id=request.request_id))
+            emit(EventKind.DROP, 0, request_id=request.request_id)
             continue
-        journal.record(Event(slot=0, kind=EventKind.START,
-                             request_id=request.request_id,
-                             station_id=decision.primary_station,
-                             reward=decision.reward,
-                             latency_ms=decision.latency_ms))
-        journal.record(Event(slot=0, kind=EventKind.COMPLETE,
-                             request_id=request.request_id,
-                             station_id=decision.primary_station,
-                             reward=decision.reward,
-                             latency_ms=decision.latency_ms))
+        for kind in (EventKind.START, EventKind.COMPLETE):
+            emit(kind, 0, request_id=request.request_id,
+                 station_id=decision.primary_station,
+                 reward=decision.reward, latency_ms=decision.latency_ms)

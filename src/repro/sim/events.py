@@ -9,16 +9,17 @@ narrate a simulation, and the decision journal
 can be diffed event by event (``python -m repro.experiments
 trace-diff``).
 
-Two overlapping streams exist:
+Every :class:`EventKind` member declares its :class:`EventSpec`: the
+strip-chart glyph, the role the invariant monitor gives it, the
+registry counter series it increments, and the span that owns that
+counter.  Code never records an event directly; it calls
+:func:`repro.telemetry.audit.emit` (or ``emit_many``), which
+increments the kind's counter and journals the event when a journal is
+enabled.  Each event counter therefore equals the journal's count of
+its kind by construction, whether or not a journal is attached.
 
-* ``OnlineEngine.events`` - the engine's in-memory event list, holding
-  the original lifecycle kinds (ARRIVAL/START/PREEMPT_WAIT/COMPLETE/
-  DROP) exactly as before;
-* the **decision journal** (:func:`repro.telemetry.audit.get_journal`)
-  - a superset stream that also carries algorithm-level decisions
-  (MIGRATE, REJECT_ROUNDING, ADMIT, ARM_SELECTED, ARM_ELIMINATED) and
-  station availability transitions (STATION_DOWN/STATION_UP), in
-  canonical, wall-clock-free form.
+``OnlineEngine.events`` is a separate in-memory list of the engine's
+lifecycle events, kept for narration and for non-streaming tests.
 """
 
 from __future__ import annotations
@@ -28,49 +29,115 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 
-class EventKind(enum.Enum):
-    """What happened."""
+class AuditRole(enum.Enum):
+    """How the invariant monitor treats a kind."""
 
-    ARRIVAL = "arrival"
-    START = "start"
-    PREEMPT_WAIT = "preempt_wait"
-    COMPLETE = "complete"
-    DROP = "drop"
+    #: Advances a request's ARRIVAL -> START -> COMPLETE/DROP lifecycle.
+    LIFECYCLE = "lifecycle"
+    #: Algorithm 1 decision whose ``slot`` is a resource-slot index,
+    #: not a time slot (the slot-order invariant skips it).
+    RESOURCE_SLOT = "resource-slot"
+    #: Station availability (capacity announcements and outages).
+    STATION = "station"
+    #: Bandit arm plays and eliminations.
+    BANDIT = "bandit"
+    #: Admission-service ingress and durability decisions.
+    SERVICE = "service"
+    #: Operational stream only, never the decision journal.
+    OPS_ONLY = "ops-only"
+
+
+@dataclass(frozen=True)
+class EventSpec:
+    """What one event kind looks like to rendering, audit and metrics.
+
+    Attributes:
+        glyph: one-character strip-chart glyph.
+        role: how the invariant monitor treats the kind.
+        counter: registry counter incremented once per event.
+        span: tracer span that owns the counter (None: no span).
+        labels: fixed labels of the counter series.
+    """
+
+    glyph: str
+    role: AuditRole
+    counter: str
+    span: Optional[str]
+    labels: Tuple[Tuple[str, str], ...] = ()
+
+
+_LIFE, _SLOT = AuditRole.LIFECYCLE, AuditRole.RESOURCE_SLOT
+_STATION, _BANDIT = AuditRole.STATION, AuditRole.BANDIT
+_SERVICE, _OPS = AuditRole.SERVICE, AuditRole.OPS_ONLY
+
+
+class EventKind(enum.Enum):
+    """What happened (the value), and its :class:`EventSpec`."""
+
+    def __new__(cls, value: str, spec: EventSpec) -> "EventKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.spec = spec
+        return member
+
+    spec: EventSpec
+
+    ARRIVAL = ("arrival", EventSpec(
+        "a", _LIFE, "engine_arrivals_total", "slot_admission"))
+    START = ("start", EventSpec(
+        "S", _LIFE, "engine_starts_total", "slot_admission"))
+    COMPLETE = ("complete", EventSpec(
+        "C", _LIFE, "engine_completions_total", "slot_admission"))
+    DROP = ("drop", EventSpec(
+        "x", _LIFE, "engine_drops_total", "slot_admission"))
     #: Heu moved one task of an admitted request to another station.
-    MIGRATE = "migrate"
+    MIGRATE = ("migrate", EventSpec(
+        "m", _SLOT, "migrations_total", "migration"))
     #: A rounded assignment failed the prefix test (Algorithm 1 line 6).
-    REJECT_ROUNDING = "reject_rounding"
+    REJECT_ROUNDING = ("reject_rounding", EventSpec(
+        "r", _SLOT, "rounding_rejects_total", "rounding"))
     #: A rounded assignment passed the prefix test and reserved capacity.
-    ADMIT = "admit"
+    ADMIT = ("admit", EventSpec(
+        "A", _SLOT, "rounding_admits_total", "rounding"))
     #: DynamicRR played a threshold arm this bandit round.
-    ARM_SELECTED = "arm_selected"
+    ARM_SELECTED = ("arm_selected", EventSpec(
+        "b", _BANDIT, "bandit_rounds_total", "bandit_round"))
     #: Successive elimination deactivated a threshold arm.
-    ARM_ELIMINATED = "arm_eliminated"
+    ARM_ELIMINATED = ("arm_eliminated", EventSpec(
+        "e", _BANDIT, "bandit_arms_eliminated_total", "bandit_round"))
     #: A station entered an injected outage window.
-    STATION_DOWN = "station_down"
+    STATION_DOWN = ("station_down", EventSpec(
+        "D", _STATION, "station_transitions_total", "slot_admission",
+        (("direction", "down"),)))
     #: A station (re)announced itself available (carries its capacity).
-    STATION_UP = "station_up"
+    STATION_UP = ("station_up", EventSpec(
+        "U", _STATION, "station_transitions_total", "slot_admission",
+        (("direction", "up"),)))
     #: The admission service accepted a request into the pending queue
     #: but did not place it in its arrival slot (it waits, and must
     #: later START or be SHED/dropped - the deferred_resolution
     #: invariant).  ``value`` carries the queue depth at deferral.
-    ADMIT_DEFERRED = "admit_deferred"
+    ADMIT_DEFERRED = ("admit_deferred", EventSpec(
+        "d", _SERVICE, "service_deferred_total", None))
     #: Bounded-queue backpressure rejected a request at ingress (it
     #: never entered the engine).  ``value`` carries the queue depth
     #: that triggered the shed.
-    SHED = "shed"
+    SHED = ("shed", EventSpec("!", _SERVICE, "service_shed_total", None))
     #: The admission service persisted a checkpoint after this slot.
     #: Emitted at a deterministic cadence, so an uninterrupted run and
     #: a kill/resume run journal identical CHECKPOINT events.
-    CHECKPOINT = "checkpoint"
+    CHECKPOINT = ("checkpoint", EventSpec(
+        "k", _SERVICE, "service_checkpoints_total", None))
     #: The admission service restored from a checkpoint.  Recorded on
     #: the *operational* stream only (never the decision journal -
     #: resuming must not perturb journal byte-identity).
-    RESUME = "resume"
+    RESUME = ("resume", EventSpec(
+        "R", _OPS, "service_resumes_total", None))
     #: Periodic dump of the live metrics registry (counters/gauges/
     #: histogram summaries as canonical tuples in ``detail``).  Like
     #: RESUME, strictly operational: never the decision journal.
-    METRICS_SNAPSHOT = "metrics_snapshot"
+    METRICS_SNAPSHOT = ("metrics_snapshot", EventSpec(
+        "M", _OPS, "service_metrics_snapshots_total", None))
 
 
 #: ``request_id`` of events that concern no particular request

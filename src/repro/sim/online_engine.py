@@ -40,7 +40,7 @@ from ..exceptions import ConfigurationError, SchedulingError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..telemetry import get_tracer
-from ..telemetry.audit import get_journal
+from ..telemetry.audit import emit, emit_many
 from ..telemetry.metrics import get_metrics
 from .clock import SlotClock
 from .events import Event, EventKind
@@ -134,6 +134,24 @@ class _Active:
         if self.first_share_mhz <= 0:
             return float("inf")
         return max(1.0, self.demand_mhz / self.first_share_mhz)
+
+
+def _request_fields(request: ARRequest) -> Dict[str, object]:
+    """Event fields naming a request."""
+    return dict(request_id=request.request_id)
+
+
+def _host_fields(active: _Active) -> Dict[str, object]:
+    """Event fields naming a running request and its station."""
+    return dict(request_id=active.request.request_id,
+                station_id=active.station_id)
+
+
+def _completion_fields(active: _Active) -> Dict[str, object]:
+    """COMPLETE fields: the host plus the reward and latency settled at
+    START."""
+    return dict(_host_fields(active), reward=active.reward,
+                latency_ms=active.latency_ms)
 
 
 class OnlineEngine:
@@ -284,16 +302,12 @@ class OnlineEngine:
         return result
 
     def announce_stations(self) -> None:
-        """Journal the initial STATION_UP capacity announcements."""
-        journal = get_journal()
-        get_metrics().inc("station_transitions_total",
-                          len(self.instance.network.station_ids),
-                          direction="up")
-        if journal.enabled:
-            for sid in self.instance.network.station_ids:
-                journal.record(Event(
-                    slot=0, kind=EventKind.STATION_UP, station_id=sid,
-                    value=self.instance.network.station(sid).capacity_mhz))
+        """Emit the initial STATION_UP capacity announcements."""
+        network = self.instance.network
+        emit_many(EventKind.STATION_UP, 0, network.station_ids,
+                  lambda sid: dict(
+                      station_id=sid,
+                      value=network.station(sid).capacity_mhz))
 
     def step(self, policy: OnlinePolicy, t: int,
              arrivals: Sequence[ARRequest] = ()) -> SlotOutcome:
@@ -316,9 +330,8 @@ class OnlineEngine:
             The slot's :class:`SlotOutcome`.
         """
         tracer = get_tracer()
-        journal = get_journal()
-        if journal.enabled:
-            self._journal_outage_transitions(t, journal)
+        if self._outages:
+            self._emit_outage_transitions(t)
         with tracer.span("slot_admission", policy=policy.name):
             self._admit_arrivals(t, arrivals)
             dropped = self._drop_hopeless(t)
@@ -328,18 +341,8 @@ class OnlineEngine:
             slot_reward = self._settle_started(t, started)
             completed = self._complete(t)
             policy.observe(t, slot_reward)
-        if started:
-            tracer.count("requests_started", len(started))
         metrics = get_metrics()
         if metrics.enabled:
-            if arrivals:
-                metrics.inc("engine_arrivals_total", len(arrivals))
-            if dropped:
-                metrics.inc("engine_drops_total", dropped)
-            if started:
-                metrics.inc("engine_starts_total", len(started))
-            if completed:
-                metrics.inc("engine_completions_total", completed)
             metrics.inc("engine_reward_total", slot_reward)
             metrics.set_gauge("engine_pending", float(len(self._pending)))
             metrics.set_gauge("engine_active", float(len(self._active)))
@@ -357,7 +360,7 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # Slot phases
     # ------------------------------------------------------------------
-    def _journal_outage_transitions(self, t: int, journal) -> None:
+    def _emit_outage_transitions(self, t: int) -> None:
         """Announce injected outage edges (down at the window start,
         back up - with capacity - the slot after it ends)."""
         for sid in self.instance.network.station_ids:
@@ -365,31 +368,19 @@ class OnlineEngine:
             if window is None:
                 continue
             if t == window[0]:
-                get_metrics().inc("station_transitions_total",
-                                  direction="down")
-                journal.record(Event(slot=t,
-                                     kind=EventKind.STATION_DOWN,
-                                     station_id=sid))
+                emit(EventKind.STATION_DOWN, t, station_id=sid)
             elif t == window[1] + 1:
-                get_metrics().inc("station_transitions_total",
-                                  direction="up")
-                journal.record(Event(
-                    slot=t, kind=EventKind.STATION_UP, station_id=sid,
-                    value=self.instance.network.station(sid).capacity_mhz))
+                emit(EventKind.STATION_UP, t, station_id=sid,
+                     value=self.instance.network.station(sid).capacity_mhz)
 
     def _admit_arrivals(self, t: int,
                         arrivals: Sequence[ARRequest]) -> None:
-        if arrivals:
-            get_tracer().count("arrivals", len(arrivals))
-        journal = get_journal()
-        for request in arrivals:
-            self._pending.append(request)
-            event = Event(slot=t, kind=EventKind.ARRIVAL,
-                          request_id=request.request_id)
-            if not self.streaming:
-                self.events.append(event)
-            if journal.enabled:
-                journal.record(event)
+        self._pending.extend(arrivals)
+        if not self.streaming:
+            self.events.extend(Event(slot=t, kind=EventKind.ARRIVAL,
+                                     request_id=request.request_id)
+                               for request in arrivals)
+        emit_many(EventKind.ARRIVAL, t, arrivals, _request_fields)
 
     def _drop_hopeless(self, t: int) -> int:
         """Drop pending requests that can no longer meet their deadline.
@@ -398,8 +389,7 @@ class OnlineEngine:
             The number of requests dropped.
         """
         survivors: List[ARRequest] = []
-        dropped = 0
-        journal = get_journal()
+        hopeless: List[ARRequest] = []
         for request in self._pending:
             best_case = (self.waiting_ms(request, t)
                          + self.min_placement_delay_ms(request))
@@ -411,17 +401,13 @@ class OnlineEngine:
                     self.events.append(Event(
                         slot=t, kind=EventKind.DROP,
                         request_id=request.request_id))
-                if journal.enabled:
-                    journal.record(Event(slot=t, kind=EventKind.DROP,
-                                         request_id=request.request_id))
                 self._min_delay_cache.pop(request.request_id, None)
-                dropped += 1
+                hopeless.append(request)
             else:
                 survivors.append(request)
-        if dropped:
-            get_tracer().count("deadline_drops", dropped)
+        emit_many(EventKind.DROP, t, hopeless, _request_fields)
         self._pending = survivors
-        return dropped
+        return len(hopeless)
 
     def _apply_placements(self, t: int,
                           placements: Sequence[Placement]
@@ -471,7 +457,6 @@ class OnlineEngine:
         request is admitted with :data:`CLOUD_LATENCY_MS` experienced
         latency and earns no reward.
         """
-        get_tracer().count("cloud_served")
         get_metrics().inc("engine_cloud_served_total")
         request.realize(self._rng)
         waiting = self.clock.waiting_ms(request.arrival_slot, t)
@@ -493,12 +478,8 @@ class OnlineEngine:
             self.events.append(Event(slot=t, kind=EventKind.START,
                                      request_id=request.request_id,
                                      station_id=CLOUD_STATION))
-        journal = get_journal()
-        if journal.enabled:
-            journal.record(Event(slot=t, kind=EventKind.START,
-                                 request_id=request.request_id,
-                                 station_id=CLOUD_STATION,
-                                 reward=reward, latency_ms=latency))
+        emit(EventKind.START, t, request_id=request.request_id,
+             station_id=CLOUD_STATION, reward=reward, latency_ms=latency)
 
     def _progress(self, t: int) -> None:
         counts: Dict[int, int] = {}
@@ -522,7 +503,6 @@ class OnlineEngine:
         earned iff ``D_j`` meets the deadline.
         """
         slot_reward = 0.0
-        journal = get_journal()
         for active in started:
             request = active.request
             latency = self._experienced_latency_ms(active)
@@ -547,13 +527,12 @@ class OnlineEngine:
                         request.arrival_slot, active.start_slot),
                     deadline_met=met,
                 )
-            if journal.enabled:
-                journal.record(Event(
-                    slot=t, kind=EventKind.START,
-                    request_id=request.request_id,
-                    station_id=active.station_id, reward=reward,
-                    latency_ms=latency,
-                    share_mhz=active.first_share_mhz))
+        emit_many(EventKind.START, t, started,
+                  lambda active: dict(
+                      request_id=active.request.request_id,
+                      station_id=active.station_id, reward=active.reward,
+                      latency_ms=active.latency_ms,
+                      share_mhz=active.first_share_mhz))
         return slot_reward
 
     def _complete(self, t: int) -> int:
@@ -563,19 +542,12 @@ class OnlineEngine:
             The number of streams completed.
         """
         done = [a for a in self._active.values() if a.remaining_mb <= 1e-9]
-        if done:
-            get_tracer().count("completions", len(done))
-        journal = get_journal()
+        if not self.streaming:
+            self.events.extend(Event(slot=t, kind=EventKind.COMPLETE,
+                                     **_completion_fields(active))
+                               for active in done)
+        emit_many(EventKind.COMPLETE, t, done, _completion_fields)
         for active in done:
-            event = Event(
-                slot=t, kind=EventKind.COMPLETE,
-                request_id=active.request.request_id,
-                station_id=active.station_id, reward=active.reward,
-                latency_ms=active.latency_ms)
-            if not self.streaming:
-                self.events.append(event)
-            if journal.enabled:
-                journal.record(event)
             del self._active[active.request.request_id]
         return len(done)
 
@@ -607,27 +579,22 @@ class OnlineEngine:
         start-time decision; only never-started requests remain open.
         """
         t = self.clock.horizon_slots - 1
-        journal = get_journal()
-        for request in self._pending:
-            if not self.streaming:
+        if not self.streaming:
+            for request in self._pending:
                 self._decided[request.request_id] = OffloadDecision(
                     request_id=request.request_id, admitted=False,
                     waiting_ms=self.waiting_ms(request, t))
-            if journal.enabled:
-                journal.record(Event(slot=t, kind=EventKind.DROP,
-                                     request_id=request.request_id))
-        for active in self._active.values():
-            if active.latency_ms is None:
-                # Started on a station that died under it: the stream
-                # never responded.  The DROP carries the station that
-                # last hosted the request.
-                event = Event(slot=t, kind=EventKind.DROP,
-                              request_id=active.request.request_id,
-                              station_id=active.station_id)
-                if not self.streaming:
-                    self.events.append(event)
-                if journal.enabled:
-                    journal.record(event)
+        emit_many(EventKind.DROP, t, self._pending, _request_fields)
+        # Started on a station that died under it: the stream never
+        # responded.  The DROP carries the station that last hosted the
+        # request.
+        silent = [active for active in self._active.values()
+                  if active.latency_ms is None]
+        if not self.streaming:
+            self.events.extend(Event(slot=t, kind=EventKind.DROP,
+                                     **_host_fields(active))
+                               for active in silent)
+        emit_many(EventKind.DROP, t, silent, _host_fields)
         self._pending = []
         self._active = {}
 

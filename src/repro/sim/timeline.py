@@ -12,28 +12,6 @@ from typing import Dict, List, Optional, Sequence
 from ..exceptions import ConfigurationError
 from .events import Event, EventKind
 
-#: One glyph per event kind for the strip chart.
-_GLYPHS = {
-    EventKind.ARRIVAL: "a",
-    EventKind.START: "S",
-    EventKind.PREEMPT_WAIT: "w",
-    EventKind.COMPLETE: "C",
-    EventKind.DROP: "x",
-    EventKind.MIGRATE: "m",
-    EventKind.REJECT_ROUNDING: "r",
-    EventKind.ADMIT: "A",
-    EventKind.ARM_SELECTED: "b",
-    EventKind.ARM_ELIMINATED: "e",
-    EventKind.STATION_DOWN: "D",
-    EventKind.STATION_UP: "U",
-    EventKind.ADMIT_DEFERRED: "d",
-    EventKind.SHED: "!",
-    EventKind.CHECKPOINT: "k",
-    EventKind.RESUME: "R",
-    EventKind.METRICS_SNAPSHOT: "M",
-}
-
-
 def narrate(events: Sequence[Event], first_slot: int = 0,
             last_slot: Optional[int] = None,
             max_lines: int = 200) -> str:
@@ -95,9 +73,9 @@ def strip_chart(events: Sequence[Event], horizon_slots: int,
             total = sum(counts[kind.value][lo:max(hi, lo + 1)])
             if total > best_count:
                 best_kind, best_count = kind, total
-        columns.append(_GLYPHS[best_kind] if best_kind else ".")
-    legend = " ".join(f"{glyph}={kind.value}"
-                      for kind, glyph in _GLYPHS.items())
+        columns.append(best_kind.spec.glyph if best_kind else ".")
+    legend = " ".join(f"{kind.spec.glyph}={kind.value}"
+                      for kind in EventKind)
     return "".join(columns) + "\n" + legend
 
 

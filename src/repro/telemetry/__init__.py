@@ -49,8 +49,8 @@ digests (``python -m repro.experiments perf-diff OLD NEW``).
 
 from .audit import (INVARIANTS, NULL_JOURNAL, AuditOutcome,
                     InvariantMonitor, Journal, NullJournal, Violation,
-                    audit_records, collect_sweep_journal, get_journal,
-                    set_journal, use_journal)
+                    audit_records, collect_sweep_journal, emit,
+                    emit_many, get_journal, set_journal, use_journal)
 from .export import (WALL_CLOCK_FIELDS, canonical_events,
                      collect_sweep_trace, read_jsonl, write_jsonl)
 from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
@@ -58,15 +58,16 @@ from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
                      latest_by_name, load_manifests,
                      manifest_from_sweeps, peak_rss_kb, read_ledger,
                      write_bench)
-from .metrics import (EVENT_METRIC_MAP, NULL_REGISTRY, MetricsRegistry,
-                      NullRegistry, StreamingHistogram, get_metrics,
-                      set_metrics, use_metrics)
+from .metrics import (NULL_REGISTRY, MetricsRegistry, NullRegistry,
+                      StreamingHistogram, get_metrics, set_metrics,
+                      use_metrics)
 from .perfdiff import diff_profile_sets
 from .profiling import (COUNTER_OWNERS, DIGEST_SCHEMA,
                         PROFILE_SET_SCHEMA, ProfileDigest, SpanProfile,
                         canonical_digest, collect_sweep_profiles,
-                        digest_from_events, folded_from_digest,
-                        folded_from_stats, load_profile_set,
+                        counter_owner, digest_from_events,
+                        folded_from_digest, folded_from_stats,
+                        load_profile_set,
                         merge_digests, merge_memory, merge_stats,
                         render_digest, render_memory_top,
                         write_folded, write_profile_set)
@@ -89,7 +90,6 @@ __all__ = [
     "DEFAULT_WALL_TOL",
     "Delta",
     "DiffReport",
-    "EVENT_METRIC_MAP",
     "INVARIANTS",
     "InvariantMonitor",
     "Journal",
@@ -118,7 +118,10 @@ __all__ = [
     "collect_sweep_profiles",
     "collect_sweep_trace",
     "config_hash",
+    "counter_owner",
     "digest_from_events",
+    "emit",
+    "emit_many",
     "get_journal",
     "get_metrics",
     "diff_ledgers",

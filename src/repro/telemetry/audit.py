@@ -7,6 +7,9 @@ elimination only discards arms whose confidence intervals separate
 (Theorem 3).  This module makes every scheduling decision a
 first-class, journaled, checkable event:
 
+* :func:`emit` / :func:`emit_many` are the one emission point of every
+  :class:`~repro.sim.events.EventKind`: each call increments the kind's
+  registry counter and journals the event when a journal is enabled;
 * :class:`Journal` collects the canonical decision stream of one run -
   lifecycle events from the engines plus algorithm-level decisions
   (migrations, rounding rejections/admissions, bandit arm plays and
@@ -35,10 +38,11 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..exceptions import ConfigurationError, InvariantViolation
+from .metrics import get_metrics
 
 #: Pseudo station id of the remote cloud path (mirrors
 #: ``repro.sim.online_engine.CLOUD_STATION`` without importing it -
@@ -266,6 +270,68 @@ def use_journal(journal: Optional[Journal]) -> Iterator[Any]:
 
 
 # ----------------------------------------------------------------------
+# Emission
+# ----------------------------------------------------------------------
+
+def _events():
+    """:mod:`repro.sim.events`, imported on first use.
+
+    ``repro.sim`` imports this module, so a module-level import would
+    be circular.
+    """
+    from ..sim import events
+
+    return events
+
+
+def emit(kind, slot: int, journal=None, **fields) -> None:
+    """Count one ``kind`` event and journal it when a journal is on.
+
+    The counter is the kind's own :class:`~repro.sim.events.EventSpec`
+    series in the current metrics registry, so every event counter
+    equals the journal's count of its kind, with or without a journal.
+    The :class:`~repro.sim.events.Event` is built only for an enabled
+    journal.  A callable ``detail`` is evaluated after the count, so a
+    payload that reads the registry (METRICS_SNAPSHOT) includes its own
+    event.
+
+    Args:
+        kind: the :class:`~repro.sim.events.EventKind`.
+        slot: the event's slot.
+        journal: where to record (default: the current journal).
+        **fields: the remaining :class:`~repro.sim.events.Event` fields.
+    """
+    spec = kind.spec
+    get_metrics().inc(spec.counter, **dict(spec.labels))
+    if journal is None:
+        journal = _current
+    if journal.enabled:
+        detail = fields.get("detail")
+        if callable(detail):
+            fields["detail"] = detail()
+        journal.record(_events().Event(slot=slot, kind=kind, **fields))
+
+
+def emit_many(kind, slot: int, items: Sequence[Any],
+              fields_of: Callable[[Any], Dict[str, Any]]) -> None:
+    """Count ``len(items)`` ``kind`` events with one increment.
+
+    When the current journal is enabled, records one event per item,
+    in order, with the fields ``fields_of(item)``; ``fields_of`` is
+    never called otherwise.  Nothing happens for an empty ``items``.
+    """
+    if not items:
+        return
+    spec = kind.spec
+    get_metrics().inc(spec.counter, len(items), **dict(spec.labels))
+    journal = _current
+    if journal.enabled:
+        event = _events().Event
+        for item in items:
+            journal.record(event(slot=slot, kind=kind, **fields_of(item)))
+
+
+# ----------------------------------------------------------------------
 # Invariant monitor
 # ----------------------------------------------------------------------
 
@@ -274,8 +340,7 @@ def use_journal(journal: Optional[Journal]) -> Iterator[Any]:
 INVARIANTS: Dict[str, str] = {
     "slot_order": "time-slot events occur in non-decreasing slot "
                   "order within a run",
-    "lifecycle": "requests follow ARRIVAL -> START (-> PREEMPT_WAIT "
-                 "-> START)* -> COMPLETE/DROP",
+    "lifecycle": "requests follow ARRIVAL -> START -> COMPLETE/DROP",
     "double_terminal": "no request completes or drops twice",
     "capacity": "reserved/shared MHz never exceed station capacity "
                 "under its sharing model",
@@ -293,20 +358,10 @@ INVARIANTS: Dict[str, str] = {
                            "started, shed, or dropped (never lost)",
 }
 
-#: Event kinds that advance a request's lifecycle state machine.
-_LIFECYCLE_KINDS = ("arrival", "start", "preempt_wait", "complete",
-                    "drop")
 
-#: Kinds whose ``slot`` is a *resource-slot*/batch index of Algorithm 1,
-#: not a time slot (see :class:`repro.sim.events.Event`) - the
-#: slot-order invariant does not apply to them.
-_RESOURCE_SLOT_KINDS = ("admit", "reject_rounding", "migrate")
-
-#: Kinds emitted by the streaming admission service
-#: (:mod:`repro.service`): ingress/backpressure decisions and
-#: checkpoint lifecycle markers.
-_SERVICE_KINDS = ("admit_deferred", "shed", "checkpoint", "resume",
-                  "metrics_snapshot")
+def _roles() -> Dict[str, str]:
+    """Event kind value -> its :class:`~repro.sim.events.AuditRole` value."""
+    return {kind.value: kind.spec.role.value for kind in _events().EventKind}
 
 
 @dataclass(frozen=True)
@@ -373,6 +428,7 @@ class InvariantMonitor:
         self._down: set = set()                # stations currently down
         self._eliminated: set = set()          # dead bandit arms
         self._deferred: set = set()            # unresolved deferrals
+        self._role = _roles()
         self._num_events = 0
 
     # ------------------------------------------------------------------
@@ -406,8 +462,10 @@ class InvariantMonitor:
             index = self._num_events
         self._num_events += 1
         kind = event.get("kind")
-        self._check_slot_order(event, index)
-        if kind in _LIFECYCLE_KINDS:
+        role = self._role.get(kind)
+        if role != "resource-slot":
+            self._check_slot_order(event, index)
+        if role == "lifecycle":
             self._check_lifecycle(event, index)
         if kind == "station_up":
             station = event.get("station")
@@ -502,7 +560,7 @@ class InvariantMonitor:
 
     def _check_slot_order(self, event, index) -> None:
         slot = event.get("slot")
-        if slot is None or event.get("kind") in _RESOURCE_SLOT_KINDS:
+        if slot is None:
             return
         self.checks["slot_order"] += 1
         if self._last_slot is not None and slot < self._last_slot:
@@ -527,22 +585,14 @@ class InvariantMonitor:
                     f"request {request} arrived twice", index, event))
             self._state[request] = "arrived"
         elif kind == "start":
-            if state not in ("arrived", "waiting"):
+            if state != "arrived":
                 self._fail(Violation(
                     "lifecycle",
                     f"request {request} started from state "
-                    f"{state or 'unseen'} (expected 'arrived' or "
-                    f"'waiting')", index, event))
+                    f"{state or 'unseen'} (expected 'arrived')",
+                    index, event))
             self._state[request] = "active"
             self._start_reward[request] = float(event.get("reward", 0.0))
-        elif kind == "preempt_wait":
-            if state != "active":
-                self._fail(Violation(
-                    "lifecycle",
-                    f"request {request} was preempted from state "
-                    f"{state or 'unseen'} (expected 'active')",
-                    index, event))
-            self._state[request] = "waiting"
         elif kind in ("complete", "drop"):
             self.checks["double_terminal"] += 1
             if state == "done":
@@ -556,8 +606,7 @@ class InvariantMonitor:
                     f"request {request} completed from state "
                     f"{state or 'unseen'} (expected 'active')",
                     index, event))
-            elif kind == "drop" and state not in ("arrived", "active",
-                                                  "waiting"):
+            elif kind == "drop" and state not in ("arrived", "active"):
                 self._fail(Violation(
                     "lifecycle",
                     f"request {request} dropped from state "

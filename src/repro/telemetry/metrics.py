@@ -54,34 +54,6 @@ LabelKey = Tuple[Tuple[str, Any], ...]
 #: Quantiles reported by every histogram snapshot (percent).
 SNAPSHOT_QUANTILES = (50.0, 95.0, 99.0)
 
-#: EventKind value -> metric names incremented when that decision
-#: happens.  This is the **MET001 coverage table**: the static-analysis
-#: rule requires every event kind the audit monitor models to map to at
-#: least one metric here, and every mapped metric name to appear at an
-#: instrumentation site - so metrics coverage cannot silently rot when
-#: the event vocabulary grows.  (``preempt_wait`` maps to the pending
-#: gauge: a preempted request is exactly one that stays in the queue.)
-EVENT_METRIC_MAP: Dict[str, Tuple[str, ...]] = {
-    "arrival": ("engine_arrivals_total",),
-    "start": ("engine_starts_total",),
-    "preempt_wait": ("engine_pending",),
-    "complete": ("engine_completions_total",),
-    "drop": ("engine_drops_total",),
-    "migrate": ("migrations_total",),
-    "reject_rounding": ("rounding_rejects_total",),
-    "admit": ("rounding_admits_total",),
-    "arm_selected": ("bandit_rounds_total",),
-    "arm_eliminated": ("bandit_arms_eliminated_total",),
-    "station_down": ("station_transitions_total",),
-    "station_up": ("station_transitions_total",),
-    "admit_deferred": ("service_deferred_total",),
-    "shed": ("service_shed_total",),
-    "checkpoint": ("service_checkpoints_total",),
-    "resume": ("service_resumes_total",),
-    "metrics_snapshot": ("service_metrics_snapshots_total",),
-}
-
-
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted(labels.items()))
 

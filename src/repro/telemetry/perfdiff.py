@@ -24,7 +24,7 @@ Two classes of signal, mirroring the deterministic/advisory split of
 The report ends with the **worst regressed span**: the span whose
 deterministic or gated-time relative delta is largest, together with
 its self-time movement and the counter deltas
-:data:`~repro.telemetry.profiling.COUNTER_OWNERS` joins onto it -
+:func:`~repro.telemetry.profiling.counter_owner` joins onto it -
 "simplex iterations +4.1x, self-time +380 ms in
 ``offline_run/build_lp/lp_solve``".
 
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from typing import (Dict, List, Mapping, Optional, Sequence, Tuple)
 
 from ..exceptions import ConfigurationError
-from .profiling import (COUNTER_OWNERS, PATH_SEP, ProfileDigest,
-                        counter_base, load_profile_set)
+from .profiling import (PATH_SEP, ProfileDigest, counter_owner,
+                        load_profile_set)
 
 #: Exit codes, mirroring bench-diff and trace-diff.
 EXIT_OK = 0
@@ -77,7 +77,7 @@ class PerfDelta:
     def span_leaf(self) -> Optional[str]:
         """The span this delta attributes to (for counter joins)."""
         if self.kind == "counter":
-            return COUNTER_OWNERS.get(counter_base(self.key))
+            return counter_owner(self.key)
         return self.key.rsplit(PATH_SEP, 1)[-1]
 
     def describe(self) -> str:

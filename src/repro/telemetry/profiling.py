@@ -12,7 +12,7 @@ module closes that gap with three layers:
   time, and min/max per call, plus every domain counter
   (``simplex_iterations_total``, ``lp_solves_total``, ``bnb_nodes``,
   ...) joined onto
-  its owning span via :data:`COUNTER_OWNERS`.  Digests merge
+  its owning span via :func:`counter_owner`.  Digests merge
   associatively (per algorithm, across ProcessPool workers), serialize
   to JSON, and split cleanly into a *deterministic* part (calls,
   counters - a pure function of config + seeds, byte-identical between
@@ -43,6 +43,7 @@ checkpoint (the executor's inertness tests pin this).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,41 +64,24 @@ PROFILE_SET_SCHEMA = "repro.profile-set/1"
 #: the same run (see :func:`canonical_digest`).
 DIGEST_WALL_CLOCK_FIELDS = ("total_s", "self_s", "min_s", "max_s")
 
-#: Counter base name -> owning span leaf name.  ``perf-diff`` and the
-#: digest join use this to attribute domain counters to the span whose
+#: Counter base name -> owning span leaf name, for the counters that
+#: no event kind declares.  ``perf-diff`` and the digest join use
+#: :func:`counter_owner` to attribute domain counters to the span whose
 #: code increments them, so a report can say "simplex phase-2
 #: iterations +4.1x in lp_solve" instead of listing bare counters.
+#: Event counters take their owner from their
+#: :class:`~repro.sim.events.EventSpec`.
 COUNTER_OWNERS: Dict[str, str] = {
-    # tracer counters
     "lp_solves_total": "lp_solve",
     "simplex_iterations_total": "lp_solve",
     "bnb_nodes": "ilp_solve",
     "presolve_removed_vars": "presolve",
     "presolve_removed_rows": "presolve",
     "rounding_rounds": "rounding",
-    "requests_admitted": "rounding",
-    "migrations": "migration",
-    "arm_eliminations": "bandit_round",
     "bandit_explore_steps": "bandit_round",
     "bandit_exploit_steps": "bandit_round",
-    "arrivals": "slot_admission",
-    "requests_started": "slot_admission",
-    "deadline_drops": "slot_admission",
-    "completions": "slot_admission",
-    "cloud_served": "slot_admission",
-    # metrics-registry counters (same code paths, registry namespace)
-    "rounding_admits_total": "rounding",
-    "rounding_rejects_total": "rounding",
-    "migrations_total": "migration",
-    "bandit_rounds_total": "bandit_round",
-    "bandit_arms_eliminated_total": "bandit_round",
-    "engine_arrivals_total": "slot_admission",
-    "engine_starts_total": "slot_admission",
-    "engine_drops_total": "slot_admission",
-    "engine_completions_total": "slot_admission",
     "engine_cloud_served_total": "slot_admission",
     "engine_reward_total": "slot_admission",
-    "station_transitions_total": "slot_admission",
 }
 
 #: Separator between span names in a digest path.
@@ -108,6 +92,25 @@ def counter_base(series: str) -> str:
     """The base metric name of a flat series id (labels stripped)."""
     brace = series.find("{")
     return series if brace < 0 else series[:brace]
+
+
+def counter_owner(series: str) -> Optional[str]:
+    """The span leaf that owns a counter series (None: no owner)."""
+    base = counter_base(series)
+    owner = COUNTER_OWNERS.get(base)
+    return owner if owner is not None else _event_owners().get(base)
+
+
+@functools.lru_cache(maxsize=None)
+def _event_owners() -> Dict[str, str]:
+    """Event counter base name -> the span its EventSpec names.
+
+    Imported on first use: ``repro.sim`` imports this package.
+    """
+    from ..sim.events import EventKind
+
+    return {kind.spec.counter: kind.spec.span for kind in EventKind
+            if kind.spec.span is not None}
 
 
 def series_id(name: str, labels: Mapping[str, Any]) -> str:
@@ -183,10 +186,10 @@ class ProfileDigest:
     runs: int = 0
 
     def span_counters(self, leaf: str) -> Dict[str, float]:
-        """The counters :data:`COUNTER_OWNERS` joins onto one span."""
+        """The counters :func:`counter_owner` joins onto one span."""
         return {series: value
                 for series, value in sorted(self.counters.items())
-                if COUNTER_OWNERS.get(counter_base(series)) == leaf}
+                if counter_owner(series) == leaf}
 
     def to_dict(self) -> Dict[str, Any]:
         """The digest as a canonical JSON-ready dict."""
@@ -415,7 +418,7 @@ def render_digest(digest: Union[ProfileDigest, Mapping[str, Any]],
         lines.append("")
         lines.append("**Counters**" if markdown else "counters:")
         for series in sorted(digest.counters):
-            owner = COUNTER_OWNERS.get(counter_base(series))
+            owner = counter_owner(series)
             where = f" [{owner}]" if owner else ""
             text = f"{series} = {digest.counters[series]:g}{where}"
             lines.append(f"- {text}" if markdown else f"  {text}")

@@ -119,9 +119,8 @@ class TestReportFormats:
         assert main(["--list-rules"]) == EXIT_OK
         out = capsys.readouterr().out
         for rule_id in ("DET001", "DET002", "DET003", "NUM001",
-                        "UNIT001", "PKL001", "EVT001", "MET001",
-                        "DET010", "CONC001", "CONC002", "PKL010",
-                        "UNIT010"):
+                        "UNIT001", "PKL001", "DET010", "CONC001",
+                        "CONC002", "PKL010", "UNIT010"):
             assert rule_id in out
 
 

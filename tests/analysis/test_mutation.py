@@ -1,11 +1,10 @@
 """Whole-program mutation tests against the *real* tree.
 
-Following the EVT001/MET001 idiom: copy the shipped sources into a
-fixture tree, seed exactly one violation, and verify the
-interprocedural pass catches it - in strict mode and through a
-baseline frozen on the clean tree.  These are the acceptance tests
-for DET010 (a wall-clock read two call-hops upstream of an Event
-payload) and CONC001 (a module-level dict written from a
+Copy the shipped sources into a fixture tree, seed exactly one
+violation, and verify the interprocedural pass catches it - in strict
+mode and through a baseline frozen on the clean tree.  These are the
+acceptance tests for DET010 (a wall-clock read two call-hops upstream
+of an Event payload) and CONC001 (a module-level dict written from a
 worker-reachable helper).
 """
 

@@ -48,7 +48,6 @@ class TestActivity:
         assert counts["start"][1] == 1
         assert counts["drop"][2] == 1
         assert counts["complete"][5] == 1
-        assert sum(counts["preempt_wait"]) == 0
 
     def test_out_of_horizon_ignored(self, events):
         counts = activity_per_slot(events, horizon_slots=3)

@@ -9,15 +9,14 @@ every operation is a no-op.
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry.metrics import (EVENT_METRIC_MAP, NULL_REGISTRY,
-                                     MetricsRegistry, NullRegistry,
-                                     StreamingHistogram, get_metrics,
-                                     set_metrics, use_metrics)
+from repro.telemetry.metrics import (NULL_REGISTRY, MetricsRegistry,
+                                     NullRegistry, StreamingHistogram,
+                                     get_metrics, set_metrics,
+                                     use_metrics)
 
 
 class TestStreamingHistogramBuckets:
@@ -306,20 +305,3 @@ class TestAmbientRegistry:
         finally:
             set_metrics(None)
         assert get_metrics() is NULL_REGISTRY
-
-
-class TestEventMetricMap:
-    def test_every_entry_names_at_least_one_metric(self):
-        assert EVENT_METRIC_MAP
-        for kind, names in EVENT_METRIC_MAP.items():
-            assert isinstance(kind, str)
-            assert names, f"{kind} maps to no metric"
-
-    def test_map_values_are_finite_after_instrumented_run(self):
-        """Sanity: the mapped names are usable registry names."""
-        registry = MetricsRegistry()
-        for names in EVENT_METRIC_MAP.values():
-            for name in names:
-                registry.inc(name)
-        for value in registry.snapshot()["counters"].values():
-            assert math.isfinite(value)
