@@ -25,7 +25,10 @@ UNIT010    unit families tracked through calls and returns
 Run it with ``python -m repro.analysis src`` (exit 0 clean / 1 new
 findings / 2 unusable input, matching ``bench-diff``/``trace-diff``).
 Suppress a justified finding in place with ``# repro: noqa RULE --
-why``; freeze pre-existing debt with ``--write-baseline``.  See
+why``; freeze pre-existing debt with ``--write-baseline``.  Every scan
+summarizes every file afresh; there is no result cache.  The file-local
+``*001`` rules and their whole-program ``*010`` counterparts both stay:
+neither tier flags what the other is built to catch.  See
 ``docs/ANALYSIS.md`` for the full catalogue.
 """
 
@@ -38,14 +41,12 @@ from . import numerics as _numerics  # noqa: F401
 from . import pickles as _pickles  # noqa: F401
 from .baseline import (apply_baseline, load_baseline,
                        refreeze_baseline, save_baseline)
-from .cache import SummaryCache
 from .cli import main
 from .dataflow import ProjectContext, TaintAnalysis, build_context
 from .findings import Finding, sort_findings
 from .framework import (RULES, AnalysisReport, DataflowRule,
                         ModuleInfo, Rule, analyze_source,
-                        cache_version, module_from_source, register,
-                        run_analysis)
+                        module_from_source, register, run_analysis)
 
 __all__ = [
     "AnalysisReport",
@@ -55,12 +56,10 @@ __all__ = [
     "ProjectContext",
     "RULES",
     "Rule",
-    "SummaryCache",
     "TaintAnalysis",
     "analyze_source",
     "apply_baseline",
     "build_context",
-    "cache_version",
     "load_baseline",
     "main",
     "module_from_source",

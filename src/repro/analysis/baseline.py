@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..exceptions import ConfigurationError
 from .findings import Finding
@@ -118,9 +118,3 @@ def apply_baseline(findings: Sequence[Finding],
         fp for fp, count in remaining.items() if count > 0)
     return new, matched, stale
 
-
-def baseline_to_dict(baseline: "Counter[Fingerprint]"
-                     ) -> Dict[str, int]:
-    """Readable ``"RULE path :: snippet" -> count`` form (reports)."""
-    return {f"{rule} {path} :: {snippet}": count
-            for (rule, path, snippet), count in sorted(baseline.items())}

@@ -30,10 +30,6 @@ from .baseline import (apply_baseline, load_baseline,
 from .findings import Finding
 from .framework import RULES, AnalysisReport, run_analysis
 
-#: Summary-cache file picked up (and written) by default; delete it or
-#: pass ``--no-cache`` for a cold run.
-DEFAULT_CACHE = ".repro-analysis-cache.json"
-
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
@@ -80,17 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON findings report to FILE (the CI "
              "artifact)")
     parser.add_argument(
-        "--cache", metavar="FILE", default=DEFAULT_CACHE,
-        help=f"summary cache for the whole-program pass (default: "
-             f"{DEFAULT_CACHE}; keyed on file content hashes and "
-             f"rule versions)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the summary cache (cold run)")
-    parser.add_argument(
         "--stats", action="store_true",
-        help="print a scan-statistics line (files, cache hits, "
-             "call-graph size, wall time) to stderr")
+        help="print a scan-statistics line (files, call-graph size, "
+             "wall time) to stderr")
     parser.add_argument(
         "--dot", metavar="FILE",
         help="write the project call graph in Graphviz DOT form to "
@@ -137,8 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_analysis(
             [Path(p) for p in args.paths],
             select=_split_rule_list(args.select),
-            ignore=_split_rule_list(args.ignore),
-            cache_path=None if args.no_cache else args.cache)
+            ignore=_split_rule_list(args.ignore))
     except ConfigurationError as error:
         print(f"analysis error: {error}", file=sys.stderr)
         return EXIT_ERROR
@@ -146,9 +133,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.stats:
         print(f"stats: {report.files_scanned} file(s) scanned, "
-              f"{report.cache_hits} cache hit(s) / "
-              f"{report.cache_misses} miss(es), call graph "
-              f"{report.graph_nodes} node(s) / "
+              f"call graph {report.graph_nodes} node(s) / "
               f"{report.graph_edges} edge(s), {elapsed:.2f}s wall",
               file=sys.stderr)
     if args.dot:

@@ -1,7 +1,7 @@
 """Forward taint/dataflow over the project call graph.
 
 :func:`build_context` assembles everything the interprocedural rules
-share: per-module summaries (cache-aware), the symbol table, and the
+share: per-module summaries, the symbol table, and the
 call graph.  :class:`TaintAnalysis` then runs a forward fixpoint for
 one rule's ``(sources, sanitizers)`` declaration:
 
@@ -34,7 +34,6 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
 
 from .callgraph import (CallGraph, Resolution, SymbolTable,
                         build_callgraph, node_key, split_node_key)
-from .cache import SummaryCache
 from .framework import ModuleInfo
 from .symbols import (CallSite, FunctionSummary, ModuleSummary, Origin,
                       summarize_module)
@@ -52,8 +51,6 @@ class ProjectContext:
     table: SymbolTable = field(
         default_factory=lambda: SymbolTable({}))
     graph: CallGraph = field(default_factory=CallGraph)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def snippet(self, relpath: str, lineno: int) -> str:
         module = self.modules.get(relpath)
@@ -70,24 +67,12 @@ class ProjectContext:
                        summary.functions[qualname])
 
 
-def build_context(modules: Sequence[ModuleInfo],
-                  cache: Optional[SummaryCache] = None
-                  ) -> ProjectContext:
-    """Summarize (or cache-load) every module and build the graph."""
+def build_context(modules: Sequence[ModuleInfo]) -> ProjectContext:
+    """Summarize every module and build the graph."""
     context = ProjectContext()
     for module in modules:
         context.modules[module.relpath] = module
-        summary: Optional[ModuleSummary] = None
-        if cache is not None:
-            summary = cache.get(module.relpath, module.digest)
-        if summary is None:
-            summary = summarize_module(module)
-            if cache is not None:
-                cache.put(module.relpath, module.digest, summary)
-        context.summaries[module.relpath] = summary
-    if cache is not None:
-        context.cache_hits = cache.hits
-        context.cache_misses = cache.misses
+        context.summaries[module.relpath] = summarize_module(module)
     context.table = SymbolTable(context.summaries)
     context.graph = build_callgraph(context.summaries, context.table)
     return context

@@ -18,18 +18,16 @@ text after ``--`` is a free-form justification (encouraged, unchecked).
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Type, Union)
+                    Sequence, Set, Tuple, Type)
 
 from ..exceptions import ConfigurationError
 from .findings import Finding, sort_findings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cache import SummaryCache
     from .dataflow import ProjectContext
 
 #: Sentinel noqa entry meaning "every rule suppressed on this line".
@@ -54,14 +52,12 @@ class ModuleInfo:
         lines: raw source lines (1-based access via :meth:`line`).
         noqa: line number -> set of suppressed rule ids
             (:data:`ALL_RULES` means all).
-        digest: sha256 of the raw source - the incremental cache key.
     """
 
     relpath: str
     tree: ast.Module
     lines: Tuple[str, ...]
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
-    digest: str = ""
 
     def line(self, lineno: int) -> str:
         """The stripped source line at ``lineno`` (1-based)."""
@@ -108,9 +104,8 @@ def module_from_source(source: str, relpath: str) -> ModuleInfo:
         raise ConfigurationError(
             f"{relpath}: cannot parse: {error}") from error
     lines = tuple(source.splitlines())
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     return ModuleInfo(relpath=relpath, tree=tree, lines=lines,
-                      noqa=parse_noqa(lines), digest=digest)
+                      noqa=parse_noqa(lines))
 
 
 class Rule:
@@ -149,12 +144,8 @@ class DataflowRule(Rule):
     The framework builds one :class:`~repro.analysis.dataflow.ProjectContext`
     per scan (summaries, symbol table, call graph) and hands it to
     every registered dataflow rule; each rule layers its own taint or
-    reachability query on top.  ``version`` participates in the
-    incremental cache key - bump it when the rule's semantics change.
+    reachability query on top.
     """
-
-    #: Cache-invalidation version of this rule's semantics.
-    version: int = 1
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         return iter(())
@@ -222,11 +213,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def call_name(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call's callee (None when not a plain chain)."""
-    return dotted_name(node.func)
-
-
 # ----------------------------------------------------------------------
 # Tree scanning
 # ----------------------------------------------------------------------
@@ -238,9 +224,6 @@ class AnalysisReport:
         findings: surviving findings in canonical order.
         files_scanned: number of python files parsed.
         suppressed: findings silenced by ``# repro: noqa`` pragmas.
-        cache_hits: module summaries served from the incremental
-            cache (0 when no dataflow rule ran or no cache was given).
-        cache_misses: module summaries extracted fresh this scan.
         graph_nodes: project functions in the call graph.
         graph_edges: resolved + widened call edges.
         context: the built whole-program context (None when no
@@ -250,8 +233,6 @@ class AnalysisReport:
     findings: List[Finding]
     files_scanned: int
     suppressed: int
-    cache_hits: int = 0
-    cache_misses: int = 0
     graph_nodes: int = 0
     graph_edges: int = 0
     context: Optional["ProjectContext"] = None
@@ -279,31 +260,12 @@ def load_modules(paths: Sequence[Path]) -> List[ModuleInfo]:
     return modules
 
 
-def cache_version() -> str:
-    """Invalidation token: extractor version + dataflow rule versions.
-
-    Summaries are rule-independent, but the committed CI cache key is
-    "(file content hash, rule version)": bumping any dataflow rule's
-    ``version`` - or the extractor - discards every cached entry.
-    """
-    from .symbols import EXTRACTOR_VERSION
-
-    parts = [f"extractor={EXTRACTOR_VERSION}"]
-    for rule_id, cls in sorted(RULES.items()):
-        if issubclass(cls, DataflowRule):
-            parts.append(f"{rule_id}={cls.version}")
-    return ";".join(parts)
-
-
 def run_rules(modules: Sequence[ModuleInfo],
-              rules: Sequence[Rule],
-              cache: Optional["SummaryCache"] = None
-              ) -> AnalysisReport:
+              rules: Sequence[Rule]) -> AnalysisReport:
     """Run rules over parsed modules, applying noqa suppression.
 
     The whole-program context (summaries, call graph) is built once,
-    lazily, iff any :class:`DataflowRule` is active; ``cache`` (when
-    given) serves unchanged modules' summaries by content hash.
+    lazily, iff any :class:`DataflowRule` is active.
     """
     kept: List[Finding] = []
     suppressed = 0
@@ -322,7 +284,7 @@ def run_rules(modules: Sequence[ModuleInfo],
     if any(isinstance(rule, DataflowRule) for rule in rules):
         from .dataflow import build_context
 
-        context = build_context(modules, cache=cache)
+        context = build_context(modules)
 
     for rule in rules:
         if isinstance(rule, DataflowRule):
@@ -339,8 +301,6 @@ def run_rules(modules: Sequence[ModuleInfo],
                             files_scanned=len(modules),
                             suppressed=suppressed)
     if context is not None:
-        report.cache_hits = context.cache_hits
-        report.cache_misses = context.cache_misses
         report.graph_nodes = len(context.graph.nodes)
         report.graph_edges = context.graph.edge_count
         report.context = context
@@ -349,27 +309,10 @@ def run_rules(modules: Sequence[ModuleInfo],
 
 def run_analysis(paths: Sequence[Path],
                  select: Optional[Sequence[str]] = None,
-                 ignore: Optional[Sequence[str]] = None,
-                 cache_path: Optional[Union[str, Path]] = None
+                 ignore: Optional[Sequence[str]] = None
                  ) -> AnalysisReport:
-    """Scan source roots with the (subset of the) registered rules.
-
-    ``cache_path`` enables the incremental summary cache: unchanged
-    files (by content hash) skip extraction, and the file is
-    rewritten - pruned to the scanned set - after the run.
-    """
-    modules = load_modules(paths)
-    rules = resolve_rules(select, ignore)
-    cache: Optional["SummaryCache"] = None
-    if cache_path is not None \
-            and any(isinstance(rule, DataflowRule) for rule in rules):
-        from .cache import SummaryCache
-
-        cache = SummaryCache(cache_path, version=cache_version())
-    report = run_rules(modules, rules, cache=cache)
-    if cache is not None:
-        cache.save(keep=[module.relpath for module in modules])
-    return report
+    """Scan source roots with the (subset of the) registered rules."""
+    return run_rules(load_modules(paths), resolve_rules(select, ignore))
 
 
 def analyze_source(source: str, relpath: str = "module.py",

@@ -8,10 +8,8 @@ returns, ``self`` attributes), module-level globals with their
 mutability kind, and the functions handed to process pools.
 
 Summaries are deliberately file-local - nothing here looks at another
-module - which is what makes them safely cacheable by content hash
-(:mod:`repro.analysis.cache`).  All cross-module resolution happens
-later, in :mod:`repro.analysis.callgraph` and
-:mod:`repro.analysis.dataflow`, which always re-run.
+module.  All cross-module resolution happens later, in
+:mod:`repro.analysis.callgraph` and :mod:`repro.analysis.dataflow`.
 
 The origin taxonomy (``Origin = (kind, detail)``):
 
@@ -23,22 +21,15 @@ The origin taxonomy (``Origin = (kind, detail)``):
     derives from ``self.name`` of the enclosing class;
 ``("lambda", "")``
     is a lambda expression (pickling rules care).
-
-Everything is JSON round-trippable via ``to_dict``/``from_dict`` so the
-incremental cache can persist summaries verbatim.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .framework import ModuleInfo, dotted_name
-
-#: Bump whenever extraction output changes - invalidates every cache.
-EXTRACTOR_VERSION = 1
 
 #: ``(kind, detail)`` provenance of a value (see the module docstring).
 Origin = Tuple[str, str]
@@ -60,14 +51,6 @@ _MUTABLE_CTORS = frozenset({
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                 ast.ClassDef)
-
-
-def _origins_to_json(origins: Iterable[Origin]) -> List[List[str]]:
-    return [[kind, detail] for kind, detail in sorted(set(origins))]
-
-
-def _origins_from_json(data: Iterable[Sequence[str]]) -> List[Origin]:
-    return [(str(pair[0]), str(pair[1])) for pair in data]
 
 
 def unit_family(identifier: Optional[str]) -> Optional[str]:
@@ -109,40 +92,6 @@ class CallSite:
     kw_units: Dict[str, Optional[str]] = field(default_factory=dict)
     arg_types: List[Optional[List[str]]] = field(default_factory=list)
     kw_types: Dict[str, Optional[List[str]]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index, "lineno": self.lineno,
-            "col": self.col, "chain": self.chain,
-            "arg_origins": [_origins_to_json(o)
-                            for o in self.arg_origins],
-            "kw_origins": {k: _origins_to_json(o)
-                           for k, o in sorted(self.kw_origins.items())},
-            "arg_units": list(self.arg_units),
-            "kw_units": dict(sorted(self.kw_units.items())),
-            "arg_types": list(self.arg_types),
-            "kw_types": dict(sorted(self.kw_types.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            index=int(data["index"]), lineno=int(data["lineno"]),
-            col=int(data["col"]), chain=data.get("chain"),
-            arg_origins=[_origins_from_json(o)
-                         for o in data.get("arg_origins", [])],
-            kw_origins={str(k): _origins_from_json(o)
-                        for k, o in data.get("kw_origins", {}).items()},
-            arg_units=[u if u is None else str(u)
-                       for u in data.get("arg_units", [])],
-            kw_units={str(k): (u if u is None else str(u))
-                      for k, u in data.get("kw_units", {}).items()},
-            arg_types=[t if t is None else [str(p) for p in t]
-                       for t in data.get("arg_types", [])],
-            kw_types={str(k): (t if t is None
-                               else [str(p) for p in t])
-                      for k, t in data.get("kw_types", {}).items()},
-        )
 
 
 @dataclass
@@ -195,86 +144,15 @@ class FunctionSummary:
         except ValueError:
             return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname, "lineno": self.lineno,
-            "is_async": self.is_async, "params": list(self.params),
-            "param_chains": [list(c) for c in self.param_chains],
-            "calls": [c.to_dict() for c in self.calls],
-            "return_origins": _origins_to_json(self.return_origins),
-            "return_units": sorted(set(self.return_units)),
-            "return_calls": sorted(set(self.return_calls)),
-            "global_writes": [list(row) for row in self.global_writes],
-            "attr_stores": [[row[0], _origins_to_json(row[1]), row[2]]
-                            for row in self.attr_stores],
-            "attr_types": [list(row) for row in self.attr_types],
-            "attr_lambdas": [list(row) for row in self.attr_lambdas],
-            "unit_assigns": [list(row) for row in self.unit_assigns],
-            "var_types": {k: list(v)
-                          for k, v in sorted(self.var_types.items())},
-            "var_attrs": dict(sorted(self.var_attrs.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            lineno=int(data["lineno"]),
-            is_async=bool(data["is_async"]),
-            params=[str(p) for p in data.get("params", [])],
-            param_chains=[[str(c) for c in chains]
-                          for chains in data.get("param_chains", [])],
-            calls=[CallSite.from_dict(c)
-                   for c in data.get("calls", [])],
-            return_origins=_origins_from_json(
-                data.get("return_origins", [])),
-            return_units=[str(u) for u in data.get("return_units", [])],
-            return_calls=[int(i) for i in data.get("return_calls", [])],
-            global_writes=[[str(r[0]), str(r[1]), int(r[2])]
-                           for r in data.get("global_writes", [])],
-            attr_stores=[[str(r[0]), _origins_from_json(r[1]),
-                          int(r[2])]
-                         for r in data.get("attr_stores", [])],
-            attr_types=[[str(r[0]), str(r[1]), int(r[2])]
-                        for r in data.get("attr_types", [])],
-            attr_lambdas=[[str(r[0]), int(r[1])]
-                          for r in data.get("attr_lambdas", [])],
-            unit_assigns=[[str(r[0]), int(r[1]), int(r[2])]
-                          for r in data.get("unit_assigns", [])],
-            var_types={str(k): [str(c) for c in v]
-                       for k, v in data.get("var_types", {}).items()},
-            var_attrs={str(k): str(v)
-                       for k, v in data.get("var_attrs", {}).items()},
-        )
-
 
 @dataclass
 class ClassSummary:
-    """One top-level class: bases, methods, annotated fields."""
+    """One top-level class: bases and annotated fields."""
 
     name: str
     lineno: int
     bases: List[str] = field(default_factory=list)
-    methods: List[str] = field(default_factory=list)
     fields: Dict[str, List[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "lineno": self.lineno,
-            "bases": list(self.bases), "methods": sorted(self.methods),
-            "fields": {k: list(v)
-                       for k, v in sorted(self.fields.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]), lineno=int(data["lineno"]),
-            bases=[str(b) for b in data.get("bases", [])],
-            methods=[str(m) for m in data.get("methods", [])],
-            fields={str(k): [str(c) for c in v]
-                    for k, v in data.get("fields", {}).items()},
-        )
 
 
 @dataclass
@@ -288,34 +166,6 @@ class ModuleSummary:
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     globals: Dict[str, str] = field(default_factory=dict)
     pool_targets: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "relpath": self.relpath, "module": self.module,
-            "imports": dict(sorted(self.imports.items())),
-            "functions": {k: f.to_dict()
-                          for k, f in sorted(self.functions.items())},
-            "classes": {k: c.to_dict()
-                        for k, c in sorted(self.classes.items())},
-            "globals": dict(sorted(self.globals.items())),
-            "pool_targets": sorted(set(self.pool_targets)),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            relpath=str(data["relpath"]), module=str(data["module"]),
-            imports={str(k): str(v)
-                     for k, v in data.get("imports", {}).items()},
-            functions={str(k): FunctionSummary.from_dict(f)
-                       for k, f in data.get("functions", {}).items()},
-            classes={str(k): ClassSummary.from_dict(c)
-                     for k, c in data.get("classes", {}).items()},
-            globals={str(k): str(v)
-                     for k, v in data.get("globals", {}).items()},
-            pool_targets=[str(t)
-                          for t in data.get("pool_targets", [])],
-        )
 
 
 def module_dotted_name(relpath: str) -> str:
@@ -836,7 +686,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                     extractor = _FunctionExtractor(item, qualname)
                     summary.functions[qualname] = extractor.extract(
                         summary.globals)
-                    cls.methods.append(item.name)
                 elif isinstance(item, ast.AnnAssign) \
                         and isinstance(item.target, ast.Name):
                     cls.fields[item.target.id] = _annotation_chains(

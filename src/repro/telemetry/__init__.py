@@ -44,7 +44,8 @@ time + call counts + domain counters joined onto their owning spans),
 opt-in ``cProfile``/``tracemalloc`` deep capture with collapsed-stack
 flamegraph export, and - via :mod:`~repro.telemetry.perfdiff` - the
 ``perf-diff`` CLI that localizes the worst regressed span between two
-digests (``python -m repro.experiments perf-diff OLD NEW``).
+digests (``python -m repro.experiments perf-diff OLD NEW``).  All three
+diff CLIs run on one core, :mod:`~repro.telemetry.diffcore`.
 """
 
 from .audit import (INVARIANTS, NULL_JOURNAL, AuditOutcome,
@@ -56,8 +57,7 @@ from .export import (WALL_CLOCK_FIELDS, canonical_events,
 from .ledger import (MANIFEST_SCHEMA, WALL_CLOCK_METRICS, RunManifest,
                      append_ledger, config_hash, git_revision,
                      latest_by_name, load_manifests,
-                     manifest_from_sweeps, peak_rss_kb, read_ledger,
-                     write_bench)
+                     manifest_from_sweeps, peak_rss_kb, write_bench)
 from .metrics import (NULL_REGISTRY, MetricsRegistry, NullRegistry,
                       StreamingHistogram, get_metrics, set_metrics,
                       use_metrics)
@@ -140,7 +140,6 @@ __all__ = [
     "merge_stats",
     "peak_rss_kb",
     "read_jsonl",
-    "read_ledger",
     "render_digest",
     "render_memory_top",
     "render_summary",

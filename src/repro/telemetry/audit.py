@@ -42,6 +42,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from ..exceptions import ConfigurationError, InvariantViolation
+from .export import collect_sweep_trace
 from .metrics import get_metrics
 
 #: Pseudo station id of the remote cloud path (mirrors
@@ -779,27 +780,11 @@ def collect_sweep_journal(records: Sequence[Any]
                           ) -> List[Dict[str, Any]]:
     """Merge per-run journals of a sweep into one event stream.
 
-    Each record (duck-typed: ``journal`` / ``algorithm`` / ``x`` /
-    ``seed`` attributes, i.e. a :class:`~repro.sim.results.RunRecord`)
-    contributes its events annotated with the record's canonical
-    position and identity.  Records are visited in the order given -
-    the canonical RunSpec order the executor guarantees - so the merged
-    stream is deterministic no matter which worker produced which run.
-    Unjournaled records contribute nothing.
+    The journal twin of :func:`~repro.telemetry.export.collect_sweep_trace`:
+    each record's ``journal`` events, annotated with the record's
+    canonical position and identity, in the order given.
     """
-    merged: List[Dict[str, Any]] = []
-    for run_index, record in enumerate(records):
-        journal = getattr(record, "journal", None)
-        if not journal:
-            continue
-        for event in journal:
-            annotated = dict(event)
-            annotated["run"] = run_index
-            annotated["algorithm"] = record.algorithm
-            annotated["x"] = record.x
-            annotated["seed"] = record.seed
-            merged.append(annotated)
-    return merged
+    return collect_sweep_trace(records, stream="journal")
 
 
 @dataclass

@@ -54,13 +54,17 @@ def write_jsonl(path: Union[str, Path],
 
 
 def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a JSONL trace back into an event list.
+    """Read a JSON Lines file back into a list of objects.
+
+    The one JSONL reader: traces, decision journals and run ledgers
+    all load through it.  Blank lines are skipped.
 
     Raises:
-        ConfigurationError: on a line that is not a JSON object.
+        ConfigurationError: naming ``file:line`` of a line that is not
+            a JSON object.
     """
     events: List[Dict[str, Any]] = []
-    with Path(path).open() as handle:
+    with Path(path).open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -72,13 +76,14 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
                     f"{path}:{lineno}: not valid JSON: {error}") from error
             if not isinstance(event, dict):
                 raise ConfigurationError(
-                    f"{path}:{lineno}: trace events must be objects, "
-                    f"got {type(event).__name__}")
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(event).__name__}")
             events.append(event)
     return events
 
 
-def collect_sweep_trace(records: Sequence[Any]) -> List[Dict[str, Any]]:
+def collect_sweep_trace(records: Sequence[Any], stream: str = "trace"
+                        ) -> List[Dict[str, Any]]:
     """Merge the per-run traces of a sweep into one event stream.
 
     Each record (duck-typed: ``trace`` / ``algorithm`` / ``x`` /
@@ -87,18 +92,11 @@ def collect_sweep_trace(records: Sequence[Any]) -> List[Dict[str, Any]]:
     position and identity.  Records are visited in the order given -
     the canonical RunSpec order the executor guarantees - so the merged
     stream is deterministic no matter which worker produced which run.
-    Untraced records contribute nothing.
+    Untraced records contribute nothing.  ``stream="journal"`` merges
+    the decision journals instead (see
+    :func:`~repro.telemetry.audit.collect_sweep_journal`).
     """
-    merged: List[Dict[str, Any]] = []
-    for run_index, record in enumerate(records):
-        trace = getattr(record, "trace", None)
-        if not trace:
-            continue
-        for event in trace:
-            annotated = dict(event)
-            annotated["run"] = run_index
-            annotated["algorithm"] = record.algorithm
-            annotated["x"] = record.x
-            annotated["seed"] = record.seed
-            merged.append(annotated)
-    return merged
+    return [{**event, "run": run_index, "algorithm": record.algorithm,
+             "x": record.x, "seed": record.seed}
+            for run_index, record in enumerate(records)
+            for event in getattr(record, stream, None) or ()]

@@ -33,6 +33,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
+from .export import read_jsonl
 
 #: Manifest schema identifier written into every exported file.
 MANIFEST_SCHEMA = "repro.run-manifest/1"
@@ -317,32 +318,6 @@ def append_ledger(path: Union[str, Path],
     return target
 
 
-def read_ledger(path: Union[str, Path]) -> List[RunManifest]:
-    """Read every manifest of a JSONL ledger, in append order.
-
-    Raises:
-        ConfigurationError: on unparsable lines or malformed entries.
-    """
-    manifests: List[RunManifest] = []
-    with Path(path).open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: not valid JSON: {error}"
-                ) from error
-            if not isinstance(data, dict):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: ledger entries must be objects, "
-                    f"got {type(data).__name__}")
-            manifests.append(RunManifest.from_dict(data))
-    return manifests
-
-
 def write_bench(path: Union[str, Path],
                 manifest: RunManifest) -> Path:
     """Write one manifest as a pretty ``BENCH_<name>.json`` snapshot."""
@@ -358,16 +333,17 @@ def load_manifests(path: Union[str, Path]) -> List[RunManifest]:
 
     A ``BENCH_*.json`` snapshot (one pretty-printed object) yields a
     single-element list; a JSONL ledger yields all its entries in
-    order.
+    append order.
 
     Raises:
-        ConfigurationError: when the file is neither format.
+        ConfigurationError: when the file is neither format, or a
+            ledger entry is malformed.
     """
     text = Path(path).read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        return read_ledger(path)
+        return [RunManifest.from_dict(entry) for entry in read_jsonl(path)]
     if isinstance(data, dict):
         return [RunManifest.from_dict(data)]
     raise ConfigurationError(

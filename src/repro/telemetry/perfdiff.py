@@ -6,20 +6,12 @@ artifacts - ``PROF_*.json`` exports, ``BENCH_*.json`` manifests with a
 ``profiles`` section, JSONL ledgers, or bare digest files - and answers
 the question ``bench-diff`` cannot: *which span* ate the time.
 
-Two classes of signal, mirroring the deterministic/advisory split of
-:mod:`repro.telemetry.regression`:
-
-* **Deterministic attribution** - span paths, per-span call counts,
-  and domain counters (``simplex_iterations_total``,
-  ``lp_solves_total``, ...) are pure functions of config + seeds.
-  They gate at ``--tol`` in *both* directions: a new hot span, a 4x
-  jump in simplex iterations, or a vanished ``presolve`` span
-  all exit 1 on any machine, however noisy its clock.
-
-* **Advisory timing** - per-span self/cumulative wall time is printed
-  (sorted by absolute self-time delta) but only gates when ``--gate
-  REL`` is given, and then only for spans whose new self time clears
-  the ``--min-ms`` floor, so sub-millisecond jitter cannot flake CI.
+Span call counts and domain counters (``simplex_iterations_total``,
+``lp_solves_total``, ...) are deterministic: they gate at ``--tol`` in
+both directions, so a new hot span or a vanished ``presolve`` span
+exits 1 on any machine.  Per-span self time is advisory, printed by
+absolute delta, and gates only with ``--gate REL``, for spans whose
+new self time clears the ``--min-ms`` floor.
 
 The report ends with the **worst regressed span**: the span whose
 deterministic or gated-time relative delta is largest, together with
@@ -28,130 +20,60 @@ its self-time movement and the counter deltas
 "simplex iterations +4.1x, self-time +380 ms in
 ``offline_run/build_lp/lp_solve``".
 
-Exit codes match ``bench-diff`` / ``trace-diff``:
-
-* ``0`` - no gated regression (timing drift may still be listed);
-* ``1`` - at least one digest regressed (localization printed);
-* ``2`` - an input is unusable.
+The rows, the gate and the exit codes (0 clean, 1 regressed, 2 on
+unusable input or no common digest name) are
+:mod:`repro.telemetry.diffcore`'s; this module loads digests into rows,
+localizes the worst span and renders the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import (Dict, List, Mapping, Optional, Sequence, Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
+from .diffcore import (INF_REL, Row, check_non_negative, compare,
+                       mark_regressions, run_cli, verdict)
 from .profiling import (PATH_SEP, ProfileDigest, counter_owner,
                         load_profile_set)
 
-#: Exit codes, mirroring bench-diff and trace-diff.
-EXIT_OK = 0
-EXIT_REGRESSED = 1
-EXIT_ERROR = 2
 
-#: Relative delta reported when a key exists on only one side.
-INF_REL = float("inf")
-
-
-@dataclass
-class PerfDelta:
-    """One compared quantity between two digests."""
-
-    digest: str   #: digest name (algorithm or group/algorithm)
-    kind: str     #: ``"calls"``, ``"counter"``, or ``"self_s"``
-    key: str      #: span path or counter series id
-    old: float
-    new: float
-    regressed: bool = False
-
-    @property
-    def rel(self) -> float:
-        """Relative delta ``(new-old)/old`` (inf when old == 0)."""
-        if self.old == 0.0:  # repro: noqa NUM001 -- structural zero: absent span/counter
-            return 0.0 if self.new == 0.0 else INF_REL  # repro: noqa NUM001 -- structural zero
-        return (self.new - self.old) / abs(self.old)
-
-    @property
-    def span_leaf(self) -> Optional[str]:
-        """The span this delta attributes to (for counter joins)."""
-        if self.kind == "counter":
-            return counter_owner(self.key)
-        return self.key.rsplit(PATH_SEP, 1)[-1]
-
-    def describe(self) -> str:
-        label = {"calls": "calls", "counter": "counter",
-                 "self_s": "self_ms"}[self.kind]
-        if self.kind == "self_s":
-            old, new = f"{self.old * 1e3:.2f}", f"{self.new * 1e3:.2f}"
-        else:
-            old, new = f"{self.old:g}", f"{self.new:g}"
-        rel = self.rel
-        if rel == INF_REL:
-            arrow = "(new)" if self.old == 0.0 else "(gone)"  # repro: noqa NUM001 -- structural zero
-        else:
-            arrow = f"({rel:+.1%})"
-        return f"{label} {old} -> {new} {arrow}"
+def _describe(row: Row) -> str:
+    old, new = row.old or 0.0, row.new or 0.0
+    if row.kind == "self_s":
+        text = f"self_ms {old * 1e3:.2f} -> {new * 1e3:.2f}"
+    else:
+        text = f"{row.kind} {old:g} -> {new:g}"
+    arrow = "(new)" if row.rel == INF_REL else f"({row.rel:+.1%})"
+    return f"{text} {arrow}"
 
 
-def _span_rows(digest: str, old: ProfileDigest, new: ProfileDigest,
-               tol: float) -> List[PerfDelta]:
-    rows: List[PerfDelta] = []
-    for path in sorted(set(old.spans) | set(new.spans)):
-        left = old.spans.get(path)
-        right = new.spans.get(path)
-        calls = PerfDelta(digest, "calls", path,
-                          float(left.calls if left else 0),
-                          float(right.calls if right else 0))
-        calls.regressed = (calls.rel == INF_REL
-                           or abs(calls.rel) > tol)
-        rows.append(calls)
-        rows.append(PerfDelta(digest, "self_s", path,
-                              left.self_s if left else 0.0,
-                              right.self_s if right else 0.0))
-    return rows
-
-
-def _counter_rows(digest: str, old: ProfileDigest,
-                  new: ProfileDigest, tol: float) -> List[PerfDelta]:
-    rows: List[PerfDelta] = []
-    for series in sorted(set(old.counters) | set(new.counters)):
-        row = PerfDelta(digest, "counter", series,
-                        old.counters.get(series, 0.0),
-                        new.counters.get(series, 0.0))
-        row.regressed = (row.rel == INF_REL or abs(row.rel) > tol)
-        rows.append(row)
-    return rows
-
-
-def _gate_timing(rows: Sequence[PerfDelta], gate: Optional[float],
-                 min_ms: float) -> None:
-    """Mark gated self-time regressions in place (``--gate``)."""
-    if gate is None:
-        return
-    for row in rows:
-        if row.kind != "self_s":
-            continue
-        if row.new * 1e3 < min_ms:
-            continue
-        rel = row.rel
-        if rel == INF_REL or rel > gate:
-            row.regressed = True
+def _span_field(digest: ProfileDigest, name: str) -> Dict[str, float]:
+    return {path: float(getattr(span, name))
+            for path, span in digest.spans.items()}
 
 
 def diff_digests(digest: str, old: ProfileDigest, new: ProfileDigest,
                  tol: float = 0.0, gate: Optional[float] = None,
-                 min_ms: float = 5.0) -> List[PerfDelta]:
-    """All compared quantities of one digest pair, gates applied."""
-    rows = _span_rows(digest, old, new, tol)
-    rows.extend(_counter_rows(digest, old, new, tol))
-    _gate_timing(rows, gate, min_ms)
+                 min_ms: float = 5.0) -> List[Row]:
+    """All compared quantities of one digest pair, gates applied.
+
+    Span call counts and counters are deterministic rows; per-span
+    self time is advisory and gates only with ``gate``, for spans
+    whose new self time reaches ``min_ms``.
+    """
+    rows = (compare(digest, "calls", _span_field(old, "calls"),
+                    _span_field(new, "calls"))
+            + compare(digest, "self_s", _span_field(old, "self_s"),
+                      _span_field(new, "self_s"), advisory=True)
+            + compare(digest, "counter", old.counters, new.counters))
+    mark_regressions(rows, tol, slow_tol=gate, floor=min_ms / 1e3)
     return rows
 
 
-def worst_regression(rows: Sequence[PerfDelta]
-                     ) -> Optional[Tuple[str, List[PerfDelta]]]:
+def worst_regression(rows: Sequence[Row]
+                     ) -> Optional[Tuple[str, List[Row]]]:
     """The span path a regression localizes to, with its evidence.
 
     Scores every regressed row; counter regressions attach to the
@@ -164,19 +86,18 @@ def worst_regression(rows: Sequence[PerfDelta]
     if not regressed:
         return None
 
-    def score(row: PerfDelta) -> Tuple[float, float]:
+    def score(row: Row) -> Tuple[float, float]:
         rel = abs(row.rel)
-        magnitude = (abs(row.new - row.old)
-                     if row.kind == "self_s"
-                     else abs(row.new - row.old) * 1e-6)
+        magnitude = (abs(row.delta) if row.kind == "self_s"
+                     else abs(row.delta) * 1e-6)
         return (1e18 if rel == INF_REL else rel, magnitude)
 
     span_paths = {row.key for row in rows if row.kind != "counter"}
 
-    def anchor(row: PerfDelta) -> str:
+    def anchor(row: Row) -> str:
         if row.kind != "counter":
             return row.key
-        leaf = row.span_leaf
+        leaf = counter_owner(row.key)
         if leaf is not None:
             owners = sorted(path for path in span_paths
                             if path.rsplit(PATH_SEP, 1)[-1] == leaf)
@@ -192,14 +113,13 @@ def worst_regression(rows: Sequence[PerfDelta]
 
 
 def render_report(old_name: str, new_name: str,
-                  rows_by_digest: Mapping[str, Sequence[PerfDelta]],
+                  rows_by_digest: Mapping[str, Sequence[Row]],
                   only: Sequence[str] = (), top: int = 10) -> str:
     """The perf-diff report: per-digest tables + worst-span headline."""
     lines = [f"perf-diff: {old_name} -> {new_name}"]
     for name in only:
         lines.append(f"  ! digest {name!r} present on one side only "
                      f"- not compared")
-    any_regressed = False
     for name in sorted(rows_by_digest):
         rows = list(rows_by_digest[name])
         lines.append("")
@@ -210,14 +130,14 @@ def render_report(old_name: str, new_name: str,
             lines.append("  deterministic attribution REGRESSED "
                          f"({len(det_regressed)} of {len(det)} keys):")
             for row in det_regressed:
-                lines.append(f"    {row.key}: {row.describe()}")
+                lines.append(f"    {row.key}: {_describe(row)}")
         else:
             lines.append(f"  deterministic attribution ok "
                          f"({len(det)} keys: span calls + counters)")
         timing = sorted(
             (row for row in rows if row.kind == "self_s"
              and (row.old or row.new)),
-            key=lambda row: (-abs(row.new - row.old), row.key))
+            key=lambda row: (-abs(row.delta), row.key))
         shown = timing[:max(0, top)]
         if shown:
             gated = any(row.regressed for row in timing)
@@ -226,24 +146,24 @@ def render_report(old_name: str, new_name: str,
                          f"{len(shown)} by |delta|):")
             for row in shown:
                 flag = "  REGRESSED" if row.regressed else ""
-                lines.append(f"    {row.key}: {row.describe()}{flag}")
+                lines.append(f"    {row.key}: {_describe(row)}{flag}")
             omitted = len(timing) - len(shown)
             if omitted > 0:
                 lines.append(f"    ... {omitted} smaller timing "
                              f"row(s) omitted ...")
         localized = worst_regression(rows)
         if localized is not None:
-            any_regressed = True
             where, evidence = localized
             lines.append(f"  worst regressed span: {where}")
             for row in evidence:
                 if row.kind == "counter":
                     lines.append(f"    counter {row.key}: "
-                                 f"{row.describe()}")
+                                 f"{_describe(row)}")
                 else:
-                    lines.append(f"    {row.describe()}")
+                    lines.append(f"    {_describe(row)}")
     lines.append("")
-    if any_regressed:
+    if any(row.regressed for rows in rows_by_digest.values()
+           for row in rows):
         lines.append("RESULT: performance attribution regressed "
                      "(exit 1)")
     else:
@@ -262,8 +182,12 @@ def diff_profile_sets(old_set: Mapping[str, ProfileDigest],
     Returns:
         ``(exit_code, report)``.  Digests present on only one side are
         noted but do not gate (a PR may legitimately add or retire an
-        algorithm); at least one common name is required.
+        algorithm).
+
+    Raises:
+        ConfigurationError: on a negative knob or no common name.
     """
+    check_non_negative(tol=tol, gate=gate, min_ms=min_ms)
     common = sorted(set(old_set) & set(new_set))
     if not common:
         raise ConfigurationError(
@@ -279,7 +203,7 @@ def diff_profile_sets(old_set: Mapping[str, ProfileDigest],
     regressed = any(row.regressed
                     for rows in rows_by_digest.values()
                     for row in rows)
-    return (EXIT_REGRESSED if regressed else EXIT_OK), report
+    return verdict(len(common), regressed), report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -315,23 +239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="timing rows to print per digest "
                              "(default: 10)")
     args = parser.parse_args(argv)
-    if args.tol < 0 or args.min_ms < 0 \
-            or (args.gate is not None and args.gate < 0):
-        print("error: --tol/--gate/--min-ms must be >= 0",
-              file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        old_set = load_profile_set(args.old)
-        new_set = load_profile_set(args.new)
-        code, report = diff_profile_sets(
-            old_set, new_set, tol=args.tol, gate=args.gate,
-            min_ms=args.min_ms, names=(args.old, args.new),
-            top=args.top)
-    except (OSError, ValueError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(report)
-    return code
+    return run_cli("perf-diff", lambda: diff_profile_sets(
+        load_profile_set(args.old), load_profile_set(args.new),
+        tol=args.tol, gate=args.gate, min_ms=args.min_ms,
+        names=(args.old, args.new), top=args.top))
 
 
 if __name__ == "__main__":

@@ -5,31 +5,26 @@
 name and algorithm, the delta of every headline metric and of the
 wall-clock measurements (per-phase seconds, ``runtime_s``, peak RSS).
 
-Two tolerance regimes apply, following the determinism convention of
-:mod:`repro.telemetry.ledger`:
-
-* **deterministic metrics** (total reward, latency, admission counts)
-  are a pure function of config + seeds, so any relative delta beyond
-  ``metric_tol`` - in either direction - **gates** (a reward *increase*
-  still means the reproduction changed and the baseline is stale);
-* **wall-clock quantities** legitimately vary between machines and
-  runs, so they are **advisory** by default and gate only when
-  explicitly requested (``gate_wall=True`` / ``--gate-wall``), against
-  the looser ``wall_tol``, and only in the slower direction.
-
-Exit codes of the CLI (``python -m repro.experiments bench-diff``):
-0 = within tolerance, 1 = regression, 2 = unusable inputs.
+Deterministic metrics gate in both directions beyond ``--tol``;
+wall-clock quantities (``runtime_s``, phases, peak RSS, see
+:data:`~repro.telemetry.ledger.WALL_CLOCK_METRICS`) are advisory unless
+``--gate-wall``/``--gate-wall-keys`` asks, and then gate only on a
+slowdown beyond ``--wall-tol``.  The gate and the exit codes (0 =
+within tolerance, 1 = regression, 2 = unusable inputs or no common run
+name) are :mod:`repro.telemetry.diffcore`'s; this module loads
+manifests into rows and renders the report.
 """
 
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import ConfigurationError
+from .diffcore import (Row, check_non_negative, mark_regressions,
+                       run_cli, verdict)
 from .ledger import (WALL_CLOCK_METRICS, RunManifest, latest_by_name,
                      load_manifests)
 
@@ -38,39 +33,20 @@ DEFAULT_METRIC_TOL = 1e-9
 #: Default relative tolerance for wall-clock quantities (when gated).
 DEFAULT_WALL_TOL = 0.25
 
-#: Denominator floor so deltas against ~0 baselines stay finite.
-_EPS = 1e-12
 
+class Delta(Row):
+    """A :class:`~repro.telemetry.diffcore.Row` of one run name (``run``);
+    ``wall_clock`` marks the advisory rows."""
 
-@dataclass(frozen=True)
-class Delta:
-    """One compared quantity of one run name.
+    def __init__(self, run: str, key: str, old: float, new: float,
+                 wall_clock: bool, regressed: bool = False) -> None:
+        super().__init__(run, "wall" if wall_clock else "metric", key,
+                         old, new, wall_clock, regressed)
 
-    Attributes:
-        run: manifest name the quantity belongs to.
-        key: ``"<algorithm>.<metric>"`` or ``"phase.<name>"`` etc.
-        old: baseline value.
-        new: candidate value.
-        wall_clock: True for advisory wall-clock quantities.
-        regressed: True when the delta exceeded its tolerance gate.
-    """
-
-    run: str
-    key: str
-    old: float
-    new: float
-    wall_clock: bool
-    regressed: bool
-
-    @property
-    def abs_delta(self) -> float:
-        """``new - old``."""
-        return self.new - self.old
-
-    @property
-    def rel_delta(self) -> float:
-        """``(new - old) / max(|old|, eps)``."""
-        return self.abs_delta / max(abs(self.old), _EPS)
+    run = property(attrgetter("group"))
+    wall_clock = property(attrgetter("advisory"))
+    abs_delta = Row.delta
+    rel_delta = Row.rel
 
 
 @dataclass
@@ -78,7 +54,8 @@ class DiffReport:
     """Everything ``bench-diff`` found between two ledgers."""
 
     deltas: List[Delta] = field(default_factory=list)
-    #: Run names / metric keys present on only one side (advisory).
+    #: Run names / metric and wall-clock keys present on only one side
+    #: (advisory).
     missing: List[str] = field(default_factory=list)
     #: Run names compared.
     compared_runs: List[str] = field(default_factory=list)
@@ -150,45 +127,12 @@ def diff_manifests(old: RunManifest, new: RunManifest,
                    metric_tol: float = DEFAULT_METRIC_TOL,
                    wall_tol: float = DEFAULT_WALL_TOL,
                    gate_wall: bool = False,
-                   wall_keys: Optional[Sequence[str]] = None,
-                   report: Optional[DiffReport] = None) -> DiffReport:
-    """Compare two manifests of the same run name.
-
-    Deterministic metrics gate on ``|rel delta| > metric_tol`` (both
-    directions - any drift means the baseline is stale).  Wall-clock
-    quantities gate only with ``gate_wall`` and only on slowdowns
-    beyond ``wall_tol``; ``wall_keys`` (fnmatch patterns against the
-    flattened key, e.g. ``"Appro.runtime_s"`` or ``"*.runtime_s"``)
-    restricts the gate to matching quantities so a stable hot path can
-    be pinned without gating every machine-dependent number.
-    """
-    if metric_tol < 0 or wall_tol < 0:
-        raise ConfigurationError(
-            f"tolerances must be >= 0, got {metric_tol}/{wall_tol}")
-    out = report if report is not None else DiffReport()
-    out.compared_runs.append(new.name)
-    old_metric, old_wall = _flatten(old)
-    new_metric, new_wall = _flatten(new)
-    for key in sorted(set(old_metric) | set(new_metric)):
-        if key not in old_metric or key not in new_metric:
-            out.missing.append(f"{new.name}: {key}")
-            continue
-        a, b = old_metric[key], new_metric[key]
-        rel = (b - a) / max(abs(a), _EPS)
-        out.deltas.append(Delta(run=new.name, key=key, old=a, new=b,
-                                wall_clock=False,
-                                regressed=abs(rel) > metric_tol))
-    for key in sorted(set(old_wall) & set(new_wall)):
-        a, b = old_wall[key], new_wall[key]
-        rel = (b - a) / max(abs(a), _EPS)
-        gated = gate_wall and (
-            wall_keys is None
-            or any(fnmatch.fnmatchcase(key, pattern)
-                   for pattern in wall_keys))
-        out.deltas.append(Delta(run=new.name, key=key, old=a, new=b,
-                                wall_clock=True,
-                                regressed=gated and rel > wall_tol))
-    return out
+                   wall_keys: Optional[Sequence[str]] = None
+                   ) -> DiffReport:
+    """Compare two manifests of the same run name (see
+    :func:`diff_ledgers`)."""
+    return diff_ledgers([old], [new], metric_tol, wall_tol, gate_wall,
+                        wall_keys)
 
 
 def diff_ledgers(old: Sequence[RunManifest],
@@ -200,6 +144,15 @@ def diff_ledgers(old: Sequence[RunManifest],
                  name: Optional[str] = None) -> DiffReport:
     """Compare the head manifests of two ledgers, per common run name.
 
+    Deterministic metrics gate on ``|rel delta| > metric_tol`` in both
+    directions - any drift means the baseline is stale.  Wall-clock
+    quantities gate only with ``gate_wall`` and only on slowdowns
+    beyond ``wall_tol``; ``wall_keys`` (fnmatch patterns against the
+    flattened key, e.g. ``"Appro.runtime_s"`` or ``"*.runtime_s"``)
+    restricts the gate to matching quantities so a stable hot path can
+    be pinned without gating every machine-dependent number.  Keys or
+    runs present on one side only are listed in ``missing``.
+
     Args:
         old: baseline manifests (ledger order; last entry per name
             wins).
@@ -210,7 +163,12 @@ def diff_ledgers(old: Sequence[RunManifest],
         wall_keys: fnmatch patterns restricting which wall-clock keys
             the gate applies to (all when None).
         name: restrict the comparison to one run name.
+
+    Raises:
+        ConfigurationError: on a negative tolerance, or a ``wall_keys``
+            pattern that matches no wall-clock key of any compared run.
     """
+    check_non_negative(metric_tol=metric_tol, wall_tol=wall_tol)
     old_by = latest_by_name(old)
     new_by = latest_by_name(new)
     if name is not None:
@@ -221,9 +179,21 @@ def diff_ledgers(old: Sequence[RunManifest],
         if run not in old_by or run not in new_by:
             report.missing.append(f"run {run!r}")
             continue
-        diff_manifests(old_by[run], new_by[run], metric_tol=metric_tol,
-                       wall_tol=wall_tol, gate_wall=gate_wall,
-                       wall_keys=wall_keys, report=report)
+        report.compared_runs.append(run)
+        for old_map, new_map, wall_clock in zip(
+                _flatten(old_by[run]), _flatten(new_by[run]), (False, True)):
+            for key in sorted(set(old_map) | set(new_map)):
+                if key in old_map and key in new_map:
+                    report.deltas.append(Delta(run, key, old_map[key],
+                                               new_map[key], wall_clock))
+                else:
+                    report.missing.append(f"{run}: {key}")
+    # With no run compared the report says so and the CLI exits 2; a
+    # wall-key pattern check would only replace that message.
+    if report.compared_runs:
+        mark_regressions(report.deltas, metric_tol,
+                         slow_tol=wall_tol if gate_wall else None,
+                         patterns=wall_keys if gate_wall else None)
     return report
 
 
@@ -266,21 +236,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         wall_keys = [pattern.strip()
                      for pattern in args.gate_wall_keys.split(",")
                      if pattern.strip()]
-    try:
-        old = load_manifests(args.old)
-        new = load_manifests(args.new)
-        report = diff_ledgers(old, new, metric_tol=args.tol,
-                              wall_tol=args.wall_tol,
-                              gate_wall=args.gate_wall or bool(wall_keys),
-                              wall_keys=wall_keys,
-                              name=args.name)
-    except (OSError, ConfigurationError) as error:
-        print(f"bench-diff: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if not report.compared_runs:
-        return 2
-    return 1 if report.regressions else 0
+
+    def diff() -> Tuple[int, str]:
+        report = diff_ledgers(
+            load_manifests(args.old), load_manifests(args.new),
+            metric_tol=args.tol, wall_tol=args.wall_tol,
+            gate_wall=args.gate_wall or bool(wall_keys),
+            wall_keys=wall_keys, name=args.name)
+        return (verdict(len(report.compared_runs),
+                        bool(report.regressions)), report.render())
+
+    return run_cli("bench-diff", diff)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,9 @@
 ``python -m repro.experiments trace-diff A.jsonl B.jsonl`` aligns two
 journals event by event and, when they disagree, prints the first
 divergent event with +/- k events of context and a per-key field diff.
-Exit codes match ``bench-diff``:
-
-* ``0`` - the journals are identical;
-* ``1`` - the journals diverge (the localization is printed);
-* ``2`` - an input is unusable (missing file, malformed JSONL).
+It exits through the shell of :mod:`repro.telemetry.diffcore`: 0 when
+the journals are identical, 1 when they diverge, 2 on unusable input
+or two empty journals (nothing compared).
 
 Because journals are canonical (wall-clock-free, deterministic
 emission order, JSONL round-trip-stable field encoding), a serial and
@@ -21,34 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import (Any, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-#: Exit codes, mirroring :mod:`repro.telemetry.regression`.
-EXIT_OK = 0
-EXIT_DIVERGED = 1
-EXIT_ERROR = 2
-
-
-def load_journal(path: str) -> List[Dict[str, Any]]:
-    """Read a JSONL journal; raises ValueError on malformed input."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(event, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(event).__name__}")
-            events.append(event)
-    return events
+from .diffcore import check_non_negative, run_cli, verdict
+from .export import read_jsonl
 
 
 def first_divergence(a: Sequence[Mapping[str, Any]],
@@ -122,16 +96,21 @@ def diff_journals(a: Sequence[Mapping[str, Any]],
     """Compare two in-memory journals.
 
     Returns:
-        ``(exit_code, report)`` - code :data:`EXIT_OK` with a one-line
-        confirmation, or :data:`EXIT_DIVERGED` with the localization.
+        ``(exit_code, report)`` - 0 with a one-line confirmation, 1
+        with the localization, or 2 when both journals are empty.
+
+    Raises:
+        ConfigurationError: on a negative ``context``.
     """
+    check_non_negative(context=context)
     index = first_divergence(a, b)
-    if index is None:
-        return EXIT_OK, (f"journals identical "
-                         f"({len(a)} events)")
-    return EXIT_DIVERGED, render_divergence(a, b, index,
-                                            context=context,
-                                            names=names)
+    code = verdict(len(a) + len(b), index is not None)
+    if index is not None:
+        return code, render_divergence(a, b, index, context=context,
+                                       names=names)
+    if not a:
+        return code, "journals are both empty - nothing to compare"
+    return code, f"journals identical ({len(a)} events)"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -140,7 +119,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.experiments trace-diff",
         description="Align two decision journals (JSONL) and localize "
                     "the first divergent event.  Exits 0 when "
-                    "identical, 1 on divergence, 2 on unusable input.")
+                    "identical, 1 on divergence, 2 on unusable input "
+                    "or two empty journals.")
     parser.add_argument("journal_a", metavar="A.jsonl",
                         help="first journal (e.g. the serial run)")
     parser.add_argument("journal_b", metavar="B.jsonl",
@@ -149,20 +129,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="events of context around the divergence "
                              "(default: 3)")
     args = parser.parse_args(argv)
-    if args.context < 0:
-        print("error: --context must be >= 0", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        journal_a = load_journal(args.journal_a)
-        journal_b = load_journal(args.journal_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    code, report = diff_journals(
-        journal_a, journal_b, context=args.context,
-        names=(args.journal_a, args.journal_b))
-    print(report)
-    return code
+    return run_cli("trace-diff", lambda: diff_journals(
+        read_jsonl(args.journal_a), read_jsonl(args.journal_b),
+        context=args.context, names=(args.journal_a, args.journal_b)))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.analysis.cli import (EXIT_ERROR, EXIT_FINDINGS, EXIT_OK,
                                 main)
+from repro.analysis.framework import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -18,6 +19,19 @@ VIOLATING = (
     "import time\n"
     "def stamp():\n"
     "    return time.time()\n")
+
+CLEAN_HELPER = ("def helper(slot):\n"
+                "    return slot\n")
+
+TAINTED_HELPER = ("import time\n"
+                  "def helper(slot):\n"
+                  "    return time.time()\n")
+
+CALLER = ("from repro.helper import helper\n"
+          "class Event:\n"
+          "    pass\n"
+          "def emit(slot):\n"
+          "    return Event(at=helper(slot))\n")
 
 
 def write_module(tmp_path, source, relpath="repro/x/mod.py"):
@@ -127,32 +141,17 @@ class TestReportFormats:
 class TestWholeProgramFlags:
     def test_stats_line_on_stderr(self, tmp_path, capsys):
         write_module(tmp_path, CLEAN)
-        main([str(tmp_path), "--no-baseline", "--no-cache",
-              "--stats"])
+        main([str(tmp_path), "--no-baseline", "--stats"])
         err = capsys.readouterr().err
         assert "stats:" in err
-        assert "cache hit(s)" in err
+        assert "file(s) scanned" in err
         assert "call graph" in err
         assert "wall" in err
-
-    def test_cache_round_trip_reported_in_stats(self, tmp_path,
-                                                capsys):
-        write_module(tmp_path, CLEAN)
-        cache = tmp_path / "cache.json"
-        main([str(tmp_path), "--no-baseline", "--cache", str(cache),
-              "--stats"])
-        assert "0 cache hit(s) / 1 miss(es)" in \
-            capsys.readouterr().err
-        main([str(tmp_path), "--no-baseline", "--cache", str(cache),
-              "--stats"])
-        assert "1 cache hit(s) / 0 miss(es)" in \
-            capsys.readouterr().err
 
     def test_dot_artifact_written(self, tmp_path, capsys):
         write_module(tmp_path, CLEAN)
         dot = tmp_path / "callgraph.dot"
-        main([str(tmp_path), "--no-baseline", "--no-cache", "--dot",
-              str(dot)])
+        main([str(tmp_path), "--no-baseline", "--dot", str(dot)])
         capsys.readouterr()
         assert dot.read_text(
             encoding="utf-8").startswith("digraph callgraph {")
@@ -160,7 +159,7 @@ class TestWholeProgramFlags:
     def test_dot_without_dataflow_rules_exits_2(self, tmp_path,
                                                 capsys):
         write_module(tmp_path, CLEAN)
-        code = main([str(tmp_path), "--no-baseline", "--no-cache",
+        code = main([str(tmp_path), "--no-baseline",
                      "--select", "DET001", "--dot",
                      str(tmp_path / "g.dot")])
         capsys.readouterr()
@@ -178,6 +177,40 @@ class TestWholeProgramFlags:
         main([str(tmp_path), "--baseline", str(baseline),
               "--write-baseline"])
         assert "(1 stale entry pruned)" in capsys.readouterr().out
+
+
+def write_tree(tmp_path, helper_source):
+    write_module(tmp_path, helper_source, "repro/helper.py")
+    write_module(tmp_path, CALLER, "repro/caller.py")
+
+
+class TestRescan:
+    def test_edited_callee_refreshes_caller_findings(self, tmp_path):
+        # caller.py never changes, but editing helper.py to return
+        # wall-clock must surface a DET010 finding *in caller.py*.
+        write_tree(tmp_path, CLEAN_HELPER)
+        assert run_analysis([tmp_path], select=["DET010"]).findings == []
+        write_tree(tmp_path, TAINTED_HELPER)
+        report = run_analysis([tmp_path], select=["DET010"])
+        assert len(report.findings) == 1
+        assert report.findings[0].path == "repro/caller.py"
+        # ...and fixing it clears the finding again.
+        write_tree(tmp_path, CLEAN_HELPER)
+        assert run_analysis([tmp_path], select=["DET010"]).findings == []
+
+
+class TestJsonStability:
+    def test_json_report_is_byte_stable_across_runs(self, tmp_path,
+                                                    capsys):
+        # two findings on one line exercise the extended sort key
+        write_tree(tmp_path, TAINTED_HELPER)
+        args = [str(tmp_path), "--no-baseline", "--format", "json"]
+        main(args)
+        first = capsys.readouterr().out
+        main(args)
+        second = capsys.readouterr().out
+        assert first == second
+        assert json.loads(first)["findings"]
 
 
 class TestShippedTree:

@@ -1,9 +1,9 @@
 """Module-summary extraction: the file-local facts the whole-program
-pass is built from (and caches)."""
+pass is built from."""
 
 from repro.analysis.framework import module_from_source
-from repro.analysis.symbols import (ModuleSummary, module_dotted_name,
-                                    summarize_module, unit_family)
+from repro.analysis.symbols import (module_dotted_name, summarize_module,
+                                    unit_family)
 
 
 def summarize(source, relpath="repro/x/mod.py"):
@@ -114,17 +114,3 @@ class TestFunctionFacts:
             "        return list(pool.map(work, xs))\n")
         assert "work" in summary.pool_targets
 
-
-class TestRoundTrip:
-    def test_summary_survives_dict_round_trip(self):
-        summary = summarize(
-            "import time\n"
-            "_CACHE = {}\n"
-            "class Engine:\n"
-            "    def __init__(self):\n"
-            "        self._t = time.time()\n"
-            "def run(demand_mhz):\n"
-            "    return demand_mhz\n")
-        clone = ModuleSummary.from_dict(summary.to_dict())
-        assert clone.to_dict() == summary.to_dict()
-        assert sorted(clone.functions) == sorted(summary.functions)

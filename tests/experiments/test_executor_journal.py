@@ -18,7 +18,9 @@ from repro.experiments.runner import run_offline_sweep
 from repro.experiments.settings import base_config
 from repro.telemetry import (NULL_JOURNAL, audit_records,
                              collect_sweep_journal, get_journal)
-from repro.telemetry.tracediff import EXIT_DIVERGED, EXIT_OK, main
+from repro.telemetry.diffcore import EXIT_OK
+from repro.telemetry.diffcore import EXIT_REGRESSED as EXIT_DIVERGED
+from repro.telemetry.tracediff import main
 
 
 def tiny_config(x=0, seed=0):

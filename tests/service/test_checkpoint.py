@@ -20,7 +20,8 @@ from repro.service import (AdmissionService, ServiceCheckpoint,
                            read_checkpoint, truncate_journal,
                            write_checkpoint)
 from repro.service.checkpoint import JournalCursor
-from repro.telemetry.tracediff import first_divergence, load_journal
+from repro.telemetry.export import read_jsonl
+from repro.telemetry.tracediff import first_divergence
 
 
 def run_to_drain(service):
@@ -76,8 +77,8 @@ class TestResumeByteIdentity:
             assert open(config.journal_path, "rb").read() == \
                 baseline_bytes, f"bytes diverged for kill@{kill_slot}"
             divergence = first_divergence(
-                load_journal(baseline_config.journal_path),
-                load_journal(config.journal_path))
+                read_jsonl(baseline_config.journal_path),
+                read_jsonl(config.journal_path))
             assert divergence is None
 
     def test_resumed_counters_are_cumulative(self, make_service_config,

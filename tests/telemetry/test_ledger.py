@@ -11,7 +11,7 @@ from repro.telemetry import (MANIFEST_SCHEMA, RunManifest, append_ledger,
                              config_hash, diff_ledgers, git_revision,
                              latest_by_name, load_manifests,
                              manifest_from_sweeps, peak_rss_kb,
-                             read_ledger, write_bench)
+                             write_bench)
 
 
 def make_manifest(name="bench", reward=100.0, runtime=0.5,
@@ -146,31 +146,31 @@ class TestPersistence:
         second = make_manifest("b", reward=50.0)
         append_ledger(path, first)
         append_ledger(path, second)
-        assert read_ledger(path) == [first, second]
+        assert load_manifests(path) == [first, second]
 
     def test_ledger_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "nested" / "deep" / "ledger.jsonl"
         append_ledger(path, make_manifest())
-        assert len(read_ledger(path)) == 1
+        assert len(load_manifests(path)) == 1
 
     def test_ledger_skips_blank_lines(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         append_ledger(path, make_manifest())
         with path.open("a") as handle:
             handle.write("\n")
-        assert len(read_ledger(path)) == 1
+        assert len(load_manifests(path)) == 1
 
     def test_ledger_rejects_garbage(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ConfigurationError):
-            read_ledger(path)
+            load_manifests(path)
 
     def test_ledger_rejects_non_object_lines(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ConfigurationError):
-            read_ledger(path)
+            load_manifests(path)
 
     def test_bench_write_load_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_m.json"
@@ -210,7 +210,7 @@ class TestLedgerDiffIntegration:
     def test_identical_ledgers_report_no_regressions(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         append_ledger(path, make_manifest())
-        manifests = read_ledger(path)
+        manifests = load_manifests(path)
         report = diff_ledgers(manifests, manifests)
         assert report.ok
         assert report.compared_runs == ["bench"]

@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry.perfdiff import (EXIT_ERROR, EXIT_OK,
-                                      EXIT_REGRESSED, PerfDelta,
-                                      diff_digests, diff_profile_sets,
+from repro.telemetry.diffcore import EXIT_ERROR, EXIT_OK, EXIT_REGRESSED
+from repro.telemetry.diffcore import Row as PerfDelta
+from repro.telemetry.perfdiff import (diff_digests, diff_profile_sets,
                                       main, worst_regression)
 from repro.telemetry.profiling import (ProfileDigest, SpanProfile,
                                        write_profile_set)

@@ -123,6 +123,15 @@ class TestDiffManifests:
         assert report.ok
         assert any("total_reward" in item for item in report.missing)
 
+    def test_one_sided_wall_key_is_listed_not_dropped(self):
+        base = make_manifest(phases={"fig3": 1.0})
+        more = perturbed(base, phases={"fig3": 1.0, "fig4": 2.0})
+        report = diff_manifests(base, more, gate_wall=True)
+        assert report.ok
+        assert "bench: phase.fig4" in report.missing
+        assert "only on one side: bench: phase.fig4" in report.render()
+        assert "phase.fig4" not in {d.key for d in report.deltas}
+
     def test_negative_tolerance_rejected(self):
         manifest = make_manifest()
         with pytest.raises(ConfigurationError):
@@ -260,6 +269,23 @@ class TestCli:
         assert regression.main([old, slow, "--gate-wall-keys",
                                 "Greedy.runtime_s", "--wall-tol",
                                 "10"]) == 0
+
+    def test_typo_in_gate_wall_keys_exits_two(self, tmp_path, capsys):
+        old = self.bench(tmp_path, "old.json",
+                         make_manifest(runtime=1.0))
+        slow = self.bench(tmp_path, "slow.json",
+                          make_manifest(runtime=10.0))
+        assert regression.main([old, slow, "--gate-wall-keys",
+                                "Greedy.runtime_s"]) == 1
+        capsys.readouterr()
+        # A pattern matching no wall-clock key must not switch the
+        # gate off silently; one bad pattern in a list is enough.
+        assert regression.main([old, slow, "--gate-wall-keys",
+                                "Gredy.runtime_s"]) == 2
+        assert "'Gredy.runtime_s'" in capsys.readouterr().err
+        assert regression.main([old, slow, "--gate-wall-keys",
+                                "Greedy.runtime_s,phase.fgi3"]) == 2
+        assert "'phase.fgi3'" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         base = self.bench(tmp_path, "old.json", make_manifest())

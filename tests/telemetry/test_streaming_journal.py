@@ -123,8 +123,9 @@ class TestCrashConsistency:
         assert [p["request"] for p in parsed] == list(range(9))
 
     def test_crash_prefix_accepted_by_trace_diff(self, tmp_path):
-        from repro.telemetry.tracediff import (EXIT_DIVERGED, EXIT_OK,
-                                               main as trace_diff)
+        from repro.telemetry.diffcore import EXIT_OK
+        from repro.telemetry.diffcore import EXIT_REGRESSED as EXIT_DIVERGED
+        from repro.telemetry.tracediff import main as trace_diff
         full = tmp_path / "full.jsonl"
         with Journal(stream_path=str(full), flush_every=3) as journal:
             for event in make_events(12):

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro.telemetry.tracediff import (EXIT_DIVERGED, EXIT_ERROR,
-                                       EXIT_OK, diff_journals,
-                                       first_divergence, load_journal,
+from repro.exceptions import ConfigurationError
+from repro.telemetry.diffcore import EXIT_ERROR, EXIT_OK
+from repro.telemetry.diffcore import EXIT_REGRESSED as EXIT_DIVERGED
+from repro.telemetry.export import read_jsonl
+from repro.telemetry.tracediff import (diff_journals, first_divergence,
                                        main, render_divergence)
 
 
@@ -86,29 +88,32 @@ class TestDiffJournals:
 
 
 class TestLoadJournal:
+    """Journals load through the shared JSONL reader."""
+
     def test_round_trip(self, tmp_path):
         events = stream(3)
         path = write_jsonl(tmp_path / "a.jsonl", events)
-        assert load_journal(path) == events
+        assert read_jsonl(path) == events
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
         path.write_text('{"kind": "drop", "slot": 0}\n\n',
                         encoding="utf-8")
-        assert len(load_journal(str(path))) == 1
+        assert len(read_jsonl(str(path))) == 1
 
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "drop"}\nnot json\n',
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            load_journal(str(path))
+        with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
+            read_jsonl(str(path))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected a JSON object"):
-            load_journal(str(path))
+        with pytest.raises(ConfigurationError,
+                           match="expected a JSON object"):
+            read_jsonl(str(path))
 
 
 class TestCli:
@@ -139,6 +144,19 @@ class TestCli:
         bad = tmp_path / "b.jsonl"
         bad.write_text("nope\n", encoding="utf-8")
         assert main([a, str(bad)]) == EXIT_ERROR
+
+    def test_two_empty_journals_exit_two(self, tmp_path, capsys):
+        # Nothing compared is not "identical": a CI identity gate must
+        # not pass when neither run wrote a journal.
+        a = write_jsonl(tmp_path / "a.jsonl", [])
+        b = write_jsonl(tmp_path / "b.jsonl", [])
+        assert main([a, b]) == EXIT_ERROR
+        assert "identical" not in capsys.readouterr().out
+
+    def test_one_empty_journal_diverges(self, tmp_path):
+        a = write_jsonl(tmp_path / "a.jsonl", [])
+        b = write_jsonl(tmp_path / "b.jsonl", stream(2))
+        assert main([a, b]) == EXIT_DIVERGED
 
     def test_negative_context_exits_two(self, tmp_path):
         a = write_jsonl(tmp_path / "a.jsonl", stream(2))
