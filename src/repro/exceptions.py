@@ -49,6 +49,15 @@ class SchedulingError(ReproError):
     """
 
 
+class PersistenceError(ReproError):
+    """Durable state could not be written to disk.
+
+    For example: a full disk (ENOSPC) or a permission error (EACCES)
+    while writing a service checkpoint.  The previous checkpoint is left
+    in place.
+    """
+
+
 class InvariantViolation(ReproError):
     """A journaled decision stream broke one of the paper's invariants.
 

@@ -7,7 +7,9 @@ request generators / synthetic traces used by the evaluation.
 """
 
 from .tasks import ARTask, TaskPipeline, standard_ar_pipeline
-from .distributions import RateRewardDistribution, make_decaying_distribution
+from .distributions import (RateGrid, RateRewardDistribution,
+                            decaying_distribution_on_grid,
+                            make_decaying_distribution)
 from .request import ARRequest
 from .generator import RequestGenerator, slotted_arrivals
 from .arrivals import (PoissonArrivalStream, assign_arrival_slots,
@@ -18,7 +20,9 @@ __all__ = [
     "ARTask",
     "TaskPipeline",
     "standard_ar_pipeline",
+    "RateGrid",
     "RateRewardDistribution",
+    "decaying_distribution_on_grid",
     "make_decaying_distribution",
     "ARRequest",
     "RequestGenerator",

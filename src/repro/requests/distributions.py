@@ -26,30 +26,41 @@ from ..rng import RngLike, ensure_rng
 
 _PROB_TOL = 1e-9
 
+#: Relative magnitude of the per-level reward jitter (Section VI-A:
+#: "rewards of implementing requests with the same data rate vary").
+DEFAULT_PRICE_JITTER = 0.05
 
-class RateRewardDistribution:
-    """A discrete joint distribution over (data rate, reward) pairs.
+
+class RateGrid:
+    """A validated support ``DR`` and its rate probabilities.
+
+    Both arrays are read-only, so one grid can back the distribution of
+    every request drawn from the same workload parameters.
 
     Args:
-        rates_mbps: the support ``DR`` (MB/s), strictly increasing.
-        probabilities: ``pi_{j,rho}`` for each rate; must sum to 1.
-        rewards: ``RD_{j,rho}`` for each rate (dollars).
+        rates_mbps: the support (MB/s), positive and strictly
+            increasing.
+        probabilities: ``pi_rho`` for each rate; non-negative (up to a
+            rounding tolerance) and summing to 1.  Stored clipped at 0
+            and renormalized.
 
-    All three sequences must have equal length >= 1.
+    Attributes:
+        rates: the support as a read-only float array.
+        probabilities: the normalized probabilities, read-only.
     """
 
+    __slots__ = ("rates", "probabilities")
+
     def __init__(self, rates_mbps: Sequence[float],
-                 probabilities: Sequence[float],
-                 rewards: Sequence[float]) -> None:
-        rates = np.asarray(rates_mbps, dtype=float)
+                 probabilities: Sequence[float]) -> None:
+        rates = np.array(rates_mbps, dtype=float)
         probs = np.asarray(probabilities, dtype=float)
-        rwds = np.asarray(rewards, dtype=float)
         if rates.ndim != 1 or rates.size == 0:
             raise ConfigurationError("rates must be a non-empty 1-D sequence")
-        if rates.shape != probs.shape or rates.shape != rwds.shape:
+        if rates.shape != probs.shape:
             raise ConfigurationError(
-                "rates, probabilities and rewards must have equal length, "
-                f"got {rates.size}, {probs.size}, {rwds.size}")
+                "rates and probabilities must have equal length, "
+                f"got {rates.size}, {probs.size}")
         if np.any(rates <= 0):
             raise ConfigurationError("all rates must be positive")
         if np.any(np.diff(rates) <= 0):
@@ -60,11 +71,85 @@ class RateRewardDistribution:
         if abs(total - 1.0) > 1e-6:
             raise ConfigurationError(
                 f"probabilities must sum to 1, got {total}")
-        if np.any(rwds < 0):
+        probs = np.clip(probs, 0.0, None) / total
+        rates.flags.writeable = False
+        probs.flags.writeable = False
+        self.rates = rates
+        self.probabilities = probs
+
+    @classmethod
+    def decaying(cls, rate_range_mbps: Tuple[float, float], num_levels: int,
+                 decay: float) -> "RateGrid":
+        """The Section VI grid: evenly spaced rates, geometric decay.
+
+        Args:
+            rate_range_mbps: (min, max) of the grid; a single level sits
+                at the midpoint.
+            num_levels: size of the grid ``|DR|``.
+            decay: geometric decay factor in (0, 1]; 1 gives a uniform
+                distribution over rates.
+        """
+        lo, hi = rate_range_mbps
+        if not 0 < lo <= hi:
+            raise ConfigurationError(f"invalid rate range {rate_range_mbps}")
+        if num_levels < 1:
+            raise ConfigurationError(
+                f"need at least one level, got {num_levels}")
+        if not 0 < decay <= 1:
+            raise ConfigurationError(f"decay must lie in (0, 1], got {decay}")
+        if num_levels == 1:
+            rates = np.array([(lo + hi) / 2.0])
+        else:
+            rates = np.linspace(lo, hi, num_levels)
+        weights = decay ** np.arange(num_levels, dtype=float)
+        return cls(rates, weights / weights.sum())
+
+
+class RateRewardDistribution:
+    """A discrete joint distribution over (data rate, reward) pairs.
+
+    Args:
+        rates_mbps: the support ``DR`` (MB/s), strictly increasing.
+        probabilities: ``pi_{j,rho}`` for each rate; must sum to 1.
+        rewards: ``RD_{j,rho}`` for each rate (dollars).
+
+    All three sequences must have equal length >= 1.  Distributions
+    built by :meth:`on_grid` share their grid's arrays.
+    """
+
+    def __init__(self, rates_mbps: Sequence[float],
+                 probabilities: Sequence[float],
+                 rewards: Sequence[float]) -> None:
+        self._attach(RateGrid(rates_mbps, probabilities),
+                     np.asarray(rewards, dtype=float))
+
+    @classmethod
+    def on_grid(cls, grid: RateGrid,
+                rewards: np.ndarray) -> "RateRewardDistribution":
+        """Trusted constructor: rewards over an already validated grid.
+
+        The grid is not re-validated and its read-only arrays are shared,
+        not copied; only the rewards are checked.
+
+        Args:
+            grid: the shared support and probabilities.
+            rewards: a float array, one reward per grid level; kept
+                without a copy.
+        """
+        distribution = cls.__new__(cls)
+        distribution._attach(grid, rewards)
+        return distribution
+
+    def _attach(self, grid: RateGrid, rewards: np.ndarray) -> None:
+        if rewards.shape != grid.rates.shape:
+            raise ConfigurationError(
+                f"need one reward per rate, got {rewards.size} rewards "
+                f"for {grid.rates.size} rates")
+        if rewards.min() < 0:
             raise ConfigurationError("rewards must be non-negative")
-        self._rates = rates
-        self._probs = np.clip(probs, 0.0, None) / total
-        self._rewards = rwds
+        self._rates = grid.rates
+        self._probs = grid.probabilities
+        self._rewards = rewards
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,24 +266,14 @@ def make_decaying_distribution(
         decay: float,
         unit_price: float,
         rng: RngLike = None,
-        price_jitter: float = 0.05) -> RateRewardDistribution:
+        price_jitter: float = DEFAULT_PRICE_JITTER
+) -> RateRewardDistribution:
     """Build a request's (rate, reward) distribution the way Section VI does.
 
     Rates form an evenly spaced grid over `rate_range_mbps`;
     probabilities decay geometrically with the rate level (large rates
-    are rare, per the paper's observation citing [10]).
-
-    Rewards follow the paper's **demand-independent** model (Sections I
-    and III-C: "the rewards and data rates of requests are
-    independent"): every level of a request earns roughly the same
-    reward ``unit_price * billed_rate``, where the *billed* rate is one
-    independent draw from the rate range (the provider's pricing is set
-    per request - by contract, time period, and cost structure - not by
-    the realized sampling rate), perturbed per level by a small jitter
-    ("rewards of implementing requests with the same data rate vary").
-    Requests therefore differ substantially in value per unit of
-    computing resource, which is exactly the structure the expected-
-    reward-aware algorithms exploit and the baselines ignore.
+    are rare, per the paper's observation citing [10]).  Rewards are
+    drawn by :func:`decaying_distribution_on_grid`.
 
     Args:
         rate_range_mbps: (min, max) support of the rate grid.
@@ -212,29 +287,55 @@ def make_decaying_distribution(
     Returns:
         A validated :class:`RateRewardDistribution`.
     """
-    lo, hi = rate_range_mbps
-    if not 0 < lo <= hi:
-        raise ConfigurationError(f"invalid rate range {rate_range_mbps}")
-    if num_levels < 1:
-        raise ConfigurationError(
-            f"need at least one level, got {num_levels}")
-    if not 0 < decay <= 1:
-        raise ConfigurationError(f"decay must lie in (0, 1], got {decay}")
+    grid = RateGrid.decaying(rate_range_mbps, num_levels, decay)
     if unit_price < 0:
         raise ConfigurationError(
             f"unit price must be >= 0, got {unit_price}")
     if not 0 <= price_jitter < 1:
         raise ConfigurationError(
             f"price_jitter must lie in [0, 1), got {price_jitter}")
-    rng = ensure_rng(rng)
+    return decaying_distribution_on_grid(
+        grid, rate_range_mbps, unit_price, ensure_rng(rng), price_jitter)
 
-    if num_levels == 1:
-        rates = np.array([(lo + hi) / 2.0])
-    else:
-        rates = np.linspace(lo, hi, num_levels)
-    weights = decay ** np.arange(num_levels, dtype=float)
-    probs = weights / weights.sum()
-    billed_rate = float(rng.uniform(lo, hi))
-    jitter = 1.0 + price_jitter * (2.0 * rng.random(num_levels) - 1.0)
-    rewards = unit_price * billed_rate * jitter
-    return RateRewardDistribution(rates, probs, rewards)
+
+def decaying_distribution_on_grid(
+        grid: RateGrid,
+        rate_range_mbps: Tuple[float, float],
+        unit_price: float,
+        rng: np.random.Generator,
+        price_jitter: float = DEFAULT_PRICE_JITTER
+) -> RateRewardDistribution:
+    """Draw one request's rewards over a shared, validated grid.
+
+    Rewards follow the paper's **demand-independent** model (Sections I
+    and III-C: "the rewards and data rates of requests are
+    independent"): every level of a request earns roughly the same
+    reward ``unit_price * billed_rate``, where the *billed* rate is one
+    independent draw from the rate range (the provider's pricing is set
+    per request - by contract, time period, and cost structure - not by
+    the realized sampling rate), perturbed per level by a small jitter
+    ("rewards of implementing requests with the same data rate vary").
+    Requests therefore differ substantially in value per unit of
+    computing resource, which is exactly the structure the expected-
+    reward-aware algorithms exploit and the baselines ignore.
+
+    Draws the billed rate, then the per-level jitter vector.  The
+    caller vouches for `unit_price` >= 0 and `price_jitter` in [0, 1).
+
+    Args:
+        grid: the shared support and probabilities.
+        rate_range_mbps: (min, max) range of the billed rate.
+        unit_price: dollars per MB/s.
+        rng: randomness for the billed rate and per-level jitter.
+        price_jitter: relative magnitude of the per-level reward jitter.
+    """
+    billed_rate = float(rng.uniform(*rate_range_mbps))
+    # rewards = unit_price * billed_rate * (1 + jitter * (2u - 1)),
+    # evaluated in place: the same float operations in the same order.
+    rewards = rng.random(grid.rates.size)
+    rewards *= 2.0
+    rewards -= 1.0
+    rewards *= price_jitter
+    rewards += 1.0
+    rewards *= unit_price * billed_rate
+    return RateRewardDistribution.on_grid(grid, rewards)

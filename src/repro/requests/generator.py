@@ -17,7 +17,7 @@ from ..config import RequestConfig
 from ..exceptions import ConfigurationError
 from ..network.topology import MECNetwork
 from ..rng import RngLike, ensure_rng
-from .distributions import make_decaying_distribution
+from .distributions import RateGrid, decaying_distribution_on_grid
 from .request import ARRequest
 from .tasks import standard_ar_pipeline
 
@@ -37,8 +37,15 @@ class RequestGenerator:
                  rng: RngLike = None) -> None:
         config.validate()
         self._config = config
-        self._network = network
         self._rng = ensure_rng(rng)
+        # Everything below is the same for every request: build and
+        # validate it once, then share it read-only.
+        self._grid = RateGrid.decaying(config.data_rate_range_mbps,
+                                       config.num_rate_levels,
+                                       config.rate_decay)
+        station_ids = np.array(network.station_ids)
+        station_ids.flags.writeable = False
+        self._station_ids = station_ids
 
     @property
     def config(self) -> RequestConfig:
@@ -63,17 +70,15 @@ class RequestGenerator:
         cfg = self._config
         rng = self._rng
         if serving_station is None:
-            serving_station = int(rng.choice(self._network.station_ids))
+            # The draw rng.choice(ids) makes, without its argument checks.
+            station_ids = self._station_ids
+            serving_station = int(
+                station_ids[rng.integers(0, station_ids.size)])
         num_tasks = int(rng.integers(cfg.tasks_range[0],
                                      cfg.tasks_range[1] + 1))
         unit_price = float(rng.uniform(*cfg.reward_unit_range))
-        distribution = make_decaying_distribution(
-            rate_range_mbps=cfg.data_rate_range_mbps,
-            num_levels=cfg.num_rate_levels,
-            decay=cfg.rate_decay,
-            unit_price=unit_price,
-            rng=rng,
-        )
+        distribution = decaying_distribution_on_grid(
+            self._grid, cfg.data_rate_range_mbps, unit_price, rng)
         return ARRequest(
             request_id=request_id,
             serving_station=serving_station,

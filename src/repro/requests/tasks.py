@@ -22,7 +22,7 @@ its weight times the station's base per-``rho_unit`` delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..units import kb_to_mb
@@ -63,6 +63,9 @@ class ARTask:
 class TaskPipeline:
     """An ordered sequence of :class:`ARTask` stages.
 
+    Pipelines are immutable, so one instance can be shared by every
+    request with the same stages (see :func:`standard_ar_pipeline`).
+
     Args:
         tasks: the stages, predecessor first.
     """
@@ -71,6 +74,13 @@ class TaskPipeline:
         if not tasks:
             raise ConfigurationError("a pipeline needs at least one task")
         self._tasks: Tuple[ARTask, ...] = tuple(tasks)
+        self._total_compute_weight = float(
+            sum(task.compute_weight for task in self._tasks))
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # The stages are the state; the total is derived, so pickles
+        # written before it was stored load the same way.
+        self.__init__(state["_tasks"])
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -94,7 +104,7 @@ class TaskPipeline:
         station is this weight times the station's base task delay, i.e.
         ``sum_k d^pro_{jki}`` in Eq. (2).
         """
-        return float(sum(task.compute_weight for task in self._tasks))
+        return self._total_compute_weight
 
     @property
     def total_output_mb(self) -> float:
@@ -140,20 +150,7 @@ STANDARD_STAGES: Tuple[ARTask, ...] = (
 )
 
 
-def standard_ar_pipeline(num_tasks: int = 4) -> TaskPipeline:
-    """Build a pipeline from the canonical stages of [5].
-
-    Args:
-        num_tasks: number of stages, 1..8.  Up to 4 takes a prefix of
-            the canonical four; 5-8 appends lighter refinement stages
-            (the paper draws 3-5 tasks per request).
-
-    Returns:
-        A :class:`TaskPipeline` with `num_tasks` stages.
-    """
-    if not 1 <= num_tasks <= 8:
-        raise ConfigurationError(
-            f"num_tasks must be in [1, 8], got {num_tasks}")
+def _build_standard_pipeline(num_tasks: int) -> TaskPipeline:
     stages: List[ARTask] = list(STANDARD_STAGES[:num_tasks])
     extra = num_tasks - len(STANDARD_STAGES)
     for k in range(max(0, extra)):
@@ -163,3 +160,26 @@ def standard_ar_pipeline(num_tasks: int = 4) -> TaskPipeline:
             compute_weight=0.5,
         ))
     return TaskPipeline(stages)
+
+
+#: The standard pipelines of 1..8 stages, built once and shared.
+_STANDARD_PIPELINES: Tuple[TaskPipeline, ...] = tuple(
+    _build_standard_pipeline(n) for n in range(1, 9))
+
+
+def standard_ar_pipeline(num_tasks: int = 4) -> TaskPipeline:
+    """The shared pipeline built from the canonical stages of [5].
+
+    Args:
+        num_tasks: number of stages, 1..8.  Up to 4 takes a prefix of
+            the canonical four; 5-8 appends lighter refinement stages
+            (the paper draws 3-5 tasks per request).
+
+    Returns:
+        The one :class:`TaskPipeline` with `num_tasks` stages; every
+        call with the same count returns the same instance.
+    """
+    if not 1 <= num_tasks <= 8:
+        raise ConfigurationError(
+            f"num_tasks must be in [1, 8], got {num_tasks}")
+    return _STANDARD_PIPELINES[num_tasks - 1]

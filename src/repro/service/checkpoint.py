@@ -11,8 +11,10 @@ journal of the resumed run is byte-for-byte the journal of an
 uninterrupted run (``trace-diff`` exit 0).
 
 Files are written atomically (temp file + ``os.replace``) so a crash
-mid-checkpoint leaves the previous checkpoint intact.  The payload is a
-pickle of plain dataclasses and numpy generator states - everything the
+mid-checkpoint leaves the previous checkpoint intact; an I/O error does
+too, and surfaces as a typed
+:class:`~repro.exceptions.PersistenceError`.  The payload is a pickle
+of plain dataclasses and numpy generator states - everything the
 repository already keeps deterministic.  No solver state is stored:
 every LP is built and solved from scratch, so a resumed run needs
 none.
@@ -20,12 +22,13 @@ none.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, PersistenceError
 
 #: Format tag stored in every checkpoint; bumped on layout changes so a
 #: stale file fails loudly instead of resuming garbage.  /2 added the
@@ -89,18 +92,29 @@ def write_checkpoint(path: str, checkpoint: ServiceCheckpoint) -> str:
 
     The temp file lives next to the target so ``os.replace`` stays on
     one filesystem (rename atomicity).
+
+    Raises:
+        PersistenceError: when the write fails (e.g. ENOSPC, EACCES).
+            The temp file is removed and the previous checkpoint at
+            `path`, if any, is left untouched.
     """
     if checkpoint.schema != CHECKPOINT_SCHEMA:
         raise ConfigurationError(
             f"checkpoint schema mismatch: {checkpoint.schema!r}")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        pickle.dump(checkpoint, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(tmp, "wb") as handle:
+            pickle.dump(checkpoint, handle,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError as error:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise PersistenceError(
+            f"could not write checkpoint {path}: {error}") from error
     return path
 
 

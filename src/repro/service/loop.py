@@ -342,6 +342,10 @@ class AdmissionService:
         steps, ADMIT_DEFERRED after it (a request is deferred when it
         was accepted this slot but the policy left it pending), and the
         CHECKPOINT marker closes the slot.
+
+        Raises:
+            PersistenceError: when this slot's checkpoint cannot be
+                written; the previous checkpoint stays resumable.
         """
         if self.done:
             raise ConfigurationError("service already drained; "

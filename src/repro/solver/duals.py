@@ -5,7 +5,8 @@ questions directly: the dual of a station's capacity row is the
 marginal expected reward of one more unit of expected rate at that
 station; a zero dual means the station is not the bottleneck.
 
-Duals come from the HiGHS backend (``linprog``'s ``marginals``); the
+Duals come from the HiGHS backend (the row ``marginals`` of
+:func:`~repro.solver.scipy_backend.linprog_highs`); the
 sign convention is normalized so that **a positive dual on a binding
 ``<=`` row means relaxing that row increases the (maximized)
 objective**.
@@ -16,12 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-from scipy import optimize
-
-from ..exceptions import InfeasibleProblemError, SolverError, \
-    UnboundedProblemError
 from .model import LinearProgram
+from .scipy_backend import linprog_highs
 
 
 @dataclass(frozen=True)
@@ -57,32 +54,9 @@ def solve_lp_with_duals(lp: LinearProgram) -> DualSolution:
 
     Raises:
         InfeasibleProblemError / UnboundedProblemError / SolverError:
-            per the usual status mapping.
+            as :func:`~repro.solver.scipy_backend.linprog_highs`.
     """
-    c = lp.objective_vector()
-    if lp.maximize:
-        c = -c
-    a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
-    bounds = lp.uniform_bounds()
-    if bounds is None:
-        bounds = lp.bounds()
-    result = optimize.linprog(
-        c,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if b_eq.shape[0] else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        if result.status == 2:
-            raise InfeasibleProblemError(f"{lp.name}: {result.message}")
-        if result.status == 3:
-            raise UnboundedProblemError(f"{lp.name}: {result.message}")
-        raise SolverError(f"{lp.name}: status {result.status}: "
-                          f"{result.message}")
-
+    result = linprog_highs(lp)
     # Re-associate rows with constraint names in model order.  The
     # export emits <= rows (>= rows negated) first, then == rows,
     # preserving insertion order within each group.
@@ -92,18 +66,10 @@ def solve_lp_with_duals(lp: LinearProgram) -> DualSolution:
     duals: Dict[str, float] = {}
     slacks: Dict[str, float] = {}
     sign = -1.0 if lp.maximize else 1.0
-    if a_ub.size:
-        marginals = np.asarray(result.ineqlin.marginals)
-        residuals = np.asarray(result.ineqlin.residual)
-        for name, marginal, residual in zip(ub_names, marginals,
-                                            residuals):
-            duals[name] = float(sign * marginal)
-            slacks[name] = float(residual)
-    if a_eq.size:
-        marginals = np.asarray(result.eqlin.marginals)
-        residuals = np.asarray(result.eqlin.residual)
-        for name, marginal, residual in zip(eq_names, marginals,
-                                            residuals):
+    for names, rows in ((ub_names, result.ineqlin),
+                        (eq_names, result.eqlin)):
+        for name, marginal, residual in zip(names, rows.marginals,
+                                            rows.residual):
             duals[name] = float(sign * marginal)
             slacks[name] = float(residual)
 

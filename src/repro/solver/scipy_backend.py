@@ -28,14 +28,20 @@ def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
                       f"{message}")
 
 
-def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
-    """Solve the continuous relaxation with ``scipy.optimize.linprog``.
+def linprog_highs(lp: LinearProgram) -> optimize.OptimizeResult:
+    """Solve the continuous relaxation with ``linprog(method="highs")``.
 
-    Integrality flags are ignored.
+    The one place an LP reaches HiGHS.  Integrality flags are ignored.
 
     Returns:
-        ``(objective, x)``: the objective in the model's natural
-        direction and the solution in column order.
+        scipy's result of the successful solve: ``x`` in column order,
+        the objective in minimization form, and per-row ``marginals``
+        and ``residual`` under ``ineqlin`` (the ``<=`` rows, ``>=`` rows
+        negated) and ``eqlin`` (the ``==`` rows).
+
+    Raises:
+        InfeasibleProblemError / UnboundedProblemError / SolverError:
+            per :func:`_raise_for_status`.
     """
     c = lp.objective_vector()
     if lp.maximize:
@@ -57,6 +63,17 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     )
     if not result.success:
         _raise_for_status(lp, result.status, result.message)
+    return result
+
+
+def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
+    """Solve the continuous relaxation with HiGHS (:func:`linprog_highs`).
+
+    Returns:
+        ``(objective, x)``: the objective in the model's natural
+        direction and the solution in column order.
+    """
+    result = linprog_highs(lp)
     return lp.objective_value(result.x), result.x
 
 

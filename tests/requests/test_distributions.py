@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.requests.distributions import (RateRewardDistribution,
+from repro.requests.distributions import (RateGrid, RateRewardDistribution,
+                                          decaying_distribution_on_grid,
                                           make_decaying_distribution)
 
 
@@ -170,3 +171,50 @@ class TestFactory:
         assert dist.expected_rate() >= 30.0
         assert dist.expected_reward_within(50.0) == pytest.approx(
             dist.expected_reward())
+
+
+class TestSharedGrid:
+    def test_grid_arrays_read_only_and_copied(self):
+        rates = np.array([1.0, 2.0, 3.0])
+        grid = RateGrid(rates, [0.5, 0.3, 0.2])
+        rates[0] = 0.5  # the caller's array stays the caller's
+        assert grid.rates[0] == 1.0
+        with pytest.raises(ValueError):
+            grid.rates[0] = 9.0
+        with pytest.raises(ValueError):
+            grid.probabilities[0] = 9.0
+
+    def test_grid_validation(self):
+        with pytest.raises(ConfigurationError):
+            RateGrid([1.0, 2.0], [1.0])
+        with pytest.raises(ConfigurationError):
+            RateGrid([2.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ConfigurationError):
+            RateGrid.decaying((30.0, 50.0), 5, 1.5)
+
+    def test_on_grid_checks_rewards(self):
+        grid = RateGrid.decaying((30.0, 50.0), 3, 0.8)
+        with pytest.raises(ConfigurationError):
+            RateRewardDistribution.on_grid(grid, np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ConfigurationError):
+            RateRewardDistribution.on_grid(grid, np.array([1.0, 1.0]))
+
+    def test_on_grid_equals_validating_constructor(self):
+        grid = RateGrid.decaying((30.0, 50.0), 4, 0.7)
+        rewards = np.array([400.0, 410.0, 395.0, 405.0])
+        shared = RateRewardDistribution.on_grid(grid, rewards)
+        checked = RateRewardDistribution(grid.rates, grid.probabilities,
+                                         rewards)
+        for field in ("rates_mbps", "probabilities", "rewards"):
+            assert (getattr(shared, field).tobytes()
+                    == getattr(checked, field).tobytes())
+
+    def test_factory_draws_over_the_same_grid(self):
+        grid = RateGrid.decaying((30.0, 50.0), 5, 0.6)
+        direct = decaying_distribution_on_grid(
+            grid, (30.0, 50.0), 13.0, np.random.default_rng(4))
+        factory = make_decaying_distribution((30.0, 50.0), 5, 0.6, 13.0,
+                                             rng=np.random.default_rng(4))
+        for field in ("rates_mbps", "probabilities", "rewards"):
+            assert (getattr(direct, field).tobytes()
+                    == getattr(factory, field).tobytes())

@@ -1,5 +1,7 @@
 """Unit tests for AR task pipelines."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -96,3 +98,15 @@ class TestStandardPipelineFactory:
             standard_ar_pipeline(0)
         with pytest.raises(ConfigurationError):
             standard_ar_pipeline(9)
+
+    def test_pickle_keeps_total_weight(self):
+        pipeline = standard_ar_pipeline(6)
+        copy = pickle.loads(pickle.dumps(pipeline))
+        assert copy.tasks == pipeline.tasks
+        assert copy.total_compute_weight == pipeline.total_compute_weight
+
+    def test_stages_only_state_derives_total_weight(self):
+        """A pickle that stored only the stages still loads whole."""
+        restored = TaskPipeline.__new__(TaskPipeline)
+        restored.__setstate__({"_tasks": STANDARD_STAGES})
+        assert restored.total_compute_weight == 5.0

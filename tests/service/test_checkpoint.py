@@ -9,13 +9,16 @@ parsed events; byte equality is the stronger claim).
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import (ConfigurationError, PersistenceError,
+                              ReproError)
 from repro.service import (AdmissionService, ServiceCheckpoint,
                            read_checkpoint, truncate_journal,
                            write_checkpoint)
@@ -165,3 +168,57 @@ class TestCheckpointFiles:
         path.write_bytes(b"a" * 10)
         with pytest.raises(ConfigurationError):
             truncate_journal(str(path), 40)
+
+
+class TestWriteFailures:
+    """An I/O error mid-write leaves no temp file and no torn checkpoint:
+    it raises a typed error and the previous checkpoint still resumes."""
+
+    @pytest.fixture()
+    def first(self, make_service_config, tmp_path):
+        """A service that has written its first checkpoint."""
+        config = checkpointed_config(make_service_config, tmp_path, "io")
+        service = AdmissionService(config)
+        while service.last_checkpoint_slot is None:
+            service.tick()
+        return service, config.checkpoint_path
+
+    @pytest.mark.parametrize("target, code", [
+        ("pickle.dump", errno.ENOSPC),
+        ("os.fsync", errno.ENOSPC),
+        ("os.replace", errno.EACCES),
+    ])
+    def test_io_error_raises_typed_and_keeps_previous(
+            self, first, monkeypatch, target, code):
+        service, path = first
+        previous = read_checkpoint(path)
+
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        module, name = target.split(".")
+        monkeypatch.setattr(f"repro.service.checkpoint.{module}.{name}",
+                            fail)
+        with pytest.raises(PersistenceError, match=os.strerror(code)):
+            while service.last_checkpoint_slot == previous.slot:
+                service.tick()
+        monkeypatch.undo()
+        assert not os.path.exists(path + ".tmp")
+        kept = read_checkpoint(path)
+        assert kept.slot == previous.slot
+        assert kept.journal == previous.journal
+        resumed = AdmissionService.resume(path)
+        run_to_drain(resumed)
+
+    def test_error_is_a_repro_error(self, tmp_path, monkeypatch):
+        checkpoint = ServiceCheckpoint(
+            config={}, slot=1, engine_state={}, policy_state=None,
+            stream_state={}, journal=JournalCursor())
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("repro.service.checkpoint.pickle.dump", fail)
+        with pytest.raises(ReproError):
+            write_checkpoint(str(tmp_path / "c.ckpt"), checkpoint)
+        assert list(tmp_path.iterdir()) == []

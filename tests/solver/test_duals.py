@@ -1,10 +1,13 @@
 """Tests for LP dual extraction."""
 
 import pytest
+from scipy import optimize
 
+from repro.core.lp_relaxation import build_lp_relaxation
 from repro.exceptions import InfeasibleProblemError
 from repro.solver.duals import solve_lp_with_duals
 from repro.solver.model import LinearProgram
+from repro.solver.scipy_backend import solve_lp_scipy
 
 
 class TestTextbookDuals:
@@ -77,3 +80,53 @@ class TestMinimization:
         dual = solve_lp_with_duals(lp)
         assert dual.objective == pytest.approx(3.0)
         assert "floor" in dual.binding()
+
+
+class TestSharedEntryPoint:
+    """The duals go through the same HiGHS call as ``solve_lp``; on the
+    capacity-sensitivity LP they match a direct ``linprog`` call bit for
+    bit."""
+
+    @staticmethod
+    def direct_duals(lp):
+        """Duals from an inline ``linprog`` call, as ``solve_lp_with_duals``
+        made it before it shared the backend's entry point."""
+        c = lp.objective_vector()
+        if lp.maximize:
+            c = -c
+        a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
+        bounds = lp.uniform_bounds()
+        if bounds is None:
+            bounds = lp.bounds()
+        result = optimize.linprog(
+            c, A_ub=a_ub if a_ub.shape[0] else None,
+            b_ub=b_ub if b_ub.size else None,
+            A_eq=a_eq if a_eq.shape[0] else None,
+            b_eq=b_eq if b_eq.shape[0] else None,
+            bounds=bounds, method="highs")
+        sign = -1.0 if lp.maximize else 1.0
+        ub_names = [con.name for con in lp.constraints
+                    if con.sense in ("<=", ">=")]
+        eq_names = [con.name for con in lp.constraints
+                    if con.sense == "=="]
+        duals, slacks = {}, {}
+        for names, rows, size in ((ub_names, result.ineqlin, a_ub.size),
+                                  (eq_names, result.eqlin, a_eq.size)):
+            if size:
+                for name, marginal, residual in zip(
+                        names, rows.marginals, rows.residual):
+                    duals[name] = float(sign * marginal)
+                    slacks[name] = float(residual)
+        return lp.objective_value(result.x), duals, slacks
+
+    def test_sensitivity_lp_identical(self, small_instance, small_workload):
+        lp, _index = build_lp_relaxation(small_instance, small_workload)
+        assert any(con.name.startswith("capacity_")
+                   for con in lp.constraints)
+        objective, duals, slacks = self.direct_duals(lp)
+        shared = solve_lp_with_duals(lp)
+        assert shared.objective == objective
+        assert shared.duals == duals
+        assert shared.slacks == slacks
+        assert list(shared.duals) == list(duals)
+        assert objective == solve_lp_scipy(lp)[0]

@@ -4,8 +4,8 @@ import pytest
 
 from repro.exceptions import (BanditError, CapacityError,
                               ConfigurationError,
-                              InfeasibleProblemError, ReproError,
-                              SchedulingError, SolverError,
+                              InfeasibleProblemError, PersistenceError,
+                              ReproError, SchedulingError, SolverError,
                               UnboundedProblemError)
 
 
@@ -13,7 +13,7 @@ class TestHierarchy:
     @pytest.mark.parametrize("exc", [
         ConfigurationError, InfeasibleProblemError,
         UnboundedProblemError, SolverError, CapacityError,
-        SchedulingError, BanditError])
+        SchedulingError, BanditError, PersistenceError])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
         assert issubclass(exc, Exception)
