@@ -53,8 +53,8 @@ class PersistenceError(ReproError):
     """Durable state could not be written to disk.
 
     For example: a full disk (ENOSPC) or a permission error (EACCES)
-    while writing a service checkpoint.  The previous checkpoint is left
-    in place.
+    while writing a service checkpoint or a streaming journal.  The
+    previous checkpoint is left in place.
     """
 
 

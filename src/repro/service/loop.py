@@ -344,8 +344,9 @@ class AdmissionService:
         CHECKPOINT marker closes the slot.
 
         Raises:
-            PersistenceError: when this slot's checkpoint cannot be
-                written; the previous checkpoint stays resumable.
+            PersistenceError: when this slot's checkpoint or journal
+                cannot be written; the previous checkpoint stays
+                resumable.
         """
         if self.done:
             raise ConfigurationError("service already drained; "

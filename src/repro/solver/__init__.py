@@ -11,7 +11,7 @@ provides everything needed to solve them:
 * :mod:`~repro.solver.branch_and_bound` - a from-scratch best-first
   branch-and-bound ILP solver on top of any LP backend,
 * :mod:`~repro.solver.scipy_backend` - adapters to scipy's HiGHS
-  ``linprog`` / ``milp`` for large instances,
+  (``_highs_wrapper`` for LPs, ``milp``) for large instances,
 * :func:`~repro.solver.interface.solve_lp` /
   :func:`~repro.solver.interface.solve_ilp` - the dispatch layer.
 

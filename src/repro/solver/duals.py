@@ -56,22 +56,15 @@ def solve_lp_with_duals(lp: LinearProgram) -> DualSolution:
         InfeasibleProblemError / UnboundedProblemError / SolverError:
             as :func:`~repro.solver.scipy_backend.linprog_highs`.
     """
-    result = linprog_highs(lp)
+    x, _fun, marginals, residuals = linprog_highs(lp)
     # Re-associate rows with constraint names in model order.  The
     # export emits <= rows (>= rows negated) first, then == rows,
     # preserving insertion order within each group.
-    ub_names = [con.name for con in lp.constraints
-                if con.sense in ("<=", ">=")]
-    eq_names = [con.name for con in lp.constraints if con.sense == "=="]
-    duals: Dict[str, float] = {}
-    slacks: Dict[str, float] = {}
+    names = [con.name for con in lp.constraints
+             if con.sense in ("<=", ">=")]
+    names += [con.name for con in lp.constraints if con.sense == "=="]
     sign = -1.0 if lp.maximize else 1.0
-    for names, rows in ((ub_names, result.ineqlin),
-                        (eq_names, result.eqlin)):
-        for name, marginal, residual in zip(names, rows.marginals,
-                                            rows.residual):
-            duals[name] = float(sign * marginal)
-            slacks[name] = float(residual)
-
-    return DualSolution(objective=lp.objective_value(result.x),
-                        duals=duals, slacks=slacks)
+    duals = dict(zip(names, (sign * marginals).tolist()))
+    slacks = dict(zip(names, residuals.tolist()))
+    return DualSolution(objective=lp.objective_value(x), duals=duals,
+                        slacks=slacks)

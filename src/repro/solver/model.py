@@ -414,20 +414,6 @@ class LinearProgram:
         return list(zip(self._low.array().tolist(),
                         self._high.array().tolist()))
 
-    def uniform_bounds(self) -> Optional[Tuple[float, float]]:
-        """The single (low, high) pair shared by *every* variable.
-
-        Returns None when variables disagree (or there are none).  The
-        paper's programs bound every ``y`` by [0, 1], and scipy accepts
-        one shared pair without materializing the per-variable list.
-        """
-        low, high = self._low.array(), self._high.array()
-        # Exact on purpose: the shared pair must be the *same floats*
-        # the per-variable list would carry.
-        if low.size and (low == low[0]).all() and (high == high[0]).all():
-            return float(low[0]), float(high[0])
-        return None
-
     def with_bounds(self, low: np.ndarray,
                     high: np.ndarray) -> "LinearProgram":
         """A copy of this model with every column's bounds replaced."""

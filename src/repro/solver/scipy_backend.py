@@ -11,11 +11,22 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.optimize._linprog_highs import (_highs_to_scipy_status_message,
+                                           _highs_wrapper)
+from scipy.optimize._linprog_util import _check_result
 
 from ..exceptions import (InfeasibleProblemError, SolverError,
                           UnboundedProblemError)
 from .model import LinearProgram
+
+#: The options ``linprog(method="highs")`` sets to a value other than
+#: HiGHS's default; it leaves the dual simplex strategy and the debug
+#: level at their defaults and the unset tolerances and limits to HiGHS.
+_HIGHS_OPTIONS = {"presolve": True, "output_flag": False,
+                  "log_to_console": False}
+#: ``linprog``'s feasibility tolerance for its post-solve check.
+_CHECK_TOL = 1e-9
 
 
 def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
@@ -28,42 +39,51 @@ def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
                       f"{message}")
 
 
-def linprog_highs(lp: LinearProgram) -> optimize.OptimizeResult:
-    """Solve the continuous relaxation with ``linprog(method="highs")``.
+def linprog_highs(lp: LinearProgram) -> Tuple[np.ndarray, float,
+                                               np.ndarray, np.ndarray]:
+    """Solve the continuous relaxation with one HiGHS call.
 
     The one place an LP reaches HiGHS.  Integrality flags are ignored.
+    HiGHS gets the model, options, status mapping and feasibility check
+    of ``linprog(method="highs")``, without its input cleaning and
+    matrix rebuild.
 
     Returns:
-        scipy's result of the successful solve: ``x`` in column order,
-        the objective in minimization form, and per-row ``marginals``
-        and ``residual`` under ``ineqlin`` (the ``<=`` rows, ``>=`` rows
-        negated) and ``eqlin`` (the ``==`` rows).
+        ``(x, fun, marginals, residuals)``: ``x`` in column order, the
+        objective in minimization form, and per-row duals and
+        ``rhs - A @ x`` in :meth:`LinearProgram.sparse_rows` order
+        (the ``<=`` rows, ``>=`` rows negated, then the ``==`` rows).
 
     Raises:
         InfeasibleProblemError / UnboundedProblemError / SolverError:
-            per :func:`_raise_for_status`.
+            per :func:`_raise_for_status`; a solution that fails
+            ``linprog``'s post-solve feasibility check is a SolverError.
     """
     c = lp.objective_vector()
     if lp.maximize:
         c = -c
     a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
-    # One shared (low, high) pair solves identically to the expanded
-    # per-variable list but skips scipy's O(n) bounds parsing.
-    bounds = lp.uniform_bounds()
-    if bounds is None:
-        bounds = lp.bounds()
-    result = optimize.linprog(
-        c,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        _raise_for_status(lp, result.status, result.message)
-    return result
+    a = sparse.csr_array(
+        (np.concatenate((a_ub.data, a_eq.data)),
+         np.concatenate((a_ub.indices, a_eq.indices)),
+         np.concatenate((a_ub.indptr, a_eq.indptr[1:] + a_ub.nnz))),
+        shape=(b_ub.size + b_eq.size, c.size)).tocsc()
+    lhs = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    rhs = np.concatenate((b_ub, b_eq))
+    low, high = lp.lows(), lp.highs()
+    res = _highs_wrapper(c, a.indptr, a.indices, a.data, lhs, rhs, low,
+                         high, np.empty(0, dtype=np.uint8), _HIGHS_OPTIONS)
+    status, message = _highs_to_scipy_status_message(res.get("status"),
+                                                     res.get("message"))
+    # Without a solution there is no "slack"; the check then only turns
+    # a status 0 into 4.
+    x, residuals = res["x"], res.get("slack", np.empty(0))
+    status, message = _check_result(
+        x, res["fun"], status, residuals[:b_ub.size], residuals[b_ub.size:],
+        np.column_stack((low, high)), _CHECK_TOL, message, None)
+    if status != 0:
+        _raise_for_status(lp, status, message)
+    return x, res["fun"], res["lambda"], residuals
 
 
 def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
@@ -73,8 +93,8 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
         ``(objective, x)``: the objective in the model's natural
         direction and the solution in column order.
     """
-    result = linprog_highs(lp)
-    return lp.objective_value(result.x), result.x
+    x = linprog_highs(lp)[0]
+    return lp.objective_value(x), x
 
 
 def solve_ilp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
-from ..exceptions import ConfigurationError, InvariantViolation
+from ..exceptions import (ConfigurationError, InvariantViolation,
+                          PersistenceError)
 from .export import collect_sweep_trace
 from .metrics import get_metrics
 
@@ -112,6 +113,9 @@ class Journal:
             only syscall batching changes).
         append: reopen ``stream_path`` and append instead of truncating.
         already_recorded: events already in the reopened file.
+
+    Raises:
+        PersistenceError: ``stream_path`` cannot be opened.
     """
 
     enabled = True
@@ -135,9 +139,14 @@ class Journal:
         self._total = int(already_recorded) if append else 0
         self._handle = None
         if stream_path is not None:
-            self._handle = open(stream_path, "ab" if append else "wb")
-            self._handle.seek(0, os.SEEK_END)
-            self._bytes = self._handle.tell()
+            try:
+                self._handle = open(stream_path, "ab" if append else "wb")
+                self._handle.seek(0, os.SEEK_END)
+                self._bytes = self._handle.tell()
+            except OSError as error:
+                raise PersistenceError(
+                    f"could not open journal {stream_path}: {error}"
+                ) from error
         else:
             self._bytes = 0
 
@@ -173,14 +182,25 @@ class Journal:
 
         No-op for in-memory journals.  Lines match
         :func:`~repro.telemetry.export.write_jsonl` byte for byte.
+
+        Raises:
+            PersistenceError: the write failed (e.g. ENOSPC, EACCES).
+                The buffered events and :meth:`byte_position` are left
+                as they were; the file may end in a torn line, which a
+                checkpoint resume truncates away.
         """
         if self._handle is None or not self._events:
             return
         chunk = "".join(json.dumps(event, sort_keys=True) + "\n"
                         for event in self._events)
         data = chunk.encode("utf-8")
-        self._handle.write(data)
-        self._handle.flush()
+        try:
+            self._handle.write(data)
+            self._handle.flush()
+        except OSError as error:
+            raise PersistenceError(
+                f"could not write journal {self._stream_path}: {error}"
+            ) from error
         self._bytes += len(data)
         self._events.clear()
 

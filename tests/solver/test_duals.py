@@ -95,15 +95,12 @@ class TestSharedEntryPoint:
         if lp.maximize:
             c = -c
         a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
-        bounds = lp.uniform_bounds()
-        if bounds is None:
-            bounds = lp.bounds()
         result = optimize.linprog(
             c, A_ub=a_ub if a_ub.shape[0] else None,
             b_ub=b_ub if b_ub.size else None,
             A_eq=a_eq if a_eq.shape[0] else None,
             b_eq=b_eq if b_eq.shape[0] else None,
-            bounds=bounds, method="highs")
+            bounds=lp.bounds(), method="highs")
         sign = -1.0 if lp.maximize else 1.0
         ub_names = [con.name for con in lp.constraints
                     if con.sense in ("<=", ">=")]

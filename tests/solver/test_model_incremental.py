@@ -7,8 +7,6 @@ produced lazily, and backends export CSR matrices in O(nnz)
 byte-identical semantics to the scalar/dense paths.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -177,20 +175,3 @@ class TestSparseExport:
         a_ub, _, a_eq, b_eq = lp.sparse_rows()
         assert a_eq.shape == (0, 2)
         assert b_eq.size == 0
-
-
-class TestUniformBounds:
-    def test_shared_pair(self):
-        lp = LinearProgram()
-        lp.add_columns((0.0,) * 3, (1.0,) * 3, (0.0,) * 3,
-                       ["a", "b", "c"])
-        assert lp.uniform_bounds() == (0.0, 1.0)
-
-    def test_disagreement_returns_none(self):
-        lp = LinearProgram()
-        lp.add_variable("a", low=0.0, high=1.0)
-        lp.add_variable("b", low=0.0, high=math.inf)
-        assert lp.uniform_bounds() is None
-
-    def test_empty_model_returns_none(self):
-        assert LinearProgram().uniform_bounds() is None

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PersistenceError
 from repro.sim.events import Event, EventKind
+from repro.telemetry import audit
 from repro.telemetry.audit import Journal
 from repro.telemetry.export import write_jsonl
 
@@ -185,6 +189,64 @@ class TestCrashConsistency:
         with NULL_JOURNAL as journal:
             journal.record({"kind": "arrival"})
         assert journal.events() == []
+
+
+class _FailingHandle:
+    """A stream handle whose writes fail with one errno."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def write(self, data):
+        raise OSError(self.code, os.strerror(self.code))
+
+
+class TestIoFaults:
+    """A full disk or a permission error on the stream file surfaces as
+    a typed error naming the file, and a failed flush loses nothing."""
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    def test_open_failure(self, tmp_path, monkeypatch, code):
+        path = str(tmp_path / "j.jsonl")
+
+        def refuse(name, mode):
+            raise OSError(code, os.strerror(code), name)
+
+        monkeypatch.setattr(audit, "open", refuse, raising=False)
+        with pytest.raises(PersistenceError, match=re.escape(path)) as caught:
+            Journal(stream_path=path)
+        assert caught.value.__cause__.errno == code
+
+    def test_missing_directory(self, tmp_path):
+        path = str(tmp_path / "missing" / "j.jsonl")
+        with pytest.raises(PersistenceError, match=re.escape(path)):
+            Journal(stream_path=path)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    def test_flush_failure_keeps_buffer_and_position(self, tmp_path, code):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(stream_path=str(path), flush_every=4)
+        for event in make_events(3):
+            journal.record(event)
+        written = journal.byte_position()
+        pending = make_events(4)
+        for event in pending[:3]:
+            journal.record(event)
+        handle = journal._handle
+        journal._handle = _FailingHandle(code)
+        # The fourth record fills the buffer and flushes.
+        with pytest.raises(PersistenceError,
+                           match=re.escape(str(path))) as caught:
+            journal.record(pending[3])
+        assert caught.value.__cause__.errno == code
+        assert journal._bytes == written
+        assert journal.events() == [e.to_record() for e in pending]
+        assert journal.total_recorded == 7
+        # Once the disk recovers, the next flush writes everything.
+        journal._handle = handle
+        assert journal.byte_position() == path.stat().st_size
+        journal.close()
+        assert len(path.read_text().splitlines()) == 7
 
 
 class TestInMemoryUnchanged:
