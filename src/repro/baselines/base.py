@@ -159,8 +159,7 @@ class OnlineBaselinePolicy:
 
     def _feasible_stations(self, request: ARRequest) -> List[int]:
         """Stations meeting the deadline if placed this slot, nearest
-        first (:meth:`LatencyModel.feasible_stations` at the wait)."""
+        first (:meth:`OnlineEngine.feasible_stations`)."""
         engine = self._engine
         assert engine is not None
-        return engine.instance.latency.feasible_stations(
-            request, engine.waiting_ms(request, self._slot))
+        return engine.feasible_stations(request, self._slot)

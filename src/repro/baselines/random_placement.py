@@ -79,3 +79,11 @@ class RandomOnline(OnlineBaselinePolicy):
         if not candidates:
             return None
         return int(self._rng.choice(candidates))
+
+    def export_state(self) -> dict:
+        """The placement RNG state (the service checkpoints it)."""
+        return {"rng_state": self._rng.bit_generator.state}
+
+    def restore_state(self, state: dict) -> None:
+        """Install a snapshot produced by :meth:`export_state`."""
+        self._rng.bit_generator.state = state["rng_state"]

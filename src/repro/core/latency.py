@@ -18,6 +18,7 @@ a view of it, and :func:`meets_deadline` is the one Eq. (1) test.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -40,6 +41,13 @@ def meets_deadline(latency_ms, deadline_ms):
     in ``station_ids`` order.
     """
     return latency_ms <= deadline_ms + _DEADLINE_TOL_MS
+
+
+def deadline_prefix(delays, waiting_ms, deadline_ms) -> int:
+    """How many of the ascending `delays` meet the deadline after
+    `waiting_ms` (a prefix, as IEEE addition is monotone)."""
+    return bisect_left(delays, True, key=lambda delay: not meets_deadline(
+        waiting_ms + delay, deadline_ms))
 
 
 def _checked_waiting(waiting_ms: float) -> float:
@@ -184,18 +192,21 @@ class LatencyModel:
         return meets_deadline(self.total_delay_ms(
             request, station_id, waiting_ms), request.deadline_ms)
 
+    def ranked_stations(self, request: ARRequest
+                        ) -> Tuple[List[int], List[float]]:
+        """Station ids by ``(placement delay, id)``, and their delays."""
+        ranked = sorted(zip(self.placement_delays(request).tolist(),
+                            self._ids))
+        return [sid for _, sid in ranked], [delay for delay, _ in ranked]
+
     def feasible_stations(self, request: ARRequest,
                           waiting_ms: float = 0.0) -> List[int]:
-        """Stations meeting the deadline, sorted by placement delay.
+        """Stations meeting the deadline: a prefix of the ranking.
 
         This is the pruning that enforces constraint (11) inside the LP
         (a binary solution satisfies Eq. (11) iff every selected station
         is in this list).
         """
-        delays = self.placement_delays(request)
-        mask = meets_deadline(_checked_waiting(waiting_ms) + delays,
-                              request.deadline_ms)
-        ids = self._ids
-        order = sorted(np.flatnonzero(mask).tolist(),
-                       key=lambda k: (delays[k], ids[k]))
-        return [ids[k] for k in order]
+        ids, delays = self.ranked_stations(request)
+        return ids[:deadline_prefix(delays, _checked_waiting(waiting_ms),
+                                    request.deadline_ms)]

@@ -329,7 +329,8 @@ def decaying_distribution_on_grid(
         rng: randomness for the billed rate and per-level jitter.
         price_jitter: relative magnitude of the per-level reward jitter.
     """
-    billed_rate = float(rng.uniform(*rate_range_mbps))
+    lo, hi = rate_range_mbps
+    billed_rate = lo + (hi - lo) * rng.random()  # unchecked uniform
     # rewards = unit_price * billed_rate * (1 + jitter * (2u - 1)),
     # evaluated in place: the same float operations in the same order.
     rewards = rng.random(grid.rates.size)

@@ -76,7 +76,8 @@ class RequestGenerator:
                 station_ids[rng.integers(0, station_ids.size)])
         num_tasks = int(rng.integers(cfg.tasks_range[0],
                                      cfg.tasks_range[1] + 1))
-        unit_price = float(rng.uniform(*cfg.reward_unit_range))
+        lo, hi = cfg.reward_unit_range
+        unit_price = lo + (hi - lo) * rng.random()  # unchecked uniform
         distribution = decaying_distribution_on_grid(
             self._grid, cfg.data_rate_range_mbps, unit_price, rng)
         return ARRequest(

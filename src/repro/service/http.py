@@ -13,7 +13,10 @@ HTTP framework dependencies.  Three routes:
     ops console (``python -m repro.service watch``) renders.
 
 ``/healthz``
-    Liveness: 200 as long as the loop can answer at all.
+    Liveness: 200 as long as the loop can answer at all; 503
+    ``{"status": "degraded", "error": ...}`` once a tick failed to
+    write its journal or checkpoint (the last good checkpoint still
+    resumes).
 
 ``/readyz``
     Readiness: 503 when the pending queue is saturated
@@ -157,6 +160,11 @@ class MetricsEndpoint:
             return (200, "text/plain; version=0.0.4; charset=utf-8",
                     text.encode("utf-8"))
         if path == "/healthz":
+            error = self.service.persistence_error
+            if error is not None:
+                return 503, "application/json", _json_bytes(
+                    {"status": "degraded", "error": error,
+                     "done": self.service.done})
             return 200, "application/json", _json_bytes(
                 {"status": "ok", "done": self.service.done})
         if path == "/readyz":

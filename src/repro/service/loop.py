@@ -36,7 +36,7 @@ from ..baselines import GreedyOnline, RandomOnline
 from ..config import SimulationConfig
 from ..core.dynamic_rr import DynamicRR
 from ..core.instance import ProblemInstance
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, PersistenceError
 from ..requests.arrivals import PoissonArrivalStream
 from ..requests.generator import RequestGenerator
 from ..rng import RngForks
@@ -256,6 +256,10 @@ class AdmissionService:
         self.ops_events: Deque[Event] = deque(maxlen=4096)
         self._ops_sink = _RecordSink(self._ops_record)
         self.last_checkpoint_slot: Optional[int] = None
+        #: The message of the PersistenceError a tick raised, if any: the
+        #: journal or checkpoint on disk may have fallen behind, so the
+        #: service reports itself degraded until it is resumed.
+        self.persistence_error: Optional[str] = None
         self.done = False
         self._started = False
         if _checkpoint is not None:
@@ -346,8 +350,16 @@ class AdmissionService:
         Raises:
             PersistenceError: when this slot's checkpoint or journal
                 cannot be written; the previous checkpoint stays
-                resumable.
+                resumable and :attr:`persistence_error` keeps the
+                message.
         """
+        try:
+            return self._tick()
+        except PersistenceError as error:
+            self.persistence_error = str(error)
+            raise
+
+    def _tick(self) -> SlotReport:
         if self.done:
             raise ConfigurationError("service already drained; "
                                      "construct a new one to run again")

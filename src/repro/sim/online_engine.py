@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
-from ..core.latency import meets_deadline
+from ..core.latency import deadline_prefix, meets_deadline
 from ..exceptions import ConfigurationError, SchedulingError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -205,7 +205,9 @@ class OnlineEngine:
         self._decided: Dict[int, OffloadDecision] = {}
         self.streaming = bool(streaming)
         self.events: List[Event] = []
-        self._min_delay_cache: Dict[int, float] = {}
+        #: Per request, from first sight until it starts or is dropped.
+        self._rankings: Dict[int, Tuple[List[int], List[float], int]] = {}
+        self._load: Optional[Dict[int, Tuple[int, float]]] = None
         arrivals: Dict[int, List[ARRequest]] = {}
         for request in self._requests:
             arrivals.setdefault(request.arrival_slot, []).append(request)
@@ -214,15 +216,23 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # Views for policies
     # ------------------------------------------------------------------
+    def _station_load(self, station_id: int) -> Tuple[int, float]:
+        """``(active count, active demand)``: one scan per change."""
+        if self._load is None:
+            demands: Dict[int, List[float]] = {}
+            for a in self._active.values():
+                demands.setdefault(a.station_id, []).append(a.demand_mhz)
+            self._load = {sid: (len(mhz), float(sum(mhz)))
+                          for sid, mhz in demands.items()}
+        return self._load.get(station_id, (0, 0.0))
+
     def active_count(self, station_id: int) -> int:
         """Active requests currently served by a station."""
-        return sum(1 for a in self._active.values()
-                   if a.station_id == station_id)
+        return self._station_load(station_id)[0]
 
     def active_demand_mhz(self, station_id: int) -> float:
         """Sum of active demands at a station."""
-        return float(sum(a.demand_mhz for a in self._active.values()
-                         if a.station_id == station_id))
+        return self._station_load(station_id)[1]
 
     def is_down(self, station_id: int,
                 slot: Optional[int] = None) -> bool:
@@ -265,14 +275,36 @@ class OnlineEngine:
         """Waiting time if the request started at `slot`."""
         return self.clock.waiting_ms(request.arrival_slot, slot)
 
-    def min_placement_delay_ms(self, request: ARRequest) -> float:
-        """Best-case transfer+processing delay over all stations."""
-        cached = self._min_delay_cache.get(request.request_id)
-        if cached is None:
-            cached = float(
-                self.instance.latency.placement_delays(request).min())
-            self._min_delay_cache[request.request_id] = cached
-        return cached
+    def _ranking(self, request: ARRequest
+                 ) -> Tuple[List[int], List[float], int]:
+        """The cached :meth:`LatencyModel.ranked_stations` plus the drop
+        slot: the first slot where even the fastest station is late."""
+        entry = self._rankings.get(request.request_id)
+        if entry is not None:
+            return entry
+        ids, delays = self.instance.latency.ranked_stations(request)
+        arrival, horizon = request.arrival_slot, self.clock.horizon_slots
+
+        def hopeless(t: int) -> bool:
+            return not meets_deadline(self.clock.waiting_ms(arrival, t)
+                                      + delays[0], request.deadline_ms)
+
+        # Settle the arithmetic estimate with the exact Eq. (1) test; a
+        # slot at or past the horizon means never (infinite deadline).
+        slack = (request.deadline_ms - delays[0]) / self.clock.slot_length_ms
+        t = arrival + int(min(slack, horizon)) if slack > 0 else arrival
+        while t > arrival and hopeless(t - 1):
+            t -= 1
+        while t < horizon and not hopeless(t):
+            t += 1
+        entry = self._rankings[request.request_id] = (ids, delays, t)
+        return entry
+
+    def feasible_stations(self, request: ARRequest, slot: int) -> List[int]:
+        """:meth:`LatencyModel.feasible_stations` at `slot`, cached."""
+        ids, delays, _ = self._ranking(request)
+        return ids[:deadline_prefix(delays, self.waiting_ms(request, slot),
+                                    request.deadline_ms)]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -391,9 +423,7 @@ class OnlineEngine:
         survivors: List[ARRequest] = []
         hopeless: List[ARRequest] = []
         for request in self._pending:
-            best_case = (self.waiting_ms(request, t)
-                         + self.min_placement_delay_ms(request))
-            if not meets_deadline(best_case, request.deadline_ms):
+            if t >= self._ranking(request)[2]:
                 if not self.streaming:
                     self._decided[request.request_id] = OffloadDecision(
                         request_id=request.request_id, admitted=False,
@@ -401,7 +431,7 @@ class OnlineEngine:
                     self.events.append(Event(
                         slot=t, kind=EventKind.DROP,
                         request_id=request.request_id))
-                self._min_delay_cache.pop(request.request_id, None)
+                del self._rankings[request.request_id]
                 hopeless.append(request)
             else:
                 survivors.append(request)
@@ -439,9 +469,10 @@ class OnlineEngine:
                 start_slot=t,
             )
             self._active[request.request_id] = active
+            self._load = None
             started.append(active)
             del pending_by_id[request.request_id]
-            self._min_delay_cache.pop(request.request_id, None)
+            self._rankings.pop(request.request_id, None)
             if not self.streaming:
                 self.events.append(Event(slot=t, kind=EventKind.START,
                                          request_id=request.request_id,
@@ -463,7 +494,7 @@ class OnlineEngine:
         latency = waiting + CLOUD_LATENCY_MS
         met = meets_deadline(latency, request.deadline_ms)
         reward = request.realized_reward if met else 0.0
-        self._min_delay_cache.pop(request.request_id, None)
+        self._rankings.pop(request.request_id, None)
         if not self.streaming:
             self._decided[request.request_id] = OffloadDecision(
                 request_id=request.request_id,
@@ -482,12 +513,9 @@ class OnlineEngine:
              station_id=CLOUD_STATION, reward=reward, latency_ms=latency)
 
     def _progress(self, t: int) -> None:
-        counts: Dict[int, int] = {}
-        for active in self._active.values():
-            counts[active.station_id] = counts.get(active.station_id, 0) + 1
         for active in self._active.values():
             capacity = self.station_capacity_mhz(active.station_id)
-            fair = capacity / counts[active.station_id]
+            fair = capacity / self.active_count(active.station_id)
             share = min(active.demand_mhz, fair)
             if active.first_share_mhz is None:
                 active.first_share_mhz = share
@@ -549,6 +577,8 @@ class OnlineEngine:
         emit_many(EventKind.COMPLETE, t, done, _completion_fields)
         for active in done:
             del self._active[active.request.request_id]
+        if done:
+            self._load = None
         return len(done)
 
     def _experienced_latency_ms(self, active: _Active) -> float:
@@ -597,6 +627,7 @@ class OnlineEngine:
         emit_many(EventKind.DROP, t, silent, _host_fields)
         self._pending = []
         self._active = {}
+        self._load = None
 
     # ------------------------------------------------------------------
     # Checkpoint/restore (streaming service)
@@ -625,5 +656,6 @@ class OnlineEngine:
         self._rng.bit_generator.state = state["rng_state"]
         self._pending = list(state["pending"])  # type: ignore[arg-type]
         self._active = dict(state["active"])  # type: ignore[arg-type]
-        self._min_delay_cache = {}
+        self._load = None
+        self._rankings = {}
         self.clock.advance_to(int(state["slot"]))  # type: ignore[arg-type]

@@ -144,6 +144,16 @@ class _NameList:
         flat.extend(names)
 
 
+def _require_finite(owner: str, what: str, values: np.ndarray,
+                    infinite_ok: bool = False) -> None:
+    """Reject NaN, and also +-inf unless `infinite_ok` (bounds)."""
+    ok = ~np.isnan(values) if infinite_ok else np.isfinite(values)
+    if not ok.all():
+        raise ConfigurationError(
+            f"{owner}: {what} {values[np.argmin(ok)]} is not a finite "
+            f"number")
+
+
 class LinearProgram:
     """A (mixed-integer) linear program in natural form.
 
@@ -185,7 +195,8 @@ class LinearProgram:
             integer: integrality of every column of the block.
 
         Raises:
-            ConfigurationError: on mismatched lengths or ``low > high``.
+            ConfigurationError: on mismatched lengths, ``low > high``, a
+                NaN bound, or a NaN or infinite objective.
         """
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
@@ -193,6 +204,9 @@ class LinearProgram:
         if not low.shape == high.shape == objective.shape:
             raise ConfigurationError(
                 f"{self.name}: column block has mismatched lengths")
+        _require_finite(self.name, "objective", objective)
+        _require_finite(self.name, "lower bound", low, infinite_ok=True)
+        _require_finite(self.name, "upper bound", high, infinite_ok=True)
         bad = np.flatnonzero(low > high)
         if bad.size:
             raise ConfigurationError(
@@ -224,7 +238,8 @@ class LinearProgram:
 
         Raises:
             ConfigurationError: on a bad sense, an out-of-range or
-                unsorted index, or a trivially infeasible empty row.
+                unsorted index, a NaN or infinite coefficient or
+                right-hand side, or a trivially infeasible empty row.
         """
         if sense not in SENSES:
             raise ConfigurationError(
@@ -233,6 +248,8 @@ class LinearProgram:
         indices = np.asarray(indices, dtype=np.int64)
         data = np.asarray(data, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
+        _require_finite(self.name, "coefficient", data)
+        _require_finite(self.name, "right-hand side", rhs)
         if indices.size and (indices.min() < 0
                              or indices.max() >= self._num_cols):
             bad = indices.min() if indices.min() < 0 else indices.max()
@@ -271,8 +288,14 @@ class LinearProgram:
         """Add one named variable; returns its handle.
 
         Raises:
-            ConfigurationError: on duplicate names or ``low > high``.
+            ConfigurationError: on duplicate names, ``low > high``, a NaN
+                bound, or a NaN or infinite objective.
         """
+        if not math.isfinite(objective) or math.isnan(low) \
+                or math.isnan(high):
+            raise ConfigurationError(
+                f"{self.name}: variable {name!r} has a NaN bound or a "
+                f"non-finite objective {objective}")
         if low > high:
             raise ConfigurationError(
                 f"{self.name}: variable {name!r} has low {low} > high {high}")

@@ -51,7 +51,7 @@ def checkpointed_config(make_service_config, tmp_path, tag,
 
 
 class TestResumeByteIdentity:
-    @pytest.mark.parametrize("policy", ["greedy", "dynamicrr"])
+    @pytest.mark.parametrize("policy", ["greedy", "dynamicrr", "random"])
     def test_random_kill_slots_resume_identically(
             self, make_service_config, tmp_path, policy):
         """The property test of the ISSUE: checkpoint at a random slot,

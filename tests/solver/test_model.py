@@ -134,3 +134,78 @@ class TestFeasibilityCheck:
         lp.add_variable("x", integer=True)
         text = repr(lp)
         assert "demo" in text and "ILP" in text and "min" in text
+
+
+class TestNonFiniteData:
+    """NaN or infinite model data is rejected where it enters the model,
+    so HiGHS never sees it; only bounds may be infinite."""
+
+    GOOD = dict(low=[0.0, 0.0], high=[1.0, 1.0], objective=[1.0, 2.0],
+                data=[1.0, 1.0], rhs=[1.5])
+
+    @pytest.fixture()
+    def highs_calls(self, monkeypatch):
+        import repro.solver.scipy_backend as backend
+
+        calls = []
+        real = backend._highs_wrapper
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "_highs_wrapper", spy)
+        return calls
+
+    def build_and_solve(self, **overrides):
+        from repro.solver.interface import solve_lp
+
+        arrays = dict(self.GOOD, **overrides)
+        lp = LinearProgram("finite")
+        lp.add_columns(arrays["low"], arrays["high"], arrays["objective"],
+                       ["x0", "x1"])
+        lp.add_rows([2], [0, 1], arrays["data"], "<=", arrays["rhs"],
+                    ["cap"])
+        return solve_lp(lp)
+
+    def test_finite_model_reaches_highs(self, highs_calls):
+        assert self.build_and_solve().objective == pytest.approx(2.5)
+        assert len(highs_calls) == 1
+
+    @pytest.mark.parametrize("array, values", [
+        ("objective", [1.0, math.nan]),
+        ("objective", [math.inf, 2.0]),
+        ("objective", [1.0, -math.inf]),
+        ("data", [math.nan, 1.0]),
+        ("data", [1.0, math.inf]),
+        ("data", [-math.inf, 1.0]),
+        ("rhs", [math.nan]),
+        ("rhs", [math.inf]),
+        ("rhs", [-math.inf]),
+        ("low", [math.nan, 0.0]),
+        ("high", [1.0, math.nan]),
+    ])
+    def test_rejected_before_highs(self, highs_calls, array, values):
+        with pytest.raises(ConfigurationError, match="not a finite"):
+            self.build_and_solve(**{array: values})
+        assert highs_calls == []
+
+    def test_infinite_bounds_accepted(self, highs_calls):
+        solution = self.build_and_solve(low=[0.0, -math.inf],
+                                        high=[math.inf, 1.0])
+        assert solution.objective == pytest.approx(2.5)
+        assert len(highs_calls) == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(objective=math.nan), dict(objective=math.inf),
+        dict(low=math.nan), dict(high=math.nan)])
+    def test_scalar_variable_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            LinearProgram().add_variable("x", **kwargs)
+
+    @pytest.mark.parametrize("rhs", [math.nan, math.inf])
+    def test_scalar_constraint_rejected(self, rhs):
+        lp = LinearProgram()
+        lp.add_variable("x", high=1.0)
+        with pytest.raises(ConfigurationError, match="not a finite"):
+            lp.add_constraint({"x": 1.0}, "<=", rhs)
