@@ -68,30 +68,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..telemetry import (ProgressReporter, audit_records,
-                         collect_sweep_journal, collect_sweep_profiles,
-                         collect_sweep_trace, folded_from_stats,
-                         manifest_from_sweeps, merge_memory,
-                         merge_stats, render_digest,
-                         render_memory_top, render_summary,
-                         write_folded, write_jsonl,
-                         write_profile_set)
-from ..telemetry.ledger import append_ledger, write_bench
-from .executor import resolve_workers, workers_type
+from ..telemetry import (render_digest, render_memory_top,
+                         render_summary, write_profile_set)
+from .cli import add_run_flags, run_from_args, write_artifacts
 from .export import export_figure
-from .figures import figure3, figure4, figure5, figure6
 from .reporting import render_ascii_plot, render_figure
-from .settings import bench_scale, paper_scale
-
-_FIGURES = {
-    "3": (figure3, ("total_reward", "avg_latency_ms", "runtime_s")),
-    "4": (figure4, ("total_reward", "avg_latency_ms")),
-    "5": (figure5, ("total_reward", "avg_latency_ms")),
-    "6": (figure6, ("total_reward", "avg_latency_ms")),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,62 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--figures", nargs="+", default=["all"],
                         choices=["3", "4", "5", "6", "all"],
                         help="which figures to run (default: all)")
-    parser.add_argument("--scale", choices=["bench", "paper"],
-                        default="bench",
-                        help="sweep size preset (default: bench)")
+    add_run_flags(parser)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="directory for CSV export (optional)")
     parser.add_argument("--plot", action="store_true",
                         help="also render ASCII line plots")
-    parser.add_argument("--workers", type=workers_type, default=1,
-                        metavar="N",
-                        help="worker processes per sweep (1 = serial, "
-                             "0 = one per CPU; results are identical "
-                             "for every value)")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="record a telemetry trace of every run "
-                             "and write the merged JSONL here")
-    parser.add_argument("--trace-summary", action="store_true",
-                        help="print the aggregated span breakdown "
-                             "(implies tracing)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="record a decision audit journal of every "
-                             "run and write the merged JSONL here "
-                             "(diffable with trace-diff)")
-    parser.add_argument("--audit", action="store_true",
-                        help="replay every journaled run through the "
-                             "invariant monitor and print the audit "
-                             "(implies journaling)")
-    parser.add_argument("--profile", action="store_true",
-                        help="record a performance-attribution digest "
-                             "(span tree + domain counters) and "
-                             "cProfile stats per run; digests print "
-                             "per algorithm and embed into any "
-                             "--ledger/--bench-out manifest (records "
-                             "are unchanged)")
-    parser.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="write a collapsed-stack flamegraph "
-                             "(.folded, speedscope/flamegraph.pl "
-                             "loadable) of the merged cProfile stats "
-                             "(implies --profile)")
     parser.add_argument("--profile-json", default=None, metavar="PATH",
                         help="export the merged per-algorithm digests "
                              "as PROF_<name>.json (perf-diff input; "
                              "implies --profile)")
-    parser.add_argument("--profile-mem", action="store_true",
-                        help="additionally capture tracemalloc top "
-                             "allocation sites per run and print the "
-                             "merged table")
-    parser.add_argument("--progress", action="store_true",
-                        help="live stderr heartbeat while sweeps run "
-                             "(completed/total specs, throughput, ETA; "
-                             "records are unchanged)")
-    parser.add_argument("--ledger", default=None, metavar="PATH",
-                        help="append a RunManifest for this invocation "
-                             "to a JSONL run ledger")
-    parser.add_argument("--bench-out", default=None, metavar="PATH",
-                        help="export the RunManifest as a "
-                             "BENCH_<name>.json snapshot")
     parser.add_argument("--bench-name", default=None, metavar="NAME",
                         help="manifest name (default: "
                              "figures-<ids>-<scale>)")
@@ -181,46 +117,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..telemetry.perfdiff import main as perf_diff_main
         return perf_diff_main(argv[1:])
     args = build_parser().parse_args(argv)
-    wanted = list(_FIGURES) if "all" in args.figures else args.figures
-    scale = paper_scale() if args.scale == "paper" else bench_scale()
-    tracing = bool(args.trace or args.trace_summary)
-    journaling = bool(args.journal or args.audit)
-    profiling = bool(args.profile or args.profile_out
-                     or args.profile_json)
-    trace_events: List[Dict] = []
-    journal_events: List[Dict] = []
-    audited_sweeps: List = []
-    reporter = ProgressReporter() if args.progress else None
-    sweeps: Dict[str, object] = {}
-    phases: Dict[str, float] = {}
+    wanted = None if "all" in args.figures else args.figures
 
-    for fig_id in wanted:
-        driver, panels = _FIGURES[fig_id]
-        driver_kwargs = {"workers": args.workers, "trace": tracing}
-        if journaling:
-            driver_kwargs["journal"] = True
-        if profiling:
-            driver_kwargs["profile"] = True
-        if args.profile_mem:
-            driver_kwargs["profile_mem"] = True
-        if reporter is not None:
-            # Only passed when live: stubbed/third-party drivers
-            # without the knob keep working unless it is asked for.
-            reporter.set_phase(f"fig{fig_id}")
-            driver_kwargs["progress"] = reporter
-        started = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
-        sweep = driver(scale, **driver_kwargs)
-        phases[f"fig{fig_id}"] = time.perf_counter() - started  # repro: noqa DET001 -- advisory runtime metric
-        sweeps[f"fig{fig_id}"] = sweep
-        if tracing:
-            for event in collect_sweep_trace(sweep.records):
-                event["figure"] = fig_id
-                trace_events.append(event)
-        if journaling:
-            for event in collect_sweep_journal(sweep.records):
-                event["figure"] = fig_id
-                journal_events.append(event)
-            audited_sweeps.append((fig_id, sweep))
+    def print_figure(fig_id, sweep, panels) -> None:
         print(render_figure(sweep, panels, f"Figure {fig_id}"))
         print()
         if args.plot:
@@ -230,82 +129,49 @@ def main(argv: Optional[List[str]] = None) -> int:
                     title=f"Figure {fig_id}: {metric}"))
                 print()
         if args.out:
-            paths = export_figure(sweep, args.out, f"fig{fig_id}")
-            for path in paths:
+            for path in export_figure(sweep, args.out, f"fig{fig_id}"):
                 print(f"  wrote {path}")
             print()
 
-    if args.ledger or args.bench_out:
-        name = args.bench_name or (
-            f"figures-{'-'.join(wanted)}-{args.scale}")
-        manifest = manifest_from_sweeps(
-            name, sweeps,
-            config={"scale": scale, "figures": wanted},
-            workers=resolve_workers(args.workers),
-            phases=phases,
-            extra={"scale": args.scale, "figures": wanted})
-        if args.ledger:
-            path = append_ledger(args.ledger, manifest)
-            print(f"appended manifest {name!r} to {path}")
-        if args.bench_out:
-            path = write_bench(args.bench_out, manifest)
-            print(f"wrote manifest {name!r} to {path}")
-
-    if profiling:
-        digests = collect_sweep_profiles(sweeps)
+    run = run_from_args(args, wanted, on_figure=print_figure,
+                        profile=bool(args.profile_json))
+    ids = [fig_id for fig_id, _ in run.figures]
+    name = args.bench_name or f"figures-{'-'.join(ids)}-{args.scale}"
+    extra = {"scale": args.scale, "figures": ids}
+    write_artifacts(args, run, name, extra, "ledger", "bench")
+    if run.profiled:
         print()
         print("Profile digests")
-        for name in sorted(digests):
-            print(f"== {name} ==")
-            print(render_digest(digests[name], top=10))
+        for algo in sorted(run.digests):
+            print(f"== {algo} ==")
+            print(render_digest(run.digests[algo], top=10))
             print()
         if args.profile_json:
-            path = write_profile_set(args.profile_json, digests)
-            print(f"wrote {len(digests)} digest(s) to {path}")
-        if args.profile_out:
-            stats = merge_stats(
-                record.profile_stats
-                for sweep in sweeps.values()
-                for record in sweep.records
-                if record.profile_stats)
-            path = write_folded(args.profile_out,
-                                folded_from_stats(stats))
-            print(f"wrote collapsed stacks to {path}")
-    if args.profile_mem:
-        rows = merge_memory(
-            record.profile_mem
-            for sweep in sweeps.values()
-            for record in sweep.records
-            if record.profile_mem)
+            path = write_profile_set(args.profile_json, run.digests)
+            print(f"wrote {len(run.digests)} digest(s) to {path}")
+        write_artifacts(args, run, name, extra, "folded")
+    if run.profiled_mem:
         print()
         print("Top allocation sites")
-        print(render_memory_top(rows))
-
-    if args.trace:
-        path = write_jsonl(args.trace, trace_events)
-        print(f"wrote trace ({len(trace_events)} events) to {path}")
+        print(render_memory_top(run.memory))
+    write_artifacts(args, run, name, extra, "trace")
     if args.trace_summary:
         print()
         print("Telemetry summary")
-        print(render_summary(trace_events))
-    if args.journal:
-        path = write_jsonl(args.journal, journal_events)
-        print(f"wrote journal ({len(journal_events)} events) to {path}")
+        print(render_summary(run.trace))
+    write_artifacts(args, run, name, extra, "journal")
     if args.audit:
-        failed = False
         print()
         print("Invariant audit")
-        for fig_id, sweep in audited_sweeps:
-            outcome = audit_records(sweep.records)
+        for group, outcome in run.audits.items():
             verdict = ("ok" if not outcome.violations
                        else f"{len(outcome.violations)} violation(s)")
             checks = sum(outcome.checks.values())
-            print(f"  fig{fig_id}: {outcome.runs_audited} run(s), "
+            print(f"  {group}: {outcome.runs_audited} run(s), "
                   f"{checks} checks, {verdict}")
             for tag, violation in outcome.violations:
-                failed = True
                 print(f"    {tag}: {violation}")
-        if failed:
+        if any(outcome.violations for outcome in run.audits.values()):
             return 1
     return 0
 

@@ -25,15 +25,13 @@ executions of the same spec list therefore produce *identical*
 
 from __future__ import annotations
 
-import cProfile
 import dataclasses
 import inspect
 import os
-import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..config import SimulationConfig
 from ..core.instance import ProblemInstance
@@ -42,8 +40,7 @@ from ..rng import RngForks
 from ..sim.engine import run_offline
 from ..sim.online_engine import OnlineEngine
 from ..sim.results import RunRecord, SweepResult
-from ..telemetry import ProgressReporter, Tracer, use_tracer
-from ..telemetry import profiling
+from ..telemetry import ProgressReporter, profiling
 from ..telemetry.audit import Journal, use_journal
 from ..telemetry.metrics import MetricsRegistry, use_metrics
 
@@ -171,65 +168,38 @@ def execute_run(spec: RunSpec) -> RunRecord:
     additionally executes under ``cProfile``; the record carries a
     :class:`~repro.telemetry.profiling.ProfileDigest` plus picklable
     cProfile stats.  ``spec.profile_mem`` captures ``tracemalloc`` top
-    allocation sites.  All of it is observation only: the metrics,
-    trace, and journal of a profiled run are byte-identical to an
-    unprofiled one.
+    allocation sites.  The capture is
+    :class:`~repro.telemetry.profiling.Capture`, the same one a
+    profiled service run uses.  All of it is observation only: the
+    metrics, trace, and journal of a profiled run are byte-identical
+    to an unprofiled one.
     """
     spec.validate()
-    deep = spec.profile or spec.profile_mem
-    if not spec.trace and not spec.journal and not deep:
+    if not (spec.trace or spec.journal or spec.profile
+            or spec.profile_mem):
         return _execute_untraced(spec)
-    tracer = Tracer() if (spec.trace or spec.profile) else None
     journal = Journal() if spec.journal else None
-    registry = MetricsRegistry() if tracer is not None else None
-    profiler = cProfile.Profile() if spec.profile else None
-    memory_rows: Optional[List[Dict[str, object]]] = None
+    registry = MetricsRegistry() if (spec.trace or spec.profile) \
+        else None
+    capture = profiling.Capture(trace=spec.trace, profile=spec.profile,
+                                profile_mem=spec.profile_mem,
+                                registry=registry)
     with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(use_tracer(tracer))
         if journal is not None:
             stack.enter_context(use_journal(journal))
         if registry is not None:
             stack.enter_context(use_metrics(registry))
-        own_tracemalloc = spec.profile_mem \
-            and not tracemalloc.is_tracing()
-        if own_tracemalloc:
-            tracemalloc.start()
-        try:
-            if profiler is not None:
-                profiler.enable()
-            try:
-                record = _execute_untraced(spec)
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-        finally:
-            if spec.profile_mem and tracemalloc.is_tracing():
-                memory_rows = profiling.capture_memory_top(
-                    tracemalloc.take_snapshot())
-            if own_tracemalloc:
-                tracemalloc.stop()
-    if tracer is not None and registry is not None:
-        # The registry's counters join the trace as counter events, so
-        # trace summaries and profile digests read event counts too.
-        for (name, labels), value in \
-                registry.export_state()["counters"].items():
-            tracer.count(name, value, **dict(labels))
-    if spec.trace and tracer is not None:
-        record = dataclasses.replace(record,
-                                     trace=tuple(tracer.events()))
-    if journal is not None:
-        record = dataclasses.replace(record,
-                                     journal=tuple(journal.events()))
-    if spec.profile and tracer is not None and profiler is not None:
-        digest = profiling.digest_from_events(tracer.events())
-        record = dataclasses.replace(
-            record, profile=digest.to_dict(),
-            profile_stats=profiling.capture_stats(profiler))
-    if memory_rows is not None:
-        record = dataclasses.replace(
-            record, profile_mem=tuple(memory_rows))
-    return record
+        with capture:
+            record = _execute_untraced(spec)
+    return dataclasses.replace(
+        record,
+        trace=tuple(capture.tracer.events()) if spec.trace else None,
+        journal=tuple(journal.events()) if journal is not None else None,
+        profile=(capture.digest.to_dict()
+                 if capture.digest is not None else None),
+        profile_stats=capture.stats,
+        profile_mem=(tuple(capture.memory)
+                     if capture.memory is not None else None))
 
 
 def _execute_untraced(spec: RunSpec) -> RunRecord:
@@ -328,11 +298,8 @@ class ProcessBackend:
         if workers < 2:
             raise ConfigurationError(
                 f"ProcessBackend needs >= 2 workers, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}")
         self.workers = workers
-        self.chunksize = chunksize
+        self.chunksize = validate_chunksize(chunksize)
 
     def map(self, specs: Sequence[RunSpec],
             progress: Optional[ProgressReporter] = None
@@ -439,18 +406,11 @@ def execute_specs(specs: Sequence[RunSpec],
             only: records are byte-identical with progress on or off.
     """
     validate_chunksize(chunksize)
-    if trace:
-        specs = [dataclasses.replace(spec, trace=True)
-                 for spec in specs]
-    if journal:
-        specs = [dataclasses.replace(spec, journal=True)
-                 for spec in specs]
-    if profile:
-        specs = [dataclasses.replace(spec, profile=True)
-                 for spec in specs]
-    if profile_mem:
-        specs = [dataclasses.replace(spec, profile_mem=True)
-                 for spec in specs]
+    forced = {name: True for name, on in (
+        ("trace", trace), ("journal", journal), ("profile", profile),
+        ("profile_mem", profile_mem)) if on}
+    if forced:
+        specs = [dataclasses.replace(spec, **forced) for spec in specs]
     for spec in specs:
         spec.validate()
     reporter = resolve_progress(progress)
@@ -464,18 +424,11 @@ def execute_specs(specs: Sequence[RunSpec],
 
 
 def execute_sweep(specs: Sequence[RunSpec], x_label: str,
-                  workers: Optional[int] = 1,
-                  chunksize: Optional[int] = None,
-                  trace: bool = False,
-                  journal: bool = False,
-                  profile: bool = False,
-                  profile_mem: bool = False,
-                  progress: ProgressKnob = None) -> SweepResult:
-    """Execute a spec list and bundle the records into a sweep."""
+                  **options: Any) -> SweepResult:
+    """Execute a spec list and bundle the records into a sweep.
+
+    ``options`` are the keywords of :func:`execute_specs`.
+    """
     sweep = SweepResult(x_label)
-    sweep.extend(execute_specs(specs, workers=workers,
-                               chunksize=chunksize, trace=trace,
-                               journal=journal, profile=profile,
-                               profile_mem=profile_mem,
-                               progress=progress))
+    sweep.extend(execute_specs(specs, **options))
     return sweep

@@ -9,25 +9,25 @@ for a fast run with the same qualitative shapes.
 All drivers accept ``workers``: with ``workers > 1`` the sweep's
 (algorithm x x x seed) grid executes on a process pool via
 :mod:`~repro.experiments.executor`, returning records identical to the
-serial run (``workers=0`` means one worker per CPU).  They also accept
-``trace``: when True every run records a :mod:`repro.telemetry` trace
-that comes back on its :class:`~repro.sim.results.RunRecord` (merge
-with :func:`repro.telemetry.collect_sweep_trace`); metrics are
-identical with tracing on or off.  ``journal`` likewise records a
-decision audit journal per run (:mod:`repro.telemetry.audit`, merge
-with :func:`repro.telemetry.audit.collect_sweep_journal`) without
-changing any metric.  ``profile`` / ``profile_mem`` record a
-performance-attribution digest + cProfile stats (and allocation
-sites) per run (:mod:`repro.telemetry.profiling`, merge with
-:func:`repro.telemetry.collect_sweep_profiles`) - again without
-changing any metric.  ``progress`` (True or a
-:class:`~repro.telemetry.ProgressReporter`) adds a live stderr
-heartbeat while the sweep runs - observation only, records unchanged.
+serial run (``workers=0`` means one worker per CPU).  They also take
+the observation knobs of
+:func:`~repro.experiments.executor.execute_specs` (``trace``,
+``journal``, ``profile``, ``profile_mem``, ``progress``) as keywords
+and pass them through: records come back carrying what was observed,
+and their metrics are identical with the knobs on or off.
+
+:data:`FIGURES` is the one figure table and :func:`run_figures` the one
+loop over it; ``python -m repro.experiments`` and
+``python -m repro.experiments.report`` both run their figures through
+them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import (GreedyOffline, GreedyOnline, HeuKktOffline,
                          HeuKktOnline, OcorpOffline, OcorpOnline)
@@ -35,7 +35,10 @@ from ..core.appro import Appro
 from ..core.dynamic_rr import DynamicRR
 from ..core.heu import Heu
 from ..sim.results import SweepResult
-from .executor import ProgressKnob
+from ..telemetry import (AuditOutcome, ProfileDigest, audit_records,
+                         collect_sweep_profiles, collect_sweep_trace,
+                         merge_memory, merge_stats)
+from .executor import ProgressKnob, resolve_progress
 from .runner import run_offline_sweep, run_online_sweep
 from .settings import (ExperimentScale, base_config, bench_scale,
                        config_with_max_rate, config_with_stations)
@@ -48,12 +51,7 @@ ONLINE_POLICIES = (DynamicRR, GreedyOnline, OcorpOnline, HeuKktOnline)
 
 
 def figure3(scale: Optional[ExperimentScale] = None,
-            workers: Optional[int] = 1,
-            trace: bool = False,
-            journal: bool = False,
-            profile: bool = False,
-            profile_mem: bool = False,
-            progress: ProgressKnob = None) -> SweepResult:
+            workers: Optional[int] = 1, **observe: Any) -> SweepResult:
     """Fig. 3: offline algorithms vs number of requests.
 
     Series: total reward (a), average latency (b), running time (c),
@@ -69,21 +67,12 @@ def figure3(scale: Optional[ExperimentScale] = None,
         num_seeds=scale.num_seeds,
         x_label="num_requests",
         workers=workers,
-        trace=trace,
-        journal=journal,
-        profile=profile,
-        profile_mem=profile_mem,
-        progress=progress,
+        **observe,
     )
 
 
 def figure4(scale: Optional[ExperimentScale] = None,
-            workers: Optional[int] = 1,
-            trace: bool = False,
-            journal: bool = False,
-            profile: bool = False,
-            profile_mem: bool = False,
-            progress: ProgressKnob = None) -> SweepResult:
+            workers: Optional[int] = 1, **observe: Any) -> SweepResult:
     """Fig. 4: online algorithms vs number of requests.
 
     Series: total reward (a) and average latency (b) for DynamicRR,
@@ -99,22 +88,13 @@ def figure4(scale: Optional[ExperimentScale] = None,
         num_seeds=scale.num_seeds,
         x_label="num_requests",
         workers=workers,
-        trace=trace,
-        journal=journal,
-        profile=profile,
-        profile_mem=profile_mem,
-        progress=progress,
+        **observe,
     )
 
 
 def figure5(scale: Optional[ExperimentScale] = None,
             include_online: bool = True,
-            workers: Optional[int] = 1,
-            trace: bool = False,
-            journal: bool = False,
-            profile: bool = False,
-            profile_mem: bool = False,
-            progress: ProgressKnob = None) -> SweepResult:
+            workers: Optional[int] = 1, **observe: Any) -> SweepResult:
     """Fig. 5: all algorithms vs number of base stations.
 
     The paper plots Appro, Heu, DynamicRR, Greedy, OCORP and HeuKKT
@@ -131,11 +111,7 @@ def figure5(scale: Optional[ExperimentScale] = None,
         num_seeds=scale.num_seeds,
         x_label="num_stations",
         workers=workers,
-        trace=trace,
-        journal=journal,
-        profile=profile,
-        profile_mem=profile_mem,
-        progress=progress,
+        **observe,
     )
     if include_online:
         online = run_online_sweep(
@@ -147,23 +123,14 @@ def figure5(scale: Optional[ExperimentScale] = None,
             num_seeds=scale.num_seeds,
             x_label="num_stations",
             workers=workers,
-            trace=trace,
-            journal=journal,
-            profile=profile,
-            profile_mem=profile_mem,
-            progress=progress,
+            **observe,
         )
         sweep.extend(online.records)
     return sweep
 
 
 def figure6(scale: Optional[ExperimentScale] = None,
-            workers: Optional[int] = 1,
-            trace: bool = False,
-            journal: bool = False,
-            profile: bool = False,
-            profile_mem: bool = False,
-            progress: ProgressKnob = None) -> SweepResult:
+            workers: Optional[int] = 1, **observe: Any) -> SweepResult:
     """Fig. 6: online algorithms vs the maximum data rate of a request.
 
     The max rate sweeps 15..35 MB/s (support minimum scales along);
@@ -179,9 +146,136 @@ def figure6(scale: Optional[ExperimentScale] = None,
         num_seeds=scale.num_seeds,
         x_label="max_rate_mbps",
         workers=workers,
-        trace=trace,
-        journal=journal,
-        profile=profile,
-        profile_mem=profile_mem,
-        progress=progress,
+        **observe,
     )
+
+
+#: Figure id -> (driver, panels), in run order: the one figure table.
+#: :func:`run_figures` reads it when it runs, so a patched entry takes
+#: effect in both experiment CLIs.
+FIGURES: Dict[str, Tuple[Callable[..., SweepResult], Tuple[str, ...]]] = {
+    "3": (figure3, ("total_reward", "avg_latency_ms", "runtime_s")),
+    "4": (figure4, ("total_reward", "avg_latency_ms")),
+    "5": (figure5, ("total_reward", "avg_latency_ms")),
+    "6": (figure6, ("total_reward", "avg_latency_ms")),
+}
+
+
+@dataclass
+class FigureRun:
+    """The figures one :func:`run_figures` call ran, and what it saw.
+
+    Attributes:
+        scale: the validated preset the figures ran at.
+        workers: the worker knob they ran with.
+        profiled: the runs were profiled (digests, cProfile stats).
+        profiled_mem: the runs captured their allocation sites.
+        figures: ``(figure id, panels)`` in run order.
+        sweeps: ``"fig<id>"`` -> the figure's sweep.
+        phases: ``"fig<id>"`` -> wall-clock seconds of its driver.
+        trace: the merged trace, each event tagged with its
+            ``figure``; None unless traced.
+        journal: the merged decision journal, tagged the same way;
+            None unless journaled.
+    """
+
+    scale: ExperimentScale
+    workers: Optional[int]
+    profiled: bool = False
+    profiled_mem: bool = False
+    figures: List[Tuple[str, Tuple[str, ...]]] = field(
+        default_factory=list)
+    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
+    phases: Dict[str, float] = field(default_factory=dict)
+    trace: Optional[List[Dict[str, Any]]] = None
+    journal: Optional[List[Dict[str, Any]]] = None
+
+    def _records(self):
+        return (record for sweep in self.sweeps.values()
+                for record in sweep.records)
+
+    @cached_property
+    def digests(self) -> Dict[str, ProfileDigest]:
+        """Per-algorithm merged profile digests (``fig<id>/<algo>``
+        keys when several figures ran)."""
+        return collect_sweep_profiles(self.sweeps)
+
+    @cached_property
+    def stats(self) -> Dict[str, Any]:
+        """The cProfile stats of every profiled run, merged."""
+        return merge_stats(record.profile_stats
+                           for record in self._records()
+                           if record.profile_stats)
+
+    @cached_property
+    def memory(self) -> List[Dict[str, Any]]:
+        """The top allocation sites of every run, merged."""
+        return merge_memory(record.profile_mem
+                            for record in self._records()
+                            if record.profile_mem)
+
+    @cached_property
+    def audits(self) -> Dict[str, AuditOutcome]:
+        """``"fig<id>"`` -> its journaled runs replayed through the
+        invariant monitor."""
+        return {name: audit_records(sweep.records)
+                for name, sweep in self.sweeps.items()}
+
+
+def run_figures(scale: Optional[ExperimentScale] = None,
+                figure_ids: Optional[Sequence[str]] = None,
+                workers: Optional[int] = 1,
+                trace: bool = False,
+                journal: bool = False,
+                profile: bool = False,
+                profile_mem: bool = False,
+                progress: ProgressKnob = None,
+                on_figure: Optional[Callable[
+                    [str, SweepResult, Tuple[str, ...]], None]] = None
+                ) -> FigureRun:
+    """Run figures from :data:`FIGURES` and merge what they observed.
+
+    Each driver is called as ``driver(scale, workers=N, **knobs)``,
+    with only the observation knobs that are on, so a driver without
+    the newer knobs keeps working unless one is asked for.
+
+    Args:
+        figure_ids: the keys of :data:`FIGURES` to run, in order (all
+            of them when None).
+        trace / journal / profile / profile_mem / progress: the
+            observation knobs of every figure driver; observation
+            only, the sweeps are identical with them on or off.
+        on_figure: called as ``on_figure(figure_id, sweep, panels)``
+            as soon as each figure finishes.
+    """
+    scale = (scale or bench_scale()).validate()
+    run = FigureRun(scale, workers, profiled=profile,
+                    profiled_mem=profile_mem,
+                    trace=[] if trace else None,
+                    journal=[] if journal else None)
+    knobs = {name: True for name, on in (
+        ("trace", trace), ("journal", journal), ("profile", profile),
+        ("profile_mem", profile_mem)) if on}
+    reporter = resolve_progress(progress)
+    for figure_id in (list(FIGURES) if figure_ids is None
+                      else figure_ids):
+        driver, panels = FIGURES[figure_id]
+        kwargs: Dict[str, Any] = dict(knobs, workers=workers)
+        if reporter is not None:
+            reporter.set_phase(f"fig{figure_id}")
+            kwargs["progress"] = reporter
+        started = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        sweep = driver(scale, **kwargs)
+        run.phases[f"fig{figure_id}"] = time.perf_counter() - started  # repro: noqa DET001 -- advisory runtime metric
+        run.sweeps[f"fig{figure_id}"] = sweep
+        run.figures.append((figure_id, panels))
+        for stream, merged in (("trace", run.trace),
+                               ("journal", run.journal)):
+            if merged is not None:
+                for event in collect_sweep_trace(sweep.records,
+                                                 stream=stream):
+                    event["figure"] = figure_id
+                    merged.append(event)
+        if on_figure is not None:
+            on_figure(figure_id, sweep, panels)
+    return run

@@ -12,14 +12,13 @@ or on a process pool with ``workers > 1`` - and the resulting
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..config import SimulationConfig
 from ..sim.engine import OfflineAlgorithm
 from ..sim.online_engine import OnlinePolicy
 from ..sim.results import SweepResult
-from .executor import (OFFLINE, ONLINE, ProgressKnob, RunSpec,
-                       execute_sweep)
+from .executor import OFFLINE, ONLINE, RunSpec, execute_sweep
 
 #: Builds the configuration for one swept value and seed.
 ConfigFactory = Callable[[float, int], SimulationConfig]
@@ -78,11 +77,7 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
                       x_label: str = "x",
                       workers: Optional[int] = 1,
                       chunksize: Optional[int] = None,
-                      trace: bool = False,
-                      journal: bool = False,
-                      profile: bool = False,
-                      profile_mem: bool = False,
-                      progress: ProgressKnob = None) -> SweepResult:
+                      **observe: Any) -> SweepResult:
     """Run a batch-algorithm sweep (Figs. 3 and 5).
 
     Args:
@@ -97,19 +92,10 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
         workers: process count (1 = serial, 0 = one per CPU).  Records
             are identical for every worker count.
         chunksize: specs per dispatched chunk when parallel.
-        trace: record a :mod:`repro.telemetry` trace per run and
-            attach it to each record (off by default; metrics are
-            unchanged either way).
-        journal: record a decision audit journal per run (see
-            :mod:`repro.telemetry.audit`) and attach it to each record
-            (off by default; metrics are unchanged either way).
-        profile: record a profile digest + cProfile stats per run (see
-            :mod:`repro.telemetry.profiling`) and attach them to each
-            record (off by default; metrics are unchanged either way).
-        profile_mem: additionally record top allocation sites per run.
-        progress: live stderr heartbeat - ``True`` or a configured
-            :class:`~repro.telemetry.ProgressReporter` (observation
-            only; records are identical with progress on or off).
+        observe: the ``trace`` / ``journal`` / ``profile`` /
+            ``profile_mem`` / ``progress`` knobs of
+            :func:`~repro.experiments.executor.execute_specs`
+            (observation only; metrics are unchanged either way).
 
     Returns:
         A populated :class:`SweepResult`.
@@ -118,9 +104,7 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
                                 make_config, num_requests_of,
                                 num_seeds=num_seeds)
     return execute_sweep(specs, x_label, workers=workers,
-                         chunksize=chunksize, trace=trace,
-                         journal=journal, profile=profile,
-                         profile_mem=profile_mem, progress=progress)
+                         chunksize=chunksize, **observe)
 
 
 def run_online_sweep(policy_factories: Sequence[OnlineFactory],
@@ -132,24 +116,17 @@ def run_online_sweep(policy_factories: Sequence[OnlineFactory],
                      x_label: str = "x",
                      workers: Optional[int] = 1,
                      chunksize: Optional[int] = None,
-                     trace: bool = False,
-                     journal: bool = False,
-                     profile: bool = False,
-                     profile_mem: bool = False,
-                     progress: ProgressKnob = None) -> SweepResult:
+                     **observe: Any) -> SweepResult:
     """Run an online-policy sweep (Figs. 4 and 6).
 
     Every policy sees the same arrival sequence per (x, seed); requests
     are re-drawn fresh for each policy so realization state never leaks
     between runs.  Accepts the same ``workers`` / ``chunksize`` /
-    ``trace`` / ``journal`` / ``profile`` / ``profile_mem`` /
-    ``progress`` knobs as :func:`run_offline_sweep`, with
-    the same determinism guarantee.
+    observation knobs as :func:`run_offline_sweep`, with the same
+    determinism guarantee.
     """
     specs = build_online_specs(policy_factories, x_values, make_config,
                                num_requests_of, horizon_slots,
                                num_seeds=num_seeds)
     return execute_sweep(specs, x_label, workers=workers,
-                         chunksize=chunksize, trace=trace,
-                         journal=journal, profile=profile,
-                         profile_mem=profile_mem, progress=progress)
+                         chunksize=chunksize, **observe)

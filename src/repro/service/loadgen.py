@@ -25,20 +25,14 @@ uninterrupted run's.
 from __future__ import annotations
 
 import asyncio
-import cProfile
-import platform as platform_module
 import sys
 import time
-import tracemalloc
-from contextlib import ExitStack
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..config import SimulationConfig
 from ..telemetry import profiling
-from ..telemetry.ledger import (RunManifest, _utc_now_iso, config_hash,
-                                git_revision, peak_rss_kb, write_bench)
+from ..telemetry.ledger import make_manifest, write_bench
 from ..telemetry.metrics import MetricsRegistry, NULL_REGISTRY
-from ..telemetry.tracer import Tracer, use_tracer
 from .http import MetricsEndpoint
 from .loop import AdmissionService, ServiceConfig
 
@@ -116,57 +110,6 @@ async def _serve_with_endpoint(service: AdmissionService,
         await endpoint.stop()
 
 
-class _ProfileSession:
-    """Optional profiling scaffolding around a service drive loop.
-
-    Owns the tracer span stream, the :mod:`cProfile` capture, and (with
-    ``profile_mem``) a :mod:`tracemalloc` session; ``finish()`` reduces
-    them to the same digest/stats/memory triple the experiment executor
-    attaches to run records.  All-``False`` construction is inert: no
-    tracer installs, no profiler starts, ``finish()`` returns ``None``.
-    """
-
-    def __init__(self, profile: bool = False,
-                 profile_mem: bool = False) -> None:
-        self.enabled = bool(profile)
-        self.profile_mem = bool(profile_mem)
-        self.tracer = Tracer() if self.enabled else None
-        self.profiler = cProfile.Profile() if self.enabled else None
-        self._own_tm = (self.profile_mem
-                        and not tracemalloc.is_tracing())
-
-    def attach(self, stack: ExitStack) -> None:
-        """Install the tracer / profiler / tracemalloc via ``stack``."""
-        if self._own_tm:
-            tracemalloc.start()
-            stack.callback(tracemalloc.stop)
-        if self.tracer is not None:
-            stack.enter_context(use_tracer(self.tracer))
-        if self.profiler is not None:
-            self.profiler.enable()
-            stack.callback(self.profiler.disable)
-
-    def finish(self, registry: MetricsRegistry) \
-            -> Optional[Dict[str, Any]]:
-        """Reduce captures to ``{"digest", "stats", "memory"}``."""
-        memory: Optional[List[Dict[str, Any]]] = None
-        if self.profile_mem and tracemalloc.is_tracing():
-            memory = profiling.capture_memory_top(
-                tracemalloc.take_snapshot())
-        if not self.enabled:
-            if memory is None:
-                return None
-            return {"digest": None, "stats": None, "memory": memory}
-        assert self.tracer is not None and self.profiler is not None
-        registry_counters = (registry.snapshot()["counters"]
-                             if registry.enabled else None)
-        digest = profiling.digest_from_events(
-            self.tracer.events(), registry_counters)
-        return {"digest": digest,
-                "stats": profiling.capture_stats(self.profiler),
-                "memory": memory}
-
-
 def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                 policy: str = "greedy", seed: int = 0,
                 queue_limit: int = 256,
@@ -213,12 +156,12 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                           flush_every=flush_every)
     registry = MetricsRegistry() if metrics else NULL_REGISTRY
     service = AdmissionService(config, registry=registry)
-    session = _ProfileSession(profile=bool(profile or profile_out),
-                              profile_mem=profile_mem)
+    capture = profiling.Capture(profile=bool(profile or profile_out),
+                                profile_mem=profile_mem,
+                                registry=registry)
     began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
     killed_summary: Optional[Dict[str, Any]] = None
-    with ExitStack() as stack:
-        session.attach(stack)
+    with capture:
         if kill_at_slot is not None:
             while not service.done:
                 report = service.tick()
@@ -237,12 +180,11 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
             asyncio.run(service.serve())
         if killed_summary is None:
             service.close()
-        captured = session.finish(registry)
     if killed_summary is not None:
         return killed_summary
     elapsed = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,
-                      name=name, captured=captured,
+                      name=name, captured=capture,
                       profile_out=profile_out)
 
 
@@ -264,20 +206,19 @@ def run_resume(checkpoint_path: str,
     registry = MetricsRegistry() if metrics else None
     service = AdmissionService.resume(checkpoint_path,
                                       registry=registry)
-    session = _ProfileSession(profile=bool(profile or profile_out),
-                              profile_mem=profile_mem)
+    capture = profiling.Capture(profile=bool(profile or profile_out),
+                                profile_mem=profile_mem,
+                                registry=service.metrics)
     began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
-    with ExitStack() as stack:
-        session.attach(stack)
+    with capture:
         if metrics_port is not None:
             asyncio.run(_serve_with_endpoint(service, metrics_port))
         else:
             asyncio.run(service.serve())
         service.close()
-        captured = session.finish(service.metrics)
     elapsed = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,
-                      name=name, resumed=True, captured=captured,
+                      name=name, resumed=True, captured=capture,
                       profile_out=profile_out)
 
 
@@ -285,7 +226,7 @@ def finish_run(service: AdmissionService, elapsed_s: float,
                bench_path: Optional[str] = None,
                name: str = "service",
                resumed: bool = False,
-               captured: Optional[Dict[str, Any]] = None,
+               captured: Optional[profiling.Capture] = None,
                profile_out: Optional[str] = None) -> Dict[str, Any]:
     """Build the summary (and optionally the bench manifest)."""
     row = _metrics_row(service, elapsed_s)
@@ -298,48 +239,32 @@ def finish_run(service: AdmissionService, elapsed_s: float,
     if service.metrics.enabled:
         summary["registry_counters"] = \
             service.metrics.snapshot()["counters"]
-    digest = captured.get("digest") if captured else None
+    digest = captured.digest if captured else None
+    memory = captured.memory if captured else None
     if digest is not None:
         summary["profile"] = digest.to_dict()
         print(profiling.render_digest(digest, top=10),
               file=sys.stderr)
         if profile_out is not None:
-            stats = captured.get("stats") if captured else None
-            if stats:
-                lines = profiling.folded_from_stats(stats)
-            else:
-                lines = profiling.folded_from_digest(digest)
+            lines = profiling.folded_from_stats(captured.stats)
             path = profiling.write_folded(profile_out, lines)
             print(f"collapsed stacks: {path} ({len(lines)} frames)",
                   file=sys.stderr)
-    memory = captured.get("memory") if captured else None
     if memory is not None:
         summary["profile_mem"] = memory
         print(profiling.render_memory_top(memory[:10]),
               file=sys.stderr)
     if bench_path is not None:
-        import numpy as np
-
-        manifest = RunManifest(
-            name=name,
-            created_at=_utc_now_iso(),
-            git_rev=git_revision(),
-            config_hash=config_hash(service.config),
-            seeds=(int(service.config.sim.seed),),
-            workers=1,
-            python_version=platform_module.python_version(),
-            numpy_version=np.__version__,
-            platform=platform_module.platform(),
-            peak_rss_kb=peak_rss_kb(),
-            phases={"serve": elapsed_s},
+        manifest = make_manifest(
+            name, service.config, seeds=(service.config.sim.seed,),
+            workers=1, phases={"serve": elapsed_s},
             metrics={"loadgen": row},
-            profiles=({"loadgen": digest.to_dict()}
+            profiles=({"loadgen": summary["profile"]}
                       if digest is not None else {}),
             extra={"policy": service.config.policy,
                    "mean_arrivals_per_slot":
                        service.config.mean_arrivals_per_slot,
                    "queue_limit": service.config.queue_limit,
-                   "resumed": resumed},
-        )
+                   "resumed": resumed})
         summary["bench_path"] = str(write_bench(bench_path, manifest))
     return summary

@@ -268,8 +268,7 @@ def manifest_from_sweeps(name: str,
     seeds: set = set()
     for group in sorted(sweeps):
         records = sweeps[group].records
-        for record in records:
-            seeds.add(int(record.seed))
+        seeds.update(int(record.seed) for record in records)
         for algo, row in _mean_metrics(records).items():
             key = f"{group}/{algo}" if namespaced else algo
             metrics[key] = row
@@ -278,25 +277,44 @@ def manifest_from_sweeps(name: str,
 
         profiles = {algo: digest.to_dict() for algo, digest
                     in collect_sweep_profiles(sweeps).items()}
+    return make_manifest(
+        name, config if config is not None else sorted(sweeps),
+        seeds=seeds, workers=workers, phases=phases or {},
+        metrics=metrics, extra=extra, profiles=profiles)
+
+
+def make_manifest(name: str, config: Any, seeds: Iterable[int],
+                  workers: int, phases: Mapping[str, float],
+                  metrics: Mapping[str, Mapping[str, float]],
+                  extra: Optional[Mapping[str, Any]] = None,
+                  profiles: Optional[
+                      Mapping[str, Mapping[str, Any]]] = None
+                  ) -> RunManifest:
+    """A :class:`RunManifest` stamped with this process's environment.
+
+    The one constructor of manifests: it fills ``created_at``,
+    ``git_rev``, the python/numpy/platform versions and
+    ``peak_rss_kb``, hashes ``config`` (see :func:`config_hash`) and
+    sorts ``seeds``.
+    """
     import numpy as np
 
     return RunManifest(
         name=name,
         created_at=_utc_now_iso(),
         git_rev=git_revision(),
-        config_hash=config_hash(config if config is not None
-                                else sorted(sweeps)),
-        seeds=tuple(sorted(seeds)),
+        config_hash=config_hash(config),
+        seeds=tuple(sorted(int(seed) for seed in seeds)),
         workers=int(workers),
         python_version=platform_module.python_version(),
         numpy_version=np.__version__,
         platform=platform_module.platform(),
         peak_rss_kb=peak_rss_kb(),
-        phases=dict(phases or {}),
-        metrics=metrics,
+        phases=dict(phases),
+        metrics=dict(metrics),
         extra=dict(extra or {}),
         profiles={str(algo): dict(digest)
-                  for algo, digest in profiles.items()},
+                  for algo, digest in (profiles or {}).items()},
     )
 
 

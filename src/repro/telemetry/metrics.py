@@ -47,18 +47,13 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError
-
-#: Label set in canonical (sorted tuple) form, as in the tracer.
-LabelKey = Tuple[Tuple[str, Any], ...]
+from .tracer import LabelKey, label_key
 
 #: Quantiles reported by every histogram snapshot (percent).
 SNAPSHOT_QUANTILES = (50.0, 95.0, 99.0)
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted(labels.items()))
 
-
-def _series_name(name: str, labels: LabelKey) -> str:
+def series_name(name: str, labels: LabelKey) -> str:
     """Canonical flat series id: ``name{k="v",...}`` (sorted keys)."""
     if not labels:
         return name
@@ -362,12 +357,12 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to the monotonic counter ``name`` + labels."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + float(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set the instantaneous value of a gauge."""
-        self._gauges[(name, _label_key(labels))] = float(value)
+        self._gauges[(name, label_key(labels))] = float(value)
 
     def register_histogram(self, name: str, lowest: float = 1e-6,
                            growth: float = 2.0 ** 0.5,
@@ -375,7 +370,7 @@ class MetricsRegistry:
                            window_slots: Optional[int] = None,
                            **labels) -> StreamingHistogram:
         """Create (or return) a histogram with explicit geometry."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         existing = self._histograms.get(key)
         if existing is not None:
             return existing
@@ -389,7 +384,7 @@ class MetricsRegistry:
     def observe(self, name: str, value: float,
                 slot: Optional[int] = None, **labels) -> None:
         """Record one histogram observation (current slot by default)."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         hist = self._histograms.get(key)
         if hist is None:
             hist = self.register_histogram(name, **labels)
@@ -400,16 +395,16 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels) -> float:
         """Current value of one counter (0.0 when never incremented)."""
-        return self._counters.get((name, _label_key(labels)), 0.0)
+        return self._counters.get((name, label_key(labels)), 0.0)
 
     def gauge(self, name: str, **labels) -> Optional[float]:
         """Current value of one gauge (None when never set)."""
-        return self._gauges.get((name, _label_key(labels)))
+        return self._gauges.get((name, label_key(labels)))
 
     def histogram(self, name: str,
                   **labels) -> Optional[StreamingHistogram]:
         """One histogram (None when never observed)."""
-        return self._histograms.get((name, _label_key(labels)))
+        return self._histograms.get((name, label_key(labels)))
 
     def snapshot(self) -> Dict[str, Any]:
         """The whole registry as a canonical JSON-able dict.
@@ -418,14 +413,14 @@ class MetricsRegistry:
         sorted order, so two registries with the same contents snapshot
         to identical bytes.
         """
-        counters = {_series_name(name, labels): self._counters[key]
+        counters = {series_name(name, labels): self._counters[key]
                     for key in sorted(self._counters)
                     for name, labels in (key,)}
-        gauges = {_series_name(name, labels): self._gauges[key]
+        gauges = {series_name(name, labels): self._gauges[key]
                   for key in sorted(self._gauges)
                   for name, labels in (key,)}
         histograms = {
-            _series_name(name, labels): self._histograms[key].snapshot()
+            series_name(name, labels): self._histograms[key].snapshot()
             for key in sorted(self._histograms)
             for name, labels in (key,)}
         return {"slot": self.slot, "counters": counters,
@@ -449,12 +444,12 @@ class MetricsRegistry:
         for key in sorted(self._counters):
             name, labels = key
             type_line(name, "counter")
-            lines.append(f"{_series_name(name, labels)} "
+            lines.append(f"{series_name(name, labels)} "
                          f"{self._counters[key]:g}")
         for key in sorted(self._gauges):
             name, labels = key
             type_line(name, "gauge")
-            lines.append(f"{_series_name(name, labels)} "
+            lines.append(f"{series_name(name, labels)} "
                          f"{self._gauges[key]:g}")
         for key in sorted(self._histograms):
             name, labels = key
@@ -468,11 +463,11 @@ class MetricsRegistry:
                 le = "+Inf" if upper == float("inf") else f"{upper:g}"
                 bucket_labels = labels + (("le", le),)
                 lines.append(
-                    f"{_series_name(name + '_bucket', bucket_labels)} "
+                    f"{series_name(name + '_bucket', bucket_labels)} "
                     f"{cumulative}")
-            lines.append(f"{_series_name(name + '_sum', labels)} "
+            lines.append(f"{series_name(name + '_sum', labels)} "
                          f"{hist.sum:g}")
-            lines.append(f"{_series_name(name + '_count', labels)} "
+            lines.append(f"{series_name(name + '_count', labels)} "
                          f"{hist.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 

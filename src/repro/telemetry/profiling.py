@@ -19,8 +19,10 @@ module closes that gap with three layers:
   serial and parallel execution; see :func:`canonical_digest`) and an
   advisory wall-clock part (the ``*_s`` fields).
 
-* **Deep capture** - opt-in ``cProfile`` statistics
-  (:func:`capture_stats` / :func:`merge_stats`) reduced to picklable
+* **Deep capture** - :class:`Capture`, the one capture path of sweep
+  runs and the service, wraps a block in a tracer, opt-in ``cProfile``
+  and opt-in ``tracemalloc``.  ``cProfile`` statistics
+  (:func:`capture_stats` / :func:`merge_stats`) are reduced to picklable
   dicts so they ride home on :class:`~repro.sim.results.RunRecord`
   like traces do, and opt-in ``tracemalloc`` top-N allocation sites
   (:func:`capture_memory_top` / :func:`merge_memory`) for flat-RSS
@@ -43,15 +45,20 @@ checkpoint (the executor's inertness tests pin this).
 
 from __future__ import annotations
 
+import cProfile
 import functools
 import json
+import tracemalloc
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
-from .summary import RUN_KEY_FIELDS
+from .metrics import series_name
+from .summary import list_lines, run_key, span_index, table_lines
+from .tracer import Tracer, label_key, use_tracer
 
 #: Schema identifier of one serialized digest.
 DIGEST_SCHEMA = "repro.profile-digest/1"
@@ -111,19 +118,6 @@ def _event_owners() -> Dict[str, str]:
 
     return {kind.spec.counter: kind.spec.span for kind in EventKind
             if kind.spec.span is not None}
-
-
-def series_id(name: str, labels: Mapping[str, Any]) -> str:
-    """Canonical flat series id, ``name{k="v",...}`` with sorted keys.
-
-    Matches :func:`repro.telemetry.metrics._series_name` so tracer
-    counters and registry counters share one namespace in the digest.
-    """
-    if not labels:
-        return name
-    body = ",".join(f'{key}="{value}"'
-                    for key, value in sorted(labels.items()))
-    return f"{name}{{{body}}}"
 
 
 @dataclass
@@ -271,13 +265,7 @@ def canonical_digest(digest: Union[ProfileDigest, Mapping[str, Any]]
 # ----------------------------------------------------------------------
 # Building digests from trace events
 # ----------------------------------------------------------------------
-def _run_key(event: Mapping[str, Any]) -> Tuple[Any, ...]:
-    return tuple(event.get(key) for key in RUN_KEY_FIELDS)
-
-
 def digest_from_events(events: Iterable[Mapping[str, Any]],
-                       registry_counters: Optional[
-                           Mapping[str, float]] = None,
                        runs: int = 1) -> ProfileDigest:
     """Build a :class:`ProfileDigest` from a trace event stream.
 
@@ -286,30 +274,29 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
     :func:`repro.telemetry.summary.summarize_events`).  Span paths are
     the full ancestor chain joined with ``/``; a re-entrant span
     therefore lands on a *longer* path (``a/a``) instead of double
-    counting on ``a``.  Tracer counter events fold in under their flat
-    series id; ``registry_counters`` (a
-    :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`
-    ``counters`` map) merge into the same namespace.
+    counting on ``a``.  Counter events fold in under the registry's
+    flat series id (:func:`~repro.telemetry.metrics.series_name`), so a
+    registry's counters, replayed into the trace by :class:`Capture`,
+    share one namespace with the tracer's own.
     """
     digest = ProfileDigest(runs=runs)
     span_events: List[Mapping[str, Any]] = []
-    by_seq: Dict[Tuple[Any, ...], Mapping[str, Any]] = {}
     for event in events:
         kind = event.get("kind")
         if kind == "span":
             span_events.append(event)
-            by_seq[_run_key(event) + (event.get("seq"),)] = event
         elif kind == "counter":
-            series = series_id(event["name"],
-                               event.get("labels") or {})
+            series = series_name(event["name"],
+                                 label_key(event.get("labels") or {}))
             digest.counters[series] = (digest.counters.get(series, 0.0)
                                        + float(event.get("value", 0.0)))
 
     # Resolve each span's full ancestor path and its direct-child time.
+    by_seq, child_s = span_index(span_events)
     paths: Dict[Tuple[Any, ...], str] = {}
 
     def path_of(event: Mapping[str, Any]) -> str:
-        key = _run_key(event) + (event.get("seq"),)
+        key = run_key(event) + (event.get("seq"),)
         cached = paths.get(key)
         if cached is not None:
             return cached
@@ -317,7 +304,7 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
         if parent is None:
             path = str(event["name"])
         else:
-            parent_event = by_seq.get(_run_key(event) + (parent,))
+            parent_event = by_seq.get(run_key(event) + (parent,))
             if parent_event is None:
                 path = str(event["name"])
             else:
@@ -326,16 +313,9 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
         paths[key] = path
         return path
 
-    child_s: Dict[Tuple[Any, ...], float] = {}
-    for event in span_events:
-        if event.get("parent") is not None:
-            key = _run_key(event) + (event["parent"],)
-            child_s[key] = (child_s.get(key, 0.0)
-                            + float(event.get("duration_s", 0.0)))
-
     for event in span_events:
         duration = float(event.get("duration_s", 0.0))
-        key = _run_key(event) + (event.get("seq"),)
+        key = run_key(event) + (event.get("seq"),)
         span = digest.spans.setdefault(path_of(event),
                                        SpanProfile(path_of(event)))
         single = SpanProfile(span.path, calls=1, total_s=duration,
@@ -345,11 +325,6 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
         span.absorb(single)
         if event.get("parent") is None:
             digest.top_level_s += duration
-    if registry_counters:
-        for series in sorted(registry_counters):
-            digest.counters[series] = (
-                digest.counters.get(series, 0.0)
-                + float(registry_counters[series]))
     return digest
 
 
@@ -395,33 +370,17 @@ def render_digest(digest: Union[ProfileDigest, Mapping[str, Any]],
                      f"{span.self_s * 1e3:.2f}",
                      f"{span.min_s * 1e3:.3f}",
                      f"{span.max_s * 1e3:.3f}"])
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              if rows else len(header[i]) for i in range(len(header))]
-
-    def fmt(cells: List[str]) -> str:
-        if markdown:
-            return "| " + " | ".join(cells) + " |"
-        return "  ".join(cell.rjust(width) if i else cell.ljust(width)
-                         for i, (cell, width)
-                         in enumerate(zip(cells, widths)))
-
-    lines = [fmt(header)]
-    if markdown:
-        lines.append("|---" * len(header) + "|")
-    lines.extend(fmt(row) for row in rows)
-    if not rows:
-        lines.append("(no spans profiled)")
+    lines = table_lines(header, rows, markdown, "(no spans profiled)")
     omitted = len(ordered) - len(rows)
     if omitted > 0:
         lines.append(f"  ... {omitted} cooler span path(s) omitted ...")
     if digest.counters:
-        lines.append("")
-        lines.append("**Counters**" if markdown else "counters:")
-        for series in sorted(digest.counters):
-            owner = counter_owner(series)
-            where = f" [{owner}]" if owner else ""
-            text = f"{series} = {digest.counters[series]:g}{where}"
-            lines.append(f"- {text}" if markdown else f"  {text}")
+        owners = {series: counter_owner(series)
+                  for series in sorted(digest.counters)}
+        lines += list_lines("counters", (
+            f"{series} = {digest.counters[series]:g}"
+            + (f" [{owner}]" if owner else "")
+            for series, owner in owners.items()), markdown)
     return "\n".join(lines)
 
 
@@ -686,20 +645,80 @@ def render_memory_top(rows: Sequence[Mapping[str, Any]],
     header = ["allocation site", "size_kb", "blocks"]
     body = [[str(row["site"]), f"{float(row['size_kb']):.1f}",
              str(int(row["count"]))] for row in rows]
-    widths = [max(len(header[i]), *(len(r[i]) for r in body))
-              if body else len(header[i]) for i in range(len(header))]
+    return "\n".join(table_lines(header, body, markdown,
+                                 "(no allocations captured)"))
 
-    def fmt(cells: List[str]) -> str:
-        if markdown:
-            return "| " + " | ".join(cells) + " |"
-        return "  ".join(cell.rjust(width) if i else cell.ljust(width)
-                         for i, (cell, width)
-                         in enumerate(zip(cells, widths)))
 
-    lines = [fmt(header)]
-    if markdown:
-        lines.append("|---" * len(header) + "|")
-    lines.extend(fmt(row) for row in body)
-    if not body:
-        lines.append("(no allocations captured)")
-    return "\n".join(lines)
+# ----------------------------------------------------------------------
+# The one capture path
+# ----------------------------------------------------------------------
+class Capture:
+    """Observe one block of work: its spans, cProfile and tracemalloc.
+
+    The one capture behind a traced or profiled
+    :class:`~repro.experiments.executor.RunSpec` and a profiled service
+    ``loadgen``/``resume``::
+
+        capture = Capture(profile=True, registry=registry)
+        with capture:
+            work()
+        capture.digest, capture.stats, capture.memory
+
+    Args:
+        trace: record the block's spans and counters on a fresh
+            :class:`~repro.telemetry.Tracer` (``capture.tracer``).
+        profile: trace, and also run the block under ``cProfile``; on
+            exit ``digest`` holds the :class:`ProfileDigest` and
+            ``stats`` the :func:`capture_stats` mapping.
+        profile_mem: on exit ``memory`` holds the top ``tracemalloc``
+            allocation sites (tracemalloc starts here unless already
+            running).
+        registry: a metrics registry the block counts into; the caller
+            installs it.  On exit its counters join the trace as
+            counter events, so the trace and the digest read them in
+            the tracer's namespace.  A live service passes its own
+            registry, which a resume restores from a checkpoint; a null
+            registry (``export_state()`` is None) adds nothing.
+
+    Capture is observation only: the block computes the same results
+    with it on or off.
+    """
+
+    def __init__(self, trace: bool = False, profile: bool = False,
+                 profile_mem: bool = False, registry: Any = None) -> None:
+        self.tracer = Tracer() if (trace or profile) else None
+        self.registry = registry
+        self.profile_mem = profile_mem
+        self._profiler = cProfile.Profile() if profile else None
+        self._stack = ExitStack()
+        self.digest: Optional[ProfileDigest] = None
+        self.stats: Optional[Dict[str, Any]] = None
+        self.memory: Optional[List[Dict[str, Any]]] = None
+
+    def __enter__(self) -> "Capture":
+        if self.tracer is not None:
+            self._stack.enter_context(use_tracer(self.tracer))
+        if self.profile_mem and not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._stack.callback(tracemalloc.stop)
+        if self._profiler is not None:
+            self._profiler.enable()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        with self._stack:
+            if self._profiler is not None:
+                self._profiler.disable()
+            if self.profile_mem and tracemalloc.is_tracing():
+                self.memory = capture_memory_top(
+                    tracemalloc.take_snapshot())
+        if exc_type is not None or self.tracer is None:
+            return
+        state = (self.registry.export_state()
+                 if self.registry is not None else None)
+        if state is not None:
+            for (name, labels), value in state["counters"].items():
+                self.tracer.count(name, value, **dict(labels))
+        if self._profiler is not None:
+            self.digest = digest_from_events(self.tracer.events())
+            self.stats = capture_stats(self._profiler)

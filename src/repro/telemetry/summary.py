@@ -9,7 +9,8 @@ or Markdown table sorted by total time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -22,15 +23,10 @@ RUN_KEY_FIELDS = ("figure", "run")
 def percentile_linear(data, q: float) -> float:
     """``np.percentile`` with the interpolation method pinned.
 
-    NumPy 1.22 renamed ``interpolation=`` to ``method=`` and added new
-    estimators; pinning ``"linear"`` explicitly keeps p95 tables
-    byte-stable across NumPy versions (and documents which estimator
-    the summary uses).  Falls back to the pre-1.22 spelling.
+    Pinning ``"linear"`` explicitly keeps p95 tables byte-stable across
+    NumPy versions (and documents which estimator the summary uses).
     """
-    try:
-        return float(np.percentile(data, q, method="linear"))
-    except TypeError:  # numpy < 1.22
-        return float(np.percentile(data, q, interpolation="linear"))
+    return float(np.percentile(data, q, method="linear"))
 
 
 @dataclass
@@ -95,16 +91,38 @@ class TraceSummary:
         return min(1.0, self.top_level_s / total_s)
 
 
-def _run_key(event: Dict[str, Any]) -> Tuple[Any, ...]:
+def run_key(event: Mapping[str, Any]) -> Tuple[Any, ...]:
+    """The run a (possibly merged) trace event belongs to."""
     return tuple(event.get(key) for key in RUN_KEY_FIELDS)
+
+
+def span_index(span_events: Iterable[Mapping[str, Any]]
+               ) -> Tuple[Dict[Tuple[Any, ...], Mapping[str, Any]],
+                          Dict[Tuple[Any, ...], float]]:
+    """Spans by ``run key + seq``, and each span's direct-child time.
+
+    Parent links resolve per run: merged traces reuse ``seq`` across
+    runs.  Returns ``(by_seq, child_s)``, both keyed by
+    ``run_key(event) + (seq,)``.
+    """
+    by_seq: Dict[Tuple[Any, ...], Mapping[str, Any]] = {}
+    child_s: Dict[Tuple[Any, ...], float] = {}
+    for event in span_events:
+        run = run_key(event)
+        by_seq[run + (event.get("seq"),)] = event
+        if event.get("parent") is not None:
+            key = run + (event["parent"],)
+            child_s[key] = (child_s.get(key, 0.0)
+                            + float(event.get("duration_s", 0.0)))
+    return by_seq, child_s
 
 
 def _has_same_name_ancestor(
         event: Dict[str, Any],
-        by_seq: Dict[Tuple[Any, ...], Dict[str, Any]]) -> bool:
+        by_seq: Mapping[Tuple[Any, ...], Mapping[str, Any]]) -> bool:
     """True when a span of the same name encloses ``event``."""
     name = event["name"]
-    run = _run_key(event)
+    run = run_key(event)
     parent = event.get("parent")
     hops = 0
     while parent is not None and hops < len(by_seq) + 1:
@@ -147,15 +165,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> TraceSummary:
             values.setdefault(event["name"],
                               []).extend(event["values"])
 
-    child_s: Dict[Tuple[Any, ...], float] = {}
-    by_seq: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-    for event in span_events:
-        by_seq[_run_key(event) + (event["seq"],)] = event
-        if event.get("parent") is not None:
-            key = _run_key(event) + (event["parent"],)
-            child_s[key] = (child_s.get(key, 0.0)
-                            + event.get("duration_s", 0.0))
-
+    by_seq, child_s = span_index(span_events)
     top_level_s = 0.0
     for event in span_events:
         stats = spans.setdefault(event["name"], SpanStats(event["name"]))
@@ -164,7 +174,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> TraceSummary:
         if not _has_same_name_ancestor(event, by_seq):
             stats.total_s += duration
         stats.durations.append(duration)
-        key = _run_key(event) + (event["seq"],)
+        key = run_key(event) + (event["seq"],)
         stats.self_s += max(0.0, duration - child_s.get(key, 0.0))
         if event.get("parent") is None:
             top_level_s += duration
@@ -172,12 +182,42 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> TraceSummary:
                         top_level_s=top_level_s)
 
 
-def _format_row(cells: List[str], widths: List[int],
-                markdown: bool) -> str:
+def table_lines(header: List[str], rows: List[List[str]],
+                markdown: bool = False,
+                empty: Optional[str] = None) -> List[str]:
+    """A table's header, Markdown rule and rows, one string each.
+
+    Plain text left-aligns the first column and right-aligns the rest
+    to the widest cell; Markdown emits pipe rows under a ``|---`` rule.
+    ``empty`` (when given) stands in for the rows of an empty table.
+    Every telemetry and report table renders through here.
+    """
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
+              if rows else len(header[i]) for i in range(len(header))]
+
+    def fmt(cells: List[str]) -> str:
+        if markdown:
+            return "| " + " | ".join(cells) + " |"
+        return "  ".join(cell.rjust(width) if i else cell.ljust(width)
+                         for i, (cell, width)
+                         in enumerate(zip(cells, widths)))
+
+    lines = [fmt(header)]
     if markdown:
-        return "| " + " | ".join(cells) + " |"
-    return "  ".join(cell.rjust(width) if i else cell.ljust(width)
-                     for i, (cell, width) in enumerate(zip(cells, widths)))
+        lines.append("|---" * len(header) + "|")
+    lines.extend(fmt(row) for row in rows)
+    if not rows and empty is not None:
+        lines.append(empty)
+    return lines
+
+
+def list_lines(title: str, items: Iterable[str],
+               markdown: bool = False) -> List[str]:
+    """A blank line, then a titled list: ``title:`` over indented
+    items, or a bold title over bullets in Markdown."""
+    return (["", f"**{title.capitalize()}**" if markdown
+             else f"{title}:"]
+            + [f"- {item}" if markdown else f"  {item}" for item in items])
 
 
 def render_summary(events: Iterable[Dict[str, Any]],
@@ -215,29 +255,17 @@ def render_summary(events: Iterable[Dict[str, Any]],
                      f"{stats.max_s * 1e3:.3f}",
                      f"{stats.self_s * 1e3:.2f}",
                      f"{share:.1f}"])
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              if rows else len(header[i]) for i in range(len(header))]
-    lines = [_format_row(header, widths, markdown)]
-    if markdown:
-        lines.append("|---" * len(header) + "|")
-    for row in rows:
-        lines.append(_format_row(row, widths, markdown))
-    if not rows:
-        lines.append("(no spans recorded)")
+    lines = table_lines(header, rows, markdown, "(no spans recorded)")
 
     if summary.counters:
-        lines.append("")
-        lines.append("counters:" if not markdown else "**Counters**")
-        for name in sorted(summary.counters):
-            value = summary.counters[name]
-            text = f"{name} = {value:g}"
-            lines.append(f"- {text}" if markdown else f"  {text}")
+        lines += list_lines("counters", (
+            f"{name} = {summary.counters[name]:g}"
+            for name in sorted(summary.counters)), markdown)
     if summary.values:
-        lines.append("")
-        lines.append("values:" if not markdown else "**Values**")
-        for name in sorted(summary.values):
-            data = np.asarray(summary.values[name], dtype=float)
-            text = (f"{name}: n={data.size} mean={data.mean():g} "
-                    f"min={data.min():g} max={data.max():g}")
-            lines.append(f"- {text}" if markdown else f"  {text}")
+        arrays = {name: np.asarray(summary.values[name], dtype=float)
+                  for name in sorted(summary.values)}
+        lines += list_lines("values", (
+            f"{name}: n={data.size} mean={data.mean():g} "
+            f"min={data.min():g} max={data.max():g}"
+            for name, data in arrays.items()), markdown)
     return "\n".join(lines)

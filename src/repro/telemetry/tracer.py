@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 #: Label set in canonical (sorted tuple) form.
 LabelKey = Tuple[Tuple[str, Any], ...]
 
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
+def label_key(labels: Mapping[str, Any]) -> LabelKey:
+    """A label set in canonical form (the tracer's and the registry's)."""
     return tuple(sorted(labels.items()))
 
 
@@ -154,7 +156,7 @@ class Tracer:
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to the monotonic counter ``name`` + labels."""
-        key = (name, _label_key(labels))
+        key = (name, label_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + float(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
@@ -163,7 +165,7 @@ class Tracer:
         Observe only run-deterministic quantities (see the module
         docstring); wall-clock belongs in spans.
         """
-        self._values.setdefault((name, _label_key(labels)),
+        self._values.setdefault((name, label_key(labels)),
                                 []).append(float(value))
 
     # ------------------------------------------------------------------
@@ -176,11 +178,11 @@ class Tracer:
 
     def counter(self, name: str, **labels) -> float:
         """Current value of one counter (0.0 when never incremented)."""
-        return self._counters.get((name, _label_key(labels)), 0.0)
+        return self._counters.get((name, label_key(labels)), 0.0)
 
     def observations(self, name: str, **labels) -> List[float]:
         """The recorded observations of one value series."""
-        return list(self._values.get((name, _label_key(labels)), []))
+        return list(self._values.get((name, label_key(labels)), []))
 
     def events(self) -> List[Dict[str, Any]]:
         """The trace as a flat, JSON-serializable event list.

@@ -82,6 +82,7 @@ class TestCli:
                                         monkeypatch):
         """Smoke-run the CLI on figure 3 with a stubbed tiny driver."""
         import repro.experiments.__main__ as cli
+        from repro.experiments import figures
 
         def tiny_driver(scale, workers=1, trace=False):
             sweep = SweepResult("num_requests")
@@ -91,7 +92,7 @@ class TestCli:
                                  "runtime_s": 0.1}))
             return sweep
 
-        monkeypatch.setitem(cli._FIGURES, "3",
+        monkeypatch.setitem(figures.FIGURES, "3",
                             (tiny_driver, ("total_reward",)))
         code = cli.main(["--figures", "3", "--out", str(tmp_path)])
         assert code == 0
@@ -101,6 +102,7 @@ class TestCli:
 
     def test_workers_flag_reaches_driver(self, monkeypatch, capsys):
         import repro.experiments.__main__ as cli
+        from repro.experiments import figures
 
         seen = {}
 
@@ -110,7 +112,7 @@ class TestCli:
             sweep.add(RunRecord("Appro", 10, 0, {"total_reward": 1.0}))
             return sweep
 
-        monkeypatch.setitem(cli._FIGURES, "3",
+        monkeypatch.setitem(figures.FIGURES, "3",
                             (tiny_driver, ("total_reward",)))
         assert cli.main(["--figures", "3", "--workers", "2"]) == 0
         assert seen["workers"] == 2
@@ -121,6 +123,7 @@ class TestCli:
 class TestCliPlot:
     def test_plot_flag_renders_ascii(self, monkeypatch, capsys):
         import repro.experiments.__main__ as cli
+        from repro.experiments import figures
         from repro.sim.results import RunRecord, SweepResult
 
         def tiny_driver(scale, workers=1, trace=False):
@@ -130,7 +133,7 @@ class TestCliPlot:
                                     {"total_reward": float(x)}))
             return sweep
 
-        monkeypatch.setitem(cli._FIGURES, "3",
+        monkeypatch.setitem(figures.FIGURES, "3",
                             (tiny_driver, ("total_reward",)))
         code = cli.main(["--figures", "3", "--plot"])
         assert code == 0

@@ -1,6 +1,10 @@
 """Tests for the Markdown report generator."""
 
 
+import pytest
+
+from repro.experiments import figures
+from repro.experiments.figures import run_figures
 from repro.experiments.report import (build_report,
                                       invariant_audit_markdown, main,
                                       render_figure_markdown,
@@ -45,6 +49,31 @@ def make_journaled_sweep(tamper=False):
     return sweep
 
 
+@pytest.fixture()
+def stub_figure(monkeypatch):
+    """Make the figure table one stubbed figure 3 and return its calls."""
+    calls = []
+
+    def use(driver):
+        def recorded(scale, **kwargs):
+            calls.append(kwargs)
+            return driver(scale, **kwargs)
+
+        monkeypatch.setattr(figures, "FIGURES",
+                            {"3": (recorded, ("total_reward",))})
+        return calls
+
+    return use
+
+
+def tiny_driver(scale, workers=1, trace=False):
+    return make_sweep()
+
+
+def journaled_driver(scale, workers=1, trace=False, journal=False):
+    return make_journaled_sweep() if journal else make_sweep()
+
+
 class TestMarkdownRendering:
     def test_table_shape(self):
         text = _markdown_table(make_sweep(), "total_reward")
@@ -63,75 +92,59 @@ class TestMarkdownRendering:
 
 
 class TestBuildReport:
-    def test_stubbed_full_report(self):
-        def tiny_driver(scale, workers=1, trace=False):
-            return make_sweep()
-
-        text = build_report(
-            figures=(("3", tiny_driver, ("total_reward",)),),
-            include_theorems=False,
-            title="Stub report")
+    def test_stubbed_full_report(self, stub_figure):
+        stub_figure(tiny_driver)
+        text = build_report(run_figures(), include_theorems=False,
+                            title="Stub report")
         assert text.startswith("# Stub report")
         assert "## Figure 3" in text
         assert "| Appro |" in text
         assert "## Wall-clock" in text
         assert "workers=1" in text
 
-    def test_workers_threaded_and_speedup_measured(self):
-        calls = []
-
-        def tiny_driver(scale, workers=1, trace=False):
-            calls.append(workers)
-            return make_sweep()
-
-        text = build_report(
-            figures=(("3", tiny_driver, ("total_reward",)),),
-            include_theorems=False,
-            workers=2,
-            measure_speedup=True)
+    def test_workers_threaded_and_speedup_measured(self, stub_figure):
+        calls = stub_figure(tiny_driver)
+        text = build_report(run_figures(workers=2),
+                            include_theorems=False,
+                            measure_speedup=True)
         # One parallel pass plus one serial baseline pass.
-        assert calls == [2, 1]
+        assert [call["workers"] for call in calls] == [2, 1]
         assert "workers=2" in text
         assert "x |" in text  # a speedup column entry
 
-    def test_no_speedup_pass_by_default(self):
-        calls = []
+    def test_no_speedup_pass_by_default(self, stub_figure):
+        calls = stub_figure(tiny_driver)
+        build_report(run_figures(workers=3), include_theorems=False)
+        assert [call["workers"] for call in calls] == [3]
 
-        def tiny_driver(scale, workers=1, trace=False):
-            calls.append(workers)
-            return make_sweep()
-
-        build_report(figures=(("3", tiny_driver, ("total_reward",)),),
-                     include_theorems=False, workers=3)
-        assert calls == [3]
-
-    def test_cli_writes_file(self, tmp_path, monkeypatch, capsys):
-        import repro.experiments.report as report_mod
-
-        def tiny_driver(scale, workers=1, trace=False):
-            return make_sweep()
-
-        monkeypatch.setattr(
-            report_mod, "DEFAULT_FIGURES",
-            (("3", tiny_driver, ("total_reward",)),))
+    def test_cli_writes_file(self, tmp_path, stub_figure, capsys):
+        calls = stub_figure(tiny_driver)
         out = tmp_path / "report.md"
         code = main(["--out", str(out), "--no-theorems"])
         assert code == 0
+        assert calls == [{"workers": 1}]
         assert out.exists()
         assert "## Figure 3" in out.read_text()
 
-    def test_cli_stdout(self, monkeypatch, capsys):
-        import repro.experiments.report as report_mod
-
-        def tiny_driver(scale, workers=1, trace=False):
-            return make_sweep()
-
-        monkeypatch.setattr(
-            report_mod, "DEFAULT_FIGURES",
-            (("3", tiny_driver, ("total_reward",)),))
+    def test_cli_stdout(self, stub_figure, capsys):
+        calls = stub_figure(tiny_driver)
         code = main(["--no-theorems"])
         assert code == 0
+        assert calls == [{"workers": 1}]
         assert "## Figure 3" in capsys.readouterr().out
+
+    def test_cli_audit_violation_exits_1(self, stub_figure, capsys):
+        stub_figure(lambda scale, **kwargs: make_journaled_sweep(
+            tamper=True))
+        code = main(["--no-theorems", "--audit"])
+        out = capsys.readouterr().out
+        assert "2 VIOLATION(S)" in out
+        assert code == 1
+
+    def test_cli_clean_audit_exits_0(self, stub_figure, capsys):
+        stub_figure(journaled_driver)
+        assert main(["--no-theorems", "--audit"]) == 0
+        assert "all invariants held" in capsys.readouterr().out
 
 
 class TestInvariantAuditSection:
@@ -153,24 +166,15 @@ class TestInvariantAuditSection:
         assert "double_terminal" in text
         assert "Appro x=10 seed=0" in text
 
-    def test_build_report_appends_audit_section(self):
-        def tiny_driver(scale, workers=1, trace=False, journal=False):
-            return make_journaled_sweep() if journal else make_sweep()
-
-        text = build_report(
-            figures=(("3", tiny_driver, ("total_reward",)),),
-            include_theorems=False,
-            journal=True)
+    def test_build_report_appends_audit_section(self, stub_figure):
+        stub_figure(journaled_driver)
+        text = build_report(run_figures(journal=True),
+                            include_theorems=False)
         assert "## Invariant audit" in text
 
-    def test_journal_sink_receives_merged_events(self):
-        def tiny_driver(scale, workers=1, trace=False, journal=False):
-            return make_journaled_sweep() if journal else make_sweep()
-
-        sink = []
-        build_report(
-            figures=(("3", tiny_driver, ("total_reward",)),),
-            include_theorems=False,
-            journal=True, journal_sink=sink)
-        assert sink
-        assert all("figure" in e and "run" in e for e in sink)
+    def test_run_carries_merged_journal_events(self, stub_figure):
+        stub_figure(journaled_driver)
+        run = run_figures(journal=True)
+        assert run.journal
+        assert all(e["figure"] == "3" and "run" in e
+                   for e in run.journal)

@@ -7,14 +7,16 @@ import tracemalloc
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry import Tracer
+from repro.telemetry import Tracer, get_tracer
 from repro.telemetry.profiling import (
     COUNTER_OWNERS, DIGEST_SCHEMA, PROFILE_SET_SCHEMA, ProfileDigest,
     SpanProfile, canonical_digest, capture_memory_top, capture_stats,
     counter_base, digest_from_events, folded_from_digest,
     folded_from_stats, load_profile_set, merge_digests, merge_memory,
-    merge_stats, render_digest, render_memory_top, series_id,
+    Capture, merge_stats, render_digest, render_memory_top,
     top_functions, write_folded, write_profile_set)
+from repro.telemetry.metrics import (NULL_REGISTRY, MetricsRegistry,
+                                     series_name)
 
 
 class StepClock:
@@ -67,13 +69,25 @@ class TestDigestFromEvents:
             'simplex_iterations_total{phase="primal"}'] == 12
 
     def test_registry_counters_share_the_namespace(self):
-        digest = digest_from_events(
-            traced_run(), {"rounding_admits_total": 5.0})
-        assert digest.counters["rounding_admits_total"] == 5.0
+        # The kept rule: a capture replays its registry's counters into
+        # the trace, so the digest reads them as tracer counters and a
+        # series both count into sums to one entry.
+        registry = MetricsRegistry()
+        capture = Capture(profile=True, registry=registry)
+        with capture:
+            registry.inc("rounding_admits_total", 5.0)
+            registry.inc("lp_solves_total", 2.0, mode="cold")
+            get_tracer().count("lp_solves_total", 1, mode="cold")
+        assert capture.digest.counters["rounding_admits_total"] == 5.0
+        assert capture.digest.counters['lp_solves_total{mode="cold"}'] \
+            == 3.0
+        assert {"kind": "counter", "name": "rounding_admits_total",
+                "labels": {}, "value": 5.0} in capture.tracer.events()
 
     def test_counter_owner_join(self):
-        digest = digest_from_events(
-            traced_run(), {"rounding_admits_total": 5.0})
+        digest = digest_from_events(traced_run() + [
+            {"kind": "counter", "name": "rounding_admits_total",
+             "labels": {}, "value": 5.0}])
         mine = digest.span_counters("lp_solve")
         assert 'lp_solves_total{mode="cold"}' in mine
         assert 'simplex_iterations_total{phase="primal"}' in mine
@@ -88,10 +102,41 @@ class TestDigestFromEvents:
             assert counter_base(base) == base
 
 
+class TestCapture:
+    def test_null_registry_adds_no_counters(self):
+        capture = Capture(profile=True, registry=NULL_REGISTRY)
+        with capture:
+            with get_tracer().span("slot_admission"):
+                pass
+        assert capture.digest.counters == {}
+        assert capture.digest.spans["slot_admission"].calls == 1
+        assert capture.stats
+
+    def test_memory_only_capture_has_no_digest(self):
+        capture = Capture(profile_mem=True, registry=MetricsRegistry())
+        with capture:
+            blocks = [bytearray(1024) for _ in range(64)]
+        assert blocks and capture.memory
+        assert capture.tracer is None
+        assert capture.digest is None and capture.stats is None
+
+    def test_tracer_is_installed_only_inside(self):
+        capture = Capture(trace=True)
+        with capture:
+            assert get_tracer() is capture.tracer
+        assert get_tracer() is not capture.tracer
+        assert capture.digest is None
+
+
 class TestSeriesIds:
     def test_series_id_sorts_labels(self):
-        assert series_id("c", {"b": 1, "a": 2}) == 'c{a="2",b="1"}'
-        assert series_id("c", {}) == "c"
+        digest = digest_from_events([
+            {"kind": "counter", "name": "c", "labels": {"b": 1, "a": 2},
+             "value": 1.0},
+            {"kind": "counter", "name": "c", "labels": {}, "value": 1.0}])
+        assert sorted(digest.counters) == ["c", 'c{a="2",b="1"}']
+        assert series_name("c", (("a", 2), ("b", 1))) == 'c{a="2",b="1"}'
+        assert series_name("c", ()) == "c"
 
     def test_counter_base_strips_labels(self):
         assert counter_base('c{a="1"}') == "c"
