@@ -23,6 +23,7 @@ NUM_REQUESTS = 220
 
 
 def run_policy(factory):
+    """Mean fairness and total reward; ``factory(seed)`` builds a policy."""
     fairness, rewards = [], 0.0
     for seed in SEEDS:
         instance = ProblemInstance.build(SimulationConfig(seed=seed))
@@ -33,7 +34,7 @@ def run_policy(factory):
         workload = assign_arrival_slots(base, slots)
         engine = OnlineEngine(instance, workload, horizon_slots=HORIZON,
                               rng=seed)
-        result = engine.run(factory())
+        result = engine.run(factory(seed))
         fairness.append(jains_fairness_index(
             result.waiting_distribution_ms()))
         rewards += result.total_reward
@@ -44,10 +45,11 @@ def test_waiting_fairness(benchmark):
     out = {}
 
     def run():
-        for name, factory in (("DynamicRR", DynamicRR),
-                              ("Greedy", GreedyOnline),
-                              ("OCORP", OcorpOnline),
-                              ("HeuKKT", HeuKktOnline)):
+        for name, factory in (
+                ("DynamicRR", lambda seed: DynamicRR(rng=seed)),
+                ("Greedy", lambda _seed: GreedyOnline()),
+                ("OCORP", lambda _seed: OcorpOnline()),
+                ("HeuKKT", lambda _seed: HeuKktOnline())):
             out[name] = run_policy(factory)
         return out
 

@@ -27,9 +27,6 @@ from .dynamic_rr import DynamicRR
 from .fixed_threshold import FixedThresholdRR, best_fixed_threshold
 from .clairvoyant import ClairvoyantResult, clairvoyant_bound, \
     competitive_ratio
-from .sensitivity import (StationValue, bottleneck_stations,
-                          capacity_value_per_station,
-                          expansion_gain_estimate)
 
 __all__ = [
     "ProblemInstance",
@@ -50,8 +47,4 @@ __all__ = [
     "ClairvoyantResult",
     "clairvoyant_bound",
     "competitive_ratio",
-    "StationValue",
-    "capacity_value_per_station",
-    "bottleneck_stations",
-    "expansion_gain_estimate",
 ]

@@ -3,21 +3,22 @@
 The regret of Theorem 3 is measured against the best fixed threshold;
 a stronger comparator is the **clairvoyant scheduler** that knows every
 arrival and every realized data rate in advance.  This module computes
-a clairvoyant *bound* (not a policy): with full knowledge, the best any
-schedule can do is
+an upper bound (not a policy) on the reward any schedule earns in the
+online engine (:mod:`repro.sim.online_engine`):
 
-* start each request within its waiting budget (the deadline minus its
-  best-case placement delay - later starts forfeit the reward), and
-* never exceed, at any slot, the network's computing capacity with the
-  realized demands of the concurrently running streams.
+* a request earns its realized reward at most once, and only if it
+  arrives inside the monitoring period, and
+* it earns it only if ``waiting + transfer + processing x slowdown``
+  meets its deadline (Eq. 1).  Waiting is ``>= 0`` and the round-robin
+  slowdown is ``>= 1``, so its fastest placement - a station's
+  unslowed delay, or the cloud - must meet the deadline with no wait.
 
-Relaxing placement to a single network-wide capacity pool and admitting
-requests greedily by reward density (reward per MHz-slot) yields an
-upper-bound estimate that is cheap to compute and empirically tight
-enough to contextualize the online algorithms' rewards.  Every
-admission the greedy makes is feasible for the pooled relaxation, so
-``clairvoyant_bound >= greedy admission total`` and the pooled optimum
-upper-bounds every real schedule.
+Capacity does not enter.  Round-robin shares let a full station start
+one more request, stretching every share instead of refusing it, and
+the stretch may still meet the deadline; so no packing of realized
+demands into station capacity bounds the engine's reward.  The bound
+is tight when deadlines, not stations, limit the reward; the gap to it
+is the reward lost to queueing and congestion.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..exceptions import ConfigurationError
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
+from ..sim.online_engine import CLOUD_LATENCY_MS
 from .instance import ProblemInstance
+from .latency import meets_deadline
 
 
 @dataclass(frozen=True)
@@ -38,79 +39,46 @@ class ClairvoyantResult:
     """Outcome of the clairvoyant bound computation.
 
     Attributes:
-        upper_bound: pooled-capacity greedy bound on total reward.
-        num_servable: requests the bound managed to schedule.
-        peak_utilization: max fraction of pooled capacity used.
+        upper_bound: bound on the total reward of any schedule.
+        num_servable: requests that can meet their deadline at all.
     """
 
     upper_bound: float
     num_servable: int
-    peak_utilization: float
 
 
 def clairvoyant_bound(instance: ProblemInstance,
                       requests: Sequence[ARRequest],
                       horizon_slots: int,
-                      slot_length_ms: float = 50.0,
                       rng: RngLike = None) -> ClairvoyantResult:
-    """Upper-bound estimate of the best offline schedule's reward.
+    """Upper bound on the reward of any schedule of `requests`.
 
-    Realizes every request (idempotent if already realized), sorts by
-    reward per unit of MHz-slot consumption, and packs them into the
-    pooled capacity timeline within each request's feasible start
-    window.
+    Realizes every request arriving inside the horizon (idempotent if
+    already realized) and sums the realized rewards of those whose
+    fastest placement meets the deadline.
 
     Args:
         instance: the problem instance.
         requests: the arrival sequence (arrival slots set).
         horizon_slots: monitoring period ``T``.
-        slot_length_ms: slot duration.
         rng: randomness for realizing still-unrealized requests.
     """
     if horizon_slots < 1:
         raise ConfigurationError(
             f"horizon must be >= 1 slot, got {horizon_slots}")
     rng = ensure_rng(rng)
-    pool = instance.network.total_capacity_mhz()
-    usage = np.zeros(horizon_slots)
-
-    candidates = []
+    total = 0.0
+    served = 0
     for request in requests:
         if request.arrival_slot >= horizon_slots:
             continue
         request.realize(rng)
-        demand = request.realized_demand_mhz
-        duration = request.stream_duration_slots
-        # Latest start still meeting the deadline via the best station.
-        best_delay = float(instance.latency.placement_delays(request).min())
-        budget_ms = request.deadline_ms - best_delay
-        if budget_ms < 0:
-            continue
-        latest_start = request.arrival_slot + int(
-            budget_ms // slot_length_ms)
-        latest_start = min(latest_start, horizon_slots - 1)
-        density = request.realized_reward / max(demand * duration, 1e-9)
-        candidates.append((density, request, demand, duration,
-                           latest_start))
-
-    candidates.sort(key=lambda c: (-c[0], c[1].request_id))
-    total = 0.0
-    served = 0
-    for _density, request, demand, duration, latest_start in candidates:
-        placed = False
-        for start in range(request.arrival_slot, latest_start + 1):
-            end = min(start + duration, horizon_slots)
-            window = usage[start:end]
-            if np.all(window + demand <= pool + 1e-9):
-                usage[start:end] += demand
-                total += request.realized_reward
-                served += 1
-                placed = True
-                break
-        _ = placed
-    peak = float(usage.max() / pool) if pool > 0 else 0.0
-    return ClairvoyantResult(upper_bound=total, num_servable=served,
-                             peak_utilization=peak)
+        fastest = min(float(instance.latency.placement_delays(request).min()),
+                      CLOUD_LATENCY_MS)
+        if meets_deadline(fastest, request.deadline_ms):
+            total += request.realized_reward
+            served += 1
+    return ClairvoyantResult(upper_bound=total, num_servable=served)
 
 
 def competitive_ratio(online_reward: float,

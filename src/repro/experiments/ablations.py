@@ -1,9 +1,9 @@
-"""Library-level ablation drivers.
+"""Library-level studies behind the report's theorem checks.
 
-The benchmark suite prints these studies; exposing them as functions
-makes them scriptable (e.g. from a notebook or the CLI) and testable.
-Each driver returns plain data - dictionaries keyed by the ablated
-value - leaving presentation to the caller.
+:mod:`repro.experiments.report` runs these: the empirical Theorem 1
+ratio, the end-to-end Theorem 3 regret, and the competitive ratio
+against the clairvoyant bound.  Each driver returns plain data,
+leaving presentation to the caller.
 """
 
 from __future__ import annotations
@@ -21,53 +21,6 @@ from ..core.instance import ProblemInstance
 from ..exceptions import ConfigurationError
 from ..sim.engine import run_offline
 from ..sim.online_engine import OnlineEngine
-
-
-def rounding_scale_study(scales: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-                         num_requests: int = 120,
-                         seeds: Sequence[int] = (0, 1),
-                         max_rounds: int = 1) -> Dict[float, float]:
-    """Total Appro reward per rounding scale (single pass by default).
-
-    The paper's scale is 4 (it buys Lemma 2's bound); smaller scales
-    assign more aggressively per pass.
-    """
-    if not scales:
-        raise ConfigurationError("need at least one scale")
-    out: Dict[float, float] = {}
-    for scale in scales:
-        total = 0.0
-        for seed in seeds:
-            instance = ProblemInstance.build(
-                SimulationConfig(seed=seed), seed=seed)
-            workload = instance.new_workload(num_requests, seed=seed)
-            algo = Appro(rounding_scale=scale, max_rounds=max_rounds)
-            total += run_offline(algo, instance, workload,
-                                 seed=seed).total_reward
-        out[float(scale)] = total
-    return out
-
-
-def slot_size_study(slot_sizes: Sequence[float] = (500.0, 1000.0,
-                                                   1500.0),
-                    num_requests: int = 120,
-                    seeds: Sequence[int] = (0, 1)) -> Dict[float, float]:
-    """Total Appro reward per resource-slot size ``C_l``."""
-    if not slot_sizes:
-        raise ConfigurationError("need at least one slot size")
-    out: Dict[float, float] = {}
-    for slot_size in slot_sizes:
-        total = 0.0
-        for seed in seeds:
-            config = SimulationConfig(seed=seed)
-            config = replace(config, network=replace(
-                config.network, slot_size_mhz=slot_size)).validate()
-            instance = ProblemInstance.build(config, seed=seed)
-            workload = instance.new_workload(num_requests, seed=seed)
-            total += run_offline(Appro(), instance, workload,
-                                 seed=seed).total_reward
-        out[float(slot_size)] = total
-    return out
 
 
 def approximation_ratio_study(num_requests: int = 10,
@@ -98,29 +51,6 @@ def approximation_ratio_study(num_requests: int = 10,
         raise ConfigurationError("every instance had zero optimum")
     mean = sum(ratios.values()) / len(ratios)
     return mean, ratios
-
-
-def bandit_policy_study(policies: Sequence[str] = ("se", "ucb1",
-                                                   "egreedy"),
-                        num_requests: int = 250,
-                        horizon_slots: int = 80,
-                        seeds: Sequence[int] = (0, 1)
-                        ) -> Dict[str, float]:
-    """Total DynamicRR reward per threshold-learner choice."""
-    out: Dict[str, float] = {}
-    for name in policies:
-        total = 0.0
-        for seed in seeds:
-            instance = ProblemInstance.build(
-                SimulationConfig(seed=seed), seed=seed)
-            workload = instance.new_workload(
-                num_requests, seed=seed, horizon_slots=horizon_slots)
-            engine = OnlineEngine(instance, workload,
-                                  horizon_slots=horizon_slots, rng=seed)
-            policy = DynamicRR(bandit_policy=name, rng=seed)
-            total += engine.run(policy).total_reward
-        out[name] = total
-    return out
 
 
 def system_regret_study(thresholds: Sequence[float] = (200.0, 400.0,
@@ -161,7 +91,7 @@ def clairvoyant_study(num_requests: int = 250,
                       horizon_slots: int = 80,
                       seed: int = 0,
                       policy_factory=DynamicRR) -> Dict[str, float]:
-    """Competitive ratio of one online policy vs the pooled bound."""
+    """Competitive ratio of one online policy vs the clairvoyant bound."""
     instance = ProblemInstance.build(SimulationConfig(seed=seed),
                                      seed=seed)
     workload = instance.new_workload(num_requests, seed=seed,
@@ -180,5 +110,4 @@ def clairvoyant_study(num_requests: int = 250,
         "clairvoyant_bound": bound.upper_bound,
         "competitive_ratio": competitive_ratio(result.total_reward,
                                                bound),
-        "bound_peak_utilization": bound.peak_utilization,
     }

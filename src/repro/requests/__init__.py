@@ -13,7 +13,7 @@ from .distributions import (RateGrid, RateRewardDistribution,
 from .request import ARRequest
 from .generator import RequestGenerator, slotted_arrivals
 from .arrivals import (PoissonArrivalStream, assign_arrival_slots,
-                       burst_arrivals, diurnal_arrivals, poisson_arrivals)
+                       burst_arrivals)
 from .traces import FrameTrace, TraceSynthesizer, rate_distribution_from_traces
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "ARRequest",
     "RequestGenerator",
     "slotted_arrivals",
-    "poisson_arrivals",
-    "diurnal_arrivals",
     "burst_arrivals",
     "assign_arrival_slots",
     "PoissonArrivalStream",

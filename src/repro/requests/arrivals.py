@@ -3,35 +3,23 @@
 The paper's dynamic problem only says requests "arrive into the system
 dynamically"; the uniform arrivals of
 :meth:`~repro.requests.generator.RequestGenerator.generate_arrivals`
-are the neutral default.  This module adds the two processes real AR
-deployments exhibit so the online algorithms can be stressed beyond
-uniform load:
+are the neutral default.  This module adds two more:
 
-* **Poisson** - memoryless arrivals at a fixed rate (the standard
-  telecom model),
-* **diurnal** - a sinusoidal intensity profile (lecture-break / rush
-  bursts) sampled by thinning,
 * **burst** - a constant trickle plus one dense burst window, the
   worst case for the over-congestion that ``C^th`` guards against.
-
-Each process returns sorted arrival slots; combine with a
-:class:`~repro.requests.generator.RequestGenerator` via
-:func:`assign_arrival_slots`.
-
-The finite processes above materialize a whole workload up front, which
-the batch experiments need.  The long-lived admission service
-(:mod:`repro.service`) instead consumes :class:`PoissonArrivalStream` -
-a *lazy* per-slot Poisson source that never materializes more than one
-slot's batch, runs unbounded (or up to an optional ``limit``), and
-checkpoints/restores its exact position so a resumed service draws the
-same remaining arrivals.
+  :func:`burst_arrivals` returns sorted arrival slots; stamp them onto
+  generated requests with :func:`assign_arrival_slots`.
+* **Poisson stream** - :class:`PoissonArrivalStream`, the lazy
+  per-slot Poisson source of the long-lived admission service
+  (:mod:`repro.service`).  It never materializes more than one slot's
+  batch, runs unbounded (or up to an optional ``limit``), and
+  checkpoints/restores its exact position so a resumed service draws
+  the same remaining arrivals.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RngLike, ensure_rng
@@ -43,55 +31,6 @@ def _check_horizon(horizon_slots: int) -> None:
     if horizon_slots < 1:
         raise ConfigurationError(
             f"horizon must be >= 1 slot, got {horizon_slots}")
-
-
-def poisson_arrivals(num_requests: int, horizon_slots: int,
-                     rng: RngLike = None) -> List[int]:
-    """`num_requests` Poisson-process arrival slots over a horizon.
-
-    Conditional on the count, Poisson arrival times are i.i.d. uniform
-    over the window - so this draws uniform slots and sorts them (the
-    exact conditional distribution, not an approximation).
-    """
-    _check_horizon(horizon_slots)
-    if num_requests < 0:
-        raise ConfigurationError(
-            f"num_requests must be >= 0, got {num_requests}")
-    rng = ensure_rng(rng)
-    slots = rng.integers(0, horizon_slots, size=num_requests)
-    return sorted(int(s) for s in slots)
-
-
-def diurnal_arrivals(num_requests: int, horizon_slots: int,
-                     peak_sharpness: float = 1.0,
-                     num_peaks: int = 1,
-                     rng: RngLike = None) -> List[int]:
-    """Arrival slots from a sinusoidal intensity profile.
-
-    Intensity at slot ``t`` is ``1 + peak_sharpness * sin^2(pi * t *
-    num_peaks / T)``; slots are drawn from the normalized profile.
-
-    Args:
-        num_requests: arrivals to draw.
-        horizon_slots: monitoring period ``T``.
-        peak_sharpness: 0 = uniform; larger = burstier peaks.
-        num_peaks: number of intensity peaks across the horizon.
-        rng: randomness.
-    """
-    _check_horizon(horizon_slots)
-    if peak_sharpness < 0:
-        raise ConfigurationError(
-            f"peak_sharpness must be >= 0, got {peak_sharpness}")
-    if num_peaks < 1:
-        raise ConfigurationError(
-            f"num_peaks must be >= 1, got {num_peaks}")
-    rng = ensure_rng(rng)
-    t = np.arange(horizon_slots)
-    intensity = 1.0 + peak_sharpness * np.sin(
-        np.pi * t * num_peaks / horizon_slots) ** 2
-    probs = intensity / intensity.sum()
-    slots = rng.choice(horizon_slots, size=num_requests, p=probs)
-    return sorted(int(s) for s in slots)
 
 
 def burst_arrivals(num_requests: int, horizon_slots: int,

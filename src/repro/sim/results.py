@@ -103,8 +103,7 @@ class SweepResult:
         """Mean +/- std series of one algorithm and metric.
 
         The spread is the *sample* standard deviation (``ddof=1``, 0
-        for a single seed), matching the t-based intervals of
-        :mod:`repro.sim.stats`.  x-points where the algorithm has no
+        for a single seed).  x-points where the algorithm has no
         values for the metric are skipped, so ``xs`` may be a subset
         of :meth:`x_values`.
 

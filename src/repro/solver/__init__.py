@@ -22,8 +22,6 @@ solver documents the algorithmic substance.
 
 from .model import Constraint, LinearProgram, Variable
 from .interface import Solution, SolveStatus, solve_ilp, solve_lp
-from .presolve import presolve, solve_with_presolve
-from .duals import DualSolution, solve_lp_with_duals
 
 __all__ = [
     "LinearProgram",
@@ -33,8 +31,4 @@ __all__ = [
     "SolveStatus",
     "solve_lp",
     "solve_ilp",
-    "presolve",
-    "solve_with_presolve",
-    "DualSolution",
-    "solve_lp_with_duals",
 ]

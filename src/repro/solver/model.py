@@ -6,7 +6,7 @@ coefficients, sense codes and right-hand sides), both appended in
 blocks.  Builders that already hold index arrays append whole blocks
 with :meth:`LinearProgram.add_columns` / :meth:`LinearProgram.add_rows`;
 the scalar :meth:`~LinearProgram.add_variable` /
-:meth:`~LinearProgram.add_constraint` used by ILP-RM, presolve and
+:meth:`~LinearProgram.add_constraint` used by ILP-RM and
 branch-and-bound are one-column / one-row appends to the same store.
 :meth:`~LinearProgram.sparse_rows` (the HiGHS input) is a concatenation
 of the stored arrays and :meth:`~LinearProgram.dense_rows` is that same

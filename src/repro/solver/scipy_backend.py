@@ -39,8 +39,7 @@ def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
                       f"{message}")
 
 
-def linprog_highs(lp: LinearProgram) -> Tuple[np.ndarray, float,
-                                               np.ndarray, np.ndarray]:
+def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     """Solve the continuous relaxation with one HiGHS call.
 
     The one place an LP reaches HiGHS.  Integrality flags are ignored.
@@ -49,10 +48,8 @@ def linprog_highs(lp: LinearProgram) -> Tuple[np.ndarray, float,
     matrix rebuild.
 
     Returns:
-        ``(x, fun, marginals, residuals)``: ``x`` in column order, the
-        objective in minimization form, and per-row duals and
-        ``rhs - A @ x`` in :meth:`LinearProgram.sparse_rows` order
-        (the ``<=`` rows, ``>=`` rows negated, then the ``==`` rows).
+        ``(objective, x)``: the objective in the model's natural
+        direction and the solution in column order.
 
     Raises:
         InfeasibleProblemError / UnboundedProblemError / SolverError:
@@ -77,23 +74,12 @@ def linprog_highs(lp: LinearProgram) -> Tuple[np.ndarray, float,
                                                      res.get("message"))
     # Without a solution there is no "slack"; the check then only turns
     # a status 0 into 4.
-    x, residuals = res["x"], res.get("slack", np.empty(0))
+    x, slack = res["x"], res.get("slack", np.empty(0))
     status, message = _check_result(
-        x, res["fun"], status, residuals[:b_ub.size], residuals[b_ub.size:],
+        x, res["fun"], status, slack[:b_ub.size], slack[b_ub.size:],
         np.column_stack((low, high)), _CHECK_TOL, message, None)
     if status != 0:
         _raise_for_status(lp, status, message)
-    return x, res["fun"], res["lambda"], residuals
-
-
-def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
-    """Solve the continuous relaxation with HiGHS (:func:`linprog_highs`).
-
-    Returns:
-        ``(objective, x)``: the objective in the model's natural
-        direction and the solution in column order.
-    """
-    x = linprog_highs(lp)[0]
     return lp.objective_value(x), x
 
 

@@ -8,7 +8,7 @@ the question ``bench-diff`` cannot: *which span* ate the time.
 
 Span call counts and domain counters (``simplex_iterations_total``,
 ``lp_solves_total``, ...) are deterministic: they gate at ``--tol`` in
-both directions, so a new hot span or a vanished ``presolve`` span
+both directions, so a new hot span or a vanished ``build_lp`` span
 exits 1 on any machine.  Per-span self time is advisory, printed by
 absolute delta, and gates only with ``--gate REL``, for spans whose
 new self time clears the ``--min-ms`` floor.

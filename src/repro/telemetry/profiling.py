@@ -82,8 +82,6 @@ COUNTER_OWNERS: Dict[str, str] = {
     "lp_solves_total": "lp_solve",
     "simplex_iterations_total": "lp_solve",
     "bnb_nodes": "ilp_solve",
-    "presolve_removed_vars": "presolve",
-    "presolve_removed_rows": "presolve",
     "rounding_rounds": "rounding",
     "bandit_explore_steps": "bandit_round",
     "bandit_exploit_steps": "bandit_round",

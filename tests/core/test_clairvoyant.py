@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import GreedyOnline, HeuKktOnline, OcorpOnline
 from repro.core.clairvoyant import (ClairvoyantResult, clairvoyant_bound,
                                     competitive_ratio)
 from repro.core.dynamic_rr import DynamicRR
@@ -15,7 +16,6 @@ class TestBound:
                                   horizon_slots=40, rng=0)
         assert bound.upper_bound >= 0.0
         assert 0 <= bound.num_servable <= len(online_workload)
-        assert 0.0 <= bound.peak_utilization <= 1.0 + 1e-9
 
     def test_validation(self, small_instance, online_workload):
         with pytest.raises(ConfigurationError):
@@ -23,18 +23,25 @@ class TestBound:
                               horizon_slots=0)
 
     def test_bound_dominates_online_policy(self, small_instance):
-        """The clairvoyant bound must exceed what DynamicRR achieves
-        on the same arrivals and realizations."""
-        for seed in (1, 2):
-            workload = small_instance.new_workload(
-                25, seed=seed, horizon_slots=40)
-            engine = OnlineEngine(small_instance, workload,
-                                  horizon_slots=40, rng=seed)
-            result = engine.run(DynamicRR(rng=seed))
-            # Same (already realized) workload feeds the bound.
-            bound = clairvoyant_bound(small_instance, workload,
-                                      horizon_slots=40, rng=seed)
-            assert bound.upper_bound >= result.total_reward * 0.999
+        """The clairvoyant bound must exceed what every online policy
+        achieves on the same arrivals and realizations, also when 60
+        requests in 10 slots oversubscribe the stations: round-robin
+        shares then earn rewards that a capacity packing cannot hold."""
+        cases = ([(25, 40, seed) for seed in (1, 2)]
+                 + [(60, 10, seed) for seed in range(4)])
+        for num_requests, horizon, seed in cases:
+            for policy in (DynamicRR(rng=seed), GreedyOnline(),
+                           HeuKktOnline(), OcorpOnline()):
+                workload = small_instance.new_workload(
+                    num_requests, seed=seed, horizon_slots=horizon)
+                engine = OnlineEngine(small_instance, workload,
+                                      horizon_slots=horizon, rng=seed)
+                result = engine.run(policy)
+                # Same (already realized) workload feeds the bound.
+                bound = clairvoyant_bound(small_instance, workload,
+                                          horizon_slots=horizon, rng=seed)
+                assert (bound.upper_bound >= result.total_reward * 0.999
+                        ), (num_requests, seed, policy.name)
 
     def test_empty_workload(self, small_instance):
         bound = clairvoyant_bound(small_instance, [], horizon_slots=10)
@@ -57,17 +64,14 @@ class TestBound:
 
 class TestCompetitiveRatio:
     def test_basic(self):
-        bound = ClairvoyantResult(upper_bound=100.0, num_servable=10,
-                                  peak_utilization=0.9)
+        bound = ClairvoyantResult(upper_bound=100.0, num_servable=10)
         assert competitive_ratio(80.0, bound) == pytest.approx(0.8)
 
     def test_zero_bound(self):
-        bound = ClairvoyantResult(upper_bound=0.0, num_servable=0,
-                                  peak_utilization=0.0)
+        bound = ClairvoyantResult(upper_bound=0.0, num_servable=0)
         assert competitive_ratio(0.0, bound) == 1.0
 
     def test_negative_reward_rejected(self):
-        bound = ClairvoyantResult(upper_bound=10.0, num_servable=1,
-                                  peak_utilization=0.1)
+        bound = ClairvoyantResult(upper_bound=10.0, num_servable=1)
         with pytest.raises(ConfigurationError):
             competitive_ratio(-1.0, bound)

@@ -116,16 +116,3 @@ class TestValidation:
     def test_rejects_negative_limit(self, small_instance):
         with pytest.raises(ConfigurationError):
             make_stream(small_instance, limit=-1)
-
-
-class TestFinitePathsUnchanged:
-    """The pre-existing finite helpers must stay byte-identical."""
-
-    def test_poisson_arrivals_reference_draw(self):
-        from repro.requests.arrivals import poisson_arrivals
-
-        slots = poisson_arrivals(10, 50,
-                                 rng=np.random.default_rng(42))
-        reference = sorted(int(s) for s in np.random.default_rng(42)
-                           .integers(0, 50, size=10))
-        assert slots == reference

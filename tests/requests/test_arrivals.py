@@ -3,52 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.requests.arrivals import (assign_arrival_slots, burst_arrivals,
-                                     diurnal_arrivals, poisson_arrivals)
-
-
-class TestPoisson:
-    def test_sorted_and_in_horizon(self):
-        slots = poisson_arrivals(50, 100, rng=0)
-        assert slots == sorted(slots)
-        assert all(0 <= s < 100 for s in slots)
-        assert len(slots) == 50
-
-    def test_roughly_uniform(self):
-        slots = poisson_arrivals(4000, 100, rng=1)
-        first_half = sum(1 for s in slots if s < 50)
-        assert first_half == pytest.approx(2000, rel=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            poisson_arrivals(5, 0)
-        with pytest.raises(ConfigurationError):
-            poisson_arrivals(-1, 10)
-
-
-class TestDiurnal:
-    def test_sorted_and_in_horizon(self):
-        slots = diurnal_arrivals(50, 100, rng=0)
-        assert slots == sorted(slots)
-        assert all(0 <= s < 100 for s in slots)
-
-    def test_peak_concentration(self):
-        """A sharp single peak concentrates arrivals mid-horizon."""
-        slots = diurnal_arrivals(4000, 100, peak_sharpness=20.0,
-                                 num_peaks=1, rng=2)
-        middle = sum(1 for s in slots if 25 <= s < 75)
-        assert middle > 0.6 * len(slots)
-
-    def test_zero_sharpness_is_uniform(self):
-        slots = diurnal_arrivals(4000, 100, peak_sharpness=0.0, rng=3)
-        first_half = sum(1 for s in slots if s < 50)
-        assert first_half == pytest.approx(2000, rel=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            diurnal_arrivals(5, 10, peak_sharpness=-1.0)
-        with pytest.raises(ConfigurationError):
-            diurnal_arrivals(5, 10, num_peaks=0)
+from repro.requests.arrivals import assign_arrival_slots, burst_arrivals
 
 
 class TestBurst:
@@ -72,7 +27,7 @@ class TestBurst:
 class TestAssign:
     def test_round_trip(self, small_instance):
         requests = small_instance.new_workload(10, seed=0)
-        slots = poisson_arrivals(10, 40, rng=0)
+        slots = [0, 3, 3, 7, 12, 18, 21, 30, 33, 39]
         stamped = assign_arrival_slots(requests, slots)
         assert sorted(r.arrival_slot for r in stamped) == slots
         assert {r.request_id for r in stamped} == {

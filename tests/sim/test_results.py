@@ -35,8 +35,7 @@ class TestSeries:
         xs, means, stds = sweep.series("A", "total_reward")
         assert xs == [100, 200]
         assert means == [pytest.approx(11.0), pytest.approx(21.0)]
-        # Sample standard deviation (ddof=1), matching the t-based
-        # intervals of repro.sim.stats: std([10, 12]) = sqrt(2).
+        # Sample standard deviation (ddof=1): std([10, 12]) = sqrt(2).
         assert stds[0] == pytest.approx(2.0 ** 0.5)
 
     def test_series_single_seed_std_zero(self):

@@ -1,6 +1,6 @@
 """The direct HiGHS call against ``linprog(method="highs")``.
 
-:func:`~repro.solver.scipy_backend.linprog_highs` hands the model to
+:func:`~repro.solver.scipy_backend.solve_lp_scipy` hands the model to
 scipy's ``_highs_wrapper`` itself.  These tests pin that HiGHS receives
 the same arrays and effective options as under ``linprog`` and returns
 bit-identical results, on the Fig. 3 LP and on every LP-PT of a short
@@ -98,13 +98,9 @@ class TestAgainstLinprog:
     def test_same_results(self, programs):
         for lp in programs:
             ref = reference(lp)
-            x, fun, marginals, residuals = scipy_backend.linprog_highs(lp)
+            objective, x = scipy_backend.solve_lp_scipy(lp)
             assert np.array_equal(x, ref.x), lp.name
-            assert fun == ref.fun, lp.name
-            assert np.array_equal(marginals, np.concatenate(
-                (ref.ineqlin.marginals, ref.eqlin.marginals))), lp.name
-            assert np.array_equal(residuals, np.concatenate(
-                (ref.ineqlin.residual, ref.eqlin.residual))), lp.name
+            assert objective == lp.objective_value(ref.x), lp.name
 
     def test_highs_sees_the_same_model(self, programs, monkeypatch):
         wrapper = _linprog_highs._highs_wrapper
@@ -115,7 +111,7 @@ class TestAgainstLinprog:
                             recording(direct, wrapper))
         for lp in programs:
             reference(lp)
-            scipy_backend.linprog_highs(lp)
+            scipy_backend.solve_lp_scipy(lp)
         assert len(direct) == len(via_linprog) == len(programs)
         for mine, theirs in zip(direct, via_linprog):
             for name, a, b in zip(ARGUMENTS, mine, theirs):
@@ -172,9 +168,16 @@ class TestErrorPaths:
             res["x"][0] = args[7][0] + 1e-3  # past x's upper bound
             return res
 
-        monkeypatch.setattr(scipy_backend, "_highs_wrapper", off_by_1e_3)
-        with pytest.raises(SolverError,
-                           match="status 4: The solution does not satisfy"
-                           ) as caught:
-            solve_lp(toy_lp(), backend="scipy")
-        assert type(caught.value) is SolverError
+        def over_the_row(*args):
+            res = wrapper(*args)
+            res["x"][1] += 1e-3  # y stays in [0, 1]; x + y passes 1.5
+            res["slack"][0] -= 1e-3
+            return res
+
+        for fake in (off_by_1e_3, over_the_row):
+            monkeypatch.setattr(scipy_backend, "_highs_wrapper", fake)
+            with pytest.raises(SolverError,
+                               match="status 4: The solution does not satisfy"
+                               ) as caught:
+                solve_lp(toy_lp(), backend="scipy")
+            assert type(caught.value) is SolverError, fake.__name__

@@ -33,6 +33,19 @@ class TestExamples:
         assert "Per-station placements" in out
         assert "total reward" in out
 
+    def test_failure_injection(self):
+        out = run_example("failure_injection.py", "3")
+        assert "Outage: stations (0, 1, 2) down" in out
+        assert "Reward lost to the outage" in out
+        assert "Requests started on dead stations during the outage: 0" \
+            in out
+
+    def test_online_adaptation(self):
+        out = run_example("online_adaptation.py", "3")
+        assert "DynamicRR" in out and "HeuKKT" in out
+        assert "Threshold bandit state after the run" in out
+        assert "Exploitation choice: C^th" in out
+
     def test_cli_module(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "--figures",

@@ -61,8 +61,7 @@ class TestReportTheoremPath:
             report_mod, "clairvoyant_study",
             lambda **kw: {"online_reward": 90.0,
                           "clairvoyant_bound": 100.0,
-                          "competitive_ratio": 0.9,
-                          "bound_peak_utilization": 0.8})
+                          "competitive_ratio": 0.9})
         text = report_mod.theorem_checks_markdown(fast=True)
         assert "Thm. 1" in text and "0.200" in text
         assert "Thm. 3" in text and "+1.0%" in text
