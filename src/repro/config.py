@@ -19,6 +19,7 @@ Paper defaults (Section VI-A):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -125,14 +126,16 @@ class RequestConfig:
         tlo, thi = self.tasks_range
         if not 1 <= tlo <= thi:
             raise ConfigurationError(f"invalid tasks range {self.tasks_range}")
-        if self.c_unit_mhz_per_mbps <= 0:
+        if not 0 < self.c_unit_mhz_per_mbps < math.inf:
             raise ConfigurationError(
-                f"C_unit must be positive, got {self.c_unit_mhz_per_mbps}")
+                "C_unit must be finite and positive, got "
+                f"{self.c_unit_mhz_per_mbps}")
         rlo, rhi = self.reward_unit_range
-        if not 0 <= rlo <= rhi:
+        if not 0 <= rlo <= rhi < math.inf:
             raise ConfigurationError(
                 f"invalid reward range {self.reward_unit_range}")
-        if self.deadline_ms <= 0:
+        # An infinite deadline is legal (no request ever misses it).
+        if not self.deadline_ms > 0:
             raise ConfigurationError(
                 f"deadline must be positive, got {self.deadline_ms}")
         plo, phi = self.proc_delay_range_ms

@@ -19,6 +19,7 @@ are the neutral default.  This module adds two more:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
@@ -99,13 +100,14 @@ class PoissonArrivalStream:
     """A lazy, unbounded Poisson arrival source for the streaming service.
 
     Each call to :meth:`next_batch` advances one slot and draws
-    ``Poisson(mean_per_slot)`` fresh requests with monotonically
-    increasing ids.  Nothing is precomputed: memory stays flat no
-    matter how many slots are consumed.  The stream is fully
-    deterministic given its seed and is checkpointable - the pair
-    :meth:`export_state` / :meth:`restore_state` captures the exact
-    position (next id, next slot, both RNG states), so a resumed stream
-    emits byte-identical remaining arrivals.
+    ``Poisson(mean_per_slot)`` fresh arrivals with monotonically
+    increasing ids, building only as many as the caller has room for.
+    Nothing is precomputed: memory stays flat no matter how many slots
+    are consumed.  The stream is fully deterministic given its seed and
+    is checkpointable - the pair :meth:`export_state` /
+    :meth:`restore_state` captures the exact position (next id, next
+    slot, both RNG states), so a resumed stream emits byte-identical
+    remaining arrivals.
 
     Args:
         generator: draws per-request parameters (owns its own RNG; its
@@ -122,9 +124,9 @@ class PoissonArrivalStream:
     def __init__(self, generator: RequestGenerator, mean_per_slot: float,
                  rng: RngLike = None,
                  limit: Optional[int] = None) -> None:
-        if mean_per_slot <= 0:
+        if not 0 < mean_per_slot < math.inf:
             raise ConfigurationError(
-                f"mean_per_slot must be > 0, got {mean_per_slot}")
+                f"mean_per_slot must be finite and > 0, got {mean_per_slot}")
         if limit is not None and limit < 0:
             raise ConfigurationError(
                 f"limit must be >= 0, got {limit}")
@@ -150,24 +152,40 @@ class PoissonArrivalStream:
         """True when a ``limit`` was set and has been reached."""
         return self._limit is not None and self._next_id >= self._limit
 
-    def next_batch(self) -> Tuple[int, List[ARRequest]]:
-        """Advance one slot; return ``(slot, fresh requests)``.
+    def next_batch(self, room: int) -> Tuple[int, List[ARRequest], range]:
+        """Advance one slot; return ``(slot, built, shed_ids)``.
 
-        The batch is empty when the Poisson draw is 0 or the stream is
-        exhausted.
+        The slot draws ``count`` arrivals.  The first ``min(count,
+        room)`` are built and returned; the rest are shed unseen: their
+        ids come back as a ``range`` and their parameter draws are made
+        but nothing is built (:meth:`RequestGenerator.skip_one`), so the
+        random streams end where building all ``count`` would leave
+        them.  Both parts are empty when the Poisson draw is 0 or the
+        stream is exhausted.
+
+        Args:
+            room: how many of this slot's arrivals the caller keeps
+                (>= 0).
         """
+        if room < 0:
+            raise ConfigurationError(f"room must be >= 0, got {room}")
         slot = self._next_slot
         self._next_slot += 1
+        first = self._next_id
         if self.exhausted:
-            return slot, []
+            return slot, [], range(first, first)
         count = int(self._rng.poisson(self._mean))
         if self._limit is not None:
-            count = min(count, self._limit - self._next_id)
-        batch = [self._generator.generate_one(
-            request_id=self._next_id + k, arrival_slot=slot)
-            for k in range(count)]
-        self._next_id += count
-        return slot, batch
+            count = min(count, self._limit - first)
+        kept = min(count, room)
+        generator = self._generator
+        built = [generator.generate_one(request_id=first + k,
+                                        arrival_slot=slot)
+                 for k in range(kept)]
+        for _ in range(count - kept):
+            generator.skip_one()
+        self._next_id = first + count
+        return slot, built, range(first + kept, first + count)
 
     def export_state(self) -> Dict[str, Any]:
         """Snapshot the stream position for a service checkpoint."""

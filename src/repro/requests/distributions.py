@@ -17,7 +17,7 @@ constraint (23).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +47,10 @@ class RateGrid:
     Attributes:
         rates: the support as a read-only float array.
         probabilities: the normalized probabilities, read-only.
+        expected_rate: ``E[rho]`` over the grid, computed once.
     """
 
-    __slots__ = ("rates", "probabilities")
+    __slots__ = ("rates", "probabilities", "expected_rate")
 
     def __init__(self, rates_mbps: Sequence[float],
                  probabilities: Sequence[float]) -> None:
@@ -76,6 +77,7 @@ class RateGrid:
         probs.flags.writeable = False
         self.rates = rates
         self.probabilities = probs
+        self.expected_rate = float(probs @ rates)
 
     @classmethod
     def decaying(cls, rate_range_mbps: Tuple[float, float], num_levels: int,
@@ -115,6 +117,11 @@ class RateRewardDistribution:
 
     All three sequences must have equal length >= 1.  Distributions
     built by :meth:`on_grid` share their grid's arrays.
+
+    ``E[rho]`` depends on the grid alone, so it is copied from the grid
+    instead of recomputed per call.  It is derived, not state: pickles
+    hold only the three arrays (a checkpoint's bytes do not depend on
+    the cache) and loading re-derives it.
     """
 
     def __init__(self, rates_mbps: Sequence[float],
@@ -150,6 +157,16 @@ class RateRewardDistribution:
         self._rates = grid.rates
         self._probs = grid.probabilities
         self._rewards = rewards
+        self._expected_rate = grid.expected_rate
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_expected_rate"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._expected_rate = float(self._probs @ self._rates)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -195,7 +212,7 @@ class RateRewardDistribution:
     # ------------------------------------------------------------------
     def expected_rate(self) -> float:
         """``E[rho_j]`` - the expected data rate."""
-        return float(self._probs @ self._rates)
+        return self._expected_rate
 
     def expected_reward(self) -> float:
         """``E[RD_j] = sum_rho pi_rho * RD_rho``."""

@@ -91,6 +91,21 @@ class RequestGenerator:
             c_unit_mhz_per_mbps=cfg.c_unit_mhz_per_mbps,
         )
 
+    def skip_one(self) -> None:
+        """Make :meth:`generate_one`'s draws and build nothing.
+
+        Leaves the random stream exactly where ``generate_one()`` with a
+        drawn station would, for a request the caller discards unseen.
+        Every draw added to :meth:`generate_one` must be added here.
+        """
+        cfg = self._config
+        rng = self._rng
+        rng.integers(0, self._station_ids.size)
+        rng.integers(cfg.tasks_range[0], cfg.tasks_range[1] + 1)
+        # The unit price, the billed rate and one jitter per level:
+        # one block draw returns the same doubles as the three calls.
+        rng.random(2 + self._grid.rates.size)
+
     def generate_batch(self, num_requests: Optional[int] = None
                        ) -> List[ARRequest]:
         """Draw a batch workload, all arriving at slot 0."""

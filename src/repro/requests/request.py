@@ -15,6 +15,7 @@ reading :attr:`realized_rate_mbps` before realization raises.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from ..exceptions import ConfigurationError, SchedulingError
@@ -55,7 +56,7 @@ class ARRequest:
         if serving_station < 0:
             raise ConfigurationError(
                 f"serving_station must be >= 0, got {serving_station}")
-        if deadline_ms <= 0:
+        if not deadline_ms > 0:  # NaN fails too; inf is legal
             raise ConfigurationError(
                 f"deadline must be positive, got {deadline_ms}")
         if arrival_slot < 0:
@@ -65,9 +66,10 @@ class ARRequest:
             raise ConfigurationError(
                 "stream_duration_slots must be >= 1, got "
                 f"{stream_duration_slots}")
-        if c_unit_mhz_per_mbps <= 0:
+        if not 0 < c_unit_mhz_per_mbps < math.inf:
             raise ConfigurationError(
-                f"C_unit must be positive, got {c_unit_mhz_per_mbps}")
+                "C_unit must be finite and positive, got "
+                f"{c_unit_mhz_per_mbps}")
         self.request_id = request_id
         self.serving_station = serving_station
         self.pipeline = pipeline

@@ -26,6 +26,7 @@ other work.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 import tracemalloc
 from collections import deque
@@ -128,9 +129,9 @@ class ServiceConfig:
         if self.horizon_slots < 1:
             raise ConfigurationError(
                 f"horizon must be >= 1 slot, got {self.horizon_slots}")
-        if self.mean_arrivals_per_slot <= 0:
+        if not 0 < self.mean_arrivals_per_slot < math.inf:
             raise ConfigurationError(
-                f"mean_arrivals_per_slot must be > 0, got "
+                f"mean_arrivals_per_slot must be finite and > 0, got "
                 f"{self.mean_arrivals_per_slot}")
         if self.max_arrivals is not None and self.max_arrivals < 0:
             raise ConfigurationError(
@@ -367,18 +368,18 @@ class AdmissionService:
             self.start()
         metrics = self._metrics
         began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
-        slot, batch = self._stream.next_batch()
+        # Arrivals past the queue's room are shed at ingress, so the
+        # stream builds only the ones that fit.
+        room = max(0, self.config.queue_limit
+                   - self._engine.pending_count())
+        slot, accepted, shed = self._stream.next_batch(room)
         self._engine.clock.advance_to(slot)
         metrics.advance_slot(slot)
         with use_journal(self._journal), use_metrics(metrics):
-            room = max(0, self.config.queue_limit
-                       - self._engine.pending_count())
-            accepted = list(batch[:room])
-            shed = list(batch[room:])
             depth = float(self._engine.pending_count() + len(accepted))
             emit_many(EventKind.SHED, slot, shed,
-                      lambda request: dict(request_id=request.request_id,
-                                           value=depth))
+                      lambda request_id: dict(request_id=request_id,
+                                              value=depth))
             outcome = self._engine.step(self._policy, slot, accepted)
             deferred: List = []
             if accepted:
@@ -400,7 +401,7 @@ class AdmissionService:
                 metrics.set_gauge("service_active_requests",
                                   float(outcome.active_after))
                 metrics.observe("service_batch_size",
-                                float(len(batch)), slot=slot)
+                                float(len(accepted) + len(shed)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
             self._maybe_snapshot_metrics(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric

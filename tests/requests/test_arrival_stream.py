@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,15 @@ def make_stream(small_instance, mean=3.0, seed=7, limit=None):
                                 limit=limit)
 
 
+#: Room for every arrival: nothing is shed.
+ALL = sys.maxsize
+
+
 def drain(stream, slots):
     batches = []
     for _ in range(slots):
-        batches.append(stream.next_batch())
+        slot, batch, _ = stream.next_batch(ALL)
+        batches.append((slot, batch))
     return batches
 
 
@@ -49,8 +56,8 @@ class TestBasics:
         a = make_stream(small_instance, seed=11)
         b = make_stream(small_instance, seed=11)
         for _ in range(25):
-            slot_a, batch_a = a.next_batch()
-            slot_b, batch_b = b.next_batch()
+            slot_a, batch_a, _ = a.next_batch(ALL)
+            slot_b, batch_b, _ = b.next_batch(ALL)
             assert slot_a == slot_b
             assert [r.request_id for r in batch_a] == \
                 [r.request_id for r in batch_b]
@@ -68,15 +75,56 @@ class TestLimit:
     def test_exhausted_stream_yields_empty_batches(self, small_instance):
         stream = make_stream(small_instance, mean=5.0, limit=3)
         drain(stream, 10)
-        slot, batch = stream.next_batch()
+        slot, batch, _ = stream.next_batch(ALL)
         assert batch == []
         assert slot == 10  # slots keep counting
 
     def test_zero_limit_is_immediately_exhausted(self, small_instance):
         stream = make_stream(small_instance, limit=0)
         assert stream.exhausted
-        _, batch = stream.next_batch()
+        _, batch, _ = stream.next_batch(ALL)
         assert batch == []
+
+
+def request_fields(request):
+    distribution = request.distribution
+    return (request.request_id, request.serving_station,
+            request.arrival_slot, len(request.pipeline),
+            distribution.rewards.tobytes(), distribution.expected_rate())
+
+
+class TestRoom:
+    @pytest.mark.parametrize("limit", [None, 50])
+    def test_room_splits_the_batch_building_everything_would_give(
+            self, small_instance, limit):
+        # The old ingress built the whole batch and sliced it at the
+        # room; building only the kept prefix must give the same
+        # requests, the same shed ids and the same stream state.
+        full = make_stream(small_instance, mean=6.0, seed=21, limit=limit)
+        split = make_stream(small_instance, mean=6.0, seed=21, limit=limit)
+        rooms = [0, 1, 3, ALL, 2, 0, 5]
+        for step in range(40):
+            room = rooms[step % len(rooms)]
+            slot, everything, _ = full.next_batch(ALL)
+            split_slot, built, shed = split.next_batch(room)
+            assert isinstance(shed, range)
+            assert split_slot == slot
+            assert [request_fields(r) for r in built] == \
+                [request_fields(r) for r in everything[:room]]
+            assert list(shed) == \
+                [r.request_id for r in everything[room:]]
+            assert split.export_state() == full.export_state()
+        assert split.emitted == full.emitted
+
+    def test_zero_room_builds_nothing_and_keeps_ids_dense(
+            self, small_instance):
+        stream = make_stream(small_instance, mean=4.0)
+        ids = []
+        for _ in range(10):
+            _, built, shed = stream.next_batch(0)
+            assert built == []
+            ids += list(shed)
+        assert ids == list(range(stream.emitted))
 
 
 class TestCheckpoint:
@@ -112,6 +160,17 @@ class TestValidation:
     def test_rejects_nonpositive_mean(self, small_instance):
         with pytest.raises(ConfigurationError):
             make_stream(small_instance, mean=0.0)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mean(self, small_instance, mean):
+        with pytest.raises(ConfigurationError):
+            make_stream(small_instance, mean=mean)
+
+    def test_rejects_negative_room(self, small_instance):
+        stream = make_stream(small_instance)
+        with pytest.raises(ConfigurationError):
+            stream.next_batch(-1)
+        assert stream.next_slot == 0
 
     def test_rejects_negative_limit(self, small_instance):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ values, same types, same RNG stream.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def _digest_workload(config_name: str, api: str, network) -> str:
                                       limit=60)
         requests = []
         for _ in range(8):
-            requests += stream.next_batch()[1]
+            requests += stream.next_batch(sys.maxsize)[1]
         state = stream.export_state()
         # Resume a second stream from the snapshot: it must continue the
         # first one's arrivals exactly.
@@ -131,7 +132,7 @@ def _digest_workload(config_name: str, api: str, network) -> str:
                                        rng=counts, limit=60)
         resumed.restore_state(state)
         while not resumed.exhausted:
-            requests += resumed.next_batch()[1]
+            requests += resumed.next_batch(sys.maxsize)[1]
         digest.rng(counts)
     for request in requests:
         digest.request(request)

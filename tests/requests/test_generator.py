@@ -101,3 +101,25 @@ class TestSlottedArrivals:
     def test_bad_horizon(self):
         with pytest.raises(ConfigurationError):
             slotted_arrivals([], horizon_slots=0)
+
+
+class TestSkipOne:
+    """``skip_one`` must make exactly ``generate_one``'s draws."""
+
+    @pytest.mark.parametrize("config, num_requests", [
+        (RequestConfig(), 100_000),
+        (RequestConfig(num_rate_levels=1, tasks_range=(1, 8)), 10_000),
+        (RequestConfig(num_rate_levels=17, tasks_range=(4, 4)), 10_000),
+    ], ids=["default", "one-level", "fine"])
+    def test_twins_stay_in_step(self, net, config, num_requests):
+        # Twin generators take turns building and skipping; after every
+        # request both random streams must be in the same state, so a
+        # draw added to one method and not the other fails here.
+        generating = RequestGenerator(config, net, rng=2024)
+        skipping = RequestGenerator(config, net, rng=2024)
+        for request_id in range(num_requests):
+            generating.generate_one(request_id)
+            skipping.skip_one()
+            assert generating.rng.bit_generator.state == \
+                skipping.rng.bit_generator.state, request_id
+            generating, skipping = skipping, generating

@@ -38,6 +38,19 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             make_request(c_unit_mhz_per_mbps=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_ms", float("nan")),
+        ("c_unit_mhz_per_mbps", float("nan")),
+        ("c_unit_mhz_per_mbps", float("inf")),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            make_request(**{field: value})
+
+    def test_infinite_deadline_is_legal(self):
+        assert make_request(deadline_ms=float("inf")).deadline_ms == \
+            float("inf")
+
 
 class TestDistributionViews:
     def test_expected_rate_and_demand(self):

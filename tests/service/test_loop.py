@@ -136,3 +136,11 @@ class TestValidation:
     def test_queue_limit_must_be_positive(self, make_service_config):
         with pytest.raises(ConfigurationError):
             AdmissionService(make_service_config(queue_limit=0))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rate_rejected(self, make_service_config,
+                                              rate):
+        # Accepted, these reached numpy's Poisson draw on the first tick
+        # and failed there with a bare ValueError.
+        with pytest.raises(ConfigurationError):
+            make_service_config(mean_arrivals_per_slot=rate).validate()

@@ -84,6 +84,27 @@ class TestRequestValidation:
         with pytest.raises(ConfigurationError):
             RequestConfig(deadline_ms=0.0).validate()
 
+    def test_nan_deadline_rejected(self):
+        # NaN compares false with every deadline check downstream, so
+        # it would silently drop every request.
+        with pytest.raises(ConfigurationError):
+            RequestConfig(deadline_ms=float("nan")).validate()
+
+    def test_infinite_deadline_is_legal(self):
+        RequestConfig(deadline_ms=float("inf")).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_c_unit_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            RequestConfig(c_unit_mhz_per_mbps=value).validate()
+
+    @pytest.mark.parametrize("bounds", [(12.0, float("inf")),
+                                        (float("nan"), 15.0),
+                                        (12.0, float("nan"))])
+    def test_non_finite_reward_range_rejected(self, bounds):
+        with pytest.raises(ConfigurationError):
+            RequestConfig(reward_unit_range=bounds).validate()
+
 
 class TestOnlineValidation:
     def test_bad_horizon_rejected(self):
