@@ -13,12 +13,12 @@ carefully each algorithm leaves room for it.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, List, Optional, Sequence
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
 from ..core.latency import meets_deadline
+from ..core.rounding import settle
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -49,7 +49,10 @@ def admit_sequential(algorithm_name: str,
                      instance: ProblemInstance,
                      ordered_requests: Sequence[ARRequest],
                      choose_station: StationChooser,
-                     rng: RngLike = None) -> ScheduleResult:
+                     rng: RngLike = None,
+                     unplaced: Optional[Callable[
+                         [ARRequest, RngLike], OffloadDecision]] = None
+                     ) -> ScheduleResult:
     """Run the shared sequential admission loop.
 
     Args:
@@ -58,38 +61,33 @@ def admit_sequential(algorithm_name: str,
         ordered_requests: requests in the algorithm's processing order.
         choose_station: the algorithm's placement rule.
         rng: randomness for rate realization.
+        unplaced: decides a request the rule placed on no station
+            (HeuKKT's cloud spill); None rejects it.
 
     Returns:
         A :class:`ScheduleResult` with one decision per request.
     """
     rng = ensure_rng(rng)
-    start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
     result = ScheduleResult(algorithm=algorithm_name)
     ledger = instance.new_ledger()
     for request in ordered_requests:
         station_id = choose_station(instance, request, ledger)
         if station_id is None:
-            result.add(OffloadDecision(request_id=request.request_id))
+            result.add(OffloadDecision(request_id=request.request_id)
+                       if unplaced is None else unplaced(request, rng))
             continue
-        rate, reward_value = request.realize(rng)
-        demand = request.demand_of_rate_mhz(rate)
-        free = ledger.free_mhz(station_id)
-        reserved = min(demand, free)
-        if reserved > 0:
-            ledger.reserve(request.request_id, station_id, reserved)
-        earned = reward_value if demand <= free + 1e-9 else 0.0
+        _, earned = settle(request, station_id, ledger, rng)
         latency = instance.latency.total_delay_ms(request, station_id)
         result.add(OffloadDecision(
             request_id=request.request_id,
             admitted=True,
             primary_station=station_id,
-            realized_rate_mbps=rate,
+            realized_rate_mbps=request.realized_rate_mbps,
             reward=earned,
             latency_ms=latency,
             waiting_ms=0.0,
             deadline_met=meets_deadline(latency, request.deadline_ms),
         ))
-    result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
     return result
 
 

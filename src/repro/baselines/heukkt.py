@@ -19,7 +19,6 @@ proposed algorithms, latency among the highest).
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 from ..core.assignment import OffloadDecision, ScheduleResult
@@ -27,9 +26,10 @@ from ..core.instance import ProblemInstance
 from ..core.latency import meets_deadline
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike
 from ..telemetry.metrics import get_metrics
-from .base import OnlineBaselinePolicy, expected_feasible_stations
+from .base import (OnlineBaselinePolicy, admit_sequential,
+                   expected_feasible_stations)
 
 #: Round-trip-plus-processing latency of the remote cloud path (ms).
 #: Edge-vs-cloud measurement studies put wide-area RTT + data-center
@@ -77,43 +77,18 @@ class HeuKktOffline:
             requests: Sequence[ARRequest],
             rng: RngLike = None) -> ScheduleResult:
         """KKT-balance the edge; spill the remainder to the cloud."""
-        rng = ensure_rng(rng)
-        start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
-        result = ScheduleResult(algorithm=self.name)
-        ledger = instance.new_ledger()
-        ordered = sorted(requests, key=lambda r: r.request_id)
-        for request in ordered:
-            station_id = _kkt_station(instance, request, ledger)
-            if station_id is None:
-                self._serve_from_cloud(request, result, rng)
-                continue
-            rate, reward_value = request.realize(rng)
-            demand = request.demand_of_rate_mhz(rate)
-            free = ledger.free_mhz(station_id)
-            reserved = min(demand, free)
-            if reserved > 0:
-                ledger.reserve(request.request_id, station_id, reserved)
-            earned = reward_value if demand <= free + 1e-9 else 0.0
-            latency = instance.latency.total_delay_ms(request, station_id)
-            result.add(OffloadDecision(
-                request_id=request.request_id,
-                admitted=True,
-                primary_station=station_id,
-                realized_rate_mbps=rate,
-                reward=earned,
-                latency_ms=latency,
-                deadline_met=meets_deadline(latency, request.deadline_ms),
-            ))
-        result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-        return result
+        return admit_sequential(
+            self.name, instance,
+            sorted(requests, key=lambda r: r.request_id), _kkt_station,
+            rng, unplaced=self._serve_from_cloud)
 
     @staticmethod
-    def _serve_from_cloud(request: ARRequest, result: ScheduleResult,
-                          rng) -> None:
+    def _serve_from_cloud(request: ARRequest,
+                          rng: RngLike) -> OffloadDecision:
         """The removed-capacity share: served remotely, reward lost."""
         get_metrics().inc("engine_cloud_served_total")
         request.realize(rng)
-        result.add(OffloadDecision(
+        return OffloadDecision(
             request_id=request.request_id,
             admitted=True,
             primary_station=None,
@@ -121,7 +96,7 @@ class HeuKktOffline:
             reward=0.0,
             latency_ms=CLOUD_RTT_MS,
             deadline_met=meets_deadline(CLOUD_RTT_MS, request.deadline_ms),
-        ))
+        )
 
 
 class HeuKktOnline(OnlineBaselinePolicy):

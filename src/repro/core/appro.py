@@ -8,26 +8,29 @@ Rounding rounds: a single ``y/4`` pass leaves at least 3/4 of the LP
 mass unassigned in expectation.  Theorem 1 analyzes that single pass;
 for the evaluation we repeat the pass over the not-yet-admitted
 requests (against the same LP solution and the same admission ledger)
-until a round makes no progress.  Every repetition can only add reward,
-so the 1/8 guarantee is preserved; set ``max_rounds=1`` for the
-literally analyzed algorithm (the ablation benchmark compares both).
+until a round makes no progress - see
+:func:`~repro.core.rounding.round_and_admit`.  Every repetition can only
+add reward, so the 1/8 guarantee is preserved; set ``max_rounds=1`` for
+the literally analyzed algorithm (the ablation benchmark compares both).
+
+:class:`~repro.core.heu.Heu` is this pipeline plus a migration hook, so
+both run through :meth:`Appro._place`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..requests.request import ARRequest
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike
 from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
 from .assignment import OffloadDecision, ScheduleResult
 from .instance import ProblemInstance
 from .latency import meets_deadline
 from .lp_relaxation import build_lp_relaxation
-from .rounding import (DEFAULT_ROUNDING_SCALE, AdmissionOutcome,
-                       admit_slot_by_slot, randomized_round)
+from .rounding import (DEFAULT_ROUNDING_SCALE, PassHandler, RejectHandler,
+                       check_max_rounds, round_and_admit)
 
 
 class Appro:
@@ -46,11 +49,9 @@ class Appro:
     def __init__(self, lp_backend: str = "scipy",
                  rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_rounds: int = 24) -> None:
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         self.lp_backend = lp_backend
         self.rounding_scale = rounding_scale
-        self.max_rounds = max_rounds
+        self.max_rounds = check_max_rounds(max_rounds)
         #: Objective value of the most recent LP solve (``LPOpt``);
         #: useful for empirical approximation-ratio studies.
         self.last_lp_objective: Optional[float] = None
@@ -69,70 +70,56 @@ class Appro:
         Returns:
             A :class:`ScheduleResult` with one decision per request.
         """
-        rng = ensure_rng(rng)
-        start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        return self._place(instance, requests, rng)
+
+    def _place(self, instance: ProblemInstance,
+               requests: Sequence[ARRequest], rng: RngLike,
+               migrations: Optional[Mapping[int, Dict[int, int]]] = None,
+               on_reject: Optional[RejectHandler] = None,
+               on_pass: Optional[PassHandler] = None) -> ScheduleResult:
+        """Solve the LP, round and admit, then decide; ``migrations``
+        (request -> task -> station) is what the hooks moved."""
         result = ScheduleResult(algorithm=self.name)
         if not requests:
-            result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
             return result
 
-        tracer = get_tracer()
-        with tracer.span("build_lp", algorithm=self.name):
+        with get_tracer().span("build_lp", algorithm=self.name):
             lp, index = build_lp_relaxation(instance, requests)
         if lp.num_variables == 0:
             for request in requests:
                 result.add(OffloadDecision(request_id=request.request_id))
-            result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
             return result
         solution = solve_lp(lp, backend=self.lp_backend)
         self.last_lp_objective = solution.objective
 
-        ledger = instance.new_ledger()
-        outcomes: List[AdmissionOutcome] = []
-        remaining = list(requests)
-        stalled_rounds = 0
-        options = index.options_table(solution.x)
-        for _ in range(self.max_rounds):
-            if not remaining or stalled_rounds >= 4:
-                break
-            with tracer.span("rounding", algorithm=self.name):
-                assignments = randomized_round(
-                    index, solution.x, remaining,
-                    rng=rng, scale=self.rounding_scale,
-                    options_table=options)
-                round_outcomes = admit_slot_by_slot(
-                    instance, remaining, assignments, ledger, rng=rng)
-            admitted_ids = {o.request.request_id for o in round_outcomes
-                            if o.admitted}
-            tracer.count("rounding_rounds")
-            outcomes.extend(o for o in round_outcomes if o.admitted)
-            remaining = [r for r in remaining
-                         if r.request_id not in admitted_ids]
-            stalled_rounds = 0 if admitted_ids else stalled_rounds + 1
-        self._record_outcomes(instance, requests, outcomes, result)
-        result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-        return result
-
-    def _record_outcomes(self, instance: ProblemInstance,
-                         requests: Sequence[ARRequest],
-                         outcomes: List[AdmissionOutcome],
-                         result: ScheduleResult) -> None:
-        """Translate admission outcomes into per-request decisions."""
-        outcome_by_id = {o.request.request_id: o for o in outcomes}
+        admitted = round_and_admit(
+            instance, index.options_table(solution.x), requests,
+            instance.new_ledger(), rng, scale=self.rounding_scale,
+            max_rounds=self.max_rounds, algorithm=self.name,
+            on_reject=on_reject, on_pass=on_pass)
+        outcome_by_id = {o.request.request_id: o for o in admitted}
         for request in requests:
             outcome = outcome_by_id.get(request.request_id)
-            if outcome is None or not outcome.admitted:
+            if outcome is None:
                 result.add(OffloadDecision(request_id=request.request_id))
                 continue
             station_id = outcome.assignment.station_id
-            latency = instance.latency.total_delay_ms(request, station_id)
+            moved = (migrations or {}).get(request.request_id, {})
+            if moved:
+                latency = instance.latency.split_delay_ms(
+                    request, station_id, moved)
+            else:
+                latency = instance.latency.total_delay_ms(request,
+                                                          station_id)
             result.add(OffloadDecision(
                 request_id=request.request_id,
                 admitted=True,
                 primary_station=station_id,
+                migrated_tasks=dict(moved),
                 realized_rate_mbps=request.realized_rate_mbps,
                 reward=outcome.reward,
                 latency_ms=latency,
                 waiting_ms=0.0,
                 deadline_met=meets_deadline(latency, request.deadline_ms),
             ))
+        return result

@@ -39,8 +39,8 @@ from ..telemetry import get_tracer
 from ..telemetry.audit import emit, emit_many, get_journal
 from ..telemetry.metrics import get_metrics
 from .lp_relaxation import build_lp_pt
-from .rounding import DEFAULT_ROUNDING_SCALE, admit_slot_by_slot, \
-    randomized_round
+from .rounding import (DEFAULT_ROUNDING_SCALE, check_max_rounds,
+                       round_and_admit)
 
 
 class DynamicRR:
@@ -54,6 +54,11 @@ class DynamicRR:
             None).
         lp_backend: LP solver backend for LP-PT.
         rounding_scale: the ``y/4`` divisor.
+        max_rounds: rounding passes per slot over the not-yet-admitted
+            requests of ``R_t`` (must be >= 1).
+        bandit_policy: the finite-arm learner that drives the threshold:
+            the paper's successive elimination (``"se"``), or UCB1
+            (``"ucb1"``) or epsilon-greedy (``"egreedy"``) for ablations.
         rng: randomness for rounding and realization order.
     """
 
@@ -73,10 +78,7 @@ class DynamicRR:
         self.config.validate()
         self.lp_backend = lp_backend
         self.rounding_scale = rounding_scale
-        self.max_rounds = max_rounds
-        #: Which finite-arm learner drives the threshold: the paper's
-        #: successive elimination ("se"), UCB1 ("ucb1"), or
-        #: epsilon-greedy ("egreedy") - the latter two for ablations.
+        self.max_rounds = check_max_rounds(max_rounds)
         self.bandit_policy = bandit_policy
         self._rng = ensure_rng(rng)
         self._engine = None
@@ -149,35 +151,14 @@ class DynamicRR:
         if lp.num_variables == 0:
             return []
         solution = solve_lp(lp, backend=self.lp_backend)
-        ledger = self._seeded_ledger(engine, threshold)
-        placements: List = []
-        remaining = list(r_t)
-        stalled_rounds = 0
-        options = index.options_table(solution.x)
-        for _ in range(self.max_rounds):
-            if not remaining or stalled_rounds >= 4:
-                break
-            with tracer.span("rounding", algorithm=self.name):
-                assignments = randomized_round(index, solution.x,
-                                               remaining, rng=self._rng,
-                                               scale=self.rounding_scale,
-                                               options_table=options)
-                outcomes = admit_slot_by_slot(engine.instance, remaining,
-                                              assignments, ledger,
-                                              rng=self._rng,
-                                              reserve_cap_mhz=threshold)
-            tracer.count("rounding_rounds")
-            admitted_ids = set()
-            for outcome in outcomes:
-                if outcome.admitted:
-                    admitted_ids.add(outcome.request.request_id)
-                    placements.append(Placement(
-                        request_id=outcome.request.request_id,
-                        station_id=outcome.assignment.station_id))
-            remaining = [r for r in remaining
-                         if r.request_id not in admitted_ids]
-            stalled_rounds = 0 if admitted_ids else stalled_rounds + 1
-        return placements
+        admitted = round_and_admit(
+            engine.instance, index.options_table(solution.x), r_t,
+            self._seeded_ledger(engine, threshold), self._rng,
+            scale=self.rounding_scale, max_rounds=self.max_rounds,
+            algorithm=self.name, reserve_cap_mhz=threshold)
+        return [Placement(request_id=o.request.request_id,
+                          station_id=o.assignment.station_id)
+                for o in admitted]
 
     def observe(self, slot: int, slot_reward: float) -> None:
         """Feed the slot's settled reward back to the bandit.
@@ -194,6 +175,8 @@ class DynamicRR:
         normalized = min(1.0, max(0.0, slot_reward / self._reward_scale))
         journal = get_journal()
         metrics = get_metrics()
+        # Every shipped policy exposes active_arms(); a custom one
+        # without it simply skips the surviving-arm series.
         active_arms = getattr(self._bandit.policy, "active_arms", None)
         before = (set(active_arms())
                   if (journal.enabled or metrics.enabled)
@@ -214,10 +197,6 @@ class DynamicRR:
         if tracer.enabled:
             tracer.observe("bandit_cumulative_reward",
                            self._cumulative_reward)
-            # Every shipped policy exposes active_arms(); a custom one
-            # without it simply skips the surviving-arm series.
-            active_arms = getattr(self._bandit.policy, "active_arms",
-                                  None)
             if active_arms is not None:
                 tracer.observe("surviving_arms",
                                float(len(active_arms())))

@@ -15,26 +15,25 @@ both the capacity of the target and the donor's deadline.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike
 from ..sim.events import EventKind
-from ..solver.interface import solve_lp
 from ..telemetry import get_tracer
 from ..telemetry.audit import emit
-from .assignment import OffloadDecision, ScheduleResult
+from .appro import Appro
+from .assignment import ScheduleResult
 from .instance import ProblemInstance
 from .latency import meets_deadline
-from .lp_relaxation import build_lp_relaxation
-from .rounding import (DEFAULT_ROUNDING_SCALE, AdmissionOutcome,
-                       admit_slot_by_slot, randomized_round)
+from .rounding import DEFAULT_ROUNDING_SCALE, AdmissionOutcome
 
 
-class Heu:
+class Heu(Appro):
     """The paper's efficient heuristic for distributed task placement.
+
+    Appro's pipeline with a migration hook on every rejection.
 
     Args:
         lp_backend: LP solver backend.
@@ -52,13 +51,8 @@ class Heu:
                  rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_migration_targets: int = 5,
                  max_rounds: int = 24) -> None:
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.lp_backend = lp_backend
-        self.rounding_scale = rounding_scale
+        super().__init__(lp_backend, rounding_scale, max_rounds)
         self.max_migration_targets = max_migration_targets
-        self.max_rounds = max_rounds
-        self.last_lp_objective: Optional[float] = None
         #: Number of successful task migrations in the last run.
         self.last_num_migrations: int = 0
 
@@ -72,81 +66,32 @@ class Heu:
             requests: the workload (unrealized rates).
             rng: randomness for rounding and realization.
         """
-        rng = ensure_rng(rng)
-        start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
-        result = ScheduleResult(algorithm=self.name)
         self.last_num_migrations = 0
-        if not requests:
-            result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-            return result
-
-        tracer = get_tracer()
-        with tracer.span("build_lp", algorithm=self.name):
-            lp, index = build_lp_relaxation(instance, requests)
-        if lp.num_variables == 0:
-            for request in requests:
-                result.add(OffloadDecision(request_id=request.request_id))
-            result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-            return result
-        solution = solve_lp(lp, backend=self.lp_backend)
-        self.last_lp_objective = solution.objective
-
-        ledger = instance.new_ledger()
-
-        # Mutable bookkeeping shared with the reject handler.
+        # Donors: requests admitted in *earlier* passes, by primary
+        # station.  The loop adds a pass's admissions only after it.
         admitted_at: Dict[int, List[ARRequest]] = {}
-        primary_of: Dict[int, int] = {}
         migrations: Dict[int, Dict[int, int]] = {}
 
         def on_reject(request: ARRequest, station_id: int, slot: int,
-                      ledger_: CapacityLedger) -> bool:
-            return self._try_migration(
-                instance, ledger_, station_id, slot,
-                admitted_at, primary_of, migrations)
+                      ledger: CapacityLedger) -> bool:
+            with get_tracer().span("migration", algorithm=self.name):
+                return self._try_migration(instance, ledger, station_id,
+                                           slot, admitted_at, migrations)
 
-        outcomes: List[AdmissionOutcome] = []
-        remaining = list(requests)
-        stalled_rounds = 0
-        options = index.options_table(solution.x)
-        for _ in range(self.max_rounds):
-            if not remaining or stalled_rounds >= 4:
-                break
-            with tracer.span("rounding", algorithm=self.name):
-                assignments = randomized_round(
-                    index, solution.x, remaining,
-                    rng=rng, scale=self.rounding_scale,
-                    options_table=options)
-                round_outcomes = admit_slot_by_slot(
-                    instance, remaining, assignments, ledger, rng=rng,
-                    on_reject=on_reject)
-            tracer.count("rounding_rounds")
-            admitted_ids = set()
-            for outcome in round_outcomes:
-                if outcome.admitted:
-                    admitted_ids.add(outcome.request.request_id)
-                    outcomes.append(outcome)
-                    station_id = outcome.assignment.station_id
-                    admitted_at.setdefault(station_id, []).append(
-                        outcome.request)
-                    primary_of[outcome.request.request_id] = station_id
-            remaining = [r for r in remaining
-                         if r.request_id not in admitted_ids]
-            stalled_rounds = 0 if admitted_ids else stalled_rounds + 1
+        def on_pass(admitted: List[AdmissionOutcome]) -> None:
+            for outcome in admitted:
+                admitted_at.setdefault(outcome.assignment.station_id,
+                                       []).append(outcome.request)
 
-        self._record_outcomes(instance, requests, outcomes, migrations,
-                              result)
-        result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
-        return result
+        return self._place(instance, requests, rng, migrations,
+                           on_reject=on_reject, on_pass=on_pass)
 
-    # ------------------------------------------------------------------
-    # Migration (Algorithm 2, lines 11-14)
-    # ------------------------------------------------------------------
     def _try_migration(self, instance: ProblemInstance,
                        ledger: CapacityLedger, station_id: int, slot: int,
                        admitted_at: Dict[int, List[ARRequest]],
-                       primary_of: Dict[int, int],
                        migrations: Dict[int, Dict[int, int]]) -> bool:
-        """Migrate one task of the largest-rate donor able to shed one.
+        """Algorithm 2 lines 11-14: migrate one task of the largest-rate
+        donor able to shed one.
 
         Donors are tried in decreasing realized data rate (the paper
         picks "the one with the maximum realized rate"; when that donor
@@ -155,15 +100,6 @@ class Heu:
         migration - the admission loop re-tests the prefix condition
         (line 12) and calls back if the slot is still closed.
         """
-        with get_tracer().span("migration", algorithm=self.name):
-            return self._migrate_one(instance, ledger, station_id, slot,
-                                     admitted_at, primary_of, migrations)
-
-    def _migrate_one(self, instance: ProblemInstance,
-                     ledger: CapacityLedger, station_id: int, slot: int,
-                     admitted_at: Dict[int, List[ARRequest]],
-                     primary_of: Dict[int, int],
-                     migrations: Dict[int, Dict[int, int]]) -> bool:
         donors = sorted(admitted_at.get(station_id, []),
                         key=lambda r: (-r.realized_rate_mbps,
                                        r.request_id))
@@ -197,7 +133,7 @@ class Heu:
                 trial = dict(existing)
                 trial[task_idx] = target
                 latency = instance.latency.split_delay_ms(
-                    donor, primary_of[donor.request_id], trial)
+                    donor, station_id, trial)
                 if not meets_deadline(latency, donor.deadline_ms):
                     skipped.append((target, ledger.free_mhz(target),
                                     "latency"))
@@ -212,38 +148,3 @@ class Heu:
                      detail=tuple(skipped))
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-    def _record_outcomes(self, instance: ProblemInstance,
-                         requests: Sequence[ARRequest],
-                         outcomes: List[AdmissionOutcome],
-                         migrations: Dict[int, Dict[int, int]],
-                         result: ScheduleResult) -> None:
-        """Translate admission outcomes (with migrations) into decisions."""
-        outcome_by_id = {o.request.request_id: o for o in outcomes}
-        for request in requests:
-            outcome = outcome_by_id.get(request.request_id)
-            if outcome is None or not outcome.admitted:
-                result.add(OffloadDecision(request_id=request.request_id))
-                continue
-            station_id = outcome.assignment.station_id
-            moved = migrations.get(request.request_id, {})
-            if moved:
-                latency = instance.latency.split_delay_ms(
-                    request, station_id, moved)
-            else:
-                latency = instance.latency.total_delay_ms(request,
-                                                          station_id)
-            result.add(OffloadDecision(
-                request_id=request.request_id,
-                admitted=True,
-                primary_station=station_id,
-                migrated_tasks=dict(moved),
-                realized_rate_mbps=request.realized_rate_mbps,
-                reward=outcome.reward,
-                latency_ms=latency,
-                waiting_ms=0.0,
-                deadline_met=meets_deadline(latency, request.deadline_ms),
-            ))

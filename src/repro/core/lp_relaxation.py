@@ -89,33 +89,18 @@ class LpIndex:
             self.request_id.tolist(), self.station_id.tolist(),
             self.slot.tolist())]
 
-    def _options(self, x: np.ndarray, cols: np.ndarray
-                 ) -> List[Tuple[int, int, float]]:
-        return list(zip(self.station_id[cols].tolist(),
-                        self.slot[cols].tolist(), x[cols].tolist()))
-
-    def assignment_options(self, x: np.ndarray, request_id: int,
-                           tol: float = MASS_TOL
-                           ) -> List[Tuple[int, int, float]]:
-        """Options ``(station, slot, mass)`` of one request with mass > tol.
-
-        Args:
-            x: an LP solution, in column order.
-            request_id: the request.
-            tol: drop options at or below this mass.
-        """
-        cols = self.ranges.get(request_id, range(0))
-        keep = np.flatnonzero(x[cols.start:cols.stop] > tol) + cols.start
-        return self._options(x, keep)
-
-    def options_table(self, x: np.ndarray, tol: float = MASS_TOL
+    def options_table(self, x: np.ndarray
                       ) -> Dict[int, List[Tuple[int, int, float]]]:
-        """:meth:`assignment_options` of *every* request, in one pass."""
+        """``request_id -> [(station, slot, mass), ...]`` of solution `x`
+        for every request of the build, in column order, without the
+        options of mass at or below :data:`MASS_TOL`."""
         table: Dict[int, List[Tuple[int, int, float]]] = {
             rid: [] for rid in self.ranges}
-        keep = np.flatnonzero(x > tol)
+        keep = np.flatnonzero(x > MASS_TOL)
         for rid, option in zip(self.request_id[keep].tolist(),
-                               self._options(x, keep)):
+                               zip(self.station_id[keep].tolist(),
+                                   self.slot[keep].tolist(),
+                                   x[keep].tolist())):
             table[rid].append(option)
         return table
 

@@ -12,7 +12,9 @@ already admitted there occupy at most ``l * C_l`` (Algorithm 1 line 6).
 Only after admission does the request *realize* its data rate; the
 realized demand is reserved (truncated at the physical capacity), and
 the reward is earned only when the untruncated demand fits - the event
-whose expectation is ``ER_{jil}`` (Eq. 8).
+whose expectation is ``ER_{jil}`` (Eq. 8); :func:`settle` applies that
+rule here and in the baselines.  :func:`round_and_admit` is the rounding
+loop of Appro, Heu (with its migration hook) and DynamicRR (over LP-PT).
 
 Solver tolerance: HiGHS returns ``y`` only within its feasibility
 tolerance, so entries can be slightly negative and a request's mass can
@@ -26,22 +28,28 @@ above raises :class:`~repro.exceptions.ConfigurationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..network.capacity import CapacityLedger
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
 from ..sim.events import EventKind
+from ..telemetry import get_tracer
 from ..telemetry.audit import emit
 from .assignment import SlotAssignment
 from .instance import ProblemInstance
-from .lp_relaxation import MASS_TOL, LpIndex
+from .lp_relaxation import MASS_TOL
 
 #: The paper's rounding scale: assignment probability is y / ROUNDING_SCALE.
 DEFAULT_ROUNDING_SCALE = 4.0
+
+#: :func:`round_and_admit` stops after this many passes in a row admit
+#: nothing.
+MAX_STALLED_ROUNDS = 4
+
+#: :meth:`~repro.core.lp_relaxation.LpIndex.options_table` of a solution.
+OptionsTable = Mapping[int, Sequence[Tuple[int, int, float]]]
 
 #: Called when a request fails the prefix test; returns True when the
 #: handler made room (Heu's migration) so admission can proceed.
@@ -69,27 +77,32 @@ class AdmissionOutcome:
     reserved_mhz: float = 0.0
 
 
-def randomized_round(index: LpIndex, x: np.ndarray,
+#: Called after each rounding pass with the outcomes it admitted.
+PassHandler = Callable[[List[AdmissionOutcome]], None]
+
+
+def check_max_rounds(max_rounds: int) -> int:
+    """Validate the pass budget of Appro, Heu and DynamicRR (>= 1)."""
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    return max_rounds
+
+
+def randomized_round(options_table: OptionsTable,
                      requests: Sequence[ARRequest],
                      rng: RngLike = None,
-                     scale: float = DEFAULT_ROUNDING_SCALE,
-                     options_table: Optional[Mapping[
-                         int, Sequence[tuple]]] = None
+                     scale: float = DEFAULT_ROUNDING_SCALE
                      ) -> List[SlotAssignment]:
     """Round a fractional LP solution into tentative slot assignments.
 
     Args:
-        index: column index of the solved LP.
-        x: the fractional solution, in column order.
-        requests: the workload the LP was built over.
+        options_table: the solution's
+            :meth:`~repro.core.lp_relaxation.LpIndex.options_table`;
+            read only, so one table serves every pass.
+        requests: the requests to round (a subset of the LP's).
         rng: randomness.
         scale: divide each ``y_{jil}`` by this before sampling (the
             paper uses 4).
-        options_table: precomputed
-            :meth:`~repro.core.lp_relaxation.LpIndex.options_table` of
-            ``x`` - callers that round the same solution over many
-            rounds pass it to skip the per-round re-extraction.  The
-            sampled stream is identical either way.
 
     Returns:
         At most one :class:`SlotAssignment` per request; requests that
@@ -106,10 +119,7 @@ def randomized_round(index: LpIndex, x: np.ndarray,
     rng = ensure_rng(rng)
     assignments: List[SlotAssignment] = []
     for request in requests:
-        if options_table is not None:
-            options = options_table.get(request.request_id, ())
-        else:
-            options = index.assignment_options(x, request.request_id)
+        options = options_table.get(request.request_id, ())
         if not options:
             continue
         total_mass = sum(mass for _, _, mass in options)
@@ -203,18 +213,10 @@ def admit_slot_by_slot(instance: ProblemInstance,
                          request_id=request.request_id,
                          station_id=station_id)
                     continue
-                rate, reward = request.realize(rng)
-                demand = request.demand_of_rate_mhz(rate)
-                free = ledger.free_mhz(station_id)
-                reserved = min(demand, free)
-                if reserve_cap_mhz is not None:
-                    reserved = min(reserved, reserve_cap_mhz)
-                if reserved > 0:
-                    ledger.reserve(request.request_id, station_id, reserved)
+                reserved, outcome.reward = settle(
+                    request, station_id, ledger, rng, reserve_cap_mhz)
                 outcome.admitted = True
                 outcome.reserved_mhz = reserved
-                if demand <= free + 1e-9:
-                    outcome.reward = reward
                 # Guaranteed-share admissions (the online RR setting)
                 # are elastic; batch admissions commit the reservation -
                 # the monitor accumulates only the latter against
@@ -225,3 +227,77 @@ def admit_slot_by_slot(instance: ProblemInstance,
                      reserved_mhz=reserved if committed else None,
                      share_mhz=None if committed else reserved)
     return outcomes
+
+
+def settle(request: ARRequest, station_id: int, ledger: CapacityLedger,
+           rng: RngLike, cap_mhz: Optional[float] = None
+           ) -> Tuple[float, float]:
+    """Realize an admitted request's rate and reserve its demand.
+
+    Reserves the realized demand truncated at the station's free
+    capacity (and at ``cap_mhz``); returns ``(reserved_mhz, reward)``,
+    the reward earned only when the untruncated demand fit.
+    """
+    rate, reward = request.realize(rng)
+    demand = request.demand_of_rate_mhz(rate)
+    free = ledger.free_mhz(station_id)
+    reserved = min(demand, free)
+    if cap_mhz is not None:
+        reserved = min(reserved, cap_mhz)
+    if reserved > 0:
+        ledger.reserve(request.request_id, station_id, reserved)
+    return reserved, (reward if demand <= free + 1e-9 else 0.0)
+
+
+def round_and_admit(instance: ProblemInstance,
+                    options_table: OptionsTable,
+                    requests: Sequence[ARRequest],
+                    ledger: CapacityLedger,
+                    rng: RngLike,
+                    *,
+                    scale: float,
+                    max_rounds: int,
+                    algorithm: str,
+                    on_reject: Optional[RejectHandler] = None,
+                    on_pass: Optional[PassHandler] = None,
+                    reserve_cap_mhz: Optional[float] = None
+                    ) -> List[AdmissionOutcome]:
+    """Repeat rounding + admission over the requests not yet admitted.
+
+    Each pass re-rounds the same solution against the same ledger (one
+    ``y/4`` pass leaves >= 3/4 of the LP mass unassigned in
+    expectation).  The loop stops after ``max_rounds`` passes (1 =
+    Theorem 1's single pass), once every request is admitted, or after
+    :data:`MAX_STALLED_ROUNDS` passes in a row admit nothing.  Each pass
+    is one ``rounding`` span labelled ``algorithm``.  ``on_reject`` and
+    ``reserve_cap_mhz`` go to :func:`admit_slot_by_slot`; ``on_pass``
+    gets each pass's admitted outcomes after the pass, so they reach
+    ``on_reject`` (Heu's donors) only from the next pass on.
+
+    Returns:
+        The admitted outcomes, in admission order.
+    """
+    rng = ensure_rng(rng)
+    tracer = get_tracer()
+    admitted: List[AdmissionOutcome] = []
+    remaining = list(requests)
+    stalled_rounds = 0
+    for _ in range(max_rounds):
+        if not remaining or stalled_rounds >= MAX_STALLED_ROUNDS:
+            break
+        with tracer.span("rounding", algorithm=algorithm):
+            assignments = randomized_round(options_table, remaining,
+                                           rng=rng, scale=scale)
+            outcomes = admit_slot_by_slot(
+                instance, remaining, assignments, ledger, rng=rng,
+                on_reject=on_reject, reserve_cap_mhz=reserve_cap_mhz)
+        tracer.count("rounding_rounds")
+        passed = [o for o in outcomes if o.admitted]
+        admitted.extend(passed)
+        if on_pass is not None:
+            on_pass(passed)
+        admitted_ids = {o.request.request_id for o in passed}
+        remaining = [r for r in remaining
+                     if r.request_id not in admitted_ids]
+        stalled_rounds = 0 if passed else stalled_rounds + 1
+    return admitted

@@ -96,6 +96,20 @@ def assign_arrival_slots(requests: Sequence[ARRequest],
     return sorted(stamped, key=lambda r: (r.arrival_slot, r.request_id))
 
 
+#: The largest Poisson rate numpy draws from (``int64`` max minus ten
+#: standard deviations); ``Generator.poisson`` raises a bare
+#: ``ValueError`` above it.
+MAX_MEAN_PER_SLOT = (2 ** 63 - 1) - 10 * math.sqrt(2 ** 63 - 1)
+
+
+def check_mean_per_slot(name: str, mean: float) -> None:
+    """Raise ConfigurationError unless ``0 < mean <= MAX_MEAN_PER_SLOT``."""
+    if not 0 < mean <= MAX_MEAN_PER_SLOT:
+        raise ConfigurationError(
+            f"{name} must be > 0 and <= {MAX_MEAN_PER_SLOT!r} (numpy's "
+            f"Poisson limit), got {mean}")
+
+
 class PoissonArrivalStream:
     """A lazy, unbounded Poisson arrival source for the streaming service.
 
@@ -112,7 +126,8 @@ class PoissonArrivalStream:
     Args:
         generator: draws per-request parameters (owns its own RNG; its
             state is part of the stream checkpoint).
-        mean_per_slot: mean arrivals per slot (Poisson rate).
+        mean_per_slot: mean arrivals per slot (Poisson rate), at most
+            :data:`MAX_MEAN_PER_SLOT`.
         rng: randomness for the per-slot *counts* (kept separate from
             the generator's parameter draws so the two streams stay
             statistically independent).
@@ -124,9 +139,7 @@ class PoissonArrivalStream:
     def __init__(self, generator: RequestGenerator, mean_per_slot: float,
                  rng: RngLike = None,
                  limit: Optional[int] = None) -> None:
-        if not 0 < mean_per_slot < math.inf:
-            raise ConfigurationError(
-                f"mean_per_slot must be finite and > 0, got {mean_per_slot}")
+        check_mean_per_slot("mean_per_slot", mean_per_slot)
         if limit is not None and limit < 0:
             raise ConfigurationError(
                 f"limit must be >= 0, got {limit}")

@@ -26,7 +26,6 @@ other work.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 import tracemalloc
 from collections import deque
@@ -38,7 +37,7 @@ from ..config import SimulationConfig
 from ..core.dynamic_rr import DynamicRR
 from ..core.instance import ProblemInstance
 from ..exceptions import ConfigurationError, PersistenceError
-from ..requests.arrivals import PoissonArrivalStream
+from ..requests.arrivals import PoissonArrivalStream, check_mean_per_slot
 from ..requests.generator import RequestGenerator
 from ..rng import RngForks
 from ..sim.events import Event, EventKind
@@ -75,7 +74,8 @@ class ServiceConfig:
             seed - the root of every RNG fork).
         horizon_slots: hard upper bound on the slot count (the engine
             clock's horizon; pick generously for "unbounded" runs).
-        mean_arrivals_per_slot: Poisson rate of the arrival stream.
+        mean_arrivals_per_slot: Poisson rate of the arrival stream, at
+            most :data:`~repro.requests.arrivals.MAX_MEAN_PER_SLOT`.
         max_arrivals: stop generating after this many requests (None =
             truly unbounded; the service then runs to the horizon).
         policy: one of :data:`SERVICE_POLICIES`.
@@ -129,10 +129,8 @@ class ServiceConfig:
         if self.horizon_slots < 1:
             raise ConfigurationError(
                 f"horizon must be >= 1 slot, got {self.horizon_slots}")
-        if not 0 < self.mean_arrivals_per_slot < math.inf:
-            raise ConfigurationError(
-                f"mean_arrivals_per_slot must be finite and > 0, got "
-                f"{self.mean_arrivals_per_slot}")
+        check_mean_per_slot("mean_arrivals_per_slot",
+                            self.mean_arrivals_per_slot)
         if self.max_arrivals is not None and self.max_arrivals < 0:
             raise ConfigurationError(
                 f"max_arrivals must be >= 0, got {self.max_arrivals}")

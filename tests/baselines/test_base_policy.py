@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.baselines import OcorpOffline
 from repro.baselines.base import (OnlineBaselinePolicy, admit_sequential,
                                   expected_feasible_stations)
+from repro.sim.engine import run_offline
 from repro.sim.online_engine import OnlineEngine
 
 
@@ -69,10 +71,10 @@ class TestAdmitSequential:
         assert len(admitted) <= capacity / expected + 1
 
     def test_runtime_recorded(self, small_instance, small_workload):
-        result = admit_sequential(
-            "AllReject", small_instance, small_workload,
-            lambda _i, _r, _l: None, rng=0)
-        assert result.runtime_s >= 0.0
+        # run_offline times every algorithm's run, baselines included.
+        result = run_offline(OcorpOffline(), small_instance,
+                             small_workload, seed=0)
+        assert result.runtime_s > 0.0
 
 
 class TestOnlineBaselinePolicyHooks:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.appro import Appro
+from repro.core.dynamic_rr import DynamicRR
+from repro.core.heu import Heu
 from repro.core.ilp_rm import solve_ilp_rm
 from repro.sim.engine import run_offline
 
@@ -22,6 +24,12 @@ class TestBasics:
     def test_invalid_max_rounds(self):
         with pytest.raises(ValueError):
             Appro(max_rounds=0)
+
+    @pytest.mark.parametrize("algorithm", [Heu, DynamicRR])
+    def test_max_rounds_rule_is_shared(self, algorithm):
+        # DynamicRR once accepted 0 and then never admitted a request.
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            algorithm(max_rounds=0)
 
     def test_runtime_measured(self, small_instance, small_workload):
         result = run_offline(Appro(), small_instance, small_workload,

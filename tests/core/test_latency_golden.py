@@ -8,8 +8,9 @@ exactly.  Online: the JSONL journal of two short runs per baseline
 policy - the default 40-slot streams, where the deadline mostly decides
 drops, and short streams on short slots, where queued requests are
 placed after waiting.  Offline: the decision records of the Fig. 3
-comparison set plus Random on one small default-config workload, hashed
-through ``repr`` so a stray ``np.float64`` or ``np.bool_`` changes them.
+comparison set plus Random, and Appro and Heu with one rounding pass, on
+one small default-config workload, hashed through ``repr`` so a stray
+``np.float64`` or ``np.bool_`` changes them.
 """
 
 import hashlib
@@ -70,6 +71,10 @@ GOLDEN_DECISIONS = {
         "e96c78c3cd506ae0e845543613d7c7b9b89589339d59044c1e79297bb2739621"),
     "Random": (
         "b4014c61b91294fd53b794ae6987f84432be794ee33aae259201d432948b58c0"),
+    "Appro-single-pass": (
+        "9f7fae63124cff2838c88133b11b45b9a2853e8e39e8fbe1e0ceae5e09aafe04"),
+    "Heu-single-pass": (
+        "ac1b2e18cda7a2f90a4664e739fe8758efb7533833706cd56208ee31997ed4a1"),
 }
 
 ONLINE_POLICIES = {
@@ -86,6 +91,9 @@ OFFLINE_ALGORITHMS = {
     "OCORP": OcorpOffline,
     "HeuKKT": HeuKktOffline,
     "Random": lambda: RandomOffline(rng=7),
+    # Theorem 1's literally analyzed algorithm: one rounding pass.
+    "Appro-single-pass": lambda: Appro(max_rounds=1),
+    "Heu-single-pass": lambda: Heu(max_rounds=1),
 }
 
 

@@ -139,9 +139,9 @@ class TestIndex:
                                           small_workload):
         lp, index = build_lp_relaxation(small_instance, small_workload)
         solution = solve_lp(lp)
+        table = index.options_table(solution.x)
+        assert sorted(table) == sorted(r.request_id for r in small_workload)
         for request in small_workload:
-            options = index.assignment_options(solution.x,
-                                               request.request_id)
-            for sid, slot, mass in options:
+            for sid, slot, mass in table[request.request_id]:
                 assert mass > 0
                 assert slot < small_instance.network.num_slots(sid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from repro.config import RequestConfig
 from repro.exceptions import ConfigurationError
-from repro.requests.arrivals import PoissonArrivalStream
+from repro.requests.arrivals import MAX_MEAN_PER_SLOT, PoissonArrivalStream
 from repro.requests.generator import RequestGenerator
 
 
@@ -165,6 +166,21 @@ class TestValidation:
     def test_rejects_non_finite_mean(self, small_instance, mean):
         with pytest.raises(ConfigurationError):
             make_stream(small_instance, mean=mean)
+
+    def test_rejects_mean_above_numpy_poisson_limit(self, small_instance):
+        with pytest.raises(ConfigurationError):
+            make_stream(small_instance, mean=1e20)
+        with pytest.raises(ConfigurationError):
+            make_stream(small_instance,
+                        mean=math.nextafter(MAX_MEAN_PER_SLOT, math.inf))
+
+    def test_mean_at_numpy_poisson_limit_is_drawable(self, small_instance):
+        # numpy draws at the bound itself; the limit keeps the batch to
+        # three requests.
+        stream = make_stream(small_instance, mean=MAX_MEAN_PER_SLOT,
+                             limit=3)
+        slot, built, shed = stream.next_batch(3)
+        assert (slot, len(built), list(shed)) == (0, 3, [])
 
     def test_rejects_negative_room(self, small_instance):
         stream = make_stream(small_instance)

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.requests.arrivals import MAX_MEAN_PER_SLOT
 from repro.service import AdmissionService
 from repro.telemetry.audit import InvariantMonitor
 
@@ -144,3 +145,18 @@ class TestValidation:
         # and failed there with a bare ValueError.
         with pytest.raises(ConfigurationError):
             make_service_config(mean_arrivals_per_slot=rate).validate()
+
+    def test_arrival_rate_above_numpy_poisson_limit_rejected(
+            self, make_service_config):
+        # Finite but above numpy's limit: used to construct and then
+        # fail the first tick with "lam value too large".
+        with pytest.raises(ConfigurationError):
+            AdmissionService(make_service_config(
+                mean_arrivals_per_slot=1e20))
+
+    def test_arrival_rate_at_numpy_poisson_limit_accepted(
+            self, make_service_config):
+        # Constructs only: a tick would draw ~9e18 arrivals.
+        service = AdmissionService(make_service_config(
+            mean_arrivals_per_slot=MAX_MEAN_PER_SLOT))
+        service.close()
