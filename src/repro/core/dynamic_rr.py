@@ -241,16 +241,16 @@ class DynamicRR:
         """
         ledger = engine.instance.new_ledger()
         sentinel = 10 ** 9
-        for sid in engine.instance.network.station_ids:
-            capacity = engine.instance.network.station(sid).capacity_mhz
-            if getattr(engine, "is_down", None) and engine.is_down(sid):
+        for station in engine.station_loads():
+            if station.down:
                 # Injected outage: block the station entirely.
-                ledger.reserve(sentinel, sid, capacity)
+                ledger.reserve(sentinel, station.station_id,
+                               station.capacity_mhz)
                 continue
-            count = engine.active_count(sid)
-            reserved = min(count * threshold_mhz, capacity)
+            reserved = min(station.active_count * threshold_mhz,
+                           station.capacity_mhz)
             if reserved > 0:
-                ledger.reserve(sentinel, sid, reserved)
+                ledger.reserve(sentinel, station.station_id, reserved)
         return ledger
 
     def _estimate_reward_scale(self, engine) -> float:

@@ -9,8 +9,8 @@ because the same instance is reused across workload sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from ..config import SimulationConfig
 from ..exceptions import ConfigurationError
@@ -21,6 +21,8 @@ from ..requests.generator import RequestGenerator
 from ..requests.request import ARRequest
 from ..rng import RngForks
 from .latency import LatencyModel
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -39,6 +41,8 @@ class ProblemInstance:
     paths: PathTable
     latency: LatencyModel
     config: SimulationConfig
+    _derived: Dict[str, Any] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     @classmethod
     def build(cls, config: Optional[SimulationConfig] = None,
@@ -84,8 +88,21 @@ class ProblemInstance:
 
     def max_num_slots(self) -> int:
         """Largest slot count across stations (the ``L`` loop bound)."""
-        return max(self.network.num_slots(sid)
-                   for sid in self.network.station_ids)
+        return self.derived("max_num_slots", lambda: max(
+            self.network.num_slots(sid) for sid in self.network.station_ids))
+
+    def derived(self, key: str, build: Callable[[], _T]) -> _T:
+        """A value that depends on the instance alone, built on first use.
+
+        Neither the network nor the config changes after construction,
+        so such a value is computed once per instance and shared by
+        every later call under the same `key`.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def new_ledger(self) -> CapacityLedger:
         """A fresh, empty capacity ledger for this network."""

@@ -35,15 +35,23 @@ request's truncated rate, when that rate is positive.  One pass over
 those pairs yields every row; a candidate row with no entry is not
 emitted.
 
-Only the per-request expectations stay scalar: each reward prefix and
-each truncated rate is one 1-D dot, exactly as
+Only the expectations stay scalar: each reward prefix and each
+truncated rate is one 1-D dot, exactly as
 :meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`
 and ``expected_truncated_rate`` compute it, because a batched product
-would round differently.  Variable and constraint names are produced
-only when a caller asks for them.
+would round differently.  A reward prefix is one dot per distinct
+(request, prefix length).  A truncated rate ``E[min(rho, c)]`` depends
+on the rate grid alone, so it is one dot per distinct
+(:attr:`~repro.requests.distributions.RateRewardDistribution.support_key`,
+cap): requests drawn on one :class:`~repro.requests.distributions.RateGrid`
+share it.  Variable and constraint names are produced only when a
+caller asks for them.
 
-Every call builds a fresh model from scratch; DynamicRR builds one
-LP-PT per round and nothing is carried between rounds.
+Every call builds a fresh model; DynamicRR builds one LP-PT per round.
+What depends on the network alone - every station's candidate rows,
+before the fair-share cap of LP-PT - is built once per instance
+(:meth:`~repro.core.instance.ProblemInstance.derived`) and read by every
+later build; nothing else is carried between rounds.
 """
 
 from __future__ import annotations
@@ -119,66 +127,123 @@ def expected_reward_coefficient(instance: ProblemInstance,
     return request.distribution.expected_reward_within(max_rate)
 
 
+@dataclass(frozen=True)
+class _StationRows:
+    """Every station's candidate rows, in ``network.station_ids`` order.
+
+    Station ``p`` owns rows ``row_first[p] .. row_first[p] + L_p``: the
+    prefix rows ``m = 1..L_p`` of Eq. (10)/(23), then its capacity row.
+    They depend on the network alone, so :func:`_station_rows` builds
+    them once per instance; the arrays are read-only.
+    """
+
+    station_ids: np.ndarray
+    position: Mapping[int, int]
+    num_slots: np.ndarray
+    capacity: np.ndarray
+    row_first: np.ndarray
+    row_station: np.ndarray
+    row_m: np.ndarray
+    is_capacity: np.ndarray
+    row_width: np.ndarray
+    row_rhs: np.ndarray
+    #: The truncation cap of each row before any fair share (rate space).
+    row_cap: np.ndarray
+
+
+def _station_rows(instance: ProblemInstance) -> _StationRows:
+    """The instance's :class:`_StationRows`, built on first use."""
+
+    def build() -> _StationRows:
+        network = instance.network
+        slot_size, c_unit = instance.slot_size_mhz, instance.c_unit
+        stations = [network.station(sid) for sid in network.station_ids]
+        num_slots = np.array([bs.num_slots(slot_size) for bs in stations],
+                             dtype=np.int64)
+        capacity = np.array([bs.capacity_mhz for bs in stations],
+                            dtype=float)
+        capacity_rate = capacity / c_unit
+        row_first = np.cumsum(num_slots + 1) - (num_slots + 1)
+        row_station = np.repeat(np.arange(num_slots.size), num_slots + 1)
+        row_m = np.arange(row_station.size) - row_first[row_station] + 1
+        is_capacity = row_m > num_slots[row_station]
+        threshold = row_m * slot_size / c_unit
+        arrays = dict(
+            station_ids=np.array([bs.station_id for bs in stations],
+                                 dtype=np.int64),
+            num_slots=num_slots, capacity=capacity, row_first=row_first,
+            row_station=row_station, row_m=row_m, is_capacity=is_capacity,
+            row_width=np.where(is_capacity, num_slots[row_station], row_m),
+            row_rhs=np.where(is_capacity, capacity_rate[row_station],
+                             PREFIX_SLACK * threshold),
+            row_cap=np.where(is_capacity, capacity_rate[row_station],
+                             threshold))
+        for array in arrays.values():
+            array.flags.writeable = False
+        return _StationRows(
+            position={bs.station_id: p for p, bs in enumerate(stations)},
+            **arrays)
+
+    return instance.derived("lp_station_rows", build)
+
+
 def _build_model(lp: LinearProgram, instance: ProblemInstance,
                  requests: Sequence[ARRequest],
                  waiting: Mapping[int, float],
                  fair_share_count: Optional[int]) -> LpIndex:
     """Assemble the slot-indexed LP into `lp`; returns its index."""
-    network = instance.network
     slot_size, c_unit = instance.slot_size_mhz, instance.c_unit
-    stations = [network.station(sid) for sid in network.station_ids]
-    station_ids = np.array([bs.station_id for bs in stations], dtype=np.int64)
-    position = {bs.station_id: p for p, bs in enumerate(stations)}
-    num_slots = np.array([bs.num_slots(slot_size) for bs in stations],
-                         dtype=np.int64)
-    capacity = np.array([bs.capacity_mhz for bs in stations], dtype=float)
-    capacity_rate = capacity / c_unit
-
-    # Candidate rows, station by station: prefix m = 1..L_i, capacity.
-    row_first = np.cumsum(num_slots + 1) - (num_slots + 1)
-    row_station = np.repeat(np.arange(station_ids.size), num_slots + 1)
-    row_m = np.arange(row_station.size) - row_first[row_station] + 1
-    is_capacity = row_m > num_slots[row_station]
-    threshold = row_m * slot_size / c_unit
-    row_width = np.where(is_capacity, num_slots[row_station], row_m)
-    row_rhs = np.where(is_capacity, capacity_rate[row_station],
-                       PREFIX_SLACK * threshold)
-    row_cap = np.where(is_capacity, capacity_rate[row_station], threshold)
+    stations = _station_rows(instance)
+    station_ids, position = stations.station_ids, stations.position
+    num_slots, capacity = stations.num_slots, stations.capacity
+    row_first, row_station = stations.row_first, stations.row_station
+    row_width, row_rhs = stations.row_width, stations.row_rhs
+    row_cap = stations.row_cap
     if fair_share_count is not None:
         share = capacity / (fair_share_count * c_unit)
         row_cap = np.minimum(row_cap, share[row_station])
     caps, row_cap_at = np.unique(row_cap, return_inverse=True)
 
     # Blocks: one per feasible (request, station), in column order.
-    ranges: Dict[int, range] = {}
     block_req: List[int] = []
     block_station: List[int] = []
-    first = 0
     for r, request in enumerate(requests):
-        rid = request.request_id
         feasible = [position[sid] for sid in instance.latency.
-                    feasible_stations(request, waiting.get(rid, 0.0))]
+                    feasible_stations(request,
+                                      waiting.get(request.request_id, 0.0))]
         block_req += [r] * len(feasible)
         block_station += feasible
-        width = int(num_slots[feasible].sum())
-        ranges[rid] = range(first, first + width)
-        first += width
-    if len(ranges) != len(requests):
-        raise ConfigurationError("LP requests must have distinct ids")
     block_req_arr = np.array(block_req, dtype=np.int64)
     block_station_arr = np.array(block_station, dtype=np.int64)
     block_width = num_slots[block_station_arr]
     block_first = np.cumsum(block_width) - block_width
+    request_end = np.cumsum(np.bincount(
+        block_req_arr, weights=block_width,
+        minlength=len(requests)).astype(np.int64)).tolist()
+    ranges: Dict[int, range] = dict(zip(
+        (request.request_id for request in requests),
+        map(range, [0] + request_end[:-1], request_end)))
+    if len(ranges) != len(requests):
+        raise ConfigurationError("LP requests must have distinct ids")
 
-    # Supports of the requests with columns, padded with +inf.
+    # The distinct supports of the requests with columns, padded with
+    # +inf: requests drawn on one RateGrid share one support.
     dists = [request.distribution for request in requests]
-    rates_of = [dist.rates_mbps for dist in dists]
-    probs_of = [dist.probabilities for dist in dists]
     used = sorted(set(block_req))
-    levels = max((dists[r].num_levels for r in used), default=0)
-    rates = np.full((len(requests), levels), np.inf)
+    support_at: Dict[Tuple[int, int], int] = {}
+    supports: List[Tuple[np.ndarray, np.ndarray]] = []
+    support_of = np.zeros(len(requests), dtype=np.int64)
     for r in used:
-        rates[r, :rates_of[r].size] = rates_of[r]
+        key = dists[r].support_key
+        at = support_at.get(key)
+        if at is None:
+            at = support_at[key] = len(supports)
+            supports.append((dists[r].rates_mbps, dists[r].probabilities))
+        support_of[r] = at
+    levels = max((rates.size for rates, _ in supports), default=0)
+    rates = np.full((len(supports), levels), np.inf)
+    for at, (support_rates, _) in enumerate(supports):
+        rates[at, :support_rates.size] = support_rates
 
     # Columns and their Eq. (8) objective: the reward prefix over the
     # ``k`` rates that fit the capacity left after the slot offset.
@@ -187,7 +252,8 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     col_station = block_station_arr[col_block]
     col_slot = np.arange(col_block.size) - block_first[col_block]
     max_rate = (capacity[col_station] - col_slot * slot_size) / c_unit
-    fits = (rates[col_req] <= (max_rate + _PROB_TOL)[:, None]).sum(axis=1)
+    fits = (rates[support_of[col_req]]
+            <= (max_rate + _PROB_TOL)[:, None]).sum(axis=1)
     index = LpIndex(request_id=np.array([r.request_id for r in requests],
                                         dtype=np.int64)[col_req],
                     station_id=station_ids[col_station],
@@ -196,7 +262,7 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     distinct, where = np.unique(col_req * (levels + 1) + fits,
                                 return_inverse=True)
     rewards = np.array([
-        probs_of[r][:k] @ dists[r].rewards[:k]
+        supports[support_of[r]][1][:k] @ dists[r].rewards[:k]
         for r, k in zip(*(part.tolist() for part in
                           np.divmod(distinct, levels + 1)))],
         dtype=float)[where]
@@ -228,17 +294,16 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
                 + row_first[block_station_arr[pair_block]])
     order = np.argsort(pair_row, kind="stable")
     pair_block, pair_row = pair_block[order], pair_row[order]
-    # E[min(rho, cap)] per (request, cap), one dot each as in
+    # E[min(rho, cap)] per (support, cap), one dot each as in
     # expected_truncated_rate.  Caps from ``caps[clip]`` on are at or
     # above every top rate: they truncate nothing and share one column.
-    clip = int(np.searchsorted(caps, max((rates_of[r][-1] for r in used),
-                                         default=0.0)))
+    clip = int(np.searchsorted(caps, max(
+        (support_rates[-1] for support_rates, _ in supports), default=0.0)))
     col_caps = caps[:clip + 1, None]
-    trunc = np.zeros((len(requests), col_caps.size))
-    for r in used:
-        trunc[r] = list(map(probs_of[r].dot,
-                            np.minimum(rates_of[r], col_caps)))
-    coef = trunc[block_req_arr[pair_block],
+    trunc = np.array([list(map(probs.dot, np.minimum(support_rates, col_caps)))
+                      for support_rates, probs in supports]
+                     ).reshape(len(supports), col_caps.size)
+    coef = trunc[support_of[block_req_arr[pair_block]],
                  np.minimum(row_cap_at[pair_row], clip)]
     keep = coef > 0
     pair_block, pair_row, coef = pair_block[keep], pair_row[keep], coef[keep]
@@ -253,8 +318,8 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     def row_names() -> List[str]:
         names = [f"choice_{rid}" for rid, _ in chosen]
         for sid, m, cap_row in zip(station_ids[row_station[rows]].tolist(),
-                                   row_m[rows].tolist(),
-                                   is_capacity[rows].tolist()):
+                                   stations.row_m[rows].tolist(),
+                                   stations.is_capacity[rows].tolist()):
             names.append(f"capacity_{sid}" if cap_row
                          else f"prefix_{sid}_{m}")
         return names

@@ -117,7 +117,10 @@ def randomized_round(options_table: OptionsTable,
             f"rounding scale must be >= 1 (probabilities must not exceed "
             f"the LP mass), got {scale}")
     rng = ensure_rng(rng)
-    assignments: List[SlotAssignment] = []
+    # Validate every mass first, so a bad request raises before any
+    # draw; then one block draw, which yields the same doubles, and
+    # leaves the generator in the same state, as one draw per request.
+    drawn: List[Tuple[int, Sequence[Tuple[int, int, float]]]] = []
     for request in requests:
         options = options_table.get(request.request_id, ())
         if not options:
@@ -127,14 +130,19 @@ def randomized_round(options_table: OptionsTable,
             raise ConfigurationError(
                 f"request {request.request_id} has LP mass "
                 f"{total_mass!r} > 1; constraint (9) violated upstream")
-        draw = rng.random()
+        drawn.append((request.request_id, options))
+    if not drawn:
+        return []
+    assignments: List[SlotAssignment] = []
+    for (request_id, options), draw in zip(
+            drawn, rng.random(len(drawn)).tolist()):
         cumulative = 0.0
         for station_id, slot, mass in options:
             cumulative += mass / scale
             if draw < cumulative:
                 assignments.append(SlotAssignment(
-                    request_id=request.request_id,
-                    station_id=station_id, slot=slot))
+                    request_id=request_id, station_id=station_id,
+                    slot=slot))
                 break
     return assignments
 
@@ -177,55 +185,61 @@ def admit_slot_by_slot(instance: ProblemInstance,
     """
     rng = ensure_rng(rng)
     request_by_id = {r.request_id: r for r in requests}
-    by_station_slot: Dict[tuple, List[SlotAssignment]] = {}
+    by_slot_station: Dict[Tuple[int, int], List[SlotAssignment]] = {}
     for assignment in assignments:
-        key = (assignment.station_id, assignment.slot)
-        by_station_slot.setdefault(key, []).append(assignment)
+        key = (assignment.slot, assignment.station_id)
+        by_slot_station.setdefault(key, []).append(assignment)
+
+    def rank(assignment: SlotAssignment) -> Tuple[float, int]:
+        return (request_by_id[assignment.request_id].expected_rate_mbps,
+                assignment.request_id)
 
     outcomes: List[AdmissionOutcome] = []
     max_slots = instance.max_num_slots()
-    for slot in range(max_slots):
-        for station_id in instance.network.station_ids:
-            candidates = by_station_slot.get((station_id, slot), [])
-            candidates.sort(key=lambda a: (
-                request_by_id[a.request_id].expected_rate_mbps,
-                a.request_id))
-            for assignment in candidates:
-                request = request_by_id[assignment.request_id]
-                outcome = AdmissionOutcome(request=request,
-                                           assignment=assignment)
-                outcomes.append(outcome)
+    network = instance.network
+    # Only the keys with candidates, in (slot, station) order; keys
+    # outside the slot range or the network are skipped.
+    for key in sorted(by_slot_station):
+        slot, station_id = key
+        if not (0 <= slot < max_slots and network.has_station(station_id)):
+            continue
+        candidates = sorted(by_slot_station[key], key=rank)
+        for assignment in candidates:
+            request = request_by_id[assignment.request_id]
+            outcome = AdmissionOutcome(request=request,
+                                       assignment=assignment)
+            outcomes.append(outcome)
+            open_now = ledger.prefix_open(station_id, slot)
+            # Algorithm 2 lines 11-14: migrate one task per attempt
+            # until the slot opens or no donor can help ("if there
+            # is no such preassigned request ..., reject").  The
+            # attempt cap guards against a handler that reports
+            # progress without making any.
+            attempts = 0
+            while (not open_now and on_reject is not None
+                   and attempts < 10):
+                if not on_reject(request, station_id, slot, ledger):
+                    break
+                attempts += 1
                 open_now = ledger.prefix_open(station_id, slot)
-                # Algorithm 2 lines 11-14: migrate one task per attempt
-                # until the slot opens or no donor can help ("if there
-                # is no such preassigned request ..., reject").  The
-                # attempt cap guards against a handler that reports
-                # progress without making any.
-                attempts = 0
-                while (not open_now and on_reject is not None
-                       and attempts < 10):
-                    if not on_reject(request, station_id, slot, ledger):
-                        break
-                    attempts += 1
-                    open_now = ledger.prefix_open(station_id, slot)
-                if not open_now:
-                    emit(EventKind.REJECT_ROUNDING, slot,
-                         request_id=request.request_id,
-                         station_id=station_id)
-                    continue
-                reserved, outcome.reward = settle(
-                    request, station_id, ledger, rng, reserve_cap_mhz)
-                outcome.admitted = True
-                outcome.reserved_mhz = reserved
-                # Guaranteed-share admissions (the online RR setting)
-                # are elastic; batch admissions commit the reservation -
-                # the monitor accumulates only the latter against
-                # capacity.
-                committed = reserve_cap_mhz is None
-                emit(EventKind.ADMIT, slot, request_id=request.request_id,
-                     station_id=station_id, reward=outcome.reward,
-                     reserved_mhz=reserved if committed else None,
-                     share_mhz=None if committed else reserved)
+            if not open_now:
+                emit(EventKind.REJECT_ROUNDING, slot,
+                     request_id=request.request_id,
+                     station_id=station_id)
+                continue
+            reserved, outcome.reward = settle(
+                request, station_id, ledger, rng, reserve_cap_mhz)
+            outcome.admitted = True
+            outcome.reserved_mhz = reserved
+            # Guaranteed-share admissions (the online RR setting)
+            # are elastic; batch admissions commit the reservation -
+            # the monitor accumulates only the latter against
+            # capacity.
+            committed = reserve_cap_mhz is None
+            emit(EventKind.ADMIT, slot, request_id=request.request_id,
+                 station_id=station_id, reward=outcome.reward,
+                 reserved_mhz=reserved if committed else None,
+                 share_mhz=None if committed else reserved)
     return outcomes
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..exceptions import CapacityError, ConfigurationError
-from .topology import MECNetwork
+from .topology import MECNetwork, slot_count
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class ResourceSlots:
 
     @property
     def num_slots(self) -> int:
-        """``L = floor(C(bs_i) / C_l)``."""
-        return int(self.capacity_mhz // self.slot_size_mhz)
+        """``L = floor(C(bs_i) / C_l)``, as :func:`slot_count` rules."""
+        return slot_count(self.capacity_mhz, self.slot_size_mhz)
 
     def slot_offset_mhz(self, slot: int) -> float:
         """Resource offset ``l * C_l`` at which slot `slot` begins.
@@ -131,12 +131,18 @@ class CapacityLedger:
 
         True iff the requests assigned so far to the station occupy at
         most ``l * C_l`` MHz, i.e. starting slot `slot` is still open.
+
+        Raises:
+            ConfigurationError: for an unknown station, or a slot outside
+                ``[0, L)`` of that station.
         """
-        slots = ResourceSlots(
-            capacity_mhz=self._network.station(station_id).capacity_mhz,
-            slot_size_mhz=self._network.slot_size_mhz)
+        network = self._network
+        num_slots = network.num_slots(station_id)
+        if not 0 <= slot < num_slots:
+            raise ConfigurationError(
+                f"slot index {slot} out of range [0, {num_slots})")
         return self.occupied_mhz(station_id) <= (
-            slots.slot_offset_mhz(slot) + 1e-9)
+            slot * network.slot_size_mhz + 1e-9)
 
     def reserve(self, request_id: int, station_id: int,
                 demand_mhz: float) -> None:

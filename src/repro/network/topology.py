@@ -50,10 +50,20 @@ class BaseStation:
 
     def num_slots(self, slot_size_mhz: float) -> int:
         """Number of resource slots ``L = floor(C(bs_i) / C_l)``."""
-        if slot_size_mhz <= 0:
-            raise ConfigurationError(
-                f"slot size must be positive, got {slot_size_mhz}")
-        return int(math.floor(self.capacity_mhz / slot_size_mhz))
+        return slot_count(self.capacity_mhz, slot_size_mhz)
+
+
+def slot_count(capacity_mhz: float, slot_size_mhz: float) -> int:
+    """The paper's ``L = floor(C / C_l)``: the one slot-count rule.
+
+    The float quotient is floored, so a capacity that is a whole
+    multiple of ``C_l`` in decimal (1834.2 / 203.8) has that many slots
+    even when ``C // C_l`` would lose one to binary rounding.
+    """
+    if slot_size_mhz <= 0:
+        raise ConfigurationError(
+            f"slot size must be positive, got {slot_size_mhz}")
+    return int(math.floor(capacity_mhz / slot_size_mhz))
 
 
 @dataclass
@@ -74,6 +84,7 @@ class MECNetwork:
     graph: nx.Graph
     slot_size_mhz: float
     _by_id: Dict[int, BaseStation] = field(init=False, repr=False)
+    _ids: List[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.stations:
@@ -84,6 +95,7 @@ class MECNetwork:
         self._by_id = {bs.station_id: bs for bs in self.stations}
         if len(self._by_id) != len(self.stations):
             raise ConfigurationError("duplicate station ids in network")
+        self._ids = sorted(self._by_id)
         for bs in self.stations:
             if bs.station_id not in self.graph:
                 raise ConfigurationError(
@@ -105,10 +117,14 @@ class MECNetwork:
             raise ConfigurationError(
                 f"unknown station id {station_id}") from None
 
+    def has_station(self, station_id: int) -> bool:
+        """Whether the network has a station with this id."""
+        return station_id in self._by_id
+
     @property
     def station_ids(self) -> List[int]:
-        """All station ids, sorted ascending."""
-        return sorted(self._by_id)
+        """All station ids, sorted ascending (a fresh list)."""
+        return list(self._ids)
 
     def link_delay_ms(self, u: int, v: int) -> float:
         """Per-``rho_unit`` transmission delay of backhaul link (u, v)."""

@@ -193,6 +193,19 @@ class RateRewardDistribution:
         return view
 
     @property
+    def support_key(self) -> Tuple[int, int]:
+        """Identity of the support and probability arrays.
+
+        Distributions drawn on one :class:`RateGrid` share the key, so a
+        value that depends on ``(rates, probabilities)`` alone - such as
+        ``E[min(rho, c)]`` - can be computed once per key.  The key is
+        an object identity: compare it only among live distributions.
+        Unpickled distributions share arrays only with the others of
+        the same pickle, never with the grid they were drawn on.
+        """
+        return (id(self._rates), id(self._probs))
+
+    @property
     def num_levels(self) -> int:
         """``|DR|``."""
         return int(self._rates.size)

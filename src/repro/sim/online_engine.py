@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (Dict, List, NamedTuple, Optional, Protocol, Sequence,
+                    Tuple)
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
@@ -83,6 +84,30 @@ class SlotOutcome:
     slot_reward: float
     pending_after: int
     active_after: int
+
+
+class StationLoad(NamedTuple):
+    """One station at one slot, as :meth:`OnlineEngine.station_loads`
+    reports it.
+
+    Attributes:
+        station_id: the station.
+        capacity_mhz: its physical capacity ``C(bs_i)``.
+        down: whether it is inside an injected outage window.
+        active_count: requests it is serving.
+        active_demand_mhz: the sum of their demands.
+    """
+
+    station_id: int
+    capacity_mhz: float
+    down: bool
+    active_count: int
+    active_demand_mhz: float
+
+    @property
+    def effective_capacity_mhz(self) -> float:
+        """Capacity it serves with: 0 during an outage."""
+        return 0.0 if self.down else self.capacity_mhz
 
 
 @dataclass(frozen=True)
@@ -208,6 +233,9 @@ class OnlineEngine:
         #: Per request, from first sight until it starts or is dropped.
         self._rankings: Dict[int, Tuple[List[int], List[float], int]] = {}
         self._load: Optional[Dict[int, Tuple[int, float]]] = None
+        #: ``(slot, load snapshot, view)`` of the last station_loads().
+        self._station_view: Optional[Tuple[int, Dict[int, Tuple[int, float]],
+                                           Tuple[StationLoad, ...]]] = None
         arrivals: Dict[int, List[ARRequest]] = {}
         for request in self._requests:
             arrivals.setdefault(request.arrival_slot, []).append(request)
@@ -216,15 +244,41 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # Views for policies
     # ------------------------------------------------------------------
-    def _station_load(self, station_id: int) -> Tuple[int, float]:
-        """``(active count, active demand)``: one scan per change."""
+    def _loads(self) -> Dict[int, Tuple[int, float]]:
+        """Station -> ``(active count, active demand)`` of the stations
+        serving anything: one scan per change."""
         if self._load is None:
             demands: Dict[int, List[float]] = {}
             for a in self._active.values():
                 demands.setdefault(a.station_id, []).append(a.demand_mhz)
             self._load = {sid: (len(mhz), float(sum(mhz)))
                           for sid, mhz in demands.items()}
-        return self._load.get(station_id, (0, 0.0))
+        return self._load
+
+    def _station_load(self, station_id: int) -> Tuple[int, float]:
+        """``(active count, active demand)`` of one station."""
+        load = self._load
+        return (self._loads() if load is None else load).get(station_id,
+                                                             (0, 0.0))
+
+    def station_loads(self) -> Tuple[StationLoad, ...]:
+        """Every station at the current slot, in station id order.
+
+        One snapshot per slot and load change: repeated calls in between
+        return the same tuple.
+        """
+        load = self._loads()
+        slot = self.clock.current_slot
+        cached = self._station_view
+        if cached is None or cached[0] != slot or cached[1] is not load:
+            network = self.instance.network
+            view = tuple(
+                StationLoad(sid, network.station(sid).capacity_mhz,
+                            self.is_down(sid, slot),
+                            *load.get(sid, (0, 0.0)))
+                for sid in network.station_ids)
+            cached = self._station_view = (slot, load, view)
+        return cached[2]
 
     def active_count(self, station_id: int) -> int:
         """Active requests currently served by a station."""
@@ -256,8 +310,9 @@ class OnlineEngine:
 
     def total_free_mhz(self) -> float:
         """Network-wide free capacity."""
-        return float(sum(self.free_mhz(sid)
-                         for sid in self.instance.network.station_ids))
+        return float(sum(max(0.0, station.effective_capacity_mhz
+                             - station.active_demand_mhz)
+                         for station in self.station_loads()))
 
     def pending_count(self) -> int:
         """Requests waiting in the pending queue."""
@@ -444,6 +499,7 @@ class OnlineEngine:
                           ) -> List["_Active"]:
         started: List[_Active] = []
         pending_by_id = {r.request_id: r for r in self._pending}
+        network = self.instance.network
         for placement in placements:
             request = pending_by_id.get(placement.request_id)
             if request is None:
@@ -454,8 +510,7 @@ class OnlineEngine:
                 self._serve_from_cloud(t, request)
                 del pending_by_id[request.request_id]
                 continue
-            if placement.station_id not in set(
-                    self.instance.network.station_ids):
+            if not network.has_station(placement.station_id):
                 raise SchedulingError(
                     f"policy placed request {placement.request_id} on "
                     f"unknown station {placement.station_id}")
@@ -513,14 +568,15 @@ class OnlineEngine:
              station_id=CLOUD_STATION, reward=reward, latency_ms=latency)
 
     def _progress(self, t: int) -> None:
+        # Each serving station's round-robin share, once per slot.
+        fair = {sid: self.station_capacity_mhz(sid) / count
+                for sid, (count, _) in self._loads().items()}
+        c_unit, slot_length_s = self.instance.c_unit, self.clock.slot_length_s
         for active in self._active.values():
-            capacity = self.station_capacity_mhz(active.station_id)
-            fair = capacity / self.active_count(active.station_id)
-            share = min(active.demand_mhz, fair)
+            share = min(active.demand_mhz, fair[active.station_id])
             if active.first_share_mhz is None:
                 active.first_share_mhz = share
-            processed_mb = (share / self.instance.c_unit
-                            * self.clock.slot_length_s)
+            processed_mb = share / c_unit * slot_length_s
             active.remaining_mb -= processed_mb
 
     def _settle_started(self, t: int, started: Sequence[_Active]) -> float:

@@ -8,9 +8,11 @@ with :meth:`LinearProgram.add_columns` / :meth:`LinearProgram.add_rows`;
 the scalar :meth:`~LinearProgram.add_variable` /
 :meth:`~LinearProgram.add_constraint` used by ILP-RM and
 branch-and-bound are one-column / one-row appends to the same store.
-:meth:`~LinearProgram.sparse_rows` (the HiGHS input) is a concatenation
-of the stored arrays and :meth:`~LinearProgram.dense_rows` is that same
-CSR, densified.
+:meth:`~LinearProgram.csc_rows` (the HiGHS input) is the stacked
+``[A_ub; A_eq]`` in column-major order, sorted straight from the stored
+rows; :meth:`~LinearProgram.sparse_rows` is a concatenation of the
+stored arrays and :meth:`~LinearProgram.dense_rows` is that same CSR,
+densified.
 
 Names are a view.  A block append passes a callable that produces its
 names, so a model built from arrays formats no name until a caller asks
@@ -26,8 +28,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 from scipy import sparse
@@ -78,6 +80,23 @@ class Constraint:
     coeffs: Mapping[int, float]
     sense: str
     rhs: float
+
+
+class CscRows(NamedTuple):
+    """The constraint matrix in HiGHS's column-major input form.
+
+    Attributes:
+        indptr, indices, data: ``[A_ub; A_eq]`` as CSC.
+        lhs, rhs: row bounds; the first ``num_ub`` rows are ``<=``.
+        num_ub: rows of ``A_ub``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    num_ub: int
 
 
 class _Blocks:
@@ -482,6 +501,43 @@ class LinearProgram:
                 shape=(indptr.size - 1, self._num_cols))
 
         return group(~eq), rhs[~eq], group(eq), rhs[eq]
+
+    def csc_rows(self) -> "CscRows":
+        """``[A_ub; A_eq]`` of :meth:`sparse_rows` as one CSC matrix.
+
+        ``>=`` rows are negated and the ``==`` rows come after the
+        others, as in :meth:`sparse_rows`; within a column the entries
+        ascend by stacked row.  One argsort of the stored entries by
+        ``(column, stacked row)`` gives the same ``indptr``, ``indices``
+        and ``data`` (int32, int32, float64) as stacking the two CSR
+        blocks and converting with ``tocsc()``.  The row bounds are
+        ``lhs = [-inf..., b_eq]`` and ``rhs = [b_ub, b_eq]``.
+        """
+        row_nnz, indices = self._row_nnz.array(), self._indices.array()
+        data, rhs = self._data.array(), self._rhs.array()
+        sense = self._sense.array()
+        ge = sense == _GE
+        if ge.any():
+            data = np.where(np.repeat(ge, row_nnz), -data, data)
+            rhs = np.where(ge, -rhs, rhs)
+        eq = sense == _EQ
+        num_rows = row_nnz.size
+        stacked = np.argsort(eq, kind="stable")
+        rank = np.empty(num_rows, dtype=np.int64)
+        rank[stacked] = np.arange(num_rows)
+        entry_row = np.repeat(rank, row_nnz)
+        order = np.argsort(indices * np.int64(max(num_rows, 1)) + entry_row,
+                           kind="stable")
+        indptr = np.zeros(self._num_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(indices, minlength=self._num_cols),
+                  out=indptr[1:])
+        num_ub = num_rows - int(np.count_nonzero(eq))
+        rhs = rhs[stacked]
+        lhs = rhs.copy()
+        lhs[:num_ub] = -np.inf
+        return CscRows(indptr=indptr,
+                       indices=entry_row[order].astype(np.int32),
+                       data=data[order], lhs=lhs, rhs=rhs, num_ub=num_ub)
 
     def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray]:

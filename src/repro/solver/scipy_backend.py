@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 from scipy.optimize._linprog_highs import (_highs_to_scipy_status_message,
                                            _highs_wrapper)
 from scipy.optimize._linprog_util import _check_result
@@ -45,7 +45,8 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     The one place an LP reaches HiGHS.  Integrality flags are ignored.
     HiGHS gets the model, options, status mapping and feasibility check
     of ``linprog(method="highs")``, without its input cleaning and
-    matrix rebuild.
+    matrix rebuild: the matrix is the model's own
+    :meth:`~repro.solver.model.LinearProgram.csc_rows`.
 
     Returns:
         ``(objective, x)``: the objective in the model's natural
@@ -59,24 +60,18 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     c = lp.objective_vector()
     if lp.maximize:
         c = -c
-    a_ub, b_ub, a_eq, b_eq = lp.sparse_rows()
-    a = sparse.csr_array(
-        (np.concatenate((a_ub.data, a_eq.data)),
-         np.concatenate((a_ub.indices, a_eq.indices)),
-         np.concatenate((a_ub.indptr, a_eq.indptr[1:] + a_ub.nnz))),
-        shape=(b_ub.size + b_eq.size, c.size)).tocsc()
-    lhs = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-    rhs = np.concatenate((b_ub, b_eq))
+    rows = lp.csc_rows()
     low, high = lp.lows(), lp.highs()
-    res = _highs_wrapper(c, a.indptr, a.indices, a.data, lhs, rhs, low,
-                         high, np.empty(0, dtype=np.uint8), _HIGHS_OPTIONS)
+    res = _highs_wrapper(c, rows.indptr, rows.indices, rows.data, rows.lhs,
+                         rows.rhs, low, high, np.empty(0, dtype=np.uint8),
+                         _HIGHS_OPTIONS)
     status, message = _highs_to_scipy_status_message(res.get("status"),
                                                      res.get("message"))
     # Without a solution there is no "slack"; the check then only turns
     # a status 0 into 4.
     x, slack = res["x"], res.get("slack", np.empty(0))
     status, message = _check_result(
-        x, res["fun"], status, slack[:b_ub.size], slack[b_ub.size:],
+        x, res["fun"], status, slack[:rows.num_ub], slack[rows.num_ub:],
         np.column_stack((low, high)), _CHECK_TOL, message, None)
     if status != 0:
         _raise_for_status(lp, status, message)

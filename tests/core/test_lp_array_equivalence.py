@@ -11,6 +11,8 @@ On the HiGHS solution, ``options_table`` must equal the old name-keyed
 one.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from named_lp_oracle import build_named_lp_pt, build_named_lp_relaxation
 from repro.config import NetworkConfig, RequestConfig, SimulationConfig
 from repro.core.instance import ProblemInstance
 from repro.core.lp_relaxation import build_lp_pt, build_lp_relaxation
+from repro.requests.distributions import RateGrid, RateRewardDistribution
 from repro.solver.interface import solve_lp
 
 BUILDERS = {"lp": (build_lp_relaxation, build_named_lp_relaxation),
@@ -81,6 +84,36 @@ def test_array_build_matches_named_build(case, kind):
         named = dict(zip(old.variable_names(), solution.x.tolist()))
         assert index.options_table(solution.x) == \
             old_index.options_table(named)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), kind=st.sampled_from(sorted(BUILDERS)))
+def test_mixed_rate_grids_match_named_build(case, kind):
+    """``E[min(rho, c)]`` is computed once per distinct rate grid.  Here
+    the requests mix the generator's grid, a second shared grid, and
+    distributions copied on their own, as a separately unpickled
+    request's would be.  The named build computes every expectation per
+    request, and the two must still hand HiGHS the same problem."""
+    instance, requests, waiting = case
+    build, build_named = BUILDERS[kind]
+    mixed, other = [], None
+    for k, request in enumerate(requests):
+        if k % 3:
+            request = copy.deepcopy(request)
+        if k % 3 == 1:
+            dist = request.distribution
+            if other is None:
+                other = RateGrid(dist.rates_mbps * 0.7, dist.probabilities)
+            request.distribution = RateRewardDistribution.on_grid(
+                other, dist.rewards.copy())
+        mixed.append(request)
+    keys = {r.distribution.support_key for r in mixed}
+    assert len(keys) == (min(len(mixed), 1) + (len(mixed) > 1)
+                         + len(mixed[2::3]))
+    lp, index = build(instance, mixed, waiting)
+    old, old_index = build_named(instance, mixed, waiting)
+    assert exported(lp) == exported(old)
+    assert list(index.ranges) == list(old_index.by_request)
 
 
 def test_some_cases_prune_every_station(small_instance, small_workload):
