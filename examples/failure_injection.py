@@ -4,8 +4,8 @@
 The paper motivates MEC offloading with "network uncertainties" beyond
 demand uncertainty.  This example knocks three base stations out for
 the middle third of the monitoring period and shows how DynamicRR's
-per-slot LP-PT placement routes around the hole, with the engine's
-event timeline narrating the episode.
+per-slot LP-PT placement routes around the hole, with the run's
+decision journal charting the episode.
 
 Run:
     python examples/failure_injection.py [seed]
@@ -15,19 +15,25 @@ import sys
 
 from repro import DynamicRR, OnlineEngine, ProblemInstance, \
     SimulationConfig
-from repro.sim.timeline import strip_chart, summarize_events
+from repro.sim.events import AuditRole, EventKind
+from repro.sim.timeline import kind_totals, strip_chart
+from repro.telemetry.audit import Journal, use_journal
 
 HORIZON = 120
 NUM_REQUESTS = 300
 DEAD_STATIONS = (0, 1, 2)
+#: What the chart shows: request lifecycles and station availability
+#: (the per-slot rounding and bandit decisions would drown them out).
+CHARTED_ROLES = (AuditRole.LIFECYCLE, AuditRole.STATION)
 
 
 def run(instance, workload, outages, seed):
-    engine = OnlineEngine(instance, workload, horizon_slots=HORIZON,
-                          rng=seed, outages=outages)
-    policy = DynamicRR(rng=seed)
-    result = engine.run(policy)
-    return engine, result
+    journal = Journal()
+    with use_journal(journal):
+        engine = OnlineEngine(instance, workload, horizon_slots=HORIZON,
+                              rng=seed, outages=outages)
+        result = engine.run(DynamicRR(rng=seed))
+    return journal.events(), result
 
 
 def main(seed: int = 9) -> None:
@@ -41,7 +47,7 @@ def main(seed: int = 9) -> None:
     _, healthy = run(instance, workload, None, seed)
     workload = instance.new_workload(NUM_REQUESTS, seed=seed,
                                      horizon_slots=HORIZON)
-    engine, degraded = run(instance, workload, outages, seed)
+    journal, degraded = run(instance, workload, outages, seed)
 
     lost_capacity = sum(
         instance.network.station(sid).capacity_mhz
@@ -61,15 +67,20 @@ def main(seed: int = 9) -> None:
           f"horizon)")
 
     placed_on_dead = sum(
-        1 for d in degraded.decisions.values()
-        if d.admitted and d.primary_station in DEAD_STATIONS
-        and window[0] <= d.waiting_ms / 50.0 <= window[1])
+        1 for e in journal
+        if e["kind"] == EventKind.START.value
+        and e["station"] in DEAD_STATIONS
+        and window[0] <= e["slot"] <= window[1])
     print(f"Requests started on dead stations during the outage: "
           f"{placed_on_dead}")
 
+    charted = {kind.value for kind in EventKind
+               if kind.spec.role in CHARTED_ROLES}
+    events = [e for e in journal if e["kind"] in charted]
     print("\nEvent density over the degraded run:")
-    print(strip_chart(engine.events, horizon_slots=HORIZON, width=60))
-    totals = summarize_events(engine.events)
+    print(strip_chart(events, horizon_slots=HORIZON, width=60))
+    totals = {kind: n for kind, n in kind_totals(events).items()
+              if kind in charted}
     print(f"\nTotals: {totals}")
 
 

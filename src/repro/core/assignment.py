@@ -3,8 +3,8 @@
 Every algorithm - exact, approximate, heuristic, online, or baseline -
 produces a :class:`ScheduleResult`: one :class:`OffloadDecision` per
 request recording whether it was admitted, where it ran, what rate it
-realized, the reward earned, and the experienced latency.  The metrics
-layer (:mod:`repro.sim.metrics`) aggregates these into the series the
+realized, the reward earned, and the experienced latency.
+:meth:`ScheduleResult.summary` aggregates these into the series the
 paper's figures plot.
 """
 

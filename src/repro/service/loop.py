@@ -10,11 +10,11 @@ first-class event, and the whole mutable state checkpoints to disk at a
 deterministic slot cadence.
 
 Determinism contract: all randomness forks from ``config.sim.seed``
-via :class:`~repro.rng.RngForks` named children, the engine runs in
-``streaming`` mode (flat memory), and checkpoint/restore reproduces the
-remaining slots exactly - the decision journal of a killed-and-resumed
-run is byte-identical to an uninterrupted run (see
-:mod:`repro.service.checkpoint`).
+via :class:`~repro.rng.RngForks` named children, the engine is driven
+by ``step()`` alone (no decision table, flat memory), and
+checkpoint/restore reproduces the remaining slots exactly - the
+decision journal of a killed-and-resumed run is byte-identical to an
+uninterrupted run (see :mod:`repro.service.checkpoint`).
 
 The synchronous core is :meth:`AdmissionService.tick` (one slot);
 :meth:`AdmissionService.serve` drives it as an asyncio coroutine,
@@ -237,8 +237,7 @@ class AdmissionService:
         self._engine = OnlineEngine(
             self._instance, requests=[],
             horizon_slots=config.horizon_slots,
-            rng=forks.child("service.engine"),
-            streaming=True)
+            rng=forks.child("service.engine"))
         self._policy = _make_policy(config, forks)
         self._journal: Optional[Journal] = None
         self._ops_journal: Optional[Journal] = None

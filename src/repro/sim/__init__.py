@@ -6,17 +6,20 @@
 * :mod:`~repro.sim.online_engine` - the slotted, preemptive engine of
   the dynamic problem: arrivals, waiting, round-robin sharing,
   completions, deadline checks.
-* :mod:`~repro.sim.metrics` - reward / latency / runtime meters.
+* :mod:`~repro.sim.events` - the event kinds and records the engines
+  emit into the decision journal.
+* :mod:`~repro.sim.timeline` - narration, strip charts and kind
+  totals of journal records.
+* :mod:`~repro.sim.metrics` - Jain's fairness index.
 * :mod:`~repro.sim.results` - per-run and per-sweep aggregation.
 """
 
 from .clock import SlotClock
 from .engine import run_offline
 from .online_engine import OnlineEngine, OnlinePolicy, Placement
-from .metrics import (LatencyMeter, RewardMeter, RuntimeMeter,
-                      jains_fairness_index)
+from .metrics import jains_fairness_index
 from .results import RunRecord, SweepResult, aggregate_records
-from .timeline import narrate, strip_chart, summarize_events
+from .timeline import kind_totals, narrate, strip_chart
 
 __all__ = [
     "SlotClock",
@@ -24,13 +27,10 @@ __all__ = [
     "OnlineEngine",
     "OnlinePolicy",
     "Placement",
-    "RewardMeter",
-    "LatencyMeter",
-    "RuntimeMeter",
     "jains_fairness_index",
     "narrate",
     "strip_chart",
-    "summarize_events",
+    "kind_totals",
     "RunRecord",
     "SweepResult",
     "aggregate_records",

@@ -1,13 +1,14 @@
 """Event records emitted by the simulation engines and algorithms.
 
 These are plain observation records - the audit trail of every
-scheduling decision.  Tests use them to assert invariants (no request
-completes twice, completions follow starts, capacity never
-oversubscribed beyond the sharing model), examples print them to
-narrate a simulation, and the decision journal
-(:mod:`repro.telemetry.audit`) serializes them to JSONL so two runs
-can be diffed event by event (``python -m repro.experiments
-trace-diff``).
+scheduling decision.  The decision journal
+(:mod:`repro.telemetry.audit`) is their one store: it keeps each
+event as its :meth:`Event.to_record` dict and serializes them to JSONL
+so two runs can be diffed event by event (``python -m
+repro.experiments trace-diff``).  The invariant monitor checks those
+records (no request completes twice, completions follow starts,
+capacity never oversubscribed beyond the sharing model), and
+:mod:`repro.sim.timeline` renders them to narrate a simulation.
 
 Every :class:`EventKind` member declares its :class:`EventSpec`: the
 strip-chart glyph, the role the invariant monitor gives it, the
@@ -17,9 +18,6 @@ counter.  Code never records an event directly; it calls
 increments the kind's counter and journals the event when a journal is
 enabled.  Each event counter therefore equals the journal's count of
 its kind by construction, whether or not a journal is attached.
-
-``OnlineEngine.events`` is a separate in-memory list of the engine's
-lifecycle events, kept for narration and for non-streaming tests.
 """
 
 from __future__ import annotations
@@ -229,22 +227,6 @@ class Event:
         if self.detail is not None:
             record["detail"] = _jsonable(self.detail)
         return record
-
-    def __str__(self) -> str:
-        parts = [f"t={self.slot:4d}", self.kind.value]
-        if self.request_id != NO_REQUEST:
-            parts.append(f"r{self.request_id}")
-        if self.src_station_id is not None:
-            parts.append(f"bs{self.src_station_id}->")
-        if self.station_id is not None:
-            parts.append(f"@bs{self.station_id}")
-        if self.arm is not None:
-            parts.append(f"arm={self.arm}")
-        if self.kind is EventKind.COMPLETE:
-            parts.append(f"reward={self.reward:.1f}")
-            if self.latency_ms is not None:
-                parts.append(f"latency={self.latency_ms:.0f}ms")
-        return " ".join(parts)
 
 
 def _jsonable(value):

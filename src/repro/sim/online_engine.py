@@ -44,7 +44,7 @@ from ..telemetry import get_tracer
 from ..telemetry.audit import emit, emit_many
 from ..telemetry.metrics import get_metrics
 from .clock import SlotClock
-from .events import Event, EventKind
+from .events import EventKind
 
 
 #: Pseudo station id directing a request to the remote cloud.  The
@@ -196,13 +196,13 @@ class OnlineEngine:
             uncertainty; policies see the outage through
             :meth:`free_mhz` / :meth:`station_capacity_mhz` and must
             route around it.
-        streaming: long-lived service mode.  The engine keeps no
-            per-request history (no in-memory event list, no
-            end-of-run :class:`OffloadDecision` table), so memory
-            stays flat over an unbounded slot stream; callers consume
-            the per-slot :class:`SlotOutcome` returned by :meth:`step`
-            instead of :meth:`run`.  The decision physics are
-            identical.
+
+    The decision journal (:mod:`repro.telemetry.audit`) is the run's
+    only event record.  :meth:`run` also keeps the per-request
+    :class:`OffloadDecision` table its :class:`ScheduleResult` needs;
+    an engine driven by :meth:`step` alone (the long-lived service)
+    keeps none, so its memory stays flat over an unbounded slot
+    stream.
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -210,8 +210,8 @@ class OnlineEngine:
                  horizon_slots: int,
                  slot_length_ms: float = 50.0,
                  rng: RngLike = None,
-                 outages: Optional[Dict[int, Tuple[int, int]]] = None,
-                 streaming: bool = False) -> None:
+                 outages: Optional[Dict[int, Tuple[int, int]]] = None
+                 ) -> None:
         self.instance = instance
         self.clock = SlotClock(horizon_slots, slot_length_ms)
         self._rng = ensure_rng(rng)
@@ -227,9 +227,8 @@ class OnlineEngine:
         self._requests = list(requests)
         self._pending: List[ARRequest] = []
         self._active: Dict[int, _Active] = {}
-        self._decided: Dict[int, OffloadDecision] = {}
-        self.streaming = bool(streaming)
-        self.events: List[Event] = []
+        #: Request id -> decision; created by :meth:`run` only.
+        self._decided: Optional[Dict[int, OffloadDecision]] = None
         #: Per request, from first sight until it starts or is dropped.
         self._rankings: Dict[int, Tuple[List[int], List[float], int]] = {}
         self._load: Optional[Dict[int, Tuple[int, float]]] = None
@@ -371,11 +370,8 @@ class OnlineEngine:
             A :class:`ScheduleResult` covering every request that
             arrived within the horizon.
         """
-        if self.streaming:
-            raise ConfigurationError(
-                "run() needs the per-request decision table; a "
-                "streaming engine is driven slot by slot via step()")
         start_time = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        decided = self._decided = {}
         self.announce_stations()
         policy.begin(self)
         for t in self.clock.ticks():
@@ -384,7 +380,7 @@ class OnlineEngine:
         result = ScheduleResult(algorithm=policy.name)
         for request in self._requests:
             if request.arrival_slot < self.clock.horizon_slots:
-                result.add(self._decided[request.request_id])
+                result.add(decided[request.request_id])
         result.runtime_s = time.perf_counter() - start_time  # repro: noqa DET001 -- advisory runtime metric
         return result
 
@@ -463,10 +459,6 @@ class OnlineEngine:
     def _admit_arrivals(self, t: int,
                         arrivals: Sequence[ARRequest]) -> None:
         self._pending.extend(arrivals)
-        if not self.streaming:
-            self.events.extend(Event(slot=t, kind=EventKind.ARRIVAL,
-                                     request_id=request.request_id)
-                               for request in arrivals)
         emit_many(EventKind.ARRIVAL, t, arrivals, _request_fields)
 
     def _drop_hopeless(self, t: int) -> int:
@@ -477,15 +469,13 @@ class OnlineEngine:
         """
         survivors: List[ARRequest] = []
         hopeless: List[ARRequest] = []
+        decided = self._decided
         for request in self._pending:
             if t >= self._ranking(request)[2]:
-                if not self.streaming:
-                    self._decided[request.request_id] = OffloadDecision(
+                if decided is not None:
+                    decided[request.request_id] = OffloadDecision(
                         request_id=request.request_id, admitted=False,
                         waiting_ms=self.waiting_ms(request, t))
-                    self.events.append(Event(
-                        slot=t, kind=EventKind.DROP,
-                        request_id=request.request_id))
                 del self._rankings[request.request_id]
                 hopeless.append(request)
             else:
@@ -528,10 +518,6 @@ class OnlineEngine:
             started.append(active)
             del pending_by_id[request.request_id]
             self._rankings.pop(request.request_id, None)
-            if not self.streaming:
-                self.events.append(Event(slot=t, kind=EventKind.START,
-                                         request_id=request.request_id,
-                                         station_id=placement.station_id))
         self._pending = [r for r in self._pending
                          if r.request_id in pending_by_id]
         return started
@@ -550,7 +536,7 @@ class OnlineEngine:
         met = meets_deadline(latency, request.deadline_ms)
         reward = request.realized_reward if met else 0.0
         self._rankings.pop(request.request_id, None)
-        if not self.streaming:
+        if self._decided is not None:
             self._decided[request.request_id] = OffloadDecision(
                 request_id=request.request_id,
                 admitted=True,
@@ -561,9 +547,6 @@ class OnlineEngine:
                 waiting_ms=waiting,
                 deadline_met=met,
             )
-            self.events.append(Event(slot=t, kind=EventKind.START,
-                                     request_id=request.request_id,
-                                     station_id=CLOUD_STATION))
         emit(EventKind.START, t, request_id=request.request_id,
              station_id=CLOUD_STATION, reward=reward, latency_ms=latency)
 
@@ -587,6 +570,7 @@ class OnlineEngine:
         earned iff ``D_j`` meets the deadline.
         """
         slot_reward = 0.0
+        decided = self._decided
         for active in started:
             request = active.request
             latency = self._experienced_latency_ms(active)
@@ -599,8 +583,8 @@ class OnlineEngine:
             active.reward = reward
             active.latency_ms = latency
             slot_reward += reward
-            if not self.streaming:
-                self._decided[request.request_id] = OffloadDecision(
+            if decided is not None:
+                decided[request.request_id] = OffloadDecision(
                     request_id=request.request_id,
                     admitted=True,
                     primary_station=active.station_id,
@@ -626,10 +610,6 @@ class OnlineEngine:
             The number of streams completed.
         """
         done = [a for a in self._active.values() if a.remaining_mb <= 1e-9]
-        if not self.streaming:
-            self.events.extend(Event(slot=t, kind=EventKind.COMPLETE,
-                                     **_completion_fields(active))
-                               for active in done)
         emit_many(EventKind.COMPLETE, t, done, _completion_fields)
         for active in done:
             del self._active[active.request.request_id]
@@ -665,7 +645,7 @@ class OnlineEngine:
         start-time decision; only never-started requests remain open.
         """
         t = self.clock.horizon_slots - 1
-        if not self.streaming:
+        if self._decided is not None:
             for request in self._pending:
                 self._decided[request.request_id] = OffloadDecision(
                     request_id=request.request_id, admitted=False,
@@ -676,10 +656,6 @@ class OnlineEngine:
         # request.
         silent = [active for active in self._active.values()
                   if active.latency_ms is None]
-        if not self.streaming:
-            self.events.extend(Event(slot=t, kind=EventKind.DROP,
-                                     **_host_fields(active))
-                               for active in silent)
         emit_many(EventKind.DROP, t, silent, _host_fields)
         self._pending = []
         self._active = {}

@@ -16,7 +16,7 @@ import repro.telemetry.audit
 from repro.analysis import run_analysis
 from repro.sim.events import Event, EventKind
 from repro.sim.timeline import strip_chart
-from repro.telemetry.audit import _roles
+from repro.telemetry.audit import Journal, _roles
 
 _REAL = {
     "repro/sim/events.py": Path(repro.sim.events.__file__),
@@ -42,8 +42,9 @@ class TestEvt001:
         legend = strip_chart([], horizon_slots=1).splitlines()[1]
         roles = _roles()
         for kind in EventKind:
-            chart = strip_chart([Event(slot=0, kind=kind)],
-                                horizon_slots=1, width=1)
+            journal = Journal()
+            journal.record(Event(slot=0, kind=kind))
+            chart = strip_chart(journal.events(), horizon_slots=1, width=1)
             assert chart.splitlines()[0] == kind.spec.glyph, kind
             assert f"{kind.spec.glyph}={kind.value}" in legend.split()
             assert roles[kind.value] == kind.spec.role.value

@@ -1,9 +1,10 @@
 """Unit tests for the Eq. (2) latency model."""
 
+import numpy as np
 import pytest
 
 from repro.config import NetworkConfig
-from repro.core.latency import LatencyModel
+from repro.core.latency import LatencyModel, meets_deadline
 from repro.exceptions import ConfigurationError
 from repro.network.paths import PathTable
 from repro.network.topology import generate_topology
@@ -182,3 +183,23 @@ class TestFeasibility:
         table = PathTable(other)
         with pytest.raises(ConfigurationError):
             LatencyModel(net, table)
+
+
+class TestMeetsDeadline:
+    """Eq. (1) ``D_j <= D_hat_j`` at its boundary (1e-9 ms tolerance)."""
+
+    def test_exact_deadline_counts_as_hit(self):
+        assert meets_deadline(25.0, 25.0)
+
+    def test_within_tolerance_counts_as_hit(self):
+        assert meets_deadline(25.0 + 5e-10, 25.0)
+
+    def test_beyond_tolerance_misses(self):
+        assert not meets_deadline(25.0 + 2e-9, 25.0)
+        assert not meets_deadline(25.001, 25.0)
+
+    def test_array_form_is_elementwise(self):
+        latencies = np.array([24.0, 25.0, 25.0 + 5e-10, 25.0 + 2e-9])
+        mask = meets_deadline(latencies, 25.0)
+        assert mask.dtype == bool
+        assert mask.tolist() == [True, True, True, False]

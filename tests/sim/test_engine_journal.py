@@ -106,8 +106,8 @@ class TestOnlineJournal:
         monitor.check_events(journal.events()).finish(result)
         assert monitor.ok
 
-    def test_engine_events_unchanged_by_journaling(self, small_instance,
-                                                   online_workload):
+    def test_engine_decisions_unchanged_by_journaling(
+            self, small_instance, online_workload):
         def run(journaled):
             # Realizations cache per request: reset so both runs draw
             # the same stream (what the executor does between runs).
@@ -117,10 +117,10 @@ class TestOnlineJournal:
                                   horizon_slots=40, rng=0)
             if journaled:
                 with use_journal(Journal()):
-                    engine.run(DynamicRR(rng=0))
+                    result = engine.run(DynamicRR(rng=0))
             else:
-                engine.run(DynamicRR(rng=0))
-            return engine.events
+                result = engine.run(DynamicRR(rng=0))
+            return dict(result.decisions)
 
         assert run(journaled=False) == run(journaled=True)
 
@@ -158,11 +158,6 @@ class TestOnlineJournal:
                         if e["kind"] == "drop" and "station" in e]
         assert hosted_drops
         assert all(e["station"] == 0 for e in hosted_drops)
-        # The engine's own event list carries the station too.
-        engine_drops = [e for e in engine.events
-                        if e.kind.value == "drop"
-                        and e.station_id is not None]
-        assert engine_drops
         monitor = InvariantMonitor().check_events(journal.events())
         assert any(v.invariant == "station_outage"
                    for v in monitor.violations)

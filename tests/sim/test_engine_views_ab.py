@@ -23,6 +23,7 @@ from repro.core.latency import meets_deadline
 from repro.requests.request import ARRequest
 from repro.sim.events import EventKind
 from repro.sim.online_engine import OnlineEngine
+from repro.telemetry.audit import Journal, use_journal
 
 HORIZON = 40
 
@@ -127,7 +128,9 @@ def test_cached_views_equal_fresh_scans(small_instance, crowded_workload,
     by_slot = {}
     for request in requests:
         by_slot.setdefault(request.arrival_slot, []).append(request)
-    engine.announce_stations()
+    journal = Journal()
+    with use_journal(journal):
+        engine.announce_stations()
     policy.begin(engine)
     dropped_total = started_total = 0
     for t in engine.clock.ticks():
@@ -135,10 +138,11 @@ def test_cached_views_equal_fresh_scans(small_instance, crowded_workload,
         queued = list(engine._pending) + arrivals
         expected_drops = {r.request_id for r in queued
                           if frozen_is_hopeless(engine, r, t)}
-        events_before = len(engine.events)
-        outcome = engine.step(policy, t, arrivals)
-        dropped = {e.request_id for e in engine.events[events_before:]
-                   if e.kind is EventKind.DROP}
+        events_before = len(journal)
+        with use_journal(journal):
+            outcome = engine.step(policy, t, arrivals)
+        dropped = {e["request"] for e in journal.events()[events_before:]
+                   if e["kind"] == EventKind.DROP.value}
         assert dropped == expected_drops, f"slot {t}"
         assert_views_match(engine, t, engine._pending)
         dropped_total += outcome.num_dropped
@@ -159,31 +163,33 @@ def test_restore_state_drops_the_caches(small_instance, crowded_workload):
         by_slot.setdefault(request.arrival_slot, []).append(request)
 
     def run(engine, policy, slots):
-        for t in slots:
-            engine.clock.advance_to(t)
-            engine.step(policy, t, by_slot.get(t, []))
+        """Step the slots; return what they journaled."""
+        journal = Journal()
+        with use_journal(journal):
+            for t in slots:
+                engine.clock.advance_to(t)
+                engine.step(policy, t, by_slot.get(t, []))
+        return journal.events()
 
     uninterrupted = OnlineEngine(small_instance, crowded_workload,
                                  horizon_slots=HORIZON, rng=3)
     policy = CheckedPolicy(GreedyOnline())
     policy.begin(uninterrupted)
-    run(uninterrupted, policy, range(HORIZON))
+    expected = run(uninterrupted, policy, range(HORIZON))
 
     engine = OnlineEngine(small_instance, crowded_workload,
                           horizon_slots=HORIZON, rng=3)
     policy = CheckedPolicy(GreedyOnline())
     policy.begin(engine)
-    run(engine, policy, range(3))
+    head = run(engine, policy, range(3))
     state = engine.export_state()
-    replay_from = len(engine.events)
-    run(engine, policy, range(3, 25))
+    run(engine, policy, range(3, 25))  # the overrun the restore discards
     engine.total_free_mhz()  # fill the load snapshot past the state
     assert len(engine._active) != len(state["active"])
     engine.restore_state(state)
     assert_views_match(engine, 2, engine._pending)
-    del engine.events[replay_from:]
-    run(engine, policy, range(3, HORIZON))
-    assert engine.events == uninterrupted.events
+    replay = run(engine, policy, range(3, HORIZON))
+    assert head + replay == expected
 
 
 class NeverPlace:

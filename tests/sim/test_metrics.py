@@ -1,108 +1,9 @@
-"""Unit tests for the reward/latency/runtime meters."""
-
-import time
+"""Unit tests for Jain's fairness index."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.sim.metrics import (LatencyMeter, RewardMeter, RuntimeMeter,
-                               jains_fairness_index, summarize)
-
-
-class TestRewardMeter:
-    def test_accumulates(self):
-        meter = RewardMeter()
-        meter.record(10.0)
-        meter.record(0.0)
-        meter.record(5.0)
-        assert meter.total == pytest.approx(15.0)
-        assert meter.num_requests == 3
-        assert meter.num_rewarded == 2
-        assert meter.mean() == pytest.approx(5.0)
-
-    def test_empty(self):
-        meter = RewardMeter()
-        assert meter.total == 0.0
-        assert meter.mean() == 0.0
-        assert meter.num_requests == 0
-        assert meter.num_rewarded == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RewardMeter().record(-1.0)
-
-
-class TestLatencyMeter:
-    def test_average_and_percentile(self):
-        meter = LatencyMeter()
-        for value in (10.0, 20.0, 30.0, 40.0):
-            meter.record(value, deadline_ms=25.0)
-        assert meter.count == 4
-        assert meter.average_ms() == pytest.approx(25.0)
-        assert meter.percentile_ms(50) == pytest.approx(25.0)
-        assert meter.deadline_hit_rate() == pytest.approx(0.5)
-
-    def test_empty(self):
-        meter = LatencyMeter()
-        assert meter.average_ms() == 0.0
-        assert meter.percentile_ms(99) == 0.0
-        assert meter.deadline_hit_rate() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LatencyMeter().record(-1.0, 100.0)
-        with pytest.raises(ConfigurationError):
-            LatencyMeter().percentile_ms(101)
-        with pytest.raises(ConfigurationError):
-            LatencyMeter().percentile_ms(-0.5)
-
-    def test_percentile_extremes(self):
-        meter = LatencyMeter()
-        for value in (10.0, 20.0, 30.0, 40.0):
-            meter.record(value, deadline_ms=25.0)
-        assert meter.percentile_ms(0) == pytest.approx(10.0)
-        assert meter.percentile_ms(100) == pytest.approx(40.0)
-
-    def test_exact_deadline_counts_as_hit(self):
-        meter = LatencyMeter()
-        meter.record(25.0, deadline_ms=25.0)
-        assert meter.deadline_hit_rate() == pytest.approx(1.0)
-
-
-class TestRuntimeMeter:
-    def test_context_manager(self):
-        meter = RuntimeMeter()
-        with meter:
-            time.sleep(0.01)
-        assert meter.total_s >= 0.005
-
-    def test_add(self):
-        meter = RuntimeMeter()
-        meter.add(1.5)
-        meter.add(0.5)
-        assert meter.total_s == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            meter.add(-1.0)
-
-    def test_exit_without_enter_raises(self):
-        meter = RuntimeMeter()
-        with pytest.raises(ConfigurationError):
-            meter.__exit__(None, None, None)
-        # And the meter stays usable afterwards.
-        meter.add(0.25)
-        assert meter.total_s == pytest.approx(0.25)
-
-    def test_enter_while_started_raises(self):
-        # Re-entering would silently reset the start stamp and drop
-        # the time accrued since the outer __enter__.
-        meter = RuntimeMeter()
-        with meter:
-            with pytest.raises(ConfigurationError):
-                meter.__enter__()
-        # The outer cycle still closed cleanly and accrued time.
-        assert meter.total_s > 0.0
-        with meter:
-            pass
+from repro.sim.metrics import jains_fairness_index
 
 
 class TestJainsFairnessIndex:
@@ -127,15 +28,3 @@ class TestJainsFairnessIndex:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             jains_fairness_index([1.0, -2.0])
-
-
-class TestSummarize:
-    def test_keys(self):
-        reward, latency, runtime = (RewardMeter(), LatencyMeter(),
-                                    RuntimeMeter())
-        reward.record(5.0)
-        latency.record(10.0, 200.0)
-        runtime.add(0.1)
-        row = summarize(reward, latency, runtime)
-        assert row == {"total_reward": 5.0, "avg_latency_ms": 10.0,
-                       "runtime_s": pytest.approx(0.1)}

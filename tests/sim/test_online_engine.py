@@ -8,6 +8,7 @@ from repro.exceptions import SchedulingError
 from repro.sim.events import EventKind
 from repro.sim.online_engine import (CLOUD_LATENCY_MS, CLOUD_STATION,
                                      OnlineEngine, Placement)
+from repro.telemetry.audit import Journal, use_journal
 
 
 class ImmediateGlobalPolicy:
@@ -93,18 +94,21 @@ class TestLifecycle:
 
     def test_events_ordered_and_consistent(self, small_instance,
                                            online_workload):
-        engine = OnlineEngine(small_instance, online_workload,
-                              horizon_slots=40, rng=0)
-        engine.run(ImmediateGlobalPolicy())
+        journal = Journal()
+        with use_journal(journal):
+            engine = OnlineEngine(small_instance, online_workload,
+                                  horizon_slots=40, rng=0)
+            engine.run(ImmediateGlobalPolicy())
         started, completed = set(), set()
-        for event in engine.events:
-            if event.kind is EventKind.START:
-                assert event.request_id not in started
-                started.add(event.request_id)
-            elif event.kind is EventKind.COMPLETE:
-                assert event.request_id in started
-                assert event.request_id not in completed
-                completed.add(event.request_id)
+        for event in journal.events():
+            if event["kind"] == EventKind.START.value:
+                assert event["request"] not in started
+                started.add(event["request"])
+            elif event["kind"] == EventKind.COMPLETE.value:
+                assert event["request"] in started
+                assert event["request"] not in completed
+                completed.add(event["request"])
+        assert started
         assert completed.issubset(started)
 
     def test_bad_placement_raises(self, small_instance,

@@ -1,10 +1,10 @@
 """Tests for the per-slot step() surface extracted from run().
 
-run() is now implemented on top of step(); these tests pin the
-refactor: driving step() by hand is byte-identical to run() (events,
-journal, decisions), streaming mode keeps no history and forbids
-run(), and engine state export/restore reproduces the remaining slots
-exactly.
+run() is implemented on top of step(); these tests pin that driving
+step() by hand journals exactly what run() journals, that an engine
+driven by step() alone (the service's streaming mode) keeps no
+per-request decision table, and that engine state export/restore
+reproduces the remaining slots exactly.
 """
 
 from __future__ import annotations
@@ -12,16 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import GreedyOnline
-from repro.exceptions import ConfigurationError
 from repro.sim.online_engine import OnlineEngine, SlotOutcome
 from repro.telemetry.audit import Journal, use_journal
 
 HORIZON = 40
 
 
-def make_engine(small_instance, workload, streaming=False):
+def make_engine(small_instance, workload, outages=None):
     return OnlineEngine(small_instance, workload, horizon_slots=HORIZON,
-                        rng=123, streaming=streaming)
+                        rng=123, outages=outages)
 
 
 def arrivals_by_slot(workload):
@@ -29,6 +28,15 @@ def arrivals_by_slot(workload):
     for request in workload:
         buckets.setdefault(request.arrival_slot, []).append(request)
     return buckets
+
+
+def drive_by_step(engine, policy, workload):
+    """What the service does: announce, then step() every slot."""
+    engine.announce_stations()
+    policy.begin(engine)
+    buckets = arrivals_by_slot(workload)
+    for t in engine.clock.ticks():
+        engine.step(policy, t, buckets.get(t, ()))
 
 
 class TestRunStepIdentity:
@@ -42,19 +50,14 @@ class TestRunStepIdentity:
         step_journal = Journal()
         with use_journal(step_journal):
             engine_b = make_engine(small_instance, online_workload)
-            policy = GreedyOnline()
-            engine_b.announce_stations()
-            policy.begin(engine_b)
-            buckets = arrivals_by_slot(online_workload)
-            for t in engine_b.clock.ticks():
-                engine_b.step(policy, t, buckets.get(t, ()))
+            drive_by_step(engine_b, GreedyOnline(), online_workload)
             engine_b._finalize()
 
-        assert run_journal.events() == step_journal.events()
-        assert [str(e) for e in engine_a.events] == \
-            [str(e) for e in engine_b.events]
-        assert engine_a._decided.keys() == engine_b._decided.keys()
-        total_b = sum(d.reward for d in engine_b._decided.values())
+        events = step_journal.events()
+        assert run_journal.events() == events
+        assert result_a.decisions.keys() == {
+            e["request"] for e in events if e["kind"] == "arrival"}
+        total_b = sum(e["reward"] for e in events if e["kind"] == "start")
         assert result_a.total_reward == pytest.approx(total_b)
 
     def test_step_returns_slot_outcome(self, small_instance,
@@ -73,42 +76,35 @@ class TestRunStepIdentity:
 
 
 class TestStreamingMode:
-    def test_run_is_forbidden(self, small_instance, online_workload):
-        engine = make_engine(small_instance, online_workload,
-                             streaming=True)
-        with pytest.raises(ConfigurationError):
-            engine.run(GreedyOnline())
+    """The service drives the engine by step() alone."""
 
     def test_streaming_keeps_no_history(self, small_instance,
                                         online_workload):
-        engine = make_engine(small_instance, online_workload,
-                             streaming=True)
-        policy = GreedyOnline()
-        policy.begin(engine)
-        buckets = arrivals_by_slot(online_workload)
-        for t in engine.clock.ticks():
-            engine.step(policy, t, buckets.get(t, ()))
-        assert engine.events == []
-        assert engine._decided == {}
+        engine = make_engine(small_instance, online_workload)
+        drive_by_step(engine, GreedyOnline(), online_workload)
+        assert engine._decided is None
+        engine.finalize()
+        assert engine._decided is None
+        assert not hasattr(engine, "events")
 
     def test_streaming_journal_matches_batch_mode(self, small_instance,
                                                   online_workload):
-        """Streaming gates only in-memory history, never the journal."""
-        journals = []
-        for streaming in (False, True):
-            journal = Journal()
-            with use_journal(journal):
-                engine = make_engine(small_instance, online_workload,
-                                     streaming=streaming)
-                policy = GreedyOnline()
-                engine.announce_stations()
-                policy.begin(engine)
-                buckets = arrivals_by_slot(online_workload)
-                for t in engine.clock.ticks():
-                    engine.step(policy, t, buckets.get(t, ()))
-                engine.finalize()
-            journals.append(journal.events())
-        assert journals[0] == journals[1]
+        """step() alone journals what run() journals, outage edges and
+        horizon drops included."""
+        outages = {0: (5, 12), 1: (30, 39)}
+        run_journal = Journal()
+        with use_journal(run_journal):
+            make_engine(small_instance, online_workload,
+                        outages).run(GreedyOnline())
+        step_journal = Journal()
+        with use_journal(step_journal):
+            engine = make_engine(small_instance, online_workload, outages)
+            drive_by_step(engine, GreedyOnline(), online_workload)
+            engine.finalize()
+        events = step_journal.events()
+        assert run_journal.events() == events
+        assert [e["slot"] for e in events if e["kind"] == "station_down"] \
+            == [5, 30]
 
 
 class TestEngineCheckpoint:

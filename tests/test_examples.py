@@ -39,6 +39,7 @@ class TestExamples:
         assert "Reward lost to the outage" in out
         assert "Requests started on dead stations during the outage: 0" \
             in out
+        assert "'station_down': 3" in out
 
     def test_online_adaptation(self):
         out = run_example("online_adaptation.py", "3")
