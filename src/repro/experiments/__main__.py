@@ -11,8 +11,10 @@ full Section VI sweeps (several minutes).
 
 Telemetry: ``--trace PATH`` records a :mod:`repro.telemetry` trace of
 every run (one JSONL event stream, merged in canonical RunSpec order)
-and ``--trace-summary`` prints the aggregated per-phase breakdown -
-where the milliseconds went, span by span::
+and ``--trace-summary`` prints where the milliseconds went: the
+:class:`~repro.telemetry.ProfileDigest` of the merged trace, every
+span path with its calls and total / self time, then every counter
+series::
 
     python -m repro.experiments --figures 3 --trace fig3.jsonl --trace-summary
 
@@ -70,8 +72,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..telemetry import (render_digest, render_memory_top,
-                         render_summary, write_profile_set)
+from ..telemetry import (digest_from_events, render_digest,
+                         render_memory_top, write_profile_set)
 from .cli import add_run_flags, run_from_args, write_artifacts
 from .export import export_figure
 from .reporting import render_ascii_plot, render_figure
@@ -158,7 +160,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace_summary:
         print()
         print("Telemetry summary")
-        print(render_summary(run.trace))
+        digest = digest_from_events(run.trace)
+        print(render_digest(digest, top=len(digest.spans)))
     write_artifacts(args, run, name, extra, "journal")
     if args.audit:
         print()

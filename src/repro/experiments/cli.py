@@ -40,8 +40,9 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
                              "report also gains Telemetry and Bandit "
                              "diagnostics sections)")
     parser.add_argument("--trace-summary", action="store_true",
-                        help="show the aggregated span breakdown "
-                             "(implies tracing)")
+                        help="show the profile digest of the merged "
+                             "trace: every span path and counter "
+                             "series (implies tracing)")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="record a decision audit journal of every "
                              "run and write the merged JSONL here "

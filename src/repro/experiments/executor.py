@@ -255,7 +255,7 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def default_chunksize(num_specs: int, workers: int) -> int:
+def default_chunk_size(num_specs: int, workers: int) -> int:
     """Chunk so each worker sees ~4 chunks (amortizes IPC without
     starving the pool at the tail of the sweep)."""
     return max(1, num_specs // (workers * 4))
@@ -287,40 +287,30 @@ class ProcessBackend:
 
     Args:
         workers: pool size (>= 2 - use :class:`SerialBackend` for 1).
-        chunksize: specs per dispatched chunk; a sweep-sized default
-            when None.
     """
 
     name = "process"
 
-    def __init__(self, workers: int,
-                 chunksize: Optional[int] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ConfigurationError(
                 f"ProcessBackend needs >= 2 workers, got {workers}")
         self.workers = workers
-        self.chunksize = validate_chunksize(chunksize)
 
     def map(self, specs: Sequence[RunSpec],
             progress: Optional[ProgressReporter] = None
             ) -> List[RunRecord]:
         """Execute all specs on the pool, preserving spec order.
 
-        Without ``progress`` the specs stream through ``pool.map``
-        with chunked dispatch.  With ``progress`` the same chunks are
-        submitted as futures so the reporter advances as each chunk
-        *completes* (completion order is nondeterministic; the results
-        are still assembled in canonical spec order, so records are
-        identical either way - every run is self-contained).
+        The specs go out as :func:`default_chunk_size` chunks, one
+        future each; ``progress`` (when given) advances as each chunk
+        *completes*.  Completion order is nondeterministic, but the
+        results are assembled in canonical spec order, so records are
+        identical for every worker count - every run is self-contained.
         """
         if not specs:
             return []
-        chunk = self.chunksize or default_chunksize(len(specs),
-                                                    self.workers)
-        if progress is None:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(execute_run, specs,
-                                     chunksize=chunk))
+        chunk = default_chunk_size(len(specs), self.workers)
         chunks = [list(specs[i:i + chunk])
                   for i in range(0, len(specs), chunk)]
         results: List[Optional[List[RunRecord]]] = [None] * len(chunks)
@@ -330,32 +320,17 @@ class ProcessBackend:
             for future in as_completed(futures):
                 index = futures[future]
                 results[index] = future.result()
-                progress.advance(len(chunks[index]))
+                if progress is not None:
+                    progress.advance(len(chunks[index]))
         return [record for part in results for record in part]
 
 
-def validate_chunksize(chunksize: Optional[int]) -> Optional[int]:
-    """Reject non-positive chunk sizes up front.
-
-    ``ProcessPoolExecutor.map`` raises a bare ``ValueError`` deep
-    inside dispatch for ``chunksize < 1``; validating at construction
-    turns the mistake into a :class:`ConfigurationError` on every
-    path - including serial ones that would silently ignore the knob.
-    """
-    if chunksize is not None and chunksize < 1:
-        raise ConfigurationError(
-            f"chunksize must be >= 1, got {chunksize}")
-    return chunksize
-
-
-def make_backend(workers: Optional[int] = 1,
-                 chunksize: Optional[int] = None):
+def make_backend(workers: Optional[int] = 1):
     """Pick the backend matching a resolved worker count."""
-    validate_chunksize(chunksize)
     resolved = resolve_workers(workers)
     if resolved <= 1:
         return SerialBackend()
-    return ProcessBackend(resolved, chunksize=chunksize)
+    return ProcessBackend(resolved)
 
 
 def resolve_progress(progress: ProgressKnob) -> Optional[ProgressReporter]:
@@ -374,7 +349,6 @@ def resolve_progress(progress: ProgressKnob) -> Optional[ProgressReporter]:
 
 def execute_specs(specs: Sequence[RunSpec],
                   workers: Optional[int] = 1,
-                  chunksize: Optional[int] = None,
                   trace: bool = False,
                   journal: bool = False,
                   profile: bool = False,
@@ -385,7 +359,6 @@ def execute_specs(specs: Sequence[RunSpec],
     Args:
         specs: the runs.
         workers: process count (1 = serial, 0 = one per CPU).
-        chunksize: specs per dispatched chunk when parallel.
         trace: force tracing on for every spec; each run (wherever it
             executes) records its own trace, carried home on its
             record in canonical spec order.
@@ -405,7 +378,6 @@ def execute_specs(specs: Sequence[RunSpec],
             :class:`~repro.telemetry.ProgressReporter`.  Observation
             only: records are byte-identical with progress on or off.
     """
-    validate_chunksize(chunksize)
     forced = {name: True for name, on in (
         ("trace", trace), ("journal", journal), ("profile", profile),
         ("profile_mem", profile_mem)) if on}
@@ -416,8 +388,7 @@ def execute_specs(specs: Sequence[RunSpec],
     reporter = resolve_progress(progress)
     if reporter is not None:
         reporter.start(len(specs))
-    records = make_backend(workers, chunksize).map(specs,
-                                                   progress=reporter)
+    records = make_backend(workers).map(specs, progress=reporter)
     if reporter is not None:
         reporter.finish()
     return records

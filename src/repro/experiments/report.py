@@ -26,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.results import SweepResult
 from ..telemetry import (INVARIANTS, AuditOutcome, audit_records,
-                         render_digest, render_memory_top,
-                         render_summary)
+                         digest_from_events, render_digest,
+                         render_memory_top)
 from ..telemetry.summary import table_lines
 from .ablations import (approximation_ratio_study, clairvoyant_study,
                         system_regret_study)
@@ -265,8 +265,10 @@ def build_report(run: FigureRun,
             run.sweeps[f"fig{figure_id}"], figure_id, panels))
     parts.append(timing_markdown(timings, run.workers))
     if run.trace is not None:
+        digest = digest_from_events(run.trace)
         parts.append("## Telemetry\n\n"
-                     + render_summary(run.trace, markdown=True))
+                     + render_digest(digest, top=len(digest.spans),
+                                     markdown=True))
         diagnostics = bandit_diagnostics_markdown(run.trace)
         if diagnostics is not None:
             parts.append(diagnostics)

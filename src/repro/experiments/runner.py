@@ -76,7 +76,6 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
                       num_seeds: int = 3,
                       x_label: str = "x",
                       workers: Optional[int] = 1,
-                      chunksize: Optional[int] = None,
                       **observe: Any) -> SweepResult:
     """Run a batch-algorithm sweep (Figs. 3 and 5).
 
@@ -91,7 +90,6 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
         x_label: axis label for the result.
         workers: process count (1 = serial, 0 = one per CPU).  Records
             are identical for every worker count.
-        chunksize: specs per dispatched chunk when parallel.
         observe: the ``trace`` / ``journal`` / ``profile`` /
             ``profile_mem`` / ``progress`` knobs of
             :func:`~repro.experiments.executor.execute_specs`
@@ -103,8 +101,7 @@ def run_offline_sweep(algorithm_factories: Sequence[OfflineFactory],
     specs = build_offline_specs(algorithm_factories, x_values,
                                 make_config, num_requests_of,
                                 num_seeds=num_seeds)
-    return execute_sweep(specs, x_label, workers=workers,
-                         chunksize=chunksize, **observe)
+    return execute_sweep(specs, x_label, workers=workers, **observe)
 
 
 def run_online_sweep(policy_factories: Sequence[OnlineFactory],
@@ -115,18 +112,15 @@ def run_online_sweep(policy_factories: Sequence[OnlineFactory],
                      num_seeds: int = 3,
                      x_label: str = "x",
                      workers: Optional[int] = 1,
-                     chunksize: Optional[int] = None,
                      **observe: Any) -> SweepResult:
     """Run an online-policy sweep (Figs. 4 and 6).
 
     Every policy sees the same arrival sequence per (x, seed); requests
     are re-drawn fresh for each policy so realization state never leaks
-    between runs.  Accepts the same ``workers`` / ``chunksize`` /
-    observation knobs as :func:`run_offline_sweep`, with the same
-    determinism guarantee.
+    between runs.  Accepts the same ``workers`` and observation knobs
+    as :func:`run_offline_sweep`, with the same determinism guarantee.
     """
     specs = build_online_specs(policy_factories, x_values, make_config,
                                num_requests_of, horizon_slots,
                                num_seeds=num_seeds)
-    return execute_sweep(specs, x_label, workers=workers,
-                         chunksize=chunksize, **observe)
+    return execute_sweep(specs, x_label, workers=workers, **observe)

@@ -4,12 +4,13 @@ The subsystem answers "where did the milliseconds go" for any run -
 an LP solve, an Appro rounding pass, a Heu migration, a DynamicRR
 bandit round, a simulated slot::
 
-    from repro.telemetry import Tracer, use_tracer, render_summary
+    from repro.telemetry import (Tracer, digest_from_events,
+                                 render_digest, use_tracer)
 
     tracer = Tracer()
     with use_tracer(tracer):
         run_offline(Appro(), instance, workload)
-    print(render_summary(tracer.events()))
+    print(render_digest(digest_from_events(tracer.events())))
 
 Instrumented code never imports a concrete tracer; it calls
 :func:`get_tracer` and records through whatever is current.  The
@@ -74,8 +75,6 @@ from .profiling import (COUNTER_OWNERS, DIGEST_SCHEMA,
 from .progress import ProgressReporter
 from .regression import (DEFAULT_METRIC_TOL, DEFAULT_WALL_TOL, Delta,
                          DiffReport, diff_ledgers, diff_manifests)
-from .summary import (SpanStats, TraceSummary, render_summary,
-                      summarize_events)
 from .tracer import (NULL_TRACER, NullTracer, Tracer, get_tracer,
                      set_tracer, use_tracer)
 
@@ -104,8 +103,6 @@ __all__ = [
     "StreamingHistogram",
     "ProgressReporter",
     "RunManifest",
-    "SpanStats",
-    "TraceSummary",
     "Tracer",
     "WALL_CLOCK_FIELDS",
     "WALL_CLOCK_METRICS",
@@ -142,11 +139,9 @@ __all__ = [
     "read_jsonl",
     "render_digest",
     "render_memory_top",
-    "render_summary",
     "set_journal",
     "set_metrics",
     "set_tracer",
-    "summarize_events",
     "use_journal",
     "use_metrics",
     "use_tracer",

@@ -268,8 +268,8 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
     """Build a :class:`ProfileDigest` from a trace event stream.
 
     Accepts a single run's events or a merged sweep trace (parent
-    links are resolved per run, exactly like
-    :func:`repro.telemetry.summary.summarize_events`).  Span paths are
+    links are resolved per run by
+    :func:`repro.telemetry.summary.span_index`).  Span paths are
     the full ancestor chain joined with ``/``; a re-entrant span
     therefore lands on a *longer* path (``a/a``) instead of double
     counting on ``a``.  Counter events fold in under the registry's

@@ -18,10 +18,9 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.executor import (OFFLINE, ONLINE, ProcessBackend,
                                         RunSpec, SerialBackend,
                                         _fresh_algorithm,
-                                        default_chunksize, execute_run,
+                                        default_chunk_size, execute_run,
                                         execute_specs, execute_sweep,
-                                        make_backend, resolve_workers,
-                                        validate_chunksize)
+                                        make_backend, resolve_workers)
 from repro.experiments.runner import (build_offline_specs,
                                       build_online_specs,
                                       run_offline_sweep,
@@ -133,31 +132,14 @@ class TestWorkerKnob:
     def test_process_backend_guards(self):
         with pytest.raises(ConfigurationError):
             ProcessBackend(1)
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(2, chunksize=0)
 
-    def test_default_chunksize(self):
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(7, 4) == 1
-        assert default_chunksize(64, 4) == 4
+    def test_default_chunk_size(self):
+        assert default_chunk_size(0, 4) == 1
+        assert default_chunk_size(7, 4) == 1
+        assert default_chunk_size(64, 4) == 4
 
     def test_empty_spec_list(self):
         assert execute_specs([], workers=4) == []
-
-    def test_nonpositive_chunksize_rejected_everywhere(self):
-        # The guard must fire at construction on every path - even
-        # serial ones, which would otherwise silently ignore the knob.
-        for bad in (0, -3):
-            with pytest.raises(ConfigurationError):
-                validate_chunksize(bad)
-            with pytest.raises(ConfigurationError):
-                make_backend(1, chunksize=bad)
-            with pytest.raises(ConfigurationError):
-                make_backend(4, chunksize=bad)
-            with pytest.raises(ConfigurationError):
-                execute_specs([], workers=1, chunksize=bad)
-        assert validate_chunksize(None) is None
-        assert validate_chunksize(2) == 2
 
 
 class TestSerialParallelEquivalence:
@@ -196,10 +178,17 @@ class TestSerialParallelEquivalence:
         assert ([record_key(r) for r in serial]
                 == [record_key(r) for r in parallel])
 
-    def test_chunksize_does_not_change_records(self):
-        specs = self.fig3_shaped_specs()
+    def test_multi_spec_chunks_match_serial(self):
+        # 16 specs on 2 workers: every dispatched chunk holds 2 specs.
+        specs = build_offline_specs(
+            algorithm_factories=[GreedyOffline, OcorpOffline],
+            x_values=[8, 12],
+            make_config=tiny_config,
+            num_requests_of=lambda x: int(x),
+            num_seeds=4)
+        assert default_chunk_size(len(specs), 2) == 2
         serial = execute_specs(specs, workers=1)
-        chunked = execute_specs(specs, workers=2, chunksize=3)
+        chunked = execute_specs(specs, workers=2)
         assert ([record_key(r) for r in serial]
                 == [record_key(r) for r in chunked])
 

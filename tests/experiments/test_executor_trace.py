@@ -5,8 +5,8 @@ The two load-bearing properties:
 * tracing is *inert* - records (and the metrics inside them) are
   identical with tracing on or off, and the canonical trace (wall
   clock stripped) is identical between serial and parallel backends;
-* tracing is *complete* - the aggregated summary attributes nearly all
-  of a run's wall time to named top-level spans.
+* tracing is *complete* - the run's profile digest attributes nearly
+  all of its wall time to named top-level spans.
 """
 
 
@@ -18,7 +18,7 @@ from repro.experiments.executor import (OFFLINE, ONLINE, RunSpec,
 from repro.experiments.runner import run_offline_sweep
 from repro.experiments.settings import base_config
 from repro.telemetry import (canonical_events, collect_sweep_trace,
-                             get_tracer, NULL_TRACER, summarize_events)
+                             digest_from_events, get_tracer, NULL_TRACER)
 
 
 def tiny_config(x=0, seed=0):
@@ -130,15 +130,13 @@ class TestAttribution:
         """Top-level spans must cover >= 90% of the run's wall time."""
         record = execute_run(offline_spec(trace=True, factory=Appro,
                                           num_requests=30))
-        summary = summarize_events(record.trace)
         total = record.metrics["runtime_s"]
         assert total > 0
         # offline_run wraps the full algorithm pipeline; runtime_s is
         # measured inside it, so coverage should be essentially 1.
-        assert summary.attributed_fraction(total) >= 0.9
+        assert digest_from_events(record.trace).top_level_s >= 0.9 * total
 
     def test_online_run_attributes_most_wall_time(self):
         record = execute_run(online_spec(trace=True, factory=DynamicRR))
-        summary = summarize_events(record.trace)
-        assert summary.attributed_fraction(
-            record.metrics["runtime_s"]) >= 0.9
+        assert (digest_from_events(record.trace).top_level_s
+                >= 0.9 * record.metrics["runtime_s"])

@@ -178,7 +178,7 @@ class TestHeartbeatUnderBackends:
         process_reporter, _, _ = make_reporter()
         serial = execute_specs(specs, workers=1,
                                progress=serial_reporter)
-        parallel = execute_specs(specs, workers=4, chunksize=3,
+        parallel = execute_specs(specs, workers=4,
                                  progress=process_reporter)
         assert ([record_key(r) for r in serial]
                 == [record_key(r) for r in parallel])
@@ -186,8 +186,7 @@ class TestHeartbeatUnderBackends:
     def test_progress_heartbeats_cover_every_spec(self):
         specs = self.specs()
         reporter, _, _ = make_reporter()
-        execute_specs(specs, workers=2, chunksize=1,
-                      progress=reporter)
-        # chunksize=1: one advance per spec, all accounted for.
+        execute_specs(specs, workers=2, progress=reporter)
+        # One spec per chunk: one advance per spec, all accounted for.
         assert reporter.done == len(specs)
         assert reporter.total == len(specs)

@@ -10,6 +10,7 @@ from repro.experiments.report import (build_report,
                                       render_figure_markdown,
                                       _markdown_table)
 from repro.sim.results import RunRecord, SweepResult
+from repro.telemetry import Tracer
 
 
 def make_sweep(journal=None):
@@ -72,6 +73,24 @@ def tiny_driver(scale, workers=1, trace=False):
 
 def journaled_driver(scale, workers=1, trace=False, journal=False):
     return make_journaled_sweep() if journal else make_sweep()
+
+
+def traced_driver(scale, workers=1, trace=False):
+    """One record whose trace nests lp_solve under two parents and
+    counts one counter under two label sets."""
+    tracer = Tracer()
+    with tracer.span("offline_run"):
+        with tracer.span("lp_solve"):
+            pass
+    with tracer.span("slot_admission"):
+        with tracer.span("lp_solve"):
+            pass
+    tracer.count("station_transitions_total", 3, direction="down")
+    tracer.count("station_transitions_total", 15, direction="up")
+    sweep = SweepResult("num_requests")
+    sweep.add(RunRecord("Appro", 10, 0, {"total_reward": 1.0},
+                        trace=tuple(tracer.events()) if trace else None))
+    return sweep
 
 
 class TestMarkdownRendering:
@@ -145,6 +164,36 @@ class TestBuildReport:
         stub_figure(journaled_driver)
         assert main(["--no-theorems", "--audit"]) == 0
         assert "all invariants held" in capsys.readouterr().out
+
+
+class TestTraceBreakdown:
+    """The --trace-summary table and the report's Telemetry section
+    keep span paths and counter label sets apart."""
+
+    SERIES = ('station_transitions_total{direction="down"} = 3',
+              'station_transitions_total{direction="up"} = 15')
+    PATHS = ("offline_run/lp_solve", "slot_admission/lp_solve")
+
+    def test_trace_summary_lists_paths_and_series(self, stub_figure,
+                                                  capsys):
+        import repro.experiments.__main__ as cli
+
+        stub_figure(traced_driver)
+        assert cli.main(["--figures", "3", "--trace-summary"]) == 0
+        out = capsys.readouterr().out
+        summary = out[out.index("Telemetry summary"):]
+        for text in self.SERIES + self.PATHS:
+            assert text in summary
+        assert "station_transitions_total = 18" not in summary
+
+    def test_report_telemetry_lists_paths_and_series(self, stub_figure):
+        stub_figure(traced_driver)
+        text = build_report(run_figures(trace=True),
+                            include_theorems=False)
+        section = text[text.index("## Telemetry"):]
+        for item in self.SERIES + self.PATHS:
+            assert item in section
+        assert "station_transitions_total = 18" not in section
 
 
 class TestInvariantAuditSection:

@@ -15,8 +15,10 @@ from repro.telemetry.profiling import (
     folded_from_stats, load_profile_set, merge_digests, merge_memory,
     Capture, merge_stats, render_digest, render_memory_top,
     top_functions, write_folded, write_profile_set)
+from repro.telemetry.export import collect_sweep_trace
 from repro.telemetry.metrics import (NULL_REGISTRY, MetricsRegistry,
                                      series_name)
+from repro.sim.results import RunRecord
 
 
 class StepClock:
@@ -41,6 +43,15 @@ def traced_run():
     return tracer.events()
 
 
+def nested_trace():
+    # outer: 0 -> 10 (duration 10); inner: 2 -> 5 (duration 3).
+    tracer = Tracer(clock=StepClock(0.0, 2.0, 5.0, 10.0))
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            pass
+    return tracer.events()
+
+
 class TestDigestFromEvents:
     def test_reentrant_span_gets_longer_path(self):
         digest = digest_from_events(traced_run())
@@ -61,6 +72,16 @@ class TestDigestFromEvents:
     def test_top_level_is_parentless_only(self):
         digest = digest_from_events(traced_run())
         assert digest.top_level_s == pytest.approx(10.0)
+
+    def test_merged_runs_resolve_parents_per_run(self):
+        # Both runs reuse seq numbers; parent links must not cross runs.
+        merged = collect_sweep_trace([
+            RunRecord("A", 1.0, 0, {}, trace=tuple(nested_trace())),
+            RunRecord("B", 1.0, 0, {}, trace=tuple(nested_trace()))])
+        digest = digest_from_events(merged)
+        assert digest.spans["outer"].self_s == pytest.approx(14.0)
+        assert digest.spans["outer/inner"].calls == 2
+        assert digest.top_level_s == pytest.approx(20.0)
 
     def test_counters_fold_under_flat_series_ids(self):
         digest = digest_from_events(traced_run())
