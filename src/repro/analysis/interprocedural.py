@@ -49,8 +49,10 @@ DET010_SANITIZERS: Tuple[str, ...] = (
     "service/console.py",
 )
 
-#: Serialization sinks: constructors of journaled/checkpointed records.
-_SINK_CTORS = ("Event", "ServiceCheckpoint")
+#: Serialization sinks: constructors of journaled/checkpointed records
+#: and the journal's emission points (``emit`` builds its Event from
+#: ``**fields``, which the taint pass does not follow into the callee).
+_SINK_CALLS = ("Event", "ServiceCheckpoint", "emit", "emit_many")
 
 
 def _sink_name(site: CallSite) -> Optional[str]:
@@ -59,7 +61,7 @@ def _sink_name(site: CallSite) -> Optional[str]:
         return None
     parts = site.chain.split(".")
     leaf = parts[-1]
-    if leaf in _SINK_CTORS:
+    if leaf in _SINK_CALLS:
         return leaf
     if leaf == "record" and len(parts) >= 2 \
             and "journal" in parts[-2].lower():
@@ -78,7 +80,8 @@ class TransitiveNondeterminismRule(DataflowRule):
         "perf_counter reading laundered through two helpers into an "
         "Event payload or a ServiceCheckpoint field still breaks "
         "byte-identical replay.  Sinks are Event(...), "
-        "ServiceCheckpoint(...), and journal .record(...); the "
+        "ServiceCheckpoint(...), emit(...)/emit_many(...), and "
+        "journal .record(...); the "
         "telemetry exposition layer is a declared sanitizer.")
     hint = ("keep wall-clock values inside the telemetry exposition "
             "layer (metrics/tracer/ledger); derive journaled fields "

@@ -37,7 +37,6 @@ class Appro:
     """The paper's approximation algorithm for consolidated requests.
 
     Args:
-        lp_backend: LP solver backend (``"scipy"`` or ``"simplex"``).
         rounding_scale: divisor of the rounding probability (paper: 4;
             the ablation bench sweeps it).
         max_rounds: rounding passes over not-yet-admitted requests;
@@ -46,10 +45,8 @@ class Appro:
 
     name = "Appro"
 
-    def __init__(self, lp_backend: str = "scipy",
-                 rounding_scale: float = DEFAULT_ROUNDING_SCALE,
+    def __init__(self, rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_rounds: int = 24) -> None:
-        self.lp_backend = lp_backend
         self.rounding_scale = rounding_scale
         self.max_rounds = check_max_rounds(max_rounds)
         #: Objective value of the most recent LP solve (``LPOpt``);
@@ -89,7 +86,7 @@ class Appro:
             for request in requests:
                 result.add(OffloadDecision(request_id=request.request_id))
             return result
-        solution = solve_lp(lp, backend=self.lp_backend)
+        solution = solve_lp(lp)
         self.last_lp_objective = solution.objective
 
         admitted = round_and_admit(

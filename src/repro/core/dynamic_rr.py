@@ -52,7 +52,6 @@ class DynamicRR:
     Args:
         online_config: bandit/threshold parameters (paper defaults when
             None).
-        lp_backend: LP solver backend for LP-PT.
         rounding_scale: the ``y/4`` divisor.
         max_rounds: rounding passes per slot over the not-yet-admitted
             requests of ``R_t`` (must be >= 1).
@@ -65,7 +64,6 @@ class DynamicRR:
     name = "DynamicRR"
 
     def __init__(self, online_config: Optional[OnlineConfig] = None,
-                 lp_backend: str = "scipy",
                  rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_rounds: int = 24,
                  bandit_policy: str = "se",
@@ -76,7 +74,6 @@ class DynamicRR:
                 f"{bandit_policy!r}")
         self.config = online_config or OnlineConfig()
         self.config.validate()
-        self.lp_backend = lp_backend
         self.rounding_scale = rounding_scale
         self.max_rounds = check_max_rounds(max_rounds)
         self.bandit_policy = bandit_policy
@@ -150,7 +147,7 @@ class DynamicRR:
             lp, index = build_lp_pt(engine.instance, r_t, waiting)
         if lp.num_variables == 0:
             return []
-        solution = solve_lp(lp, backend=self.lp_backend)
+        solution = solve_lp(lp)
         admitted = round_and_admit(
             engine.instance, index.options_table(solution.x), r_t,
             self._seeded_ledger(engine, threshold), self._rng,

@@ -29,8 +29,8 @@ class FixedThresholdRR(DynamicRR):
         threshold_mhz: the constant ``C^th`` to run with.
         online_config: threshold-range metadata (the constant must lie
             inside it); other bandit fields are ignored.
-        **kwargs: forwarded to :class:`DynamicRR` (LP backend, rounding
-            scale, rng, ...).
+        **kwargs: forwarded to :class:`DynamicRR` (rounding scale,
+            rng, ...).
     """
 
     def __init__(self, threshold_mhz: float,

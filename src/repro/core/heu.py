@@ -29,6 +29,10 @@ from .instance import ProblemInstance
 from .latency import meets_deadline
 from .rounding import DEFAULT_ROUNDING_SCALE, AdmissionOutcome
 
+#: How many nearest stations Heu tries as a migration destination
+#: before giving up on a donor.
+MAX_MIGRATION_TARGETS = 5
+
 
 class Heu(Appro):
     """The paper's efficient heuristic for distributed task placement.
@@ -36,10 +40,7 @@ class Heu(Appro):
     Appro's pipeline with a migration hook on every rejection.
 
     Args:
-        lp_backend: LP solver backend.
         rounding_scale: rounding probability divisor (paper: 4).
-        max_migration_targets: how many nearest stations to try as the
-            migration destination before giving up.
         max_rounds: rounding passes over not-yet-admitted requests
             (see :class:`~repro.core.appro.Appro` - repetitions only
             add reward; 1 = single analyzed pass).
@@ -47,12 +48,9 @@ class Heu(Appro):
 
     name = "Heu"
 
-    def __init__(self, lp_backend: str = "scipy",
-                 rounding_scale: float = DEFAULT_ROUNDING_SCALE,
-                 max_migration_targets: int = 5,
+    def __init__(self, rounding_scale: float = DEFAULT_ROUNDING_SCALE,
                  max_rounds: int = 24) -> None:
-        super().__init__(lp_backend, rounding_scale, max_rounds)
-        self.max_migration_targets = max_migration_targets
+        super().__init__(rounding_scale, max_rounds)
         #: Number of successful task migrations in the last run.
         self.last_num_migrations: int = 0
 
@@ -125,7 +123,7 @@ class Heu(Appro):
             # journaled justification that the migration landed on the
             # *closest feasible* neighbour (Theorem 2).
             skipped: List[tuple] = []
-            for target in targets[:self.max_migration_targets]:
+            for target in targets[:MAX_MIGRATION_TARGETS]:
                 if not ledger.fits(target, share):
                     skipped.append((target, ledger.free_mhz(target),
                                     "capacity"))

@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="journal flush chunk in events (default "
                            "1024; any value yields identical bytes)")
     load.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="write checkpoints to this file")
+                      help="write checkpoints to this file (needs "
+                           "--checkpoint-every)")
     load.add_argument("--checkpoint-every", type=int, default=None,
                       metavar="SLOTS",
                       help="checkpoint cadence in slots")

@@ -20,9 +20,9 @@ HTTP framework dependencies.  Three routes:
 
 ``/readyz``
     Readiness: 503 when the pending queue is saturated
-    (``pending >= saturation_fraction * queue_limit`` - new arrivals
+    (``pending >= SATURATION_FRACTION * queue_limit`` - new arrivals
     are being shed) or when checkpointing is configured but stale
-    (more than ``staleness_slots`` slots since the last checkpoint -
+    (more than ``STALENESS_SLOTS`` slots since the last checkpoint -
     a crash now would replay too much).  The JSON body lists each
     probe's verdict.
 
@@ -41,12 +41,14 @@ import time
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..exceptions import ConfigurationError
 from .loop import AdmissionService
 
-#: Default readiness thresholds (see :class:`MetricsEndpoint`).
-DEFAULT_SATURATION_FRACTION = 0.95
-DEFAULT_STALENESS_SLOTS = 10_000
+#: `/readyz` turns 503 when the pending queue reaches this fraction of
+#: ``queue_limit``.
+SATURATION_FRACTION = 0.95
+#: `/readyz` turns 503 when checkpointing is configured and the last
+#: checkpoint is more than this many slots behind the live slot.
+STALENESS_SLOTS = 10_000
 
 
 class MetricsEndpoint:
@@ -58,29 +60,13 @@ class MetricsEndpoint:
             front for anything else).
         port: TCP port; 0 picks a free one (see :attr:`port` after
             :meth:`start`).
-        saturation_fraction: `/readyz` turns 503 when the pending
-            queue reaches this fraction of ``queue_limit``.
-        staleness_slots: `/readyz` turns 503 when checkpointing is
-            configured and the last checkpoint is more than this many
-            slots behind the live slot.
     """
 
     def __init__(self, service: AdmissionService,
-                 host: str = "127.0.0.1", port: int = 0,
-                 saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                 staleness_slots: int = DEFAULT_STALENESS_SLOTS) -> None:
-        if not 0.0 < saturation_fraction <= 1.0:
-            raise ConfigurationError(
-                f"saturation_fraction must be in (0, 1], got "
-                f"{saturation_fraction}")
-        if staleness_slots < 1:
-            raise ConfigurationError(
-                f"staleness_slots must be >= 1, got {staleness_slots}")
+                 host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.saturation_fraction = saturation_fraction
-        self.staleness_slots = staleness_slots
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------------
@@ -189,13 +175,12 @@ class MetricsEndpoint:
         service = self.service
         pending = service.engine.pending_count()
         limit = service.config.queue_limit
-        saturated = pending >= self.saturation_fraction * limit
+        saturated = pending >= SATURATION_FRACTION * limit
         probes = {
             "queue": {
                 "ok": not saturated,
                 "pending": pending,
                 "limit": limit,
-                "saturation_fraction": self.saturation_fraction,
             },
         }
         stale = False
@@ -203,11 +188,10 @@ class MetricsEndpoint:
             slot = service.engine.clock.current_slot
             last = service.last_checkpoint_slot
             behind = slot if last is None else slot - last
-            stale = behind > self.staleness_slots
+            stale = behind > STALENESS_SLOTS
             probes["checkpoint"] = {
                 "ok": not stale,
                 "slots_behind": behind,
-                "staleness_slots": self.staleness_slots,
             }
         return (not saturated and not stale), probes
 

@@ -16,11 +16,13 @@ checkpoint/restore reproduces the remaining slots exactly - the
 decision journal of a killed-and-resumed run is byte-identical to an
 uninterrupted run (see :mod:`repro.service.checkpoint`).
 
+Every event the loop emits goes to the decision journal; a resume is
+counted on ``/metrics`` (``service_resumes_total``) and never journaled.
+
 The synchronous core is :meth:`AdmissionService.tick` (one slot);
-:meth:`AdmissionService.serve` drives it as an asyncio coroutine,
-yielding the event loop between slots (and sleeping the slot cadence in
-``realtime`` mode) so a host process can multiplex the service with
-other work.
+:meth:`AdmissionService.serve` drives it as an asyncio coroutine in
+virtual time, yielding the event loop between slots so a host process
+can multiplex the service with other work.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from __future__ import annotations
 import asyncio
 import time
 import tracemalloc
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..baselines import GreedyOnline, RandomOnline
 from ..config import SimulationConfig
@@ -40,7 +41,7 @@ from ..exceptions import ConfigurationError, PersistenceError
 from ..requests.arrivals import PoissonArrivalStream, check_mean_per_slot
 from ..requests.generator import RequestGenerator
 from ..rng import RngForks
-from ..sim.events import Event, EventKind
+from ..sim.events import EventKind
 from ..sim.online_engine import OnlineEngine, SlotOutcome
 from ..telemetry.audit import Journal, emit, emit_many, use_journal
 from ..telemetry.metrics import (MetricsRegistry, StreamingHistogram,
@@ -59,6 +60,10 @@ COUNTER_KEYS = ("arrivals", "accepted", "shed", "deferred", "started",
 #: Slot cadence of the allocation-watermark gauges (only published
 #: while ``tracemalloc`` is tracing, i.e. under ``--profile-mem``).
 _ALLOC_SAMPLE_SLOTS = 64
+
+#: Sliding-window length (in slots) of the service's streaming
+#: slot-latency histogram.
+LATENCY_WINDOW_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -86,26 +91,11 @@ class ServiceConfig:
         flush_every: journal flush chunk (bytes-identical for any
             value; only syscall batching changes).
         checkpoint_path: where checkpoints are written (None = never
-            checkpoint).
+            checkpoint; set together with ``checkpoint_every``).
         checkpoint_every: cut a checkpoint after every this many slots.
             The cadence is part of the deterministic timeline: the
             baseline run and a killed run must share it for the
             CHECKPOINT journal events to line up.
-        realtime: sleep one slot length between slots in
-            :meth:`AdmissionService.serve` (default is virtual time:
-            run as fast as the machine allows).
-        metrics_window_slots: sliding-window length (in slots) of the
-            service's streaming latency histogram and of lazily
-            created registry histograms.
-        metrics_snapshot_every: append a METRICS_SNAPSHOT event to the
-            ops stream after every this many slots (None = never).
-            Ops-side only - the decision journal stays byte-identical
-            with or without snapshots.
-        ops_journal_path: optional JSONL file for the operational side
-            stream (CHECKPOINT / RESUME / METRICS_SNAPSHOT markers).
-            Unlike the decision journal it is never truncated on
-            resume: it is the service's flight recorder, not part of
-            the determinism contract.
     """
 
     sim: SimulationConfig = field(default_factory=SimulationConfig)
@@ -118,10 +108,6 @@ class ServiceConfig:
     flush_every: int = 1024
     checkpoint_path: Optional[str] = None
     checkpoint_every: Optional[int] = None
-    realtime: bool = False
-    metrics_window_slots: int = 256
-    metrics_snapshot_every: Optional[int] = None
-    ops_journal_path: Optional[str] = None
 
     def validate(self) -> "ServiceConfig":
         """Raise :class:`ConfigurationError` on inconsistent values."""
@@ -152,15 +138,9 @@ class ServiceConfig:
             if self.checkpoint_path is None:
                 raise ConfigurationError(
                     "checkpoint_every needs a checkpoint_path")
-        if self.metrics_window_slots < 1:
+        elif self.checkpoint_path is not None:
             raise ConfigurationError(
-                f"metrics_window_slots must be >= 1, got "
-                f"{self.metrics_window_slots}")
-        if (self.metrics_snapshot_every is not None
-                and self.metrics_snapshot_every < 1):
-            raise ConfigurationError(
-                f"metrics_snapshot_every must be >= 1, got "
-                f"{self.metrics_snapshot_every}")
+                "checkpoint_path needs a checkpoint_every")
         return self
 
 
@@ -191,15 +171,6 @@ def _make_policy(config: ServiceConfig, forks: RngForks):
     if config.policy == "random":
         return RandomOnline(rng=forks.child("service.policy"))
     return GreedyOnline()
-
-
-class _RecordSink:
-    """An always-enabled, journal-shaped sink for :func:`emit`."""
-
-    enabled = True
-
-    def __init__(self, record: Callable[[Event], None]) -> None:
-        self.record = record
 
 
 class AdmissionService:
@@ -240,19 +211,13 @@ class AdmissionService:
             rng=forks.child("service.engine"))
         self._policy = _make_policy(config, forks)
         self._journal: Optional[Journal] = None
-        self._ops_journal: Optional[Journal] = None
         self.counters: Dict[str, float] = {key: 0.0
                                            for key in COUNTER_KEYS}
         #: Per-slot wall-clock latencies (seconds): bounded log-scale
         #: histogram with a slot-keyed sliding window, so p50/p95/p99
         #: stay available at flat memory over unbounded runs.
         self.slot_latency = StreamingHistogram(
-            window_slots=config.metrics_window_slots)
-        #: Operational side stream (CHECKPOINT/RESUME/METRICS_SNAPSHOT
-        #: markers); never part of the decision journal.  Bounded: the
-        #: full stream goes to ``config.ops_journal_path`` when set.
-        self.ops_events: Deque[Event] = deque(maxlen=4096)
-        self._ops_sink = _RecordSink(self._ops_record)
+            window_slots=LATENCY_WINDOW_SLOTS)
         self.last_checkpoint_slot: Optional[int] = None
         #: The message of the PersistenceError a tick raised, if any: the
         #: journal or checkpoint on disk may have fallen behind, so the
@@ -278,7 +243,7 @@ class AdmissionService:
         run's.  When the checkpoint carries metrics state and
         ``registry`` is a live one, the state is restored into it -
         counters continue from their pre-kill values instead of
-        resetting.
+        resetting - and ``service_resumes_total`` counts the resume.
         """
         checkpoint = read_checkpoint(checkpoint_path)
         return cls(checkpoint.config, registry=registry,
@@ -292,10 +257,6 @@ class AdmissionService:
         if self.config.journal_path is not None:
             self._journal = Journal(
                 stream_path=self.config.journal_path,
-                flush_every=self.config.flush_every)
-        if self.config.ops_journal_path is not None:
-            self._ops_journal = Journal(
-                stream_path=self.config.ops_journal_path,
                 flush_every=self.config.flush_every)
         with use_journal(self._journal), use_metrics(self._metrics):
             self._engine.announce_stations()
@@ -312,13 +273,6 @@ class AdmissionService:
                 flush_every=self.config.flush_every,
                 append=True,
                 already_recorded=checkpoint.journal.events_recorded)
-        if self.config.ops_journal_path is not None:
-            # The ops stream is a flight recorder: append, never
-            # truncate - a RESUME marker explains the discontinuity.
-            self._ops_journal = Journal(
-                stream_path=self.config.ops_journal_path,
-                flush_every=self.config.flush_every,
-                append=True)
         # begin() binds the engine and builds fresh learning state;
         # restore_state() then overwrites it with the checkpointed one.
         with use_metrics(self._metrics):
@@ -330,8 +284,7 @@ class AdmissionService:
         self.counters.update(checkpoint.counters)
         self._metrics.restore_state(checkpoint.metrics_state)
         self.last_checkpoint_slot = checkpoint.slot
-        with use_metrics(self._metrics):
-            emit(EventKind.RESUME, checkpoint.slot, journal=self._ops_sink)
+        self._metrics.inc("service_resumes_total")
 
     # ------------------------------------------------------------------
     # The slot loop
@@ -400,7 +353,6 @@ class AdmissionService:
                 metrics.observe("service_batch_size",
                                 float(len(accepted) + len(shed)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
-            self._maybe_snapshot_metrics(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
         self.slot_latency.observe(tick_seconds, slot)
         if metrics.enabled:
@@ -434,9 +386,9 @@ class AdmissionService:
     async def serve(self, max_slots: Optional[int] = None) -> int:
         """Drive :meth:`tick` as a coroutine until drained.
 
-        Yields the event loop after every slot (``realtime`` mode
-        additionally sleeps one slot length), so the service coexists
-        with other coroutines on the same loop.
+        Runs in virtual time (as fast as the machine allows) and
+        yields the event loop after every slot, so the service
+        coexists with other coroutines on the same loop.
 
         Returns:
             Slots processed by this call.
@@ -447,14 +399,11 @@ class AdmissionService:
                 break
             self.tick()
             processed += 1
-            if self.config.realtime:
-                await asyncio.sleep(self._engine.clock.slot_length_s)
-            else:
-                await asyncio.sleep(0)
+            await asyncio.sleep(0)
         return processed
 
     def close(self) -> None:
-        """Settle leftovers and flush/close the journals (clean stop).
+        """Settle leftovers and flush/close the journal (clean stop).
 
         A *crash* is the absence of this call: buffered journal events
         past the last checkpoint are lost, which is exactly what the
@@ -465,8 +414,6 @@ class AdmissionService:
                 self._engine.finalize()
         if self._journal is not None:
             self._journal.close()
-        if self._ops_journal is not None:
-            self._ops_journal.close()
 
     # ------------------------------------------------------------------
     # Internals
@@ -499,40 +446,7 @@ class AdmissionService:
         )
         write_checkpoint(self.config.checkpoint_path, checkpoint)
         self.last_checkpoint_slot = slot
-        self._ops_record(Event(slot=slot, kind=EventKind.CHECKPOINT))
         return True
-
-    def _maybe_snapshot_metrics(self, slot: int) -> None:
-        """Append a METRICS_SNAPSHOT marker to the ops stream.
-
-        The payload is the registry's counters and gauges as canonical
-        sorted tuples - enough for offline replay of the live series
-        without re-running the service.  Ops-side only by construction:
-        the decision journal's byte stream is untouched.
-        """
-        every = self.config.metrics_snapshot_every
-        if every is None or (slot + 1) % every != 0:
-            return
-        emit(EventKind.METRICS_SNAPSHOT, slot, journal=self._ops_sink,
-             detail=self._snapshot_detail)
-
-    def _snapshot_detail(self) -> Tuple:
-        snapshot = self._metrics.snapshot()
-        return tuple(
-            [("slot", snapshot["slot"])]
-            + [("counter", series, value)
-               for series, value in sorted(snapshot["counters"].items())]
-            + [("gauge", series, value)
-               for series, value in sorted(snapshot["gauges"].items())]
-            + [("hist", series, stats["count"], stats["sum"],
-                stats["p50"], stats["p95"], stats["p99"])
-               for series, stats in sorted(snapshot["histograms"].items())]
-        )
-
-    def _ops_record(self, event: Event) -> None:
-        self.ops_events.append(event)
-        if self._ops_journal is not None:
-            self._ops_journal.record(event)
 
     def _account(self, outcome: SlotOutcome, num_shed: int,
                  num_deferred: int) -> None:

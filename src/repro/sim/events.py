@@ -41,8 +41,6 @@ class AuditRole(enum.Enum):
     BANDIT = "bandit"
     #: Admission-service ingress and durability decisions.
     SERVICE = "service"
-    #: Operational stream only, never the decision journal.
-    OPS_ONLY = "ops-only"
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class EventSpec:
 
 _LIFE, _SLOT = AuditRole.LIFECYCLE, AuditRole.RESOURCE_SLOT
 _STATION, _BANDIT = AuditRole.STATION, AuditRole.BANDIT
-_SERVICE, _OPS = AuditRole.SERVICE, AuditRole.OPS_ONLY
+_SERVICE = AuditRole.SERVICE
 
 
 class EventKind(enum.Enum):
@@ -126,16 +124,6 @@ class EventKind(enum.Enum):
     #: a kill/resume run journal identical CHECKPOINT events.
     CHECKPOINT = ("checkpoint", EventSpec(
         "k", _SERVICE, "service_checkpoints_total", None))
-    #: The admission service restored from a checkpoint.  Recorded on
-    #: the *operational* stream only (never the decision journal -
-    #: resuming must not perturb journal byte-identity).
-    RESUME = ("resume", EventSpec(
-        "R", _OPS, "service_resumes_total", None))
-    #: Periodic dump of the live metrics registry (counters/gauges/
-    #: histogram summaries as canonical tuples in ``detail``).  Like
-    #: RESUME, strictly operational: never the decision journal.
-    METRICS_SNAPSHOT = ("metrics_snapshot", EventSpec(
-        "M", _OPS, "service_metrics_snapshots_total", None))
 
 
 #: ``request_id`` of events that concern no particular request

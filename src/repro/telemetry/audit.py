@@ -305,31 +305,25 @@ def _events():
     return events
 
 
-def emit(kind, slot: int, journal=None, **fields) -> None:
+def emit(kind, slot: int, **fields) -> None:
     """Count one ``kind`` event and journal it when a journal is on.
 
     The counter is the kind's own :class:`~repro.sim.events.EventSpec`
-    series in the current metrics registry, so every event counter
-    equals the journal's count of its kind, with or without a journal.
-    The :class:`~repro.sim.events.Event` is built only for an enabled
-    journal.  A callable ``detail`` is evaluated after the count, so a
-    payload that reads the registry (METRICS_SNAPSHOT) includes its own
-    event.
+    series in the current metrics registry, and the journal is the
+    current one, so every event counter equals the journal's count of
+    its kind, with or without a journal.  The
+    :class:`~repro.sim.events.Event` is built only for an enabled
+    journal.
 
     Args:
         kind: the :class:`~repro.sim.events.EventKind`.
         slot: the event's slot.
-        journal: where to record (default: the current journal).
         **fields: the remaining :class:`~repro.sim.events.Event` fields.
     """
     spec = kind.spec
     get_metrics().inc(spec.counter, **dict(spec.labels))
-    if journal is None:
-        journal = _current
+    journal = _current
     if journal.enabled:
-        detail = fields.get("detail")
-        if callable(detail):
-            fields["detail"] = detail()
         journal.record(_events().Event(slot=slot, kind=kind, **fields))
 
 

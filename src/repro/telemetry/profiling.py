@@ -1,10 +1,10 @@
 """Performance attribution: span-tree digests and deep capture.
 
-The tracer (:mod:`repro.telemetry.tracer`) records raw span events;
-the summary (:mod:`repro.telemetry.summary`) aggregates them by flat
-span name for a human table.  Neither is a *comparable artifact*: you
-cannot hand two of them to CI and ask "which span regressed".  This
-module closes that gap with three layers:
+The tracer (:mod:`repro.telemetry.tracer`) records raw span events,
+which are not a *comparable artifact*: you cannot hand two traces to
+CI and ask "which span regressed".  This module closes that gap with
+three layers (:func:`digest_from_events` is the one aggregation of
+span events; ``--trace-summary`` renders its digest):
 
 * :class:`ProfileDigest` - the canonical attribution record of one (or
   many merged) runs: per **span path** (``offline_run/build_lp/
@@ -373,11 +373,16 @@ def render_digest(digest: Union[ProfileDigest, Mapping[str, Any]],
     if omitted > 0:
         lines.append(f"  ... {omitted} cooler span path(s) omitted ...")
     if digest.counters:
+        # Tag a counter with its owner only when the digest holds a
+        # span of that name (the rule perf-diff's worst_regression
+        # uses): offline runs count engine events with no
+        # slot_admission span.
+        leaves = {path.rsplit(PATH_SEP, 1)[-1] for path in digest.spans}
         owners = {series: counter_owner(series)
                   for series in sorted(digest.counters)}
         lines += list_lines("counters", (
             f"{series} = {digest.counters[series]:g}"
-            + (f" [{owner}]" if owner else "")
+            + (f" [{owner}]" if owner in leaves else "")
             for series, owner in owners.items()), markdown)
     return "\n".join(lines)
 

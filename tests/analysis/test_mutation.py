@@ -4,8 +4,8 @@ Copy the shipped sources into a fixture tree, seed exactly one
 violation, and verify the interprocedural pass catches it - in strict
 mode and through a baseline frozen on the clean tree.  These are the
 acceptance tests for DET010 (a wall-clock read two call-hops upstream
-of an Event payload) and CONC001 (a module-level dict written from a
-worker-reachable helper).
+of an emitted event's payload) and CONC001 (a module-level dict
+written from a worker-reachable helper).
 """
 
 import shutil
@@ -42,17 +42,17 @@ def copy_tree(tmp_path):
 
 
 def seed_det010(root):
-    """time.time() two call-hops upstream of an Event payload."""
+    """time.time() two call-hops upstream of a journaled event's
+    payload (the CHECKPOINT emission of the service loop)."""
     target = root / "repro" / "service" / "loop.py"
     text = target.read_text(encoding="utf-8")
     anchor = "    def tick(self"
     assert anchor in text
     text = text.replace(anchor, DET010_HELPERS + anchor, 1)
-    old = "        self._ops_journal.record(event)"
+    old = "        emit(EventKind.CHECKPOINT, slot)"
     assert old in text
-    new = ("        event = Event(slot=event.slot, kind=event.kind,\n"
-           "                      payload={'at':"
-           " self._enrich_detail(event.slot)})\n" + old)
+    new = ("        emit(EventKind.CHECKPOINT, slot,\n"
+           "             detail=self._enrich_detail(slot))")
     target.write_text(text.replace(old, new, 1), encoding="utf-8")
 
 

@@ -1,10 +1,15 @@
 """Unit and behavioural tests for the DynamicRR online policy."""
 
+from collections import Counter
+
 import pytest
 
-from repro.config import OnlineConfig
+from repro.config import (NetworkConfig, OnlineConfig, RequestConfig,
+                          SimulationConfig)
 from repro.core.dynamic_rr import DynamicRR
+from repro.core.instance import ProblemInstance
 from repro.sim.online_engine import OnlineEngine
+from repro.telemetry.audit import InvariantMonitor, Journal, use_journal
 
 
 def run_dynamic(instance, workload, horizon=40, seed=0, **kwargs):
@@ -81,3 +86,40 @@ class TestBehaviour:
         _policy, result = run_dynamic(small_instance, workload, seed=5)
         assert result.total_reward > 0.0
         assert result.num_admitted > 0
+
+
+class TestTheorem3EndToEnd:
+    """Successive elimination on a real run, under the online audit.
+
+    The regret ablation's grid (11 arms) with narrow confidence bounds
+    over 150 slots, so arms are eliminated inside the run and the
+    strict monitor checks each elimination against its confidence
+    intervals (``arm_separation``) as it is journaled.
+    """
+
+    def test_eliminations_pass_strict_arm_separation(self):
+        horizon = 150
+        sim = SimulationConfig(
+            network=NetworkConfig(num_base_stations=8),
+            requests=RequestConfig(num_requests=150,
+                                   stream_duration_slots=10),
+            online=OnlineConfig(horizon_slots=horizon, num_arms=11,
+                                confidence_scale=0.05),
+            seed=7,
+        ).validate()
+        instance = ProblemInstance.build(sim, seed=7)
+        workload = instance.new_workload(num_requests=150, seed=7,
+                                         horizon_slots=horizon)
+        journal = Journal()
+        monitor = InvariantMonitor(mode="strict")
+        journal.attach(monitor)
+        with use_journal(journal):
+            result = OnlineEngine(instance, workload,
+                                  horizon_slots=horizon, rng=7).run(
+                DynamicRR(sim.online, rng=7))
+        monitor.finish(result)
+        counts = Counter(event["kind"] for event in journal.events())
+        assert counts["arm_eliminated"] >= 1
+        assert monitor.checks["arm_separation"] \
+            == counts["arm_eliminated"]
+        assert monitor.ok

@@ -23,6 +23,7 @@ from repro.service import (AdmissionService, ServiceCheckpoint,
                            read_checkpoint, truncate_journal,
                            write_checkpoint)
 from repro.service.checkpoint import JournalCursor
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.export import read_jsonl
 from repro.telemetry.tracediff import first_divergence
 
@@ -100,16 +101,18 @@ class TestResumeByteIdentity:
         run_to_drain(resumed)
         assert resumed.counters == expected
 
-    def test_resume_emits_ops_resume_event_not_journal(
+    def test_resume_is_counted_not_journaled(
             self, make_service_config, tmp_path):
         config = checkpointed_config(make_service_config, tmp_path,
-                                     "ops", max_arrivals=40)
-        killed = AdmissionService(config)
+                                     "resumes", max_arrivals=40)
+        killed = AdmissionService(config, registry=MetricsRegistry())
         run_killed(killed, 10)
-        resumed = AdmissionService.resume(config.checkpoint_path)
-        kinds = [e.kind.value for e in resumed.ops_events]
-        assert kinds[0] == "resume"
+        registry = MetricsRegistry()
+        resumed = AdmissionService.resume(config.checkpoint_path,
+                                          registry=registry)
+        assert registry.counter("service_resumes_total") == 1
         run_to_drain(resumed)
+        assert registry.counter("service_resumes_total") == 1
         with open(config.journal_path) as handle:
             journal_kinds = {json.loads(line)["kind"] for line in handle}
         assert "resume" not in journal_kinds

@@ -12,8 +12,7 @@ import json
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.service import AdmissionService, MetricsEndpoint
+from repro.service import AdmissionService, MetricsEndpoint, http
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -149,7 +148,8 @@ class TestHealthRoutes:
 
     def test_readyz_503_when_checkpoint_stale(self,
                                               make_service_config,
-                                              tmp_path):
+                                              tmp_path, monkeypatch):
+        monkeypatch.setattr(http, "STALENESS_SLOTS", 2)
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         service = AdmissionService(make_service_config(
@@ -158,7 +158,7 @@ class TestHealthRoutes:
             checkpoint_every=1000))
         for _ in range(5):
             service.tick()
-        endpoint = MetricsEndpoint(service, staleness_slots=2)
+        endpoint = MetricsEndpoint(service)
         loop.run_until_complete(endpoint.start())
         try:
             status, _, body = http_get(endpoint.port, "/readyz")
@@ -195,17 +195,3 @@ class TestProtocolEdges:
         _, endpoint = served
         assert endpoint.port != 0
         assert endpoint.url == f"http://127.0.0.1:{endpoint.port}"
-
-
-class TestValidation:
-    def test_saturation_fraction_bounds(self, make_service_config):
-        service = AdmissionService(make_service_config(max_arrivals=5))
-        with pytest.raises(ConfigurationError):
-            MetricsEndpoint(service, saturation_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            MetricsEndpoint(service, saturation_fraction=1.5)
-
-    def test_staleness_slots_positive(self, make_service_config):
-        service = AdmissionService(make_service_config(max_arrivals=5))
-        with pytest.raises(ConfigurationError):
-            MetricsEndpoint(service, staleness_slots=0)

@@ -106,7 +106,6 @@ class FrozenService(AdmissionService):
                 metrics.observe("service_batch_size",
                                 float(len(batch)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
-            self._maybe_snapshot_metrics(slot)
         if self._stream.exhausted and outcome.pending_after == 0 \
                 and outcome.active_after == 0:
             self.done = True

@@ -134,6 +134,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AdmissionService(make_service_config(checkpoint_every=10))
 
+    def test_checkpoint_path_needs_cadence(self, make_service_config,
+                                           tmp_path):
+        # Accepted, a path with no cadence never wrote a checkpoint, so
+        # a later resume found no file.
+        with pytest.raises(ConfigurationError,
+                           match="checkpoint_path needs a "
+                                 "checkpoint_every"):
+            AdmissionService(make_service_config(
+                checkpoint_path=str(tmp_path / "nc.ckpt")))
+
     def test_queue_limit_must_be_positive(self, make_service_config):
         with pytest.raises(ConfigurationError):
             AdmissionService(make_service_config(queue_limit=0))

@@ -2,11 +2,11 @@
 
 One greedy and one DynamicRR run, each stopped at a short horizon so
 requests are still pending or running when the service closes, and the
-DynamicRR run also checkpoints and snapshots its registry.  The golden
-file holds every counter and every deterministic gauge of the run's
-registry: wall-clock series (``*_seconds``) and the allocation gauges
-are left out.  Any change to what the service meters shows up here as a
-named series with its old and new value.
+DynamicRR run also checkpoints.  The golden file holds every counter
+and every deterministic gauge of the run's registry: wall-clock series
+(``*_seconds``) and the allocation gauges are left out.  Any change to
+what the service meters shows up here as a named series with its old
+and new value.
 
 Regenerate with ``PYTHONPATH=src python tests/service/test_metrics_golden.py``
 after an intended change, and say which series moved.
@@ -27,13 +27,13 @@ from repro.telemetry.metrics import MetricsRegistry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "metrics_counters.json"
 
-#: Run name -> ServiceConfig overrides.
+#: Run name -> ServiceConfig overrides (a ``checkpoint_every`` run
+#: checkpoints to ``service.ckpt`` in the run's directory).
 RUNS = {
     "greedy": dict(policy="greedy", queue_limit=8,
                    mean_arrivals_per_slot=6.0),
     "dynamicrr": dict(policy="dynamicrr", queue_limit=32,
-                      mean_arrivals_per_slot=4.0, checkpoint_every=10,
-                      metrics_snapshot_every=7),
+                      mean_arrivals_per_slot=4.0, checkpoint_every=10),
 }
 
 
@@ -44,9 +44,10 @@ def _config(directory: pathlib.Path, **overrides) -> ServiceConfig:
         online=OnlineConfig(horizon_slots=40),
         seed=2468,
     ).validate()
-    settings = dict(sim=sim, horizon_slots=30, max_arrivals=400,
-                    checkpoint_path=str(directory / "service.ckpt"))
+    settings = dict(sim=sim, horizon_slots=30, max_arrivals=400)
     settings.update(overrides)
+    if "checkpoint_every" in overrides:
+        settings["checkpoint_path"] = str(directory / "service.ckpt")
     return ServiceConfig(**settings)
 
 

@@ -1,6 +1,5 @@
 """Service-side metrics wiring: registry instrumentation through
-tick(), cumulative SlotReport tallies, live status/__repr__, and the
-METRICS_SNAPSHOT ops stream.
+tick(), cumulative SlotReport tallies, and live status/__repr__.
 """
 
 from __future__ import annotations
@@ -134,65 +133,3 @@ class TestLiveIntrospection:
         assert "pending=0/64" in text
         assert "checkpoint=@" in text
         assert "done=True" in text
-
-
-class TestMetricsSnapshotStream:
-    def test_snapshot_cadence_and_payload(self, make_service_config,
-                                          tmp_path):
-        registry = MetricsRegistry()
-        ops_path = str(tmp_path / "ops.jsonl")
-        service = AdmissionService(
-            make_service_config(max_arrivals=40,
-                               metrics_snapshot_every=5,
-                               ops_journal_path=ops_path),
-            registry=registry)
-        run_to_drain(service)
-        slots = int(service.counters["slots"])
-        snapshots = [e for e in service.ops_events
-                     if e.kind.value == "metrics_snapshot"]
-        assert len(snapshots) == slots // 5
-        assert registry.counter("service_metrics_snapshots_total") == \
-            len(snapshots)
-        detail = dict()
-        for entry in snapshots[-1].detail:
-            if entry[0] == "counter":
-                detail[entry[1]] = entry[2]
-        # The snapshot includes its own counter (incremented first).
-        assert detail["service_metrics_snapshots_total"] == \
-            len(snapshots)
-        assert "service_slots_total" in detail
-
-    def test_ops_journal_persists_the_stream(self, make_service_config,
-                                             tmp_path):
-        ops_path = str(tmp_path / "ops.jsonl")
-        service = AdmissionService(
-            make_service_config(max_arrivals=40,
-                               metrics_snapshot_every=5,
-                               ops_journal_path=ops_path),
-            registry=MetricsRegistry())
-        run_to_drain(service)
-        with open(ops_path) as handle:
-            kinds = [json.loads(line)["kind"] for line in handle]
-        assert kinds.count("metrics_snapshot") == len(
-            [e for e in service.ops_events
-             if e.kind.value == "metrics_snapshot"])
-
-    def test_decision_journal_untouched_by_snapshots(
-            self, make_service_config, tmp_path):
-        """METRICS_SNAPSHOT is ops-side only: the decision journal
-        stays byte-identical with snapshots on."""
-        plain_config = make_service_config(
-            max_arrivals=40, journal_path=str(tmp_path / "plain.jsonl"))
-        snapped_config = make_service_config(
-            max_arrivals=40, journal_path=str(tmp_path / "snap.jsonl"),
-            metrics_snapshot_every=3,
-            ops_journal_path=str(tmp_path / "ops.jsonl"))
-        run_to_drain(AdmissionService(plain_config))
-        run_to_drain(AdmissionService(snapped_config,
-                                      registry=MetricsRegistry()))
-        plain = open(plain_config.journal_path, "rb").read()
-        snapped = open(snapped_config.journal_path, "rb").read()
-        assert plain == snapped
-        with open(snapped_config.journal_path) as handle:
-            kinds = {json.loads(line)["kind"] for line in handle}
-        assert "metrics_snapshot" not in kinds

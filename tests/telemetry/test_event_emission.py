@@ -6,9 +6,8 @@ audit role and counter series, and every emission goes through
 journals the event.  So on any run, each event counter equals the
 journal's count of its kind.  The runs below cover the offline
 (Appro, Heu), online (DynamicRR, OCORP with a station outage) and
-service (greedy, DynamicRR, and a DynamicRR kill/resume) paths; the
-ops-only kinds are counted in the service's ops journal, everything
-else in the decision journal.  Every kind occurs in at least one run,
+service (greedy, DynamicRR, and a DynamicRR kill/resume) paths, each
+against its decision journal.  Every kind occurs in at least one run,
 so no equality below holds vacuously.
 """
 
@@ -51,7 +50,7 @@ def _metered(run):
     registry = MetricsRegistry()
     with use_journal(Journal()) as journal, use_metrics(registry):
         run()
-    return registry, journal.events(), []
+    return registry, journal.events()
 
 
 def _offline(algorithm):
@@ -87,9 +86,8 @@ def _service_config(tmp_path, tag, policy, journaled=True):
         max_arrivals=150, mean_arrivals_per_slot=5.0, policy=policy,
         queue_limit=6,
         journal_path=str(tmp_path / f"{tag}.jsonl") if journaled else None,
-        ops_journal_path=str(tmp_path / f"{tag}.ops.jsonl"),
         checkpoint_path=str(tmp_path / f"{tag}.ckpt"),
-        checkpoint_every=5, metrics_snapshot_every=7, flush_every=1)
+        checkpoint_every=5, flush_every=1)
 
 
 def _drain(service):
@@ -113,8 +111,7 @@ def _service(tmp_path, tag, policy, kill_slot=None):
         registry = MetricsRegistry()
         _drain(AdmissionService.resume(config.checkpoint_path,
                                        registry=registry))
-    return (registry, _read(config.journal_path),
-            _read(config.ops_journal_path))
+    return registry, _read(config.journal_path)
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +134,8 @@ def _counter(registry, kind: EventKind) -> float:
 
 
 def _journal_count(run, kind: EventKind) -> int:
-    _registry, journal, ops = run
-    stream = ops if kind.spec.role is AuditRole.OPS_ONLY else journal
-    return sum(1 for event in stream if event["kind"] == kind.value)
+    _registry, journal = run
+    return sum(1 for event in journal if event["kind"] == kind.value)
 
 
 @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)

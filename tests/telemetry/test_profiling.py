@@ -211,6 +211,18 @@ class TestRender:
         assert first.startswith("offline_run ")
         assert "[lp_solve]" in text  # owner tag on joined counters
 
+    def test_counter_tagged_only_with_a_span_in_the_digest(self):
+        # An offline run counts engine events but has no
+        # slot_admission span: its counters stay untagged.
+        digest = digest_from_events(traced_run())
+        digest.counters["engine_arrivals_total"] = 4500.0
+        lines = render_digest(digest).splitlines()
+        assert any(line.strip() == "engine_arrivals_total = 4500"
+                   for line in lines)
+        assert not any("[slot_admission]" in line for line in lines)
+        assert any("lp_solves_total{mode=\"cold\"} = 1 [lp_solve]"
+                   in line for line in lines)
+
     def test_render_markdown(self):
         text = render_digest(digest_from_events(traced_run()),
                              markdown=True)
