@@ -2,16 +2,15 @@
 
 Exit codes match ``bench-diff`` / ``trace-diff``:
 
-* ``0`` - no findings beyond the committed baseline;
-* ``1`` - at least one new finding (each is printed with a fix hint);
+* ``0`` - no findings;
+* ``1`` - at least one finding (each is printed with a fix hint);
 * ``2`` - the scan itself could not run (bad path, unparsable file,
-  malformed baseline, unknown rule id).
+  unknown rule id on the command line or in a noqa pragma).
 
 Typical invocations::
 
     python -m repro.analysis src                 # gate (CI default)
     python -m repro.analysis src --format json   # machine-readable
-    python -m repro.analysis src --write-baseline  # freeze findings
     python -m repro.analysis --list-rules        # rule catalogue
 """
 
@@ -25,17 +24,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError
-from .baseline import (apply_baseline, load_baseline,
-                       refreeze_baseline)
-from .findings import Finding
 from .framework import RULES, AnalysisReport, run_analysis
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
-
-#: Baseline file picked up automatically when present in the cwd.
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def _split_rule_list(raw: Optional[str]) -> Optional[List[str]]:
@@ -52,16 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to scan (default: src)")
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of frozen findings (default: "
-             f"{DEFAULT_BASELINE}; silently skipped when absent)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file - report every finding")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="freeze the current findings into --baseline and exit 0")
     parser.add_argument(
         "--select", metavar="RULES",
         help="comma-separated rule ids to run (default: all)")
@@ -101,16 +84,12 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _json_report(report: AnalysisReport, new: Sequence[Finding],
-                 baselined: int,
-                 stale: Sequence[Any]) -> Dict[str, Any]:
+def _json_report(report: AnalysisReport) -> Dict[str, Any]:
     return {
-        "schema": "repro.analysis-report/1",
+        "schema": "repro.analysis-report/2",
         "files_scanned": report.files_scanned,
         "suppressed": report.suppressed,
-        "baselined": baselined,
-        "stale_baseline_entries": [list(fp) for fp in stale],
-        "findings": [finding.to_dict() for finding in new],
+        "findings": [finding.to_dict() for finding in report.findings],
     }
 
 
@@ -120,7 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return EXIT_OK
-    started = time.perf_counter()  # repro: noqa DET001 -- advisory scan timing for --stats, never serialized
+    started = time.perf_counter()  # repro: noqa DET010 -- advisory scan timing for --stats, never serialized
     try:
         report = run_analysis(
             [Path(p) for p in args.paths],
@@ -129,7 +108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigurationError as error:
         print(f"analysis error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    elapsed = time.perf_counter() - started  # repro: noqa DET001 -- advisory scan timing for --stats, never serialized
+    elapsed = time.perf_counter() - started  # repro: noqa DET010 -- advisory scan timing for --stats, never serialized
 
     if args.stats:
         print(f"stats: {report.files_scanned} file(s) scanned, "
@@ -144,27 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Path(args.dot).write_text(report.context.graph.to_dot(),
                                   encoding="utf-8")
 
-    if args.write_baseline:
-        _, pruned = refreeze_baseline(args.baseline, report.findings)
-        print(f"baseline: froze {len(report.findings)} finding(s) "
-              f"into {args.baseline} ({pruned} stale entr"
-              f"{'y' if pruned == 1 else 'ies'} pruned)")
-        return EXIT_OK
-
-    baselined = 0
-    stale: List[Any] = []
-    new = list(report.findings)
-    baseline_path = Path(args.baseline)
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except ConfigurationError as error:
-            print(f"analysis error: {error}", file=sys.stderr)
-            return EXIT_ERROR
-        new, baselined, stale = apply_baseline(report.findings,
-                                               baseline)
-
-    payload = _json_report(report, new, baselined, stale)
+    payload = _json_report(report)
     if args.output:
         Path(args.output).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -172,18 +131,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for finding in new:
+        for finding in report.findings:
             print(finding.render())
-        for fingerprint in stale:
-            print(f"warning: stale baseline entry (fixed? run "
-                  f"--write-baseline): {fingerprint}",
-                  file=sys.stderr)
-        summary = (f"checked {report.files_scanned} file(s): "
-                   f"{len(new)} new finding(s), "
-                   f"{baselined} baselined, "
-                   f"{report.suppressed} noqa-suppressed")
-        print(summary)
-    return EXIT_FINDINGS if new else EXIT_OK
+        print(f"checked {report.files_scanned} file(s): "
+              f"{len(report.findings)} finding(s), "
+              f"{report.suppressed} noqa-suppressed")
+    return EXIT_FINDINGS if report.findings else EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

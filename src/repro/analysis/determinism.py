@@ -1,112 +1,49 @@
-"""Determinism rules: DET001 wall-clock, DET002 OS-entropy RNG,
-DET003 unordered iteration feeding serialized output.
+"""File-local determinism rules: DET002 OS-entropy RNG, DET003
+unordered iteration feeding serialized output.
 
 These encode the determinism contract the repository keeps re-learning
 dynamically: every replayed run must produce byte-identical records
 (serial vs ``--workers N`` journal identity is CI-gated), which an
 unseeded RNG, a wall-clock read in a canonical record, or an
-unordered-container iteration order can silently break.
+unordered-container iteration order can silently break.  Wall-clock
+reads are DET010's (:mod:`repro.analysis.interprocedural`), which
+checks both the call site and where its value flows.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from .findings import Finding
 from .framework import ModuleInfo, Rule, dotted_name, register
-
-
-def import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> fully-qualified origin for every import.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from datetime
-    import datetime`` maps ``datetime -> datetime.datetime``.  Imports
-    are collected at every nesting level (function-local imports are
-    common for optional dependencies).
-    """
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                table[local] = alias.name if alias.asname \
-                    else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue  # relative imports never reach stdlib clocks
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                table[local] = f"{node.module}.{alias.name}"
-    return table
-
-
-def qualified_call(imports: Dict[str, str],
-                   node: ast.Call) -> Optional[str]:
-    """The callee's fully-qualified dotted name, import-resolved."""
-    chain = dotted_name(node.func)
-    if chain is None:
-        return None
-    head, _, rest = chain.partition(".")
-    origin = imports.get(head)
-    if origin is None:
-        return chain
-    return f"{origin}.{rest}" if rest else origin
-
-
-@register
-class WallClockRule(Rule):
-    """DET001: wall-clock reads outside the telemetry allowlist."""
-
-    rule_id = "DET001"
-    title = "wall-clock call outside the telemetry allowlist"
-    rationale = (
-        "Wall-clock values leak machine-specific noise into records; "
-        "PRs 2-4 each had to scrub clock fields out of serialized "
-        "output to keep run replays byte-identical.")
-    hint = ("route timing through repro.telemetry (tracer/ledger own "
-            "provenance clocks); a justified advisory measurement "
-            "needs '# repro: noqa DET001 -- why'")
-    # service/http.py and service/console.py are the *exposition
-    # layer*: scrape timestamps and poll pacing are wall-clock by
-    # meaning, and nothing in either module can reach journals,
-    # checkpoints, or records (docs/ANALYSIS.md, "DET001 and the
-    # exposition layer").
-    allowlist = ("repro/telemetry/ledger.py",
-                 "repro/telemetry/tracer.py",
-                 "repro/telemetry/progress.py",
-                 "repro/service/http.py",
-                 "repro/service/console.py")
-
-    _BANNED: Set[str] = {
-        "time.time", "time.time_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.process_time", "time.process_time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    }
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        imports = import_map(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = qualified_call(imports, node)
-            if qualified in self._BANNED:
-                yield self.finding(
-                    module, node,
-                    f"wall-clock call {qualified}() in "
-                    f"non-allowlisted module")
+from .symbols import collect_imports, qualified_call
 
 
 #: numpy.random constructors that are deterministic *when seeded*.
 _SEEDABLE_CTORS = {"default_rng", "Generator", "SeedSequence",
                    "PCG64", "Philox", "SFC64", "MT19937",
                    "BitGenerator"}
+
+#: Keywords that carry a seedable constructor's seed.
+_SEED_KEYWORDS = ("seed", "entropy", "bit_generator")
+
+
+def _unseeded(node: ast.Call) -> bool:
+    """True when a seedable constructor gets no seed or a literal None.
+
+    ``default_rng()``, ``default_rng(None)`` and
+    ``SeedSequence(entropy=None)`` all draw from OS entropy.
+    """
+    if node.args:
+        seed: Optional[ast.expr] = node.args[0]
+    else:
+        seed = next((kw.value for kw in node.keywords
+                     if kw.arg in _SEED_KEYWORDS), None)
+        if seed is None:
+            return not node.keywords  # called with no argument at all
+    return isinstance(seed, ast.Constant) and seed.value is None
 
 
 @register
@@ -124,7 +61,7 @@ class GlobalRngRule(Rule):
     allowlist = ("repro/rng.py",)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        imports = import_map(module.tree)
+        imports = collect_imports(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -140,7 +77,7 @@ class GlobalRngRule(Rule):
                 continue
             leaf = qualified.rsplit(".", 1)[1]
             if leaf in _SEEDABLE_CTORS:
-                if not node.args and not node.keywords:
+                if _unseeded(node):
                     yield self.finding(
                         module, node,
                         f"{qualified}() without a seed draws from OS "

@@ -2,10 +2,7 @@
 
 A :class:`Finding` pins one rule violation to a source location and
 carries everything the reporting layer needs: the human-readable
-message, a fix hint, and the stripped source line (``snippet``) that
-anchors the finding in the committed baseline.  Baselines match on
-``(rule, path, snippet)`` rather than line numbers so unrelated edits
-above a known finding do not invalidate the baseline.
+message, a fix hint, and the stripped source line (``snippet``).
 """
 
 from __future__ import annotations
@@ -20,15 +17,14 @@ class Finding:
     """One rule violation located in a scanned source tree.
 
     Attributes:
-        rule: rule identifier (``"DET001"`` ... ``"UNIT010"``).
+        rule: rule identifier (``"DET002"`` ... ``"UNIT010"``).
         path: path of the offending file, relative to the scanned
             root, in POSIX form.
         line: 1-based line number of the violation.
         col: 0-based column offset.
         message: what is wrong, in one sentence.
         hint: how to fix it (or how to suppress it legitimately).
-        snippet: the stripped source line, used as the baseline
-            fingerprint anchor.
+        snippet: the stripped source line, shown in the JSON report.
     """
 
     rule: str
@@ -38,11 +34,6 @@ class Finding:
     message: str
     hint: str = ""
     snippet: str = ""
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
 
     def sort_key(self) -> Tuple[str, int, int, str, str, str]:
         """Total order over findings.

@@ -1,18 +1,21 @@
 """Rule framework for the determinism / domain static-analysis pass.
 
 The pass is a small, dependency-free AST walker.  Each rule is a class
-with an id, a rationale, and a ``check`` hook; file rules see one
-parsed module at a time, dataflow rules (:class:`DataflowRule`) see the
-whole-program call graph built over the scanned tree.
+with an id, a rationale, and a ``check`` hook that sees one parsed
+module at a time; a dataflow rule (:class:`DataflowRule`) also has a
+``check_context`` hook that sees the whole-program call graph built
+over the scanned tree.
 
 Suppression uses a project-specific pragma so it can never collide
 with flake8/ruff ``# noqa`` handling::
 
-    reading = time.perf_counter()  # repro: noqa DET001 -- advisory metric
+    reading = time.perf_counter()  # repro: noqa DET010 -- advisory metric
 
 A bare ``# repro: noqa`` suppresses every rule on its line; one or
-more comma/space-separated rule ids suppress only those rules.  The
-text after ``--`` is a free-form justification (encouraged, unchecked).
+more comma/space-separated rule ids suppress only those rules.  A
+pragma naming an id that no rule registers fails the scan, so a stale
+or mistyped id cannot pass quietly.  The text after ``--`` is a
+free-form justification (encouraged, unchecked).
 """
 
 from __future__ import annotations
@@ -33,12 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel noqa entry meaning "every rule suppressed on this line".
 ALL_RULES = "*"
 
+#: A rule-id-shaped token: registered ids are three or four capitals
+#: and three digits (``DET010``, ``UNIT010``); anything else of this
+#: shape (``DET01O``) is parsed too, so it can be reported as unknown.
+_CODE = r"[A-Z]+\d[A-Z\d]*"
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa"
-    r"(?P<codes>(?:[\s:,]+[A-Z]{3}\d{3})*)"
+    rf"(?P<codes>(?:[\s:,]+{_CODE})*)"
     r"(?:\s*--\s*(?P<why>.*))?",
 )
-_CODE_RE = re.compile(r"[A-Z]{3}\d{3}")
+_CODE_RE = re.compile(_CODE)
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,11 @@ def module_from_source(source: str, relpath: str) -> ModuleInfo:
 
 
 class Rule:
-    """Base class of every check: one rule id, one ``check`` hook."""
+    """Base class of every check: one rule id, one ``check`` hook.
+
+    ``check`` sees one module at a time and is skipped on modules
+    matching ``allowlist``.
+    """
 
     #: Identifier reported in findings and matched by noqa pragmas.
     rule_id: str = ""
@@ -139,12 +150,13 @@ class Rule:
 
 
 class DataflowRule(Rule):
-    """A rule over the whole-program call-graph/dataflow context.
+    """A rule that also sees the whole-program call-graph context.
 
     The framework builds one :class:`~repro.analysis.dataflow.ProjectContext`
     per scan (summaries, symbol table, call graph) and hands it to
-    every registered dataflow rule; each rule layers its own taint or
-    reachability query on top.
+    every active dataflow rule's ``check_context``; each rule layers
+    its own taint or reachability query on top.  A rule whose bug
+    class also has a file-local site check overrides ``check`` too.
     """
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -218,7 +230,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 # ----------------------------------------------------------------------
 @dataclass
 class AnalysisReport:
-    """Outcome of one scan, before baseline filtering.
+    """Outcome of one scan.
 
     Attributes:
         findings: surviving findings in canonical order.
@@ -260,13 +272,35 @@ def load_modules(paths: Sequence[Path]) -> List[ModuleInfo]:
     return modules
 
 
+def _check_noqa_ids(modules: Sequence[ModuleInfo]) -> None:
+    """Reject pragmas naming ids that no rule registers.
+
+    Raises:
+        ConfigurationError: naming the first path, line and unknown id.
+    """
+    for module in modules:
+        for lineno in sorted(module.noqa):
+            unknown = sorted(module.noqa[lineno] - set(RULES)
+                             - {ALL_RULES})
+            if unknown:
+                raise ConfigurationError(
+                    f"{module.relpath}:{lineno}: noqa names unknown "
+                    f"rule {', '.join(unknown)}")
+
+
 def run_rules(modules: Sequence[ModuleInfo],
               rules: Sequence[Rule]) -> AnalysisReport:
     """Run rules over parsed modules, applying noqa suppression.
 
-    The whole-program context (summaries, call graph) is built once,
-    lazily, iff any :class:`DataflowRule` is active.
+    Every rule's ``check`` runs on each module outside its allowlist;
+    a :class:`DataflowRule` also runs ``check_context`` over the
+    whole-program context (summaries, call graph), built once, lazily,
+    iff any dataflow rule is active.
+
+    Raises:
+        ConfigurationError: when a pragma names an unknown rule id.
     """
+    _check_noqa_ids(modules)
     kept: List[Finding] = []
     suppressed = 0
     by_relpath = {module.relpath: module for module in modules}
@@ -287,16 +321,15 @@ def run_rules(modules: Sequence[ModuleInfo],
         context = build_context(modules)
 
     for rule in rules:
+        for module in modules:
+            if module.matches(rule.allowlist):
+                continue
+            for finding in rule.check(module):
+                admit(finding)
         if isinstance(rule, DataflowRule):
             assert context is not None
             for finding in rule.check_context(context):
                 admit(finding)
-        else:
-            for module in modules:
-                if module.matches(rule.allowlist):
-                    continue
-                for finding in rule.check(module):
-                    admit(finding)
     report = AnalysisReport(findings=sort_findings(kept),
                             files_scanned=len(modules),
                             suppressed=suppressed)

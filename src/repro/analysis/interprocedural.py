@@ -1,53 +1,69 @@
-"""Whole-program rules: DET010 transitive nondeterminism, CONC001
-shared mutable state, CONC002 blocking-in-async, PKL010 pickling
-reachability, UNIT010 interprocedural unit flow.
+"""Whole-program rules: DET010 nondeterminism, CONC001 shared mutable
+state, CONC002 blocking-in-async, PKL010 pickling, UNIT010 unit flow.
 
-These are the call-graph upgrades of the file-local catalogue: where
-DET001 flags a ``time.time()`` *call*, DET010 follows its *value*
-through returns, arguments, and ``self`` attributes until it reaches a
-serialization sink; where PKL001 spots a lambda in a payload
-expression, PKL010 walks the type closure of everything a payload can
-carry.  All five share one :class:`~repro.analysis.dataflow.ProjectContext`
-per scan.  See docs/ANALYSIS.md "Whole-program rules" for each rule's
+Each bug class has one rule.  DET010, PKL010 and UNIT010 check both
+the file-local site (a ``time.time()`` call outside the clock
+allowlist, a lambda passed into a payload constructor, a ``*_mhz``
+operand meeting a ``*_mbps`` one) and the whole-program flow (the
+clock's *value* reaching a serialization sink through any call chain,
+an unpicklable type in a payload's type closure, a unit family
+crossing a call boundary).  The flow checks share one
+:class:`~repro.analysis.dataflow.ProjectContext` per scan.  See
+docs/ANALYSIS.md "Whole-program rules" for each rule's
 sources/sinks/sanitizers tables and the over-approximation policy.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
 from .callgraph import split_node_key
 from .dataflow import ProjectContext, TaintAnalysis, async_functions
 from .findings import Finding
-from .framework import DataflowRule, register
-from .symbols import CallSite, FunctionSummary, unit_family
+from .framework import DataflowRule, ModuleInfo, dotted_name, register
+from .symbols import (CallSite, FunctionSummary, collect_imports,
+                      qualified_call, trailing_identifier, unit_family)
 
-#: Wall-clock / OS-entropy callables whose values DET010 tracks.
-DET010_SOURCES: FrozenSet[str] = frozenset({
+#: Wall-clock reads: flagged at the call site and tracked as values.
+CLOCK_CALLS: FrozenSet[str] = frozenset({
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
     "time.monotonic", "time.monotonic_ns",
     "time.process_time", "time.process_time_ns",
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
+})
+
+#: OS-entropy draws: tracked as values only (seeding is DET002's).
+ENTROPY_CALLS: FrozenSet[str] = frozenset({
     "os.urandom", "uuid.uuid1", "uuid.uuid4",
     "secrets.token_bytes", "secrets.token_hex",
     "secrets.token_urlsafe",
 })
 
-#: The telemetry *exposition layer*: functions here are opaque to
-#: DET010 taint (scrape timestamps, advisory latency histograms, and
-#: provenance clocks are wall-clock by meaning and cannot reach the
-#: decision path - docs/ANALYSIS.md "DET001 and the exposition layer").
-DET010_SANITIZERS: Tuple[str, ...] = (
+#: Callables whose values DET010 tracks to serialization sinks.
+DET010_SOURCES: FrozenSet[str] = CLOCK_CALLS | ENTROPY_CALLS
+
+#: Modules that may call a clock: provenance clocks (ledger, tracer,
+#: progress) and the service's *exposition layer* (scrape timestamps
+#: and poll pacing are wall-clock by meaning, and nothing there can
+#: reach journals, checkpoints, or records - docs/ANALYSIS.md, "DET010
+#: and the exposition layer").
+CLOCK_ALLOWLIST: Tuple[str, ...] = (
     "telemetry/ledger.py",
     "telemetry/tracer.py",
     "telemetry/progress.py",
-    "telemetry/metrics.py",
     "service/http.py",
     "service/console.py",
 )
+
+#: Modules opaque to DET010's taint: the clock allowlist plus the
+#: metrics registry, whose advisory latency histograms take clock
+#: values from callers without calling a clock itself.
+DET010_SANITIZERS: Tuple[str, ...] = CLOCK_ALLOWLIST + (
+    "telemetry/metrics.py",)
 
 #: Serialization sinks: constructors of journaled/checkpointed records
 #: and the journal's emission points (``emit`` builds its Event from
@@ -71,21 +87,39 @@ def _sink_name(site: CallSite) -> Optional[str]:
 
 @register
 class TransitiveNondeterminismRule(DataflowRule):
-    """DET010: wall-clock/entropy values reaching serialization."""
+    """DET010: wall-clock calls, and clock/entropy values reaching
+    serialization."""
 
     rule_id = "DET010"
-    title = "wall-clock/OS-entropy value reaches a serialization sink"
+    title = ("wall-clock call outside the allowlist, or a wall-clock/"
+             "OS-entropy value reaching a serialization sink")
     rationale = (
-        "DET001 catches the call; this catches the *value*: a "
+        "Wall-clock values leak machine-specific noise into records; "
+        "PRs 2-4 each had to scrub clock fields out of serialized "
+        "output to keep run replays byte-identical.  The rule flags "
+        "the clock call itself and follows its *value*: a "
         "perf_counter reading laundered through two helpers into an "
-        "Event payload or a ServiceCheckpoint field still breaks "
-        "byte-identical replay.  Sinks are Event(...), "
-        "ServiceCheckpoint(...), emit(...)/emit_many(...), and "
-        "journal .record(...); the "
+        "Event payload or a ServiceCheckpoint field is reported at "
+        "the sink.  Sinks are Event(...), ServiceCheckpoint(...), "
+        "emit(...)/emit_many(...), and journal .record(...); the "
         "telemetry exposition layer is a declared sanitizer.")
-    hint = ("keep wall-clock values inside the telemetry exposition "
-            "layer (metrics/tracer/ledger); derive journaled fields "
-            "from slots, seeds, and domain state only")
+    hint = ("route timing through repro.telemetry and derive "
+            "journaled fields from slots, seeds, and domain state "
+            "only; a justified advisory measurement needs "
+            "'# repro: noqa DET010 -- why'")
+    allowlist = CLOCK_ALLOWLIST
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        imports = collect_imports(module)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            qualified = qualified_call(imports, node)
+            if qualified in CLOCK_CALLS:
+                yield self.finding(
+                    module, node,
+                    f"wall-clock call {qualified}() in "
+                    f"non-allowlisted module")
 
     def check_context(self, context: ProjectContext
                       ) -> Iterator[Finding]:
@@ -290,25 +324,96 @@ PKL010_UNPICKLABLE: FrozenSet[str] = frozenset({
     "tempfile.TemporaryFile", "tempfile.NamedTemporaryFile",
 })
 
-#: Payload roots whose transitive type closure must stay picklable.
-_PKL_ROOTS = ("RunSpec", "ServiceCheckpoint")
+#: Payload constructors: RunSpecs cross the process-pool boundary,
+#: Events are journaled, ServiceCheckpoints are pickled to disk.  Their
+#: arguments and transitive type closures must stay picklable.
+PKL_PAYLOADS = ("RunSpec", "Event", "ServiceCheckpoint")
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _shallow(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node in ``scope`` without entering nested function bodies.
+
+    Nested function nodes themselves are yielded (so callers can
+    recurse into them explicitly); their bodies are not.
+    """
+    stack: List[ast.AST] = [scope]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node is not scope and isinstance(node, _FUNCTION_NODES):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 @register
 class PicklingReachabilityRule(DataflowRule):
-    """PKL010: unpicklable types reachable from payload closures."""
+    """PKL010: unpicklable values passed into payloads, and unpicklable
+    types reachable from their closures."""
 
     rule_id = "PKL010"
-    title = "unpicklable type reachable from a RunSpec/ServiceCheckpoint"
+    title = ("unpicklable value or type in a RunSpec/Event/"
+             "ServiceCheckpoint payload")
     rationale = (
-        "PKL001 spots a lambda at the payload call; this walks what "
-        "the payload *carries*: a class two attribute-hops inside a "
-        "checkpointed object that holds a threading.Lock or an open "
-        "file fails to pickle only when --workers or checkpointing "
-        "is actually exercised, far from the bug.")
-    hint = ("keep payload object graphs to plain data (dataclasses, "
-            "dicts, tuples); acquire locks/files/pools in the worker, "
-            "not in state that crosses the boundary")
+        "Payloads cross the process-pool boundary, the journal, and "
+        "the checkpoint file; a lambda, closure, or local class "
+        "passed into one - or a class two attribute-hops inside it "
+        "that holds a threading.Lock or an open file - fails to "
+        "pickle only when --workers or checkpointing is actually "
+        "exercised, far from the bug.")
+    hint = ("pass module-level functions and classes (functools."
+            "partial over module-level callables if needed) and keep "
+            "payload object graphs to plain data; acquire locks/"
+            "files/pools in the worker, not in state that crosses the "
+            "boundary")
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        yield from self._check_scope(module, module.tree, set())
+
+    def _check_scope(self, module: ModuleInfo, scope: ast.AST,
+                     inherited: Set[str]) -> Iterator[Finding]:
+        local = set(inherited)
+        nested: List[ast.AST] = []
+        in_function = isinstance(scope, _FUNCTION_NODES)
+        for node in _shallow(scope):
+            if node is scope:
+                continue
+            if isinstance(node, _FUNCTION_NODES):
+                nested.append(node)
+                if in_function:
+                    local.add(node.name)
+            elif isinstance(node, ast.ClassDef) and in_function:
+                local.add(node.name)
+        for node in _shallow(scope):
+            if isinstance(node, ast.Call):
+                yield from self._check_call(module, node, local)
+        for child in nested:
+            yield from self._check_scope(module, child, local)
+
+    def _check_call(self, module: ModuleInfo, node: ast.Call,
+                    local_names: Set[str]) -> Iterator[Finding]:
+        chain = dotted_name(node.func)
+        if chain is None:
+            return
+        ctor = chain.rsplit(".", 1)[-1]
+        if ctor not in PKL_PAYLOADS:
+            return
+        values: List[ast.expr] = list(node.args)
+        values.extend(kw.value for kw in node.keywords)
+        for value in values:
+            for inner in ast.walk(value):
+                if isinstance(inner, ast.Lambda):
+                    yield self.finding(
+                        module, inner,
+                        f"lambda passed into {ctor}(...) cannot be "
+                        f"pickled")
+                elif isinstance(inner, ast.Name) \
+                        and inner.id in local_names:
+                    yield self.finding(
+                        module, inner,
+                        f"locally-defined {inner.id!r} passed into "
+                        f"{ctor}(...) cannot be pickled")
 
     def _descriptor_classes(self, context: ProjectContext,
                             relpath: str,
@@ -338,7 +443,7 @@ class PicklingReachabilityRule(DataflowRule):
                 if site.chain is None:
                     continue
                 leaf = site.chain.split(".")[-1]
-                if leaf not in _PKL_ROOTS:
+                if leaf not in PKL_PAYLOADS:
                     continue
                 provenance = (f"{leaf}(...) at "
                               f"{summary.relpath}:{site.lineno}")
@@ -352,7 +457,7 @@ class PicklingReachabilityRule(DataflowRule):
                         roots.setdefault(ref, provenance)
         for relpath in sorted(context.summaries):
             summary = context.summaries[relpath]
-            for name in _PKL_ROOTS:
+            for name in PKL_PAYLOADS:
                 cls = summary.classes.get(name)
                 if cls is None:
                     continue
@@ -434,20 +539,56 @@ class PicklingReachabilityRule(DataflowRule):
         return None
 
 
+def _families(*operands: ast.AST) -> Set[str]:
+    """The unit families the operands' suffixes name."""
+    return {family for family in
+            (unit_family(trailing_identifier(operand))
+             for operand in operands) if family is not None}
+
+
 @register
 class InterproceduralUnitRule(DataflowRule):
-    """UNIT010: mhz/mbps families tracked through calls and returns."""
+    """UNIT010: mhz/mbps mixed in an expression, or tracked through
+    calls and returns."""
 
     rule_id = "UNIT010"
-    title = "mhz/mbps unit family crosses a call boundary unconverted"
+    title = ("mhz/mbps quantities mixed or passed across a call "
+             "boundary outside repro.units")
     rationale = (
-        "UNIT001 sees one expression at a time; a *_mbps return "
-        "feeding a *_mhz parameter two modules away is the same 8x "
-        "bug with a call boundary hiding it.  Families flow through "
-        "parameter names, return names, and returned calls; "
-        "repro.units converters are the declared crossing point.")
-    hint = ("convert at the boundary via repro.units, or rename the "
-            "parameter/return to the family actually carried")
+        "The paper mixes MHz compute and MB/s-vs-Mbps stream rates; "
+        "repro.units centralizes every conversion so no bare constant "
+        "can silently be off by 8x.  The rule checks each expression "
+        "and follows families through parameter names, return names, "
+        "and returned calls: a *_mbps return feeding a *_mhz "
+        "parameter two modules away is the same bug with a call "
+        "boundary hiding it.")
+    hint = ("convert explicitly via repro.units (demand_mhz, "
+            "rate_from_demand, mbps_to_mbytes_per_s, ...), or rename "
+            "the parameter/return to the family actually carried")
+    allowlist = ("repro/units.py",)
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.BinOp):
+                if len(_families(node.left, node.right)) > 1:
+                    yield self.finding(
+                        module, node,
+                        "arithmetic mixes *_mhz and *_mbps operands")
+            elif isinstance(node, ast.Compare):
+                if len(_families(node.left, *node.comparators)) > 1:
+                    yield self.finding(
+                        module, node,
+                        "comparison mixes *_mhz and *_mbps operands")
+            elif isinstance(node, ast.Assign) \
+                    and len(node.targets) == 1:
+                target = unit_family(
+                    trailing_identifier(node.targets[0]))
+                value = unit_family(trailing_identifier(node.value))
+                if target and value and target != value:
+                    yield self.finding(
+                        module, node,
+                        f"assigns a *_{value} value to a *_{target} "
+                        f"name")
 
     def _return_units(self, context: ProjectContext
                       ) -> Dict[str, Optional[str]]:

@@ -1,19 +1,19 @@
-"""Numeric-discipline rules: NUM001 float equality, UNIT001 unit mixing.
+"""Numeric-discipline rule NUM001: float equality.
 
 NUM001 targets the reward/capacity/rate arithmetic the paper's
 theorems quantify over - exact ``==``/``!=`` on those floats is almost
-always a latent tolerance bug.  UNIT001 enforces the unit-suffix
-discipline of :mod:`repro.units`: ``*_mhz`` and ``*_mbps`` quantities
-may only meet through that module's converters.
+always a latent tolerance bug.  Unit-suffix discipline (``*_mhz`` vs
+``*_mbps``) is UNIT010's, in :mod:`repro.analysis.interprocedural`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from .findings import Finding
 from .framework import ModuleInfo, Rule, register
+from .symbols import trailing_identifier
 
 #: snake_case tokens marking a domain quantity (reward/capacity/rate
 #: expressions in the paper's objective and constraints).
@@ -24,17 +24,8 @@ _DOMAIN_TOKENS: Set[str] = {
 }
 
 
-def _identifier(node: ast.AST) -> Optional[str]:
-    """The trailing identifier of a Name/Attribute operand."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _is_domain_name(node: ast.AST) -> bool:
-    ident = _identifier(node)
+    ident = trailing_identifier(node)
     if ident is None:
         return False
     return any(token in _DOMAIN_TOKENS
@@ -81,58 +72,5 @@ class FloatEqualityRule(Rule):
                         module, node,
                         "exact equality between domain float "
                         "quantities "
-                        f"({_identifier(left)!r} vs "
-                        f"{_identifier(right)!r})")
-
-
-def _unit_family(node: ast.AST) -> Optional[str]:
-    """``"mhz"``/``"mbps"`` from a trailing unit suffix, else None."""
-    ident = _identifier(node)
-    if ident is None:
-        return None
-    tail = ident.lower().rsplit("_", 1)[-1]
-    return tail if tail in ("mhz", "mbps") else None
-
-
-@register
-class UnitSuffixRule(Rule):
-    """UNIT001: ``*_mhz`` and ``*_mbps`` mixed without a converter."""
-
-    rule_id = "UNIT001"
-    title = "mhz/mbps quantities mixed outside repro.units"
-    rationale = (
-        "The paper mixes MHz compute and MB/s-vs-Mbps stream rates; "
-        "repro.units centralizes every conversion so no bare constant "
-        "can silently be off by 8x.")
-    hint = ("convert explicitly via repro.units (demand_mhz, "
-            "rate_from_demand, mbps_to_mbytes_per_s, ...)")
-    allowlist = ("repro/units.py",)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp):
-                families = {_unit_family(node.left),
-                            _unit_family(node.right)}
-                families.discard(None)
-                if len(families) > 1:
-                    yield self.finding(
-                        module, node,
-                        "arithmetic mixes *_mhz and *_mbps operands")
-            elif isinstance(node, ast.Compare):
-                families = {_unit_family(operand) for operand in
-                            [node.left] + list(node.comparators)}
-                families.discard(None)
-                if len(families) > 1:
-                    yield self.finding(
-                        module, node,
-                        "comparison mixes *_mhz and *_mbps operands")
-            elif isinstance(node, ast.Assign):
-                if len(node.targets) != 1:
-                    continue
-                target = _unit_family(node.targets[0])
-                value = _unit_family(node.value)
-                if target and value and target != value:
-                    yield self.finding(
-                        module, node,
-                        f"assigns a *_{value} value to a *_{target} "
-                        f"name")
+                        f"({trailing_identifier(left)!r} vs "
+                        f"{trailing_identifier(right)!r})")

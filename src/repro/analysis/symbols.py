@@ -61,7 +61,8 @@ def unit_family(identifier: Optional[str]) -> Optional[str]:
     return tail if tail in ("mhz", "mbps") else None
 
 
-def _trailing_identifier(node: ast.AST) -> Optional[str]:
+def trailing_identifier(node: ast.AST) -> Optional[str]:
+    """The trailing identifier of a Name/Attribute operand."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -177,12 +178,20 @@ def module_dotted_name(relpath: str) -> str:
     return ".".join(parts) if parts else trimmed
 
 
-def _collect_imports(tree: ast.Module, module: str,
-                     is_package: bool) -> Dict[str, str]:
-    """Local name -> fully-qualified origin, relative imports resolved."""
+def collect_imports(module: ModuleInfo) -> Dict[str, str]:
+    """Local name -> fully-qualified origin for every import.
+
+    ``import numpy as np`` maps ``np -> numpy``; ``from datetime
+    import datetime`` maps ``datetime -> datetime.datetime``; relative
+    imports resolve against the module's dotted path.  Imports are
+    collected at every nesting level (function-local imports are
+    common for optional dependencies).
+    """
     table: Dict[str, str] = {}
-    parts = module.split(".") if module else []
-    for node in ast.walk(tree):
+    dotted = module_dotted_name(module.relpath)
+    is_package = module.relpath.endswith("__init__.py")
+    parts = dotted.split(".") if dotted else []
+    for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -205,6 +214,19 @@ def _collect_imports(tree: ast.Module, module: str,
                 local = alias.asname or alias.name
                 table[local] = f"{prefix}.{alias.name}"
     return table
+
+
+def qualified_call(imports: Dict[str, str],
+                   node: ast.Call) -> Optional[str]:
+    """The callee's fully-qualified dotted name, import-resolved."""
+    chain = dotted_name(node.func)
+    if chain is None:
+        return None
+    head, _, rest = chain.partition(".")
+    origin = imports.get(head)
+    if origin is None:
+        return chain
+    return f"{origin}.{rest}" if rest else origin
 
 
 def _annotation_chains(node: Optional[ast.AST]) -> List[str]:
@@ -497,7 +519,7 @@ class _FunctionExtractor:
             if isinstance(node, ast.Return) and node.value is not None:
                 return_origins |= self.origins(node.value)
                 family = unit_family(
-                    _trailing_identifier(node.value))
+                    trailing_identifier(node.value))
                 if family is not None:
                     summary.return_units.append(family)
                 if isinstance(node.value, ast.Call):
@@ -523,7 +545,7 @@ class _FunctionExtractor:
         return summary
 
     def _arg_unit(self, value: ast.AST) -> Optional[str]:
-        family = unit_family(_trailing_identifier(value))
+        family = unit_family(trailing_identifier(value))
         if family is not None:
             return family
         if isinstance(value, ast.Call):
@@ -662,11 +684,10 @@ def _pool_targets(tree: ast.Module) -> List[str]:
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Extract the file-local :class:`ModuleSummary` of one module."""
-    is_package = module.relpath.endswith("__init__.py")
-    dotted = module_dotted_name(module.relpath)
     summary = ModuleSummary(
-        relpath=module.relpath, module=dotted,
-        imports=_collect_imports(module.tree, dotted, is_package),
+        relpath=module.relpath,
+        module=module_dotted_name(module.relpath),
+        imports=collect_imports(module),
         globals=_module_globals(module.tree),
         pool_targets=_pool_targets(module.tree))
     for node in module.tree.body:

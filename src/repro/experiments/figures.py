@@ -264,9 +264,9 @@ def run_figures(scale: Optional[ExperimentScale] = None,
         if reporter is not None:
             reporter.set_phase(f"fig{figure_id}")
             kwargs["progress"] = reporter
-        started = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        started = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
         sweep = driver(scale, **kwargs)
-        run.phases[f"fig{figure_id}"] = time.perf_counter() - started  # repro: noqa DET001 -- advisory runtime metric
+        run.phases[f"fig{figure_id}"] = time.perf_counter() - started  # repro: noqa DET010 -- advisory runtime metric
         run.sweeps[f"fig{figure_id}"] = sweep
         run.figures.append((figure_id, panels))
         for stream, merged in (("trace", run.trace),

@@ -256,9 +256,9 @@ def build_report(run: FigureRun,
         serial_s = float("nan")
         if measure_speedup and run.workers != 1:
             driver, _panels = figures.FIGURES[figure_id]
-            start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+            start = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
             driver(scale, workers=1)
-            serial_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
+            serial_s = time.perf_counter() - start  # repro: noqa DET010 -- advisory runtime metric
         timings.append((figure_id, run.phases[f"fig{figure_id}"],
                         serial_s))
         parts.append(render_figure_markdown(

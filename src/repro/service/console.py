@@ -10,7 +10,7 @@ installed beyond the standard library.
 
 Like :mod:`repro.service.http`, this is exposition-layer code: it
 reads the wall clock to compute scrape-to-scrape rates and to pace the
-watch loop, and is DET001-allowlisted for it.  Nothing here can touch
+watch loop, and is DET010-allowlisted for it.  Nothing here can touch
 journals, checkpoints, or the service's decision path.
 """
 

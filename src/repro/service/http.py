@@ -29,7 +29,7 @@ HTTP framework dependencies.  Three routes:
 This module is the service's **exposition layer**: the one place
 wall-clock time may legitimately appear next to metric data (scrape
 timestamps are meaningful to an operator, meaningless to the
-determinism contract).  It is therefore on the DET001 allowlist - see
+determinism contract).  It is therefore on the DET010 clock allowlist - see
 docs/ANALYSIS.md for the rationale.
 """
 
@@ -166,7 +166,7 @@ class MetricsEndpoint:
         return _json_bytes({
             "status": self.service.status(),
             "metrics": self.service.metrics.snapshot(),
-            # Scrape timestamp: exposition-layer wall clock (DET001
+            # Scrape timestamp: exposition-layer wall clock (DET010
             # allowlisted; never enters journals or checkpoints).
             "scraped_unix": time.time(),
         })

@@ -159,7 +159,7 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
     capture = profiling.Capture(profile=bool(profile or profile_out),
                                 profile_mem=profile_mem,
                                 registry=registry)
-    began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+    began = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     killed_summary: Optional[Dict[str, Any]] = None
     with capture:
         if kill_at_slot is not None:
@@ -182,7 +182,7 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
             service.close()
     if killed_summary is not None:
         return killed_summary
-    elapsed = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
+    elapsed = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,
                       name=name, captured=capture,
                       profile_out=profile_out)
@@ -209,14 +209,14 @@ def run_resume(checkpoint_path: str,
     capture = profiling.Capture(profile=bool(profile or profile_out),
                                 profile_mem=profile_mem,
                                 registry=service.metrics)
-    began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+    began = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     with capture:
         if metrics_port is not None:
             asyncio.run(_serve_with_endpoint(service, metrics_port))
         else:
             asyncio.run(service.serve())
         service.close()
-    elapsed = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
+    elapsed = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,
                       name=name, resumed=True, captured=capture,
                       profile_out=profile_out)

@@ -317,7 +317,7 @@ class AdmissionService:
         if not self._started:
             self.start()
         metrics = self._metrics
-        began = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        began = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
         # Arrivals past the queue's room are shed at ingress, so the
         # stream builds only the ones that fit.
         room = max(0, self.config.queue_limit
@@ -353,7 +353,7 @@ class AdmissionService:
                 metrics.observe("service_batch_size",
                                 float(len(accepted) + len(shed)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
-        tick_seconds = time.perf_counter() - began  # repro: noqa DET001 -- advisory runtime metric
+        tick_seconds = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
         self.slot_latency.observe(tick_seconds, slot)
         if metrics.enabled:
             metrics.observe("service_slot_latency_seconds",

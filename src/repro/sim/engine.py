@@ -81,9 +81,9 @@ def run_offline(algorithm: OfflineAlgorithm,
     _emit_arrivals(instance, prepared)
     with tracer.span("offline_run", algorithm=algorithm.name):
         rng = forks.child(f"algo_{algorithm.name}")
-        start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        start = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
         result = algorithm.run(instance, prepared, rng=rng)
-        result.runtime_s = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
+        result.runtime_s = time.perf_counter() - start  # repro: noqa DET010 -- advisory runtime metric
     _emit_decisions(prepared, result)
     return result
 

@@ -370,7 +370,7 @@ class OnlineEngine:
             A :class:`ScheduleResult` covering every request that
             arrived within the horizon.
         """
-        start_time = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+        start_time = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
         decided = self._decided = {}
         self.announce_stations()
         policy.begin(self)
@@ -381,7 +381,7 @@ class OnlineEngine:
         for request in self._requests:
             if request.arrival_slot < self.clock.horizon_slots:
                 result.add(decided[request.request_id])
-        result.runtime_s = time.perf_counter() - start_time  # repro: noqa DET001 -- advisory runtime metric
+        result.runtime_s = time.perf_counter() - start_time  # repro: noqa DET010 -- advisory runtime metric
         return result
 
     def announce_stations(self) -> None:

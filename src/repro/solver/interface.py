@@ -89,14 +89,14 @@ def solve_lp(lp: LinearProgram,
     """
     if backend not in ("scipy", "simplex"):
         raise SolverError(f"unknown LP backend {backend!r}")
-    start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+    start = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     with get_tracer().span("lp_solve", backend=backend):
         if backend == "scipy":
             objective, x = solve_lp_scipy(lp)
         else:
             objective, x = solve_with_simplex(lp)
         get_metrics().inc("lp_solves_total")
-    elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
+    elapsed = time.perf_counter() - start  # repro: noqa DET010 -- advisory runtime metric
     return Solution(status=SolveStatus.OPTIMAL, objective=objective, x=x,
                     backend=backend, solve_time_s=elapsed,
                     names=lp.variable_names)
@@ -117,7 +117,7 @@ def solve_ilp(lp: LinearProgram,
         SolverError: unknown backend.
         InfeasibleProblemError: no integral feasible point.
     """
-    start = time.perf_counter()  # repro: noqa DET001 -- advisory runtime metric
+    start = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     with get_tracer().span("ilp_solve", backend=backend):
         if backend == "scipy":
             objective, x = solve_ilp_scipy(lp)
@@ -129,7 +129,7 @@ def solve_ilp(lp: LinearProgram,
                                                        oracles[lp_backend])
         else:
             raise SolverError(f"unknown ILP backend {backend!r}")
-    elapsed = time.perf_counter() - start  # repro: noqa DET001 -- advisory runtime metric
+    elapsed = time.perf_counter() - start  # repro: noqa DET010 -- advisory runtime metric
     return Solution(status=SolveStatus.OPTIMAL, objective=objective, x=x,
                     backend=backend, solve_time_s=elapsed,
                     names=lp.variable_names)

@@ -25,7 +25,7 @@ two runs of the same seed produce identical *deterministic* series.
 Wall-clock quantities (per-slot tick latency) may be observed into
 clearly named histograms (``*_seconds``) - they are advisory, exactly
 like ``runtime_s`` in the run ledger.  Wall-clock *reads* stay confined
-to the exposition layer (:mod:`repro.service.http`), which is DET001
+to the exposition layer (:mod:`repro.service.http`), which is DET010
 allowlisted for that reason.
 
 The module-level *current registry* defaults to :data:`NULL_REGISTRY`,

@@ -44,12 +44,11 @@ def write_module(tmp_path, source, relpath="repro/x/mod.py"):
 class TestExitCodes:
     def test_clean_tree_exits_0(self, tmp_path):
         write_module(tmp_path, CLEAN)
-        assert main([str(tmp_path), "--no-baseline"]) == EXIT_OK
+        assert main([str(tmp_path)]) == EXIT_OK
 
     def test_seeded_violation_exits_1(self, tmp_path):
         write_module(tmp_path, VIOLATING)
-        assert main([str(tmp_path),
-                     "--no-baseline"]) == EXIT_FINDINGS
+        assert main([str(tmp_path)]) == EXIT_FINDINGS
 
     def test_missing_path_exits_2(self, tmp_path):
         assert main([str(tmp_path / "nowhere")]) == EXIT_ERROR
@@ -63,85 +62,54 @@ class TestExitCodes:
         assert main([str(tmp_path), "--select",
                      "ZZZ999"]) == EXIT_ERROR
 
-    def test_malformed_baseline_exits_2(self, tmp_path):
-        write_module(tmp_path, VIOLATING)
-        bad = tmp_path / "base.json"
-        bad.write_text("{}", encoding="utf-8")
-        assert main([str(tmp_path), "--baseline",
-                     str(bad)]) == EXIT_ERROR
-
-
-class TestBaselineWorkflow:
-    def test_write_baseline_then_rerun_exits_0(self, tmp_path,
-                                               capsys):
-        write_module(tmp_path, VIOLATING)
-        baseline = tmp_path / "base.json"
-        assert main([str(tmp_path), "--baseline", str(baseline),
-                     "--write-baseline"]) == EXIT_OK
-        assert baseline.exists()
-        assert main([str(tmp_path), "--baseline",
-                     str(baseline)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_no_baseline_flag_overrides(self, tmp_path):
-        write_module(tmp_path, VIOLATING)
-        baseline = tmp_path / "base.json"
-        main([str(tmp_path), "--baseline", str(baseline),
-              "--write-baseline"])
-        assert main([str(tmp_path), "--baseline", str(baseline),
-                     "--no-baseline"]) == EXIT_FINDINGS
-
-    def test_new_violation_escapes_baseline(self, tmp_path):
-        write_module(tmp_path, VIOLATING)
-        baseline = tmp_path / "base.json"
-        main([str(tmp_path), "--baseline", str(baseline),
-              "--write-baseline"])
-        write_module(
-            tmp_path,
-            VIOLATING + "def extra():\n    return time.time_ns()\n")
-        assert main([str(tmp_path), "--baseline",
-                     str(baseline)]) == EXIT_FINDINGS
+    def test_unknown_noqa_id_exits_2(self, tmp_path, capsys):
+        # a pragma left on a retired id must not pass quietly
+        write_module(tmp_path, VIOLATING.replace(
+            "time.time()", "time.time()  # repro: noqa DET001"))
+        assert main([str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "repro/x/mod.py:3" in err
+        assert "DET001" in err
 
 
 class TestReportFormats:
     def test_text_report_names_rule_and_hint(self, tmp_path, capsys):
         write_module(tmp_path, VIOLATING)
-        main([str(tmp_path), "--no-baseline"])
+        main([str(tmp_path)])
         out = capsys.readouterr().out
-        assert "DET001" in out
+        assert "DET010" in out
         assert "hint:" in out
-        assert "new finding(s)" in out
+        assert "1 finding(s)" in out
 
     def test_json_format_parses(self, tmp_path, capsys):
         write_module(tmp_path, VIOLATING)
-        main([str(tmp_path), "--no-baseline", "--format", "json"])
+        main([str(tmp_path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.analysis-report/1"
-        assert payload["findings"][0]["rule"] == "DET001"
+        assert payload["schema"] == "repro.analysis-report/2"
+        assert payload["findings"][0]["rule"] == "DET010"
 
     def test_output_artifact_written(self, tmp_path, capsys):
         write_module(tmp_path, VIOLATING)
         artifact = tmp_path / "report.json"
-        main([str(tmp_path), "--no-baseline", "--output",
+        main([str(tmp_path), "--output",
               str(artifact)])
         capsys.readouterr()
         payload = json.loads(artifact.read_text(encoding="utf-8"))
-        assert payload["findings"][0]["rule"] == "DET001"
+        assert payload["findings"][0]["rule"] == "DET010"
 
     def test_list_rules_catalogues_all_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_OK
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "NUM001",
-                        "UNIT001", "PKL001", "DET010", "CONC001",
-                        "CONC002", "PKL010", "UNIT010"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line and not line.startswith(" ")]
+        assert listed == ["DET002", "DET003", "NUM001", "DET010",
+                          "CONC001", "CONC002", "PKL010", "UNIT010"]
 
 
 class TestWholeProgramFlags:
     def test_stats_line_on_stderr(self, tmp_path, capsys):
         write_module(tmp_path, CLEAN)
-        main([str(tmp_path), "--no-baseline", "--stats"])
+        main([str(tmp_path), "--stats"])
         err = capsys.readouterr().err
         assert "stats:" in err
         assert "file(s) scanned" in err
@@ -151,7 +119,7 @@ class TestWholeProgramFlags:
     def test_dot_artifact_written(self, tmp_path, capsys):
         write_module(tmp_path, CLEAN)
         dot = tmp_path / "callgraph.dot"
-        main([str(tmp_path), "--no-baseline", "--dot", str(dot)])
+        main([str(tmp_path), "--dot", str(dot)])
         capsys.readouterr()
         assert dot.read_text(
             encoding="utf-8").startswith("digraph callgraph {")
@@ -159,24 +127,10 @@ class TestWholeProgramFlags:
     def test_dot_without_dataflow_rules_exits_2(self, tmp_path,
                                                 capsys):
         write_module(tmp_path, CLEAN)
-        code = main([str(tmp_path), "--no-baseline",
-                     "--select", "DET001", "--dot",
+        code = main([str(tmp_path), "--select", "DET002", "--dot",
                      str(tmp_path / "g.dot")])
         capsys.readouterr()
         assert code == EXIT_ERROR
-
-    def test_write_baseline_reports_pruned_count(self, tmp_path,
-                                                 capsys):
-        write_module(tmp_path, VIOLATING)
-        baseline = tmp_path / "base.json"
-        main([str(tmp_path), "--baseline", str(baseline),
-              "--write-baseline"])
-        assert "(0 stale entries pruned)" in \
-            capsys.readouterr().out
-        write_module(tmp_path, CLEAN)
-        main([str(tmp_path), "--baseline", str(baseline),
-              "--write-baseline"])
-        assert "(1 stale entry pruned)" in capsys.readouterr().out
 
 
 def write_tree(tmp_path, helper_source):
@@ -187,13 +141,14 @@ def write_tree(tmp_path, helper_source):
 class TestRescan:
     def test_edited_callee_refreshes_caller_findings(self, tmp_path):
         # caller.py never changes, but editing helper.py to return
-        # wall-clock must surface a DET010 finding *in caller.py*.
+        # wall-clock must surface a DET010 flow finding *in caller.py*
+        # next to the site finding at the clock call in helper.py.
         write_tree(tmp_path, CLEAN_HELPER)
         assert run_analysis([tmp_path], select=["DET010"]).findings == []
         write_tree(tmp_path, TAINTED_HELPER)
         report = run_analysis([tmp_path], select=["DET010"])
-        assert len(report.findings) == 1
-        assert report.findings[0].path == "repro/caller.py"
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("repro/caller.py", 5), ("repro/helper.py", 3)]
         # ...and fixing it clears the finding again.
         write_tree(tmp_path, CLEAN_HELPER)
         assert run_analysis([tmp_path], select=["DET010"]).findings == []
@@ -204,7 +159,7 @@ class TestJsonStability:
                                                     capsys):
         # two findings on one line exercise the extended sort key
         write_tree(tmp_path, TAINTED_HELPER)
-        args = [str(tmp_path), "--no-baseline", "--format", "json"]
+        args = [str(tmp_path), "--format", "json"]
         main(args)
         first = capsys.readouterr().out
         main(args)

@@ -1,4 +1,5 @@
-"""Positive/negative fixtures for DET001, DET002, and DET003."""
+"""Positive/negative fixtures for DET010's site check, DET002, and
+DET003."""
 
 from repro.analysis import analyze_source
 
@@ -9,19 +10,21 @@ def rules_hit(source, relpath="repro/sim/mod.py", select=None):
 
 
 class TestDet001WallClock:
+    """DET010's file-local site check (the wall-clock call itself)."""
+
     def test_time_time_flagged(self):
         source = (
             "import time\n"
             "def stamp():\n"
             "    return time.time()\n")
-        assert rules_hit(source, select=["DET001"]) == ["DET001"]
+        assert rules_hit(source, select=["DET010"]) == ["DET010"]
 
     def test_perf_counter_from_import_flagged(self):
         source = (
             "from time import perf_counter\n"
             "def stamp():\n"
             "    return perf_counter()\n")
-        assert rules_hit(source, select=["DET001"]) == ["DET001"]
+        assert rules_hit(source, select=["DET010"]) == ["DET010"]
 
     def test_datetime_now_flagged_both_import_forms(self):
         plain = (
@@ -32,14 +35,14 @@ class TestDet001WallClock:
             "from datetime import datetime\n"
             "def stamp():\n"
             "    return datetime.now()\n")
-        assert rules_hit(plain, select=["DET001"]) == ["DET001"]
-        assert rules_hit(from_form, select=["DET001"]) == ["DET001"]
+        assert rules_hit(plain, select=["DET010"]) == ["DET010"]
+        assert rules_hit(from_form, select=["DET010"]) == ["DET010"]
 
     def test_negative_simulated_clock_ok(self):
         source = (
             "def advance(clock):\n"
             "    return clock.now_ms() + 50\n")
-        assert rules_hit(source, select=["DET001"]) == []
+        assert rules_hit(source, select=["DET010"]) == []
 
     def test_allowlisted_tracer_module_ok(self):
         source = (
@@ -47,9 +50,9 @@ class TestDet001WallClock:
             "def stamp():\n"
             "    return time.perf_counter()\n")
         assert rules_hit(source, relpath="repro/telemetry/tracer.py",
-                         select=["DET001"]) == []
+                         select=["DET010"]) == []
         assert rules_hit(source, relpath="repro/telemetry/ledger.py",
-                         select=["DET001"]) == []
+                         select=["DET010"]) == []
 
 
 class TestDet002GlobalRng:
@@ -80,6 +83,34 @@ class TestDet002GlobalRng:
             "def fresh():\n"
             "    return np.random.default_rng()\n")
         assert rules_hit(source, select=["DET002"]) == ["DET002"]
+
+    def test_none_seed_default_rng_flagged(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh():\n"
+            "    return np.random.default_rng(None)\n")
+        assert rules_hit(source, select=["DET002"]) == ["DET002"]
+
+    def test_none_seed_keyword_flagged(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh():\n"
+            "    return np.random.default_rng(seed=None)\n")
+        assert rules_hit(source, select=["DET002"]) == ["DET002"]
+
+    def test_none_seed_sequence_flagged(self):
+        source = (
+            "from numpy.random import SeedSequence\n"
+            "def fresh():\n"
+            "    return SeedSequence(None)\n")
+        assert rules_hit(source, select=["DET002"]) == ["DET002"]
+
+    def test_seed_sequence_argument_ok(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh(seq):\n"
+            "    return np.random.default_rng(seq)\n")
+        assert rules_hit(source, select=["DET002"]) == []
 
     def test_seeded_default_rng_ok(self):
         source = (

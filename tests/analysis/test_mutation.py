@@ -1,18 +1,17 @@
 """Whole-program mutation tests against the *real* tree.
 
 Copy the shipped sources into a fixture tree, seed exactly one
-violation, and verify the interprocedural pass catches it - in strict
-mode and through a baseline frozen on the clean tree.  These are the
+violation, and verify the analysis pass catches it.  These are the
 acceptance tests for DET010 (a wall-clock read two call-hops upstream
-of an emitted event's payload) and CONC001 (a module-level dict
-written from a worker-reachable helper).
+of an emitted event's payload), CONC001 (a module-level dict written
+from a worker-reachable helper), and PKL010 (a lambda passed into the
+service's ServiceCheckpoint).
 """
 
 import shutil
 from pathlib import Path
 
-from repro.analysis import run_analysis, save_baseline
-from repro.analysis.baseline import apply_baseline, load_baseline
+from repro.analysis import run_analysis
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -70,6 +69,17 @@ def seed_conc001(root):
     target.write_text(text, encoding="utf-8")
 
 
+def seed_pkl010(root):
+    """A lambda passed straight into the checkpoint constructor."""
+    target = root / "repro" / "service" / "loop.py"
+    text = target.read_text(encoding="utf-8")
+    old = "            config=self.config,\n"
+    assert text.count(old) == 1
+    target.write_text(text.replace(
+        old, "            config=lambda: self.config,\n"),
+        encoding="utf-8")
+
+
 def findings_for(root, select):
     return run_analysis([root], select=select).findings
 
@@ -95,16 +105,6 @@ class TestDet010Mutation:
         assert all(f.path.endswith("service/loop.py")
                    for f in findings)
 
-    def test_baseline_mode_still_catches_it(self, tmp_path):
-        root = copy_tree(tmp_path)
-        clean = findings_for(root, ["DET010"])
-        baseline_path = save_baseline(tmp_path / "base.json", clean)
-        seed_det010(root)
-        findings = findings_for(root, ["DET010"])
-        new, _, _ = apply_baseline(findings,
-                                   load_baseline(baseline_path))
-        assert new, "clock leak escaped through the baseline"
-
 
 class TestConc001Mutation:
     def test_strict_mode_catches_worker_global_write(self, tmp_path):
@@ -117,13 +117,12 @@ class TestConc001Mutation:
             in findings[0].message
         assert findings[0].path.endswith("experiments/executor.py")
 
-    def test_baseline_mode_still_catches_it(self, tmp_path):
+
+class TestPkl010Mutation:
+    def test_lambda_in_service_checkpoint_caught(self, tmp_path):
         root = copy_tree(tmp_path)
-        clean = findings_for(root, ["CONC001"])
-        baseline_path = save_baseline(tmp_path / "base.json", clean)
-        seed_conc001(root)
-        findings = findings_for(root, ["CONC001"])
-        new, _, _ = apply_baseline(findings,
-                                   load_baseline(baseline_path))
-        assert len(new) == 1
-        assert "_RESULT_MEMO" in new[0].message
+        seed_pkl010(root)
+        findings = findings_for(root, ["PKL010"])
+        assert len(findings) == 1
+        assert "ServiceCheckpoint" in findings[0].message
+        assert findings[0].path.endswith("service/loop.py")

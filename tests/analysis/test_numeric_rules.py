@@ -1,4 +1,4 @@
-"""Positive/negative fixtures for NUM001 and UNIT001."""
+"""Positive/negative fixtures for NUM001 and UNIT010's site check."""
 
 from repro.analysis import analyze_source
 
@@ -42,41 +42,43 @@ class TestNum001FloatEquality:
 
 
 class TestUnit001SuffixDiscipline:
+    """UNIT010's file-local check (one expression at a time)."""
+
     def test_binop_mixing_flagged(self):
         source = (
             "def demand(capacity_mhz, rate_mbps):\n"
             "    return capacity_mhz - rate_mbps\n")
-        assert rules_hit(source, select=["UNIT001"]) == ["UNIT001"]
+        assert rules_hit(source, select=["UNIT010"]) == ["UNIT010"]
 
     def test_comparison_mixing_flagged(self):
         source = (
             "def fits(capacity_mhz, rate_mbps):\n"
             "    return rate_mbps < capacity_mhz\n")
-        assert rules_hit(source, select=["UNIT001"]) == ["UNIT001"]
+        assert rules_hit(source, select=["UNIT010"]) == ["UNIT010"]
 
     def test_direct_assignment_mismatch_flagged(self):
         source = (
             "def alias(rate_mbps):\n"
             "    demand_mhz = rate_mbps\n"
             "    return demand_mhz\n")
-        assert rules_hit(source, select=["UNIT001"]) == ["UNIT001"]
+        assert rules_hit(source, select=["UNIT010"]) == ["UNIT010"]
 
     def test_same_family_arithmetic_ok(self):
         source = (
             "def headroom(capacity_mhz, reserved_mhz):\n"
             "    return capacity_mhz - reserved_mhz\n")
-        assert rules_hit(source, select=["UNIT001"]) == []
+        assert rules_hit(source, select=["UNIT010"]) == []
 
     def test_converter_call_ok(self):
         source = (
             "from repro.units import demand_mhz\n"
             "def need(rate_mbps, c_unit):\n"
             "    return demand_mhz(rate_mbps, c_unit)\n")
-        assert rules_hit(source, select=["UNIT001"]) == []
+        assert rules_hit(source, select=["UNIT010"]) == []
 
     def test_units_module_allowlisted(self):
         source = (
             "def mbps_to_mhz(rate_mbps, factor_mhz):\n"
             "    return rate_mbps * factor_mhz\n")
         assert rules_hit(source, relpath="repro/units.py",
-                         select=["UNIT001"]) == []
+                         select=["UNIT010"]) == []

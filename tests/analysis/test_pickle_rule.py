@@ -1,14 +1,16 @@
-"""Positive/negative fixtures for PKL001."""
+"""Positive/negative fixtures for PKL010's payload call-site check."""
 
 from repro.analysis import analyze_source
 
 
 def rules_hit(source, relpath="repro/experiments/mod.py"):
     return [f.rule for f in analyze_source(source, relpath,
-                                           select=["PKL001"])]
+                                           select=["PKL010"])]
 
 
 class TestPkl001UnpicklablePayloads:
+    """PKL010's file-local check of the payload constructor call."""
+
     def test_lambda_in_runspec_flagged(self):
         source = (
             "def build(config):\n"
@@ -16,7 +18,7 @@ class TestPkl001UnpicklablePayloads:
             "                   factory=lambda: object(),\n"
             "                   x=1.0, seed=0, config=config,\n"
             "                   num_requests=10)\n")
-        assert rules_hit(source) == ["PKL001"]
+        assert rules_hit(source) == ["PKL010"]
 
     def test_local_function_in_runspec_flagged(self):
         source = (
@@ -26,7 +28,7 @@ class TestPkl001UnpicklablePayloads:
             "    return RunSpec(mode='offline', factory=make,\n"
             "                   x=1.0, seed=0, config=config,\n"
             "                   num_requests=10)\n")
-        assert rules_hit(source) == ["PKL001"]
+        assert rules_hit(source) == ["PKL010"]
 
     def test_local_class_in_event_detail_flagged(self):
         source = (
@@ -35,7 +37,7 @@ class TestPkl001UnpicklablePayloads:
             "        pass\n"
             "    return Event(slot=slot, kind='admit',\n"
             "                 detail=Payload)\n")
-        assert rules_hit(source) == ["PKL001"]
+        assert rules_hit(source) == ["PKL010"]
 
     def test_closure_reference_through_nested_scope_flagged(self):
         source = (
@@ -47,7 +49,21 @@ class TestPkl001UnpicklablePayloads:
             "                       x=1.0, seed=0, config=config,\n"
             "                       num_requests=10)\n"
             "    return inner()\n")
-        assert rules_hit(source) == ["PKL001"]
+        assert rules_hit(source) == ["PKL010"]
+
+    def test_lambda_in_service_checkpoint_flagged(self):
+        source = (
+            "def snapshot(s):\n"
+            "    return ServiceCheckpoint(config=lambda: 0, slot=s)\n")
+        assert rules_hit(source) == ["PKL010"]
+
+    def test_local_function_in_service_checkpoint_flagged(self):
+        source = (
+            "def snapshot(s):\n"
+            "    def config():\n"
+            "        return 0\n"
+            "    return ServiceCheckpoint(config=config, slot=s)\n")
+        assert rules_hit(source) == ["PKL010"]
 
     def test_module_level_factory_ok(self):
         source = (
