@@ -33,8 +33,10 @@ _SEED_KEYWORDS = ("seed", "entropy", "bit_generator")
 def _unseeded(node: ast.Call) -> bool:
     """True when a seedable constructor gets no seed or a literal None.
 
-    ``default_rng()``, ``default_rng(None)`` and
-    ``SeedSequence(entropy=None)`` all draw from OS entropy.
+    ``default_rng()``, ``default_rng(None)``,
+    ``SeedSequence(entropy=None)`` and ``SeedSequence(spawn_key=(1,))``
+    all draw from OS entropy.  A ``**mapping`` may carry the seed, so it
+    counts as seeded.
     """
     if node.args:
         seed: Optional[ast.expr] = node.args[0]
@@ -42,7 +44,7 @@ def _unseeded(node: ast.Call) -> bool:
         seed = next((kw.value for kw in node.keywords
                      if kw.arg in _SEED_KEYWORDS), None)
         if seed is None:
-            return not node.keywords  # called with no argument at all
+            return all(kw.arg is not None for kw in node.keywords)
     return isinstance(seed, ast.Constant) and seed.value is None
 
 

@@ -21,7 +21,9 @@ free-form justification (encouraged, unchecked).
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
@@ -85,16 +87,23 @@ class ModuleInfo:
 
 
 def parse_noqa(lines: Sequence[str]) -> Dict[int, Set[str]]:
-    """Extract ``# repro: noqa`` pragmas from raw source lines."""
+    """Extract ``# repro: noqa`` pragmas from the comments of source lines.
+
+    Only comment tokens are read: a pragma quoted in a string or a
+    docstring waives nothing.
+    """
     table: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        if "repro:" not in text:
+    if not any("repro:" in text for text in lines):
+        return table
+    readline = io.StringIO("\n".join(lines) + "\n").readline
+    for token in tokenize.generate_tokens(readline):
+        if token.type != tokenize.COMMENT or "repro:" not in token.string:
             continue
-        match = _NOQA_RE.search(text)
+        match = _NOQA_RE.search(token.string)
         if match is None:
             continue
         codes = _CODE_RE.findall(match.group("codes") or "")
-        table[lineno] = set(codes) if codes else {ALL_RULES}
+        table[token.start[0]] = set(codes) if codes else {ALL_RULES}
     return table
 
 

@@ -385,6 +385,13 @@ class PicklingReachabilityRule(DataflowRule):
                     local.add(node.name)
             elif isinstance(node, ast.ClassDef) and in_function:
                 local.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(node.value, ast.Lambda) and in_function:
+                # ``cfg = lambda: 0`` pickles no better than the lambda.
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                local.update(target.id for target in targets
+                             if isinstance(target, ast.Name))
         for node in _shallow(scope):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, local)

@@ -13,7 +13,7 @@ carefully each algorithm leaves room for it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.assignment import OffloadDecision, ScheduleResult
 from ..core.instance import ProblemInstance
@@ -106,6 +106,8 @@ class OnlineBaselinePolicy:
     def __init__(self) -> None:
         self._engine = None
         self._slot = 0
+        #: Station id -> free capacity at this slot, before placements.
+        self._free: Dict[int, float] = {}
 
     def begin(self, engine) -> None:
         """Keep the engine view."""
@@ -134,6 +136,12 @@ class OnlineBaselinePolicy:
         engine = self._engine
         assert engine is not None
         self._slot = slot
+        # Nothing starts or ends inside schedule(): one snapshot, with
+        # the arithmetic of OnlineEngine.free_mhz, serves every request.
+        self._free = {station.station_id:
+                      max(0.0, station.effective_capacity_mhz
+                          - station.active_demand_mhz)
+                      for station in engine.station_loads()}
         placements = []
         planned = {sid: 0.0 for sid in engine.instance.network.station_ids}
         for request in self.order(slot, pending):
@@ -151,9 +159,7 @@ class OnlineBaselinePolicy:
     # Shared helpers ----------------------------------------------------
     def _free_for(self, station_id: int, planned_mhz) -> float:
         """Free capacity net of both active and this-slot-planned demand."""
-        engine = self._engine
-        assert engine is not None
-        return engine.free_mhz(station_id) - planned_mhz.get(station_id, 0.0)
+        return self._free[station_id] - planned_mhz.get(station_id, 0.0)
 
     def _feasible_stations(self, request: ARRequest) -> List[int]:
         """Stations meeting the deadline if placed this slot, nearest

@@ -89,10 +89,11 @@ class GreedyOnline(OnlineBaselinePolicy):
 
     def pick_station(self, request: ARRequest,
                      planned_mhz) -> Optional[int]:
-        feasible = self._feasible_stations(request)
-        if not feasible:
+        engine = self._engine
+        assert engine is not None
+        best = engine.fastest_feasible(request, self._slot)
+        if best is None:
             return None
-        best = feasible[0]
         if self._free_for(best, planned_mhz) < request.expected_demand_mhz:
             return None  # optimal server full: wait, no fallback
         return best

@@ -137,7 +137,7 @@ class HeuKktOnline(OnlineBaselinePolicy):
 
         def utilization(sid: int) -> float:
             capacity = engine.instance.network.station(sid).capacity_mhz
-            used = (capacity - engine.free_mhz(sid)
+            used = (capacity - self._free[sid]
                     + planned_mhz.get(sid, 0.0))
             return used / capacity
 

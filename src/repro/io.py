@@ -16,8 +16,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
-import networkx as nx
-
 from .config import (NetworkConfig, OnlineConfig, RequestConfig,
                      SimulationConfig)
 from .core.assignment import OffloadDecision, ScheduleResult
@@ -129,7 +127,7 @@ def save_instance(instance: ProblemInstance, path: PathLike) -> Path:
         "links": [
             {"u": u, "v": v,
              "delay_ms": instance.network.link_delay_ms(u, v)}
-            for u, v in sorted(instance.network.graph.edges)
+            for u, v in sorted(instance.network.links)
         ],
     }
     path = Path(path)
@@ -143,7 +141,6 @@ def load_instance(path: PathLike) -> ProblemInstance:
     _check_version(payload, "instance")
     config = config_from_dict(payload["config"])
 
-    graph = nx.Graph()
     stations = []
     base_delays = {}
     for entry in payload["stations"]:
@@ -151,11 +148,10 @@ def load_instance(path: PathLike) -> ProblemInstance:
             station_id=entry["id"],
             capacity_mhz=entry["capacity_mhz"],
             position=tuple(entry["position"])))
-        graph.add_node(entry["id"])
         base_delays[entry["id"]] = entry["base_delay_ms"]
-    for link in payload["links"]:
-        graph.add_edge(link["u"], link["v"], delay_ms=link["delay_ms"])
-    network = MECNetwork(stations=stations, graph=graph,
+    links = {(link["u"], link["v"]): link["delay_ms"]
+             for link in payload["links"]}
+    network = MECNetwork(stations=stations, links=links,
                          slot_size_mhz=payload["slot_size_mhz"])
     paths = PathTable(network)
     latency = LatencyModel(

@@ -5,19 +5,20 @@ to base station ``bs_i``, twice the transmission delay of every link on
 the shortest path ``p_{ji}`` between the user's serving station and
 ``bs_i`` (uplink + downlink), plus the per-task processing delays.
 
-:class:`PathTable` precomputes all-pairs shortest paths by transmission
-delay (Dijkstra via networkx) and caches both the path and its one-way
-delay, so algorithms can query round-trip delays in O(1).
+:class:`PathTable` runs one all-pairs Dijkstra by transmission delay
+(``scipy.sparse.csgraph.dijkstra`` over the network's link table) and
+keeps the delay matrix and the predecessor matrix, so algorithms can
+query round-trip delays in O(1) and any path by walking predecessors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-import networkx as nx
+from scipy.sparse.csgraph import dijkstra
 
 from ..exceptions import ConfigurationError
-from .topology import MECNetwork
+from .topology import MECNetwork, adjacency_matrix
 
 
 class PathTable:
@@ -27,23 +28,27 @@ class PathTable:
         network: the MEC network whose backhaul to index.
 
     The table is immutable after construction; rebuilding it after a
-    topology change is the caller's responsibility.
+    topology change is the caller's responsibility.  Each delay is the
+    smallest left-to-right float sum of link delays over all paths, so
+    it does not depend on how Dijkstra breaks ties.
     """
 
     def __init__(self, network: MECNetwork) -> None:
         self._network = network
-        self._delay: Dict[Tuple[int, int], float] = {}
-        self._paths: Dict[Tuple[int, int], List[int]] = {}
-        lengths = dict(nx.all_pairs_dijkstra_path_length(
-            network.graph, weight="delay_ms"))
-        paths = dict(nx.all_pairs_dijkstra_path(
-            network.graph, weight="delay_ms"))
-        for src, targets in lengths.items():
-            for dst, delay in targets.items():
-                self._delay[(src, dst)] = float(delay)
-        for src, targets in paths.items():
-            for dst, path in targets.items():
-                self._paths[(src, dst)] = list(path)
+        self._ids = network.station_ids
+        self._index = {sid: i for i, sid in enumerate(self._ids)}
+        delays, self._predecessors = dijkstra(
+            adjacency_matrix(self._ids, network.links), directed=False,
+            return_predecessors=True)
+        #: ``[src position][dst position]`` -> one-way delay (ms).
+        self._delay: List[List[float]] = delays.tolist()
+
+    def _positions(self, src: int, dst: int) -> Tuple[int, int]:
+        try:
+            return self._index[src], self._index[dst]
+        except KeyError:
+            raise ConfigurationError(
+                f"no path between stations {src} and {dst}") from None
 
     @property
     def network(self) -> MECNetwork:
@@ -52,11 +57,8 @@ class PathTable:
 
     def one_way_delay_ms(self, src: int, dst: int) -> float:
         """One-way transmission delay of one ``rho_unit`` from src to dst."""
-        try:
-            return self._delay[(src, dst)]
-        except KeyError:
-            raise ConfigurationError(
-                f"no path between stations {src} and {dst}") from None
+        i, j = self._positions(src, dst)
+        return self._delay[i][j]
 
     def round_trip_delay_ms(self, src: int, dst: int) -> float:
         """Round-trip delay ``sum_{e in p_ji} 2 * d^trans_je`` of Eq. (2)."""
@@ -64,11 +66,12 @@ class PathTable:
 
     def path(self, src: int, dst: int) -> List[int]:
         """Station ids along the shortest path (inclusive of endpoints)."""
-        try:
-            return list(self._paths[(src, dst)])
-        except KeyError:
-            raise ConfigurationError(
-                f"no path between stations {src} and {dst}") from None
+        i, j = self._positions(src, dst)
+        path = [dst]
+        while j != i:
+            j = int(self._predecessors[i, j])
+            path.append(self._ids[j])
+        return path[::-1]
 
     def hop_count(self, src: int, dst: int) -> int:
         """Number of backhaul links on the shortest path."""

@@ -4,7 +4,9 @@ The paper generates topologies with GT-ITM [13].  GT-ITM's flat random
 graphs use the Waxman model: nodes are placed uniformly in the unit
 square and an edge between nodes ``u`` and ``v`` appears with
 probability ``alpha * exp(-d(u, v) / (beta * d_max))``.  We reproduce
-that model (seeded, connectivity-repaired) on top of networkx.
+that model (seeded, connectivity-repaired); the backhaul is a link
+table ``{(u, v): delay_ms}``, and connectivity comes from
+``scipy.sparse.csgraph``.
 
 Each base station carries a computing capacity ``C(bs_i)`` drawn
 uniformly from the configured range, and each backhaul link carries a
@@ -17,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from ..config import NetworkConfig
 from ..exceptions import ConfigurationError
@@ -70,18 +73,20 @@ def slot_count(capacity_mhz: float, slot_size_mhz: float) -> int:
 class MECNetwork:
     """The MEC network ``G = (BS, E)``.
 
-    The backhaul is an undirected weighted graph over station ids; the
-    weight of edge ``(u, v)`` is the delay (ms) of transmitting one
-    ``rho_unit`` of data across that link.
+    The backhaul is an undirected weighted graph over station ids,
+    held as a link table: ``links[(u, v)]`` is the delay (ms) of
+    transmitting one ``rho_unit`` of data across link ``(u, v)``.
 
     Attributes:
         stations: the base stations, indexed by ``station_id``.
-        graph: networkx graph with a ``delay_ms`` attribute per edge.
+        links: ``{(u, v): delay_ms}``, one entry per undirected link;
+            construction stores each key as ``(min, max)`` and keeps
+            the given order.
         slot_size_mhz: the resource slot capacity ``C_l``.
     """
 
     stations: List[BaseStation]
-    graph: nx.Graph
+    links: Dict[Tuple[int, int], float]
     slot_size_mhz: float
     _by_id: Dict[int, BaseStation] = field(init=False, repr=False)
     _ids: List[int] = field(init=False, repr=False)
@@ -96,11 +101,18 @@ class MECNetwork:
         if len(self._by_id) != len(self.stations):
             raise ConfigurationError("duplicate station ids in network")
         self._ids = sorted(self._by_id)
-        for bs in self.stations:
-            if bs.station_id not in self.graph:
+        links: Dict[Tuple[int, int], float] = {}
+        for (u, v), delay_ms in self.links.items():
+            if u not in self._by_id or v not in self._by_id:
                 raise ConfigurationError(
-                    f"station {bs.station_id} missing from backhaul graph")
-        if not nx.is_connected(self.graph):
+                    f"link ({u}, {v}) names an unknown station")
+            key = (min(u, v), max(u, v))
+            if u == v or key in links:
+                raise ConfigurationError(
+                    f"link ({u}, {v}) is a self-loop or a duplicate")
+            links[key] = float(delay_ms)
+        self.links = links
+        if len(components(self._ids, links)) > 1:
             raise ConfigurationError("backhaul graph must be connected")
 
     def __len__(self) -> int:
@@ -129,7 +141,7 @@ class MECNetwork:
     def link_delay_ms(self, u: int, v: int) -> float:
         """Per-``rho_unit`` transmission delay of backhaul link (u, v)."""
         try:
-            return float(self.graph[u][v]["delay_ms"])
+            return self.links[(min(u, v), max(u, v))]
         except KeyError:
             raise ConfigurationError(f"no backhaul link ({u}, {v})") from None
 
@@ -144,7 +156,8 @@ class MECNetwork:
     def neighbors(self, station_id: int) -> List[int]:
         """Backhaul neighbours of a station, sorted ascending."""
         self.station(station_id)
-        return sorted(self.graph.neighbors(station_id))
+        return sorted(v if u == station_id else u for u, v in self.links
+                      if station_id in (u, v))
 
     def closest_station(self, position: Tuple[float, float],
                         exclude: Optional[set] = None) -> BaseStation:
@@ -190,26 +203,68 @@ def _waxman_edges(positions: np.ndarray, alpha: float, beta: float,
     return edges
 
 
-def _repair_connectivity(graph: nx.Graph, positions: np.ndarray) -> None:
-    """Connect graph components with the geometrically shortest bridges.
+def adjacency_matrix(ids: List[int],
+                     links: Dict[Tuple[int, int], float]) -> csr_array:
+    """``links`` as a square sparse matrix over the positions of the
+    sorted station ``ids``, ``[i, j] = delay`` once per link: the
+    undirected input of ``scipy.sparse.csgraph``."""
+    index = {sid: i for i, sid in enumerate(ids)}
+    rows = [index[u] for u, _ in links]
+    cols = [index[v] for _, v in links]
+    return csr_array((np.array(list(links.values()), dtype=float),
+                      (np.array(rows, dtype=np.intp),
+                       np.array(cols, dtype=np.intp))),
+                     shape=(len(ids), len(ids)))
+
+
+def components(ids: List[int], links: Dict[Tuple[int, int], float]
+               ) -> List[List[int]]:
+    """Connected components of the backhaul, each sorted ascending and
+    ordered by smallest member (the order networkx reports them in for
+    nodes inserted in id order)."""
+    _, labels = connected_components(adjacency_matrix(ids, links),
+                                     directed=False)
+    groups: Dict[int, List[int]] = {}
+    for sid, label in zip(ids, labels.tolist()):
+        groups.setdefault(label, []).append(sid)
+    return sorted(groups.values())
+
+
+def _repair_connectivity(edges: List[Tuple[int, int]],
+                         positions: np.ndarray) -> List[Tuple[int, int]]:
+    """The bridges that connect the graph, geometrically shortest first.
 
     GT-ITM guarantees connected topologies; a raw Waxman sample may not
-    be connected, so we add the shortest inter-component edge until the
-    graph is connected.  This keeps the added edges plausible (they are
-    exactly the edges the Waxman model was most likely to create).
+    be connected, so we add the shortest edge from the component of
+    station 0 to any other until the graph is connected.  This keeps
+    the added edges plausible (they are exactly the edges the Waxman
+    model was most likely to create).  Returns them as ``(u, v)`` with
+    ``u`` in station 0's component, in the order they were added.
     """
-    while not nx.is_connected(graph):
-        components = [sorted(c) for c in nx.connected_components(graph)]
-        base = components[0]
+    ids = list(range(positions.shape[0]))
+    links = dict.fromkeys(edges, 1.0)
+    bridges: List[Tuple[int, int]] = []
+    # Each pass rescans every (base, other) pair; compute each distance
+    # once, so a sparse sample with many components stays quadratic.
+    distance: Dict[Tuple[int, int], float] = {}
+    groups = components(ids, links)
+    while len(groups) > 1:
+        base = groups[0]
         best = None
-        for other in components[1:]:
+        for other in groups[1:]:
             for u in base:
                 for v in other:
-                    d = float(np.linalg.norm(positions[u] - positions[v]))
+                    d = distance.get((u, v))
+                    if d is None:
+                        d = distance[(u, v)] = float(
+                            np.linalg.norm(positions[u] - positions[v]))
                     if best is None or d < best[0]:
                         best = (d, u, v)
         assert best is not None
-        graph.add_edge(best[1], best[2])
+        bridges.append((best[1], best[2]))
+        links[(min(best[1], best[2]), max(best[1], best[2]))] = 1.0
+        groups = components(ids, links)
+    return bridges
 
 
 def generate_topology(config: NetworkConfig,
@@ -233,16 +288,18 @@ def generate_topology(config: NetworkConfig,
     n = config.num_base_stations
 
     positions = rng.random((n, 2))
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(
-        _waxman_edges(positions, config.waxman_alpha, config.waxman_beta, rng))
-    if n > 1:
-        _repair_connectivity(graph, positions)
-
+    waxman = _waxman_edges(positions, config.waxman_alpha,
+                           config.waxman_beta, rng)
+    bridges = _repair_connectivity(waxman, positions) if n > 1 else []
+    # Delays are drawn in networkx's ``Graph.edges`` order for nodes and
+    # edges added in this order: station by station, each station's
+    # links to higher ids, Waxman links (ascending) before bridges.
+    higher: List[List[int]] = [[] for _ in range(n)]
+    for u, v in waxman + bridges:
+        higher[min(u, v)].append(max(u, v))
     lo_d, hi_d = config.link_delay_range_ms
-    for u, v in graph.edges:
-        graph[u][v]["delay_ms"] = float(rng.uniform(lo_d, hi_d))
+    links = {(u, v): float(rng.uniform(lo_d, hi_d))
+             for u in range(n) for v in higher[u]}
 
     lo_c, hi_c = config.capacity_range_mhz
     stations = [
@@ -253,5 +310,5 @@ def generate_topology(config: NetworkConfig,
         )
         for i in range(n)
     ]
-    return MECNetwork(stations=stations, graph=graph,
+    return MECNetwork(stations=stations, links=links,
                       slot_size_mhz=config.slot_size_mhz)

@@ -171,7 +171,7 @@ class PoissonArrivalStream:
         The slot draws ``count`` arrivals.  The first ``min(count,
         room)`` are built and returned; the rest are shed unseen: their
         ids come back as a ``range`` and their parameter draws are made
-        but nothing is built (:meth:`RequestGenerator.skip_one`), so the
+        but nothing is built (:meth:`RequestGenerator.skip`), so the
         random streams end where building all ``count`` would leave
         them.  Both parts are empty when the Poisson draw is 0 or the
         stream is exhausted.
@@ -195,8 +195,7 @@ class PoissonArrivalStream:
         built = [generator.generate_one(request_id=first + k,
                                         arrival_slot=slot)
                  for k in range(kept)]
-        for _ in range(count - kept):
-            generator.skip_one()
+        generator.skip(count - kept)
         self._next_id = first + count
         return slot, built, range(first + kept, first + count)
 

@@ -21,6 +21,22 @@ from .distributions import RateGrid, decaying_distribution_on_grid
 from .request import ARRequest
 from .tasks import standard_ar_pipeline
 
+_WORD32 = np.uint64(0xFFFFFFFF)
+
+
+def lemire_rejects(words: np.ndarray, n: int) -> np.ndarray:
+    """Whether numpy's bounded ``integers(0, n)`` rejects each 32-bit word.
+
+    numpy draws a bounded integer below ``2**32`` with Lemire's method:
+    it multiplies a 32-bit word by ``n`` and rejects the word, drawing
+    another, iff ``(w * n) mod 2**32 < 2**32 mod n``.
+
+    Args:
+        words: 32-bit words, as a ``uint64`` array.
+        n: the number of values, ``2 <= n < 2**32``.
+    """
+    return (words * np.uint64(n)) & _WORD32 < np.uint64(2 ** 32 % n)
+
 
 class RequestGenerator:
     """Draws AR requests consistent with the paper's parameter settings.
@@ -46,6 +62,18 @@ class RequestGenerator:
         station_ids = np.array(network.station_ids)
         station_ids.flags.writeable = False
         self._station_ids = station_ids
+        #: Raw words one :meth:`skip_one` draws: the station and the
+        #: task count share one (a low and a high 32-bit half), then
+        #: one per double.
+        self._skip_stride = 1 + 2 + self._grid.rates.size
+        #: ``(stations, task counts)`` when :meth:`skip` may block-draw:
+        #: a PCG64 stream and two bounded draws of 2 to 2**32 - 1
+        #: values each (one value draws nothing; more takes 64 bits).
+        bounds = (station_ids.size,
+                  config.tasks_range[1] + 1 - config.tasks_range[0])
+        self._skip_bounds = (
+            bounds if type(self._rng.bit_generator) is np.random.PCG64
+            and all(2 <= n < 2 ** 32 for n in bounds) else None)
 
     @property
     def config(self) -> RequestConfig:
@@ -105,6 +133,38 @@ class RequestGenerator:
         # The unit price, the billed rate and one jitter per level:
         # one block draw returns the same doubles as the three calls.
         rng.random(2 + self._grid.rates.size)
+
+    def skip(self, count: int) -> None:
+        """Make ``count`` × :meth:`skip_one`'s draws, in one block.
+
+        On a PCG64 stream with no buffered 32-bit half, ``count``
+        requests that draw no rejected word take ``count × stride`` raw
+        words: the first word of each feeds the station (low half) and
+        task count (high half) draws, the rest its doubles.  So all but
+        the last request come from one ``random_raw`` block, checked
+        word by word with :func:`lemire_rejects`, and the last is one
+        :meth:`skip_one`, which leaves the buffered half where the loop
+        would.  Otherwise (a word that could be rejected, a buffered
+        half on entry, a bound outside ``2 .. 2**32 - 1``, another bit
+        generator) the state is restored and ``skip_one`` runs
+        ``count`` times.  Either way the stream ends exactly where
+        ``count`` × :meth:`skip_one` leaves it.
+        """
+        bounds = self._skip_bounds
+        if count > 1 and bounds is not None:
+            bit_generator = self._rng.bit_generator
+            saved = bit_generator.state
+            if not saved["has_uint32"]:
+                stride = self._skip_stride
+                first = bit_generator.random_raw((count - 1) * stride)[::stride]
+                if not (lemire_rejects(first & _WORD32, bounds[0]).any()
+                        or lemire_rejects(first >> np.uint64(32),
+                                          bounds[1]).any()):
+                    self.skip_one()
+                    return
+                bit_generator.state = saved
+        for _ in range(count):
+            self.skip_one()
 
     def generate_batch(self, num_requests: Optional[int] = None
                        ) -> List[ARRequest]:

@@ -360,6 +360,16 @@ class OnlineEngine:
         return ids[:deadline_prefix(delays, self.waiting_ms(request, slot),
                                     request.deadline_ms)]
 
+    def fastest_feasible(self, request: ARRequest,
+                         slot: int) -> Optional[int]:
+        """``feasible_stations(request, slot)[0]``, or None when that is
+        empty: one deadline test on the cached ranking's first station."""
+        ids, delays, _ = self._ranking(request)
+        if meets_deadline(self.waiting_ms(request, slot) + delays[0],
+                          request.deadline_ms):
+            return ids[0]
+        return None
+
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------

@@ -105,6 +105,27 @@ class TestDet002GlobalRng:
             "    return SeedSequence(None)\n")
         assert rules_hit(source, select=["DET002"]) == ["DET002"]
 
+    def test_keywords_without_seed_flagged(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh():\n"
+            "    return np.random.SeedSequence(spawn_key=(1,))\n")
+        assert rules_hit(source, select=["DET002"]) == ["DET002"]
+
+    def test_positional_seed_with_keywords_ok(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh():\n"
+            "    return np.random.SeedSequence(7, spawn_key=(1,))\n")
+        assert rules_hit(source, select=["DET002"]) == []
+
+    def test_double_star_keywords_ok(self):
+        source = (
+            "import numpy as np\n"
+            "def fresh(options):\n"
+            "    return np.random.default_rng(**options)\n")
+        assert rules_hit(source, select=["DET002"]) == []
+
     def test_seed_sequence_argument_ok(self):
         source = (
             "import numpy as np\n"

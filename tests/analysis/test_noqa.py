@@ -92,3 +92,38 @@ class TestNoqaSuppression:
         assert table[3] == {"DET010", "NUM001"}
         assert table[4] == {"UNIT010"}
         assert table[5] == {"CONC001", "PKL010"}
+
+
+class TestCommentsOnly:
+    """Pragmas are read from comment tokens, never from strings."""
+
+    def test_docstring_pragma_waives_nothing(self):
+        source = ("import time\n"
+                  "def stamp():\n"
+                  '    return time.time(), """# repro: noqa DET010"""\n')
+        assert det010(source) == ["DET010"]
+
+    def test_string_pragma_waives_nothing(self):
+        source = VIOLATION.format(pragma=', "# repro: noqa"')
+        assert det010(source) == ["DET010"]
+
+    def test_comment_pragma_after_string_still_waives(self):
+        source = VIOLATION.format(
+            pragma=', "# repro: noqa NUM001"  # repro: noqa DET010')
+        assert det010(source) == []
+
+    def test_docstring_naming_retired_id_is_not_an_error(self):
+        source = ('"""Write ``# repro: noqa DET001`` to waive."""\n'
+                  + VIOLATION.format(pragma=""))
+        assert det010(source) == ["DET010"]
+
+    def test_parse_noqa_skips_docstring_lines(self):
+        lines = [
+            'def f():',
+            '    """Example::',
+            '',
+            '        x = 1  # repro: noqa DET010',
+            '    """',
+            '    return 1  # repro: noqa NUM001',
+        ]
+        assert parse_noqa(lines) == {6: {"NUM001"}}

@@ -65,6 +65,27 @@ class TestPkl001UnpicklablePayloads:
             "    return ServiceCheckpoint(config=config, slot=s)\n")
         assert rules_hit(source) == ["PKL010"]
 
+    def test_lambda_bound_to_name_flagged(self):
+        source = (
+            "def snapshot(s):\n"
+            "    cfg = lambda: 0\n"
+            "    return ServiceCheckpoint(config=cfg, slot=s)\n")
+        assert rules_hit(source) == ["PKL010"]
+
+    def test_annotated_lambda_binding_flagged(self):
+        source = (
+            "def snapshot(s):\n"
+            "    cfg: object = lambda: 0\n"
+            "    return ServiceCheckpoint(config=cfg, slot=s)\n")
+        assert rules_hit(source) == ["PKL010"]
+
+    def test_name_bound_to_plain_value_ok(self):
+        source = (
+            "def snapshot(s, config):\n"
+            "    cfg = config\n"
+            "    return ServiceCheckpoint(config=cfg, slot=s)\n")
+        assert rules_hit(source) == []
+
     def test_module_level_factory_ok(self):
         source = (
             "def make_algorithm():\n"

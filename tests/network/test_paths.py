@@ -67,7 +67,7 @@ class TestPathStructure:
         u, v = 0, net.station_ids[-1]
         path = table.path(u, v)
         for a, b in zip(path, path[1:]):
-            assert net.graph.has_edge(a, b)
+            assert (min(a, b), max(a, b)) in net.links
 
     def test_hop_count(self, net, table):
         u, v = 0, net.station_ids[-1]

@@ -2,15 +2,18 @@
 
 import math
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkConfig
 from repro.exceptions import ConfigurationError
-from repro.network.topology import (BaseStation, MECNetwork,
+from repro.network.topology import (BaseStation, MECNetwork, components,
                                     generate_topology)
+
+
+def is_connected(net):
+    return len(components(net.station_ids, net.links)) == 1
 
 
 class TestBaseStation:
@@ -44,7 +47,7 @@ class TestGeneration:
     def test_connected(self):
         for seed in range(5):
             net = generate_topology(NetworkConfig(), rng=seed)
-            assert nx.is_connected(net.graph)
+            assert is_connected(net)
 
     def test_capacities_in_range(self):
         net = generate_topology(NetworkConfig(), rng=1)
@@ -54,19 +57,19 @@ class TestGeneration:
     def test_link_delays_in_range(self):
         cfg = NetworkConfig(link_delay_range_ms=(2.0, 5.0))
         net = generate_topology(cfg, rng=2)
-        for u, v in net.graph.edges:
+        for u, v in net.links:
             assert 2.0 <= net.link_delay_ms(u, v) <= 5.0
 
     def test_deterministic_from_seed(self):
         a = generate_topology(NetworkConfig(), rng=7)
         b = generate_topology(NetworkConfig(), rng=7)
         assert [s.capacity_mhz for s in a] == [s.capacity_mhz for s in b]
-        assert sorted(a.graph.edges) == sorted(b.graph.edges)
+        assert a.links == b.links
 
     def test_single_station(self):
         net = generate_topology(NetworkConfig(num_base_stations=1), rng=0)
         assert len(net) == 1
-        assert net.graph.number_of_edges() == 0
+        assert net.links == {}
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=2, max_value=30),
@@ -74,7 +77,7 @@ class TestGeneration:
     def test_always_connected_property(self, n, seed):
         net = generate_topology(
             NetworkConfig(num_base_stations=n), rng=seed)
-        assert nx.is_connected(net.graph)
+        assert is_connected(net)
         assert len(net) == n
 
 
@@ -121,21 +124,31 @@ class TestMECNetwork:
             net.closest_station((0.5, 0.5), exclude={0, 1})
 
     def test_duplicate_ids_rejected(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 0)
         stations = [BaseStation(0, 1000.0), BaseStation(0, 1000.0)]
         with pytest.raises(ConfigurationError):
-            MECNetwork(stations=stations, graph=graph, slot_size_mhz=500.0)
+            MECNetwork(stations=stations, links={}, slot_size_mhz=500.0)
 
     def test_disconnected_graph_rejected(self):
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1])
         stations = [BaseStation(0, 1000.0), BaseStation(1, 1000.0)]
         with pytest.raises(ConfigurationError):
-            MECNetwork(stations=stations, graph=graph, slot_size_mhz=500.0)
+            MECNetwork(stations=stations, links={}, slot_size_mhz=500.0)
+
+    @pytest.mark.parametrize("links", [{(0, 2): 1.0}, {(0, 0): 1.0},
+                                       {(0, 1): 1.0, (1, 0): 2.0}])
+    def test_bad_links_rejected(self, links):
+        stations = [BaseStation(0, 1000.0), BaseStation(1, 1000.0)]
+        with pytest.raises(ConfigurationError):
+            MECNetwork(stations=stations, links=links, slot_size_mhz=500.0)
+
+    def test_link_keys_normalized(self):
+        stations = [BaseStation(0, 1000.0), BaseStation(1, 1000.0)]
+        net = MECNetwork(stations=stations, links={(1, 0): 3},
+                         slot_size_mhz=500.0)
+        assert net.links == {(0, 1): 3.0}
+        assert net.link_delay_ms(1, 0) == net.link_delay_ms(0, 1) == 3.0
 
     def test_neighbors(self):
         net = generate_topology(NetworkConfig(num_base_stations=10), rng=4)
         for sid in net.station_ids:
             for nb in net.neighbors(sid):
-                assert net.graph.has_edge(sid, nb)
+                assert (min(sid, nb), max(sid, nb)) in net.links

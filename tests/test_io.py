@@ -34,9 +34,9 @@ class TestInstanceRoundTrip:
                     == small_instance.network.station(sid).capacity_mhz)
             assert (clone.latency.base_delay_ms(sid)
                     == small_instance.latency.base_delay_ms(sid))
-        assert (sorted(clone.network.graph.edges)
-                == sorted(small_instance.network.graph.edges))
-        for u, v in small_instance.network.graph.edges:
+        assert (sorted(clone.network.links)
+                == sorted(small_instance.network.links))
+        for u, v in small_instance.network.links:
             assert (clone.network.link_delay_ms(u, v)
                     == small_instance.network.link_delay_ms(u, v))
 
