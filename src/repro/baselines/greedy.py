@@ -17,7 +17,8 @@ realized rates, and the reward distribution is never consulted.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.assignment import ScheduleResult
 from ..core.instance import ProblemInstance
@@ -77,15 +78,45 @@ class GreedyOffline:
 
 
 class GreedyOnline(OnlineBaselinePolicy):
-    """Slotted version: same rule applied to the pending queue."""
+    """Slotted version: same rule applied to the pending queue.
+
+    A request's sort key and expected demand are computed once, when it
+    is first seen pending, and kept while it stays pending.  They derive
+    from the request alone, so a resumed policy rebuilds them and a
+    checkpoint does not carry them.
+    """
 
     name = "Greedy"
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Request id -> ``((-execution time, id), expected demand)``
+        #: of the requests pending at the last slot.
+        self._keys: Dict[int, Tuple[Tuple[float, int], float]] = {}
+
+    def begin(self, engine) -> None:
+        """Keep the engine view; forget the last run's requests."""
+        super().begin(engine)
+        self._keys = {}
 
     def order(self, slot: int,
               pending: Sequence[ARRequest]) -> List[ARRequest]:
         engine = self._engine
         assert engine is not None
-        return _greedy_order(engine.instance, pending)
+        known = self._keys
+        keys = self._keys = {}
+        ranked = []
+        for request in pending:
+            request_id = request.request_id
+            entry = known.get(request_id)
+            if entry is None:
+                entry = ((-_execution_time_key(engine.instance, request),
+                          request_id), request.expected_demand_mhz)
+            keys[request_id] = entry
+            ranked.append((entry[0], request))
+        # The (key, id) order of _greedy_order.
+        ranked.sort(key=itemgetter(0))
+        return [request for _, request in ranked]
 
     def pick_station(self, request: ARRequest,
                      planned_mhz) -> Optional[int]:
@@ -94,6 +125,7 @@ class GreedyOnline(OnlineBaselinePolicy):
         best = engine.fastest_feasible(request, self._slot)
         if best is None:
             return None
-        if self._free_for(best, planned_mhz) < request.expected_demand_mhz:
+        if self._free_for(best, planned_mhz) < \
+                self._keys[request.request_id][1]:
             return None  # optimal server full: wait, no fallback
         return best

@@ -88,6 +88,9 @@ class LatencyModel:
         self._base = np.array([float(rng.uniform(lo, hi))
                                for _ in self._ids])
         self._rt_rows: Dict[int, np.ndarray] = {}
+        #: ``(serving station, compute weight)`` -> :meth:`ranked_stations`.
+        self._rankings: Dict[Tuple[int, float],
+                             Tuple[Tuple[int, ...], Tuple[float, ...]]] = {}
 
     def restore_base_delays(self, base_delay_ms: Dict[int, float]) -> None:
         """Replace the drawn per-station base delays (deserialization).
@@ -111,6 +114,7 @@ class LatencyModel:
             raise ConfigurationError(
                 "base delays must be finite numbers >= 0")
         self._base = base
+        self._rankings = {}
 
     @property
     def network(self) -> MECNetwork:
@@ -193,11 +197,24 @@ class LatencyModel:
             request, station_id, waiting_ms), request.deadline_ms)
 
     def ranked_stations(self, request: ARRequest
-                        ) -> Tuple[List[int], List[float]]:
-        """Station ids by ``(placement delay, id)``, and their delays."""
-        ranked = sorted(zip(self.placement_delays(request).tolist(),
-                            self._ids))
-        return [sid for _, sid in ranked], [delay for delay, _ in ranked]
+                        ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """Station ids by ``(placement delay, id)``, and their delays.
+
+        Eq. (2)'s placement delays depend only on the serving station
+        and the pipeline's compute weight, so the ranking is sorted once
+        per such pair and the same two tuples are returned to every
+        request that shares it.
+        """
+        key = (request.serving_station,
+               request.pipeline.total_compute_weight)
+        ranking = self._rankings.get(key)
+        if ranking is None:
+            ranked = sorted(zip(self.placement_delays(request).tolist(),
+                                self._ids))
+            ranking = self._rankings[key] = (
+                tuple(sid for _, sid in ranked),
+                tuple(delay for delay, _ in ranked))
+        return ranking
 
     def feasible_stations(self, request: ARRequest,
                           waiting_ms: float = 0.0) -> List[int]:
@@ -208,5 +225,6 @@ class LatencyModel:
         is in this list).
         """
         ids, delays = self.ranked_stations(request)
-        return ids[:deadline_prefix(delays, _checked_waiting(waiting_ms),
-                                    request.deadline_ms)]
+        return list(ids[:deadline_prefix(delays,
+                                         _checked_waiting(waiting_ms),
+                                         request.deadline_ms)])

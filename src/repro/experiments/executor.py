@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -310,6 +309,9 @@ class ProcessBackend:
         """
         if not specs:
             return []
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         chunk = default_chunk_size(len(specs), self.workers)
         chunks = [list(specs[i:i + chunk])
                   for i in range(0, len(specs), chunk)]

@@ -18,33 +18,43 @@ MetricsEndpoint` (`/metrics` Prometheus text + JSON, `/healthz`,
 status`` / ``watch`` (:mod:`repro.service.console`).
 """
 
-from .checkpoint import (CHECKPOINT_SCHEMA, JournalCursor,
-                         ServiceCheckpoint, read_checkpoint,
-                         truncate_journal, write_checkpoint)
-from .console import fetch_status, render_status, run_status, run_watch
-from .http import MetricsEndpoint
-from .loop import (COUNTER_KEYS, SERVICE_POLICIES, AdmissionService,
-                   ServiceConfig, SlotReport)
-from .loadgen import build_config, run_loadgen, run_resume
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "AdmissionService",
-    "ServiceConfig",
-    "SlotReport",
-    "SERVICE_POLICIES",
-    "COUNTER_KEYS",
-    "ServiceCheckpoint",
-    "JournalCursor",
-    "CHECKPOINT_SCHEMA",
-    "MetricsEndpoint",
-    "read_checkpoint",
-    "write_checkpoint",
-    "truncate_journal",
-    "build_config",
-    "fetch_status",
-    "render_status",
-    "run_loadgen",
-    "run_resume",
-    "run_status",
-    "run_watch",
-]
+#: Public name -> the submodule defining it.  Loaded on first access,
+#: so importing the package (or ticking a service) never loads the
+#: scrape endpoint's asyncio stack, the console's urllib, or the
+#: loadgen's profiler.
+_EXPORTS = {
+    "AdmissionService": "loop",
+    "ServiceConfig": "loop",
+    "SlotReport": "loop",
+    "SERVICE_POLICIES": "loop",
+    "COUNTER_KEYS": "loop",
+    "ServiceCheckpoint": "checkpoint",
+    "JournalCursor": "checkpoint",
+    "CHECKPOINT_SCHEMA": "checkpoint",
+    "MetricsEndpoint": "http",
+    "read_checkpoint": "checkpoint",
+    "write_checkpoint": "checkpoint",
+    "truncate_journal": "checkpoint",
+    "build_config": "loadgen",
+    "fetch_status": "console",
+    "render_status": "console",
+    "run_loadgen": "loadgen",
+    "run_resume": "loadgen",
+    "run_status": "console",
+    "run_watch": "console",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

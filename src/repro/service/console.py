@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional
 
 #: Counters rendered as per-second rates in watch mode.
@@ -41,6 +39,9 @@ def fetch_status(url: str, timeout: float = 5.0) -> Dict[str, Any]:
     if not target.endswith("/metrics"):
         target += "/metrics"
     target += "?format=json"
+    import urllib.error  # the service itself never loads urllib
+    import urllib.request
+
     try:
         with urllib.request.urlopen(target, timeout=timeout) as reply:
             return json.loads(reply.read().decode("utf-8"))

@@ -24,7 +24,6 @@ uninterrupted run's.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import time
 from typing import Any, Dict, Optional
@@ -33,7 +32,6 @@ from ..config import SimulationConfig
 from ..telemetry import profiling
 from ..telemetry.ledger import make_manifest, write_bench
 from ..telemetry.metrics import MetricsRegistry, NULL_REGISTRY
-from .http import MetricsEndpoint
 from .loop import AdmissionService, ServiceConfig
 
 
@@ -99,15 +97,31 @@ def _metrics_row(service: AdmissionService,
     }
 
 
-async def _serve_with_endpoint(service: AdmissionService,
-                               port: int) -> None:
-    """Serve to drain with a scrape endpoint on the same loop."""
-    endpoint = await MetricsEndpoint(service, port=port).start()
-    print(f"metrics endpoint: {endpoint.url}/metrics", file=sys.stderr)
-    try:
-        await service.serve()
-    finally:
-        await endpoint.stop()
+def _serve_with_endpoint(service: AdmissionService, port: int) -> None:
+    """Serve to drain with a scrape endpoint on the same event loop.
+
+    The asyncio stack loads here, on the one path that needs it.
+    """
+    import asyncio
+
+    from .http import MetricsEndpoint
+
+    async def serve() -> None:
+        endpoint = await MetricsEndpoint(service, port=port).start()
+        print(f"metrics endpoint: {endpoint.url}/metrics",
+              file=sys.stderr)
+        try:
+            await service.serve()
+        finally:
+            await endpoint.stop()
+
+    asyncio.run(serve())
+
+
+def _drain(service: AdmissionService) -> None:
+    """Tick to drain; no event loop is needed without an endpoint."""
+    while not service.done:
+        service.tick()
 
 
 def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
@@ -175,9 +189,9 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                             registry.snapshot()["counters"]
                     break
         elif metrics_port is not None:
-            asyncio.run(_serve_with_endpoint(service, metrics_port))
+            _serve_with_endpoint(service, metrics_port)
         else:
-            asyncio.run(service.serve())
+            _drain(service)
         if killed_summary is None:
             service.close()
     if killed_summary is not None:
@@ -212,9 +226,9 @@ def run_resume(checkpoint_path: str,
     began = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     with capture:
         if metrics_port is not None:
-            asyncio.run(_serve_with_endpoint(service, metrics_port))
+            _serve_with_endpoint(service, metrics_port)
         else:
-            asyncio.run(service.serve())
+            _drain(service)
         service.close()
     elapsed = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,

@@ -27,9 +27,8 @@ can multiplex the service with other work.
 
 from __future__ import annotations
 
-import asyncio
+import sys
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -363,8 +362,10 @@ class AdmissionService:
             # sparsely - the snapshot-free watermark read is cheap, but
             # there is no reason to touch it every slot.  Flat gauges
             # across a long run are the service's flat-RSS claim, live.
-            if slot % _ALLOC_SAMPLE_SLOTS == 0 \
-                    and tracemalloc.is_tracing():
+            # Nothing traces unless tracemalloc was imported.
+            tracemalloc = (sys.modules.get("tracemalloc")
+                           if slot % _ALLOC_SAMPLE_SLOTS == 0 else None)
+            if tracemalloc is not None and tracemalloc.is_tracing():
                 current_b, peak_b = tracemalloc.get_traced_memory()
                 metrics.set_gauge("service_alloc_current_kb",
                                   current_b / 1024.0)
@@ -393,6 +394,8 @@ class AdmissionService:
         Returns:
             Slots processed by this call.
         """
+        import asyncio  # only the coroutine driver needs an event loop
+
         processed = 0
         while not self.done:
             if max_slots is not None and processed >= max_slots:

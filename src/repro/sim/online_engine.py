@@ -56,6 +56,11 @@ CLOUD_STATION = -1
 #: Experienced latency of the remote-cloud path (ms).
 CLOUD_LATENCY_MS = 320.0
 
+#: A drop offset of this many slots or more counts as never: such a
+#: wait is beyond any run, and the float ``k * slot_length`` stops
+#: telling consecutive waits apart near it.
+_NEVER_SLOTS = 2 ** 52
+
 
 @dataclass(frozen=True)
 class SlotOutcome:
@@ -229,8 +234,14 @@ class OnlineEngine:
         self._active: Dict[int, _Active] = {}
         #: Request id -> decision; created by :meth:`run` only.
         self._decided: Optional[Dict[int, OffloadDecision]] = None
-        #: Per request, from first sight until it starts or is dropped.
-        self._rankings: Dict[int, Tuple[List[int], List[float], int]] = {}
+        #: ``(serving station, compute weight, deadline)`` -> the shared
+        #: station ranking and its drop offset (see :meth:`_ranking`).
+        #: Every pending request's key has an entry (made on admission
+        #: and on restore), so ``_min_offset`` bounds their offsets.
+        self._ranking_memo: Dict[
+            Tuple[int, float, float],
+            Tuple[Tuple[int, ...], Tuple[float, ...], float]] = {}
+        self._min_offset: float = math.inf
         self._load: Optional[Dict[int, Tuple[int, float]]] = None
         #: ``(slot, load snapshot, view)`` of the last station_loads().
         self._station_view: Optional[Tuple[int, Dict[int, Tuple[int, float]],
@@ -330,43 +341,58 @@ class OnlineEngine:
         return self.clock.waiting_ms(request.arrival_slot, slot)
 
     def _ranking(self, request: ARRequest
-                 ) -> Tuple[List[int], List[float], int]:
-        """The cached :meth:`LatencyModel.ranked_stations` plus the drop
-        slot: the first slot where even the fastest station is late."""
-        entry = self._rankings.get(request.request_id)
-        if entry is not None:
-            return entry
-        ids, delays = self.instance.latency.ranked_stations(request)
-        arrival, horizon = request.arrival_slot, self.clock.horizon_slots
-
-        def hopeless(t: int) -> bool:
-            return not meets_deadline(self.clock.waiting_ms(arrival, t)
-                                      + delays[0], request.deadline_ms)
-
-        # Settle the arithmetic estimate with the exact Eq. (1) test; a
-        # slot at or past the horizon means never (infinite deadline).
-        slack = (request.deadline_ms - delays[0]) / self.clock.slot_length_ms
-        t = arrival + int(min(slack, horizon)) if slack > 0 else arrival
-        while t > arrival and hopeless(t - 1):
-            t -= 1
-        while t < horizon and not hopeless(t):
-            t += 1
-        entry = self._rankings[request.request_id] = (ids, delays, t)
+                 ) -> Tuple[Tuple[int, ...], Tuple[float, ...], float]:
+        """The shared :meth:`LatencyModel.ranked_stations` of the
+        request's ``(serving station, compute weight, deadline)``, plus
+        its drop offset: a request that has waited that many slots
+        cannot meet its deadline even at the fastest station."""
+        key = (request.serving_station,
+               request.pipeline.total_compute_weight, request.deadline_ms)
+        entry = self._ranking_memo.get(key)
+        if entry is None:
+            ids, delays = self.instance.latency.ranked_stations(request)
+            offset = self._drop_offset(delays[0], request.deadline_ms)
+            entry = self._ranking_memo[key] = (ids, delays, offset)
+            self._min_offset = min(self._min_offset, offset)
         return entry
+
+    def _drop_offset(self, fastest_ms: float, deadline_ms: float) -> float:
+        """The first wait ``k`` (slots) failing Eq. (1) at the fastest
+        station, ``math.inf`` for never (an infinite deadline).
+
+        ``meets_deadline(ms_of(k) + fastest_ms, deadline_ms)`` is the
+        exact test; it fails from some ``k`` on, as IEEE addition is
+        monotone, so the arithmetic estimate is settled with it.
+        """
+        ms_of = self.clock.ms_of
+
+        def hopeless(k: int) -> bool:
+            return not meets_deadline(ms_of(k) + fastest_ms, deadline_ms)
+
+        slack = (deadline_ms - fastest_ms) / self.clock.slot_length_ms
+        if not slack < _NEVER_SLOTS:
+            return math.inf
+        k = int(slack) if slack > 0 else 0
+        while k > 0 and hopeless(k - 1):
+            k -= 1
+        while not hopeless(k):
+            k += 1
+        return k
 
     def feasible_stations(self, request: ARRequest, slot: int) -> List[int]:
         """:meth:`LatencyModel.feasible_stations` at `slot`, cached."""
         ids, delays, _ = self._ranking(request)
-        return ids[:deadline_prefix(delays, self.waiting_ms(request, slot),
-                                    request.deadline_ms)]
+        return list(ids[:deadline_prefix(delays,
+                                         self.waiting_ms(request, slot),
+                                         request.deadline_ms)])
 
     def fastest_feasible(self, request: ARRequest,
                          slot: int) -> Optional[int]:
         """``feasible_stations(request, slot)[0]``, or None when that is
-        empty: one deadline test on the cached ranking's first station."""
-        ids, delays, _ = self._ranking(request)
-        if meets_deadline(self.waiting_ms(request, slot) + delays[0],
-                          request.deadline_ms):
+        empty: the ranking's first station while the request has waited
+        fewer slots than its drop offset."""
+        ids, _, offset = self._ranking(request)
+        if slot - request.arrival_slot < offset:
             return ids[0]
         return None
 
@@ -469,6 +495,8 @@ class OnlineEngine:
     def _admit_arrivals(self, t: int,
                         arrivals: Sequence[ARRequest]) -> None:
         self._pending.extend(arrivals)
+        for request in arrivals:
+            self._ranking(request)
         emit_many(EventKind.ARRIVAL, t, arrivals, _request_fields)
 
     def _drop_hopeless(self, t: int) -> int:
@@ -477,28 +505,34 @@ class OnlineEngine:
         Returns:
             The number of requests dropped.
         """
-        survivors: List[ARRequest] = []
-        hopeless: List[ARRequest] = []
+        # Only a request older than the smallest offset can be late.
+        ranking, oldest = self._ranking, t - self._min_offset
+        hopeless = [request for request in self._pending
+                    if request.arrival_slot <= oldest
+                    and t - request.arrival_slot >= ranking(request)[2]]
+        if not hopeless:
+            return 0
         decided = self._decided
-        for request in self._pending:
-            if t >= self._ranking(request)[2]:
-                if decided is not None:
-                    decided[request.request_id] = OffloadDecision(
-                        request_id=request.request_id, admitted=False,
-                        waiting_ms=self.waiting_ms(request, t))
-                del self._rankings[request.request_id]
-                hopeless.append(request)
-            else:
-                survivors.append(request)
+        if decided is not None:
+            for request in hopeless:
+                decided[request.request_id] = OffloadDecision(
+                    request_id=request.request_id, admitted=False,
+                    waiting_ms=self.waiting_ms(request, t))
         emit_many(EventKind.DROP, t, hopeless, _request_fields)
-        self._pending = survivors
+        gone = {request.request_id for request in hopeless}
+        self._pending = [request for request in self._pending
+                         if request.request_id not in gone]
         return len(hopeless)
 
     def _apply_placements(self, t: int,
                           placements: Sequence[Placement]
                           ) -> List["_Active"]:
+        if not placements:
+            return []
         started: List[_Active] = []
-        pending_by_id = {r.request_id: r for r in self._pending}
+        placed = {placement.request_id for placement in placements}
+        pending_by_id = {r.request_id: r for r in self._pending
+                         if r.request_id in placed}
         network = self.instance.network
         for placement in placements:
             request = pending_by_id.get(placement.request_id)
@@ -527,9 +561,8 @@ class OnlineEngine:
             self._load = None
             started.append(active)
             del pending_by_id[request.request_id]
-            self._rankings.pop(request.request_id, None)
         self._pending = [r for r in self._pending
-                         if r.request_id in pending_by_id]
+                         if r.request_id not in placed]
         return started
 
     def _serve_from_cloud(self, t: int, request: ARRequest) -> None:
@@ -545,7 +578,6 @@ class OnlineEngine:
         latency = waiting + CLOUD_LATENCY_MS
         met = meets_deadline(latency, request.deadline_ms)
         reward = request.realized_reward if met else 0.0
-        self._rankings.pop(request.request_id, None)
         if self._decided is not None:
             self._decided[request.request_id] = OffloadDecision(
                 request_id=request.request_id,
@@ -697,7 +729,8 @@ class OnlineEngine:
         """Install a snapshot produced by :meth:`export_state`."""
         self._rng.bit_generator.state = state["rng_state"]
         self._pending = list(state["pending"])  # type: ignore[arg-type]
+        for request in self._pending:
+            self._ranking(request)
         self._active = dict(state["active"])  # type: ignore[arg-type]
         self._load = None
-        self._rankings = {}
         self.clock.advance_to(int(state["slot"]))  # type: ignore[arg-type]

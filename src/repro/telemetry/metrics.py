@@ -37,7 +37,9 @@ Registry state round-trips through
 :meth:`MetricsRegistry.export_state` /
 :meth:`~MetricsRegistry.restore_state`, and the admission service
 includes it in every :class:`~repro.service.checkpoint.ServiceCheckpoint`
-- a resumed service reports **continuous** (non-resetting) series.
+- a resumed service reports **continuous** (non-resetting) series.  The
+``*_seconds`` series are left out of the export, so a checkpoint's
+bytes depend only on the run; they restart on resume.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from .tracer import LabelKey, label_key
 
 #: Quantiles reported by every histogram snapshot (percent).
 SNAPSHOT_QUANTILES = (50.0, 95.0, 99.0)
+
+#: Name suffix of the series that measure wall-clock time.
+WALL_CLOCK_SUFFIX = "_seconds"
 
 
 def series_name(name: str, labels: LabelKey) -> str:
@@ -475,16 +480,21 @@ class MetricsRegistry:
     # Checkpoint round-trip
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
-        """Snapshot the registry for a service checkpoint."""
+        """Snapshot the registry's deterministic series for a service
+        checkpoint: every series but the wall-clock ``*_seconds``."""
+        def run_keys(series):
+            return [key for key in sorted(series)
+                    if not key[0].endswith(WALL_CLOCK_SUFFIX)]
+
         return {
             "slot": self.slot,
             "histogram_window_slots": self.histogram_window_slots,
             "counters": {key: self._counters[key]
-                         for key in sorted(self._counters)},
+                         for key in run_keys(self._counters)},
             "gauges": {key: self._gauges[key]
-                       for key in sorted(self._gauges)},
+                       for key in run_keys(self._gauges)},
             "histograms": {key: self._histograms[key].export_state()
-                           for key in sorted(self._histograms)},
+                           for key in run_keys(self._histograms)},
         }
 
     def restore_state(self, state: Optional[Dict[str, Any]]) -> None:

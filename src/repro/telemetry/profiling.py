@@ -45,10 +45,8 @@ checkpoint (the executor's inertness tests pin this).
 
 from __future__ import annotations
 
-import cProfile
 import functools
 import json
-import tracemalloc
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -692,7 +690,11 @@ class Capture:
         self.tracer = Tracer() if (trace or profile) else None
         self.registry = registry
         self.profile_mem = profile_mem
-        self._profiler = cProfile.Profile() if profile else None
+        self._profiler = None
+        if profile:
+            import cProfile  # only a profiled block loads the profiler
+
+            self._profiler = cProfile.Profile()
         self._stack = ExitStack()
         self.digest: Optional[ProfileDigest] = None
         self.stats: Optional[Dict[str, Any]] = None
@@ -701,9 +703,12 @@ class Capture:
     def __enter__(self) -> "Capture":
         if self.tracer is not None:
             self._stack.enter_context(use_tracer(self.tracer))
-        if self.profile_mem and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._stack.callback(tracemalloc.stop)
+        if self.profile_mem:
+            import tracemalloc  # only --profile-mem loads it
+
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._stack.callback(tracemalloc.stop)
         if self._profiler is not None:
             self._profiler.enable()
         return self
@@ -712,9 +717,12 @@ class Capture:
         with self._stack:
             if self._profiler is not None:
                 self._profiler.disable()
-            if self.profile_mem and tracemalloc.is_tracing():
-                self.memory = capture_memory_top(
-                    tracemalloc.take_snapshot())
+            if self.profile_mem:
+                import tracemalloc
+
+                if tracemalloc.is_tracing():
+                    self.memory = capture_memory_top(
+                        tracemalloc.take_snapshot())
         if exc_type is not None or self.tracer is None:
             return
         state = (self.registry.export_state()

@@ -119,6 +119,55 @@ class TestResumeByteIdentity:
         assert "checkpoint" in journal_kinds
 
 
+class TestCheckpointBytes:
+    """A checkpoint's bytes depend only on the run: the wall-clock
+    ``*_seconds`` series stay out of its registry state."""
+
+    def run_in(self, directory, make_service_config, monkeypatch):
+        """One metered run writing relative paths inside `directory`."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        service = AdmissionService(make_service_config(
+            journal_path="run.jsonl", checkpoint_path="run.ckpt",
+            checkpoint_every=10, max_arrivals=120,
+            mean_arrivals_per_slot=6.0, queue_limit=8),
+            registry=MetricsRegistry())
+        run_to_drain(service)
+        return ((directory / "run.ckpt").read_bytes(),
+                (directory / "run.jsonl").read_bytes())
+
+    def test_identical_runs_write_identical_checkpoints(
+            self, make_service_config, tmp_path, monkeypatch):
+        first = self.run_in(tmp_path / "a", make_service_config,
+                            monkeypatch)
+        second = self.run_in(tmp_path / "b", make_service_config,
+                             monkeypatch)
+        assert first == second
+        state = read_checkpoint(str(tmp_path / "a" / "run.ckpt")) \
+            .metrics_state
+        names = {name for family in ("counters", "gauges", "histograms")
+                 for name, _ in state[family]}
+        assert "service_batch_size" in names
+        assert not any(name.endswith("_seconds") for name in names)
+
+    def test_wall_clock_series_restart_on_resume(
+            self, make_service_config, tmp_path):
+        config = checkpointed_config(make_service_config, tmp_path,
+                                     "restart", max_arrivals=60)
+        killed = AdmissionService(config, registry=MetricsRegistry())
+        run_killed(killed, 12)
+        registry = MetricsRegistry()
+        resumed = AdmissionService.resume(config.checkpoint_path,
+                                          registry=registry)
+        assert registry.histogram("service_slot_latency_seconds") is None
+        batches = registry.histogram("service_batch_size").count
+        run_to_drain(resumed)
+        resumed_slots = registry.histogram("service_batch_size").count \
+            - batches
+        assert registry.histogram(
+            "service_slot_latency_seconds").count == resumed_slots > 0
+
+
 class TestCheckpointFiles:
     def test_roundtrip(self, tmp_path):
         checkpoint = ServiceCheckpoint(
