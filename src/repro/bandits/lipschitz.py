@@ -13,7 +13,7 @@ import math
 from typing import Optional, Protocol
 
 from ..exceptions import ConfigurationError
-from ..telemetry import get_tracer
+from ..telemetry.metrics import get_metrics
 from .arms import ArmGrid
 from .successive_elimination import SuccessiveElimination
 
@@ -89,10 +89,10 @@ class LipschitzBandit:
         """
         if self._steps < self._explore_budget:
             arm = self._policy.select_arm()
-            get_tracer().count("bandit_explore_steps")
+            get_metrics().inc("bandit_explore_steps")
         else:
             arm = self._policy.best_active_arm()
-            get_tracer().count("bandit_exploit_steps")
+            get_metrics().inc("bandit_exploit_steps")
         self._last_arm = arm
         return self._grid.value(arm)
 

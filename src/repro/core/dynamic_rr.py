@@ -83,7 +83,6 @@ class DynamicRR:
         self._reward_scale = 1.0
         self._selected_this_slot = False
         self._last_arm_value: Optional[float] = None
-        self._cumulative_reward = 0.0
         #: Regret accounting of the latest run (for the Theorem 3 bench).
         self.tracker = RegretTracker()
 
@@ -110,7 +109,6 @@ class DynamicRR:
             explore_fraction=0.2,
             confidence_scale=self.config.confidence_scale)
         self.tracker = RegretTracker()
-        self._cumulative_reward = 0.0
         self._reward_scale = self._estimate_reward_scale(engine)
 
     def schedule(self, slot: int,
@@ -129,7 +127,6 @@ class DynamicRR:
             threshold = self._bandit.select_value()
             self._selected_this_slot = True
             self._last_arm_value = threshold
-            tracer.observe("threshold_mhz", threshold)
             emit(EventKind.ARM_SELECTED, slot,
                  arm=self._bandit.grid.nearest_arm(threshold),
                  value=threshold)
@@ -160,12 +157,10 @@ class DynamicRR:
     def observe(self, slot: int, slot_reward: float) -> None:
         """Feed the slot's settled reward back to the bandit.
 
-        Also records the learning trajectory through the tracer (all
-        run-deterministic, so traces stay canonical): the cumulative
-        settled reward after this round and how many arms survive
-        elimination - together with the per-round ``threshold_mhz``
-        observed in :meth:`schedule`, this makes the Theorem 3 learning
-        curve directly inspectable from any traced sweep.
+        The learning trajectory is the journal's: each round's
+        ``ARM_SELECTED`` (the threshold played), its ``START`` rewards
+        and the ``ARM_ELIMINATED`` events emitted here (see
+        :func:`~repro.experiments.report.bandit_diagnostics_markdown`).
         """
         if not self._selected_this_slot or self._bandit is None:
             return
@@ -183,20 +178,9 @@ class DynamicRR:
             self._emit_eliminations(slot, before, set(active_arms()))
         arm = self._bandit.grid.nearest_arm(self._last_arm_value)
         self.tracker.record(arm, normalized)
-        self._cumulative_reward += slot_reward
-        if metrics.enabled:
-            metrics.set_gauge("bandit_cumulative_reward",
-                              self._cumulative_reward)
-            if active_arms is not None:
-                metrics.set_gauge("bandit_surviving_arms",
-                                  float(len(active_arms())))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.observe("bandit_cumulative_reward",
-                           self._cumulative_reward)
-            if active_arms is not None:
-                tracer.observe("surviving_arms",
-                               float(len(active_arms())))
+        if metrics.enabled and active_arms is not None:
+            metrics.set_gauge("bandit_surviving_arms",
+                              float(len(active_arms())))
 
     # ------------------------------------------------------------------
     # Internals
@@ -278,7 +262,6 @@ class DynamicRR:
             "bandit": bandit,
             "tracker": tracker,
             "rng_state": self._rng.bit_generator.state,
-            "cumulative_reward": self._cumulative_reward,
             "reward_scale": self._reward_scale,
             "selected_this_slot": self._selected_this_slot,
             "last_arm_value": self._last_arm_value,
@@ -293,7 +276,6 @@ class DynamicRR:
         self._bandit = state["bandit"]
         self.tracker = state["tracker"]
         self._rng.bit_generator.state = state["rng_state"]
-        self._cumulative_reward = state["cumulative_reward"]
         self._reward_scale = state["reward_scale"]
         self._selected_this_slot = state["selected_this_slot"]
         self._last_arm_value = state["last_arm_value"]

@@ -37,6 +37,7 @@ from ..rng import RngLike, ensure_rng
 from ..sim.events import EventKind
 from ..telemetry import get_tracer
 from ..telemetry.audit import emit
+from ..telemetry.metrics import get_metrics
 from .assignment import SlotAssignment
 from .instance import ProblemInstance
 from .lp_relaxation import MASS_TOL
@@ -283,10 +284,12 @@ def round_and_admit(instance: ProblemInstance,
     expectation).  The loop stops after ``max_rounds`` passes (1 =
     Theorem 1's single pass), once every request is admitted, or after
     :data:`MAX_STALLED_ROUNDS` passes in a row admit nothing.  Each pass
-    is one ``rounding`` span labelled ``algorithm``.  ``on_reject`` and
-    ``reserve_cap_mhz`` go to :func:`admit_slot_by_slot`; ``on_pass``
-    gets each pass's admitted outcomes after the pass, so they reach
-    ``on_reject`` (Heu's donors) only from the next pass on.
+    is one ``rounding`` span labelled ``algorithm``; the call adds its
+    pass count to the registry counter ``rounding_rounds``.
+    ``on_reject`` and ``reserve_cap_mhz`` go to
+    :func:`admit_slot_by_slot`; ``on_pass`` gets each pass's admitted
+    outcomes after the pass, so they reach ``on_reject`` (Heu's donors)
+    only from the next pass on.
 
     Returns:
         The admitted outcomes, in admission order.
@@ -296,16 +299,16 @@ def round_and_admit(instance: ProblemInstance,
     admitted: List[AdmissionOutcome] = []
     remaining = list(requests)
     stalled_rounds = 0
-    for _ in range(max_rounds):
-        if not remaining or stalled_rounds >= MAX_STALLED_ROUNDS:
-            break
+    passes = 0
+    while (passes < max_rounds and remaining
+           and stalled_rounds < MAX_STALLED_ROUNDS):
+        passes += 1
         with tracer.span("rounding", algorithm=algorithm):
             assignments = randomized_round(options_table, remaining,
                                            rng=rng, scale=scale)
             outcomes = admit_slot_by_slot(
                 instance, remaining, assignments, ledger, rng=rng,
                 on_reject=on_reject, reserve_cap_mhz=reserve_cap_mhz)
-        tracer.count("rounding_rounds")
         passed = [o for o in outcomes if o.admitted]
         admitted.extend(passed)
         if on_pass is not None:
@@ -314,4 +317,6 @@ def round_and_admit(instance: ProblemInstance,
         remaining = [r for r in remaining
                      if r.request_id not in admitted_ids]
         stalled_rounds = 0 if passed else stalled_rounds + 1
+    if passes:
+        get_metrics().inc("rounding_rounds", passes)
     return admitted

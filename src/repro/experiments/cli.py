@@ -37,8 +37,7 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a telemetry trace of every run "
                              "and write the merged JSONL here (the "
-                             "report also gains Telemetry and Bandit "
-                             "diagnostics sections)")
+                             "report also gains a Telemetry section)")
     parser.add_argument("--trace-summary", action="store_true",
                         help="show the profile digest of the merged "
                              "trace: every span path and counter "
@@ -46,7 +45,8 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="record a decision audit journal of every "
                              "run and write the merged JSONL here "
-                             "(diffable with trace-diff)")
+                             "(diffable with trace-diff; the report "
+                             "also gains a Bandit diagnostics section)")
     parser.add_argument("--audit", action="store_true",
                         help="replay every journaled run through the "
                              "invariant monitor, show the audit and "

@@ -192,7 +192,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
             record = _execute_untraced(spec)
     return dataclasses.replace(
         record,
-        trace=tuple(capture.tracer.events()) if spec.trace else None,
+        trace=tuple(capture.events) if spec.trace else None,
         journal=tuple(journal.events()) if journal is not None else None,
         profile=(capture.digest.to_dict()
                  if capture.digest is not None else None),

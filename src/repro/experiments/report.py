@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..config import OnlineConfig
+from ..sim.events import EventKind
 from ..sim.results import SweepResult
 from ..telemetry import (INVARIANTS, AuditOutcome, audit_records,
                          digest_from_events, render_digest,
@@ -91,65 +93,84 @@ def theorem_checks_markdown(fast: bool = True) -> str:
     return "\n".join(lines)
 
 
-#: Tracer value series that make up the bandit learning trajectory.
-_BANDIT_SERIES = ("threshold_mhz", "surviving_arms",
-                  "bandit_cumulative_reward")
+#: Journal event kinds that make up the bandit learning trajectory.
+_SELECTED = EventKind.ARM_SELECTED.value
+_ELIMINATED = EventKind.ARM_ELIMINATED.value
+_START = EventKind.START.value
 
 
-def bandit_diagnostics_markdown(events: Sequence[Dict],
+def bandit_diagnostics_markdown(journal: Sequence[Dict],
+                                num_arms: int = OnlineConfig.num_arms,
                                 max_rows: int = 10) -> Optional[str]:
-    """Render the DynamicRR learning trajectory from a merged trace.
+    """Render the DynamicRR learning trajectory from a merged journal.
 
-    Scans the trace for the per-round value series DynamicRR records
-    (threshold choice, surviving-arm count, cumulative settled reward)
-    and renders the first traced run as a round-by-round table - the
-    Theorem 3 regret curve made inspectable.  Returns None when no run
-    recorded a bandit trajectory (e.g. an offline-only report).
+    Each ``ARM_SELECTED`` opens a bandit round and gives its threshold.
+    The round's surviving arms are ``num_arms`` minus the
+    ``ARM_ELIMINATED`` events so far, and its cumulative reward the
+    running sum of the rounds' ``START`` rewards, each round's summed
+    in journal order as the engine sums a slot's.  The first journaled
+    learning run is rendered as a round-by-round table - the Theorem 3
+    regret curve made inspectable.  Returns None when no run played an
+    arm (e.g. an offline-only report).
+
+    Args:
+        journal: a merged journal, tagged as
+            :func:`~repro.telemetry.export.collect_sweep_trace` tags.
+        num_arms: the runs' arm-grid size; the figure drivers build
+            DynamicRR on the default :class:`OnlineConfig`.
+        max_rows: table rows before rounds are sampled.
     """
-    runs: Dict[Tuple, Dict[str, List[float]]] = {}
-    for event in events:
-        if event.get("kind") != "value" \
-                or event.get("name") not in _BANDIT_SERIES:
+    # Per run: one [slot, threshold, reward, eliminated] row per round.
+    runs: Dict[Tuple, List[List]] = {}
+    for event in journal:
+        kind = event.get("kind")
+        if kind not in (_SELECTED, _ELIMINATED, _START):
             continue
         key = (str(event.get("figure")), event.get("run"),
                event.get("algorithm"), event.get("x"),
                event.get("seed"))
-        runs.setdefault(key, {})[event["name"]] = list(event["values"])
-    complete = {key: series for key, series in runs.items()
-                if "threshold_mhz" in series
-                and "bandit_cumulative_reward" in series}
-    if not complete:
+        if kind == _SELECTED:
+            runs.setdefault(key, []).append(
+                [event["slot"], event["value"], 0.0, 0])
+            continue
+        rounds = runs.get(key)
+        if rounds and rounds[-1][0] == event["slot"]:
+            if kind == _START:
+                rounds[-1][2] += event["reward"]
+            else:
+                rounds[-1][3] += 1
+    if not runs:
         return None
-    first_key = sorted(complete)[0]
-    series = complete[first_key]
+    first_key = sorted(runs)[0]
     figure, _run, algorithm, x, seed = first_key
-    thresholds = series["threshold_mhz"]
-    cumulative = series["bandit_cumulative_reward"]
-    surviving = series.get("surviving_arms", [])
-    rounds = min(len(thresholds), len(cumulative))
+    trajectory = []  # (threshold, surviving arms, cumulative reward)
+    alive, total = num_arms, 0.0
+    for _slot, threshold, reward, eliminated in runs[first_key]:
+        alive -= eliminated
+        total += reward
+        trajectory.append((threshold, alive, total))
+    rounds = len(trajectory)
     step = max(1, -(-rounds // max_rows))  # ceil division
     indices = list(range(0, rounds, step))
-    if indices and indices[-1] != rounds - 1:
+    if indices[-1] != rounds - 1:
         indices.append(rounds - 1)
     lines = [
         "## Bandit diagnostics (DynamicRR)",
         "",
-        f"Traced learning runs: {len(complete)}.  Trajectory below: "
+        f"Traced learning runs: {len(runs)}.  Trajectory below: "
         f"figure {figure}, {algorithm}, x={x:g}, seed={seed} "
         f"({rounds} bandit rounds).",
         "",
     ] + table_lines(
         ["round", "threshold (MHz)", "surviving arms",
          "cumulative reward"],
-        [[str(i + 1), f"{thresholds[i]:.0f}",
-          f"{surviving[i]:.0f}" if i < len(surviving) else "-",
-          f"{cumulative[i]:.1f}"] for i in indices], markdown=True)
-    if surviving:
-        lines.append("")
-        lines.append(
-            f"Final surviving arms: {surviving[-1]:.0f}; the "
-            f"threshold trajectory converging while arms die off is "
-            f"Theorem 3's sublinear regret at work.")
+        [[str(i + 1), f"{trajectory[i][0]:.0f}", str(trajectory[i][1]),
+          f"{trajectory[i][2]:.1f}"] for i in indices], markdown=True)
+    lines.append("")
+    lines.append(
+        f"Final surviving arms: {alive}; the threshold trajectory "
+        f"converging while arms die off is Theorem 3's sublinear "
+        f"regret at work.")
     return "\n".join(lines)
 
 
@@ -235,7 +256,7 @@ def build_report(run: FigureRun,
         run: the figures to report, from
             :func:`~repro.experiments.figures.run_figures`.  The
             observation it carries adds sections: a trace adds
-            "Telemetry" and "Bandit diagnostics", a journal the
+            "Telemetry", a journal "Bandit diagnostics" and the
             "Invariant audit", profiling the "Profile digests" and
             allocation capture the "Top allocation sites".
         include_theorems: append the theorem-check studies.
@@ -269,10 +290,10 @@ def build_report(run: FigureRun,
         parts.append("## Telemetry\n\n"
                      + render_digest(digest, top=len(digest.spans),
                                      markdown=True))
-        diagnostics = bandit_diagnostics_markdown(run.trace)
+    if run.journal is not None:
+        diagnostics = bandit_diagnostics_markdown(run.journal)
         if diagnostics is not None:
             parts.append(diagnostics)
-    if run.journal is not None:
         audit = _audit_markdown(run.audits)
         if audit is not None:
             parts.append(audit)

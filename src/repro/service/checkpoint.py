@@ -35,8 +35,10 @@ from ..exceptions import ConfigurationError, PersistenceError
 #: ``metrics_state`` field: resumed services continue their metric
 #: series instead of restarting them from zero.  /3 dropped the LP-PT
 #: ``workspace`` and ``solve_state`` keys from DynamicRR's
-#: ``policy_state``.
-CHECKPOINT_SCHEMA = "repro.service-checkpoint/3"
+#: ``policy_state``.  /4 dropped ``cumulative_reward`` from DynamicRR's
+#: ``policy_state`` (the registry's ``engine_reward_total`` is that
+#: quantity).
+CHECKPOINT_SCHEMA = "repro.service-checkpoint/4"
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, SolverError
-from ..telemetry import get_tracer
+from ..telemetry.metrics import get_metrics
 from .model import LinearProgram
 
 #: An LP oracle: model -> (objective, x in column order).  Must raise
@@ -89,14 +89,9 @@ def solve_with_branch_and_bound(
     incumbent_x = np.zeros(lp.num_variables)
     nodes_explored = 0
 
-    tracer = get_tracer()
-    while heap:
+    while heap and nodes_explored < max_nodes:
         node = heapq.heappop(heap)
         nodes_explored += 1
-        tracer.count("bnb_nodes")
-        if nodes_explored > max_nodes:
-            raise SolverError(
-                f"{lp.name}: branch-and-bound exceeded {max_nodes} nodes")
         try:
             obj, x = relax(node.overrides)
         except InfeasibleProblemError:
@@ -133,6 +128,10 @@ def solve_with_branch_and_bound(
                                            counter=next(counter),
                                            overrides=child))
 
+    get_metrics().inc("bnb_nodes", nodes_explored)
+    if heap:
+        raise SolverError(
+            f"{lp.name}: branch-and-bound exceeded {max_nodes} nodes")
     if incumbent_obj is None:
         raise InfeasibleProblemError(
             f"{lp.name}: no integral feasible solution found")

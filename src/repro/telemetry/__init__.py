@@ -1,4 +1,4 @@
-"""Structured observability: spans, counters, and trace export.
+"""Structured observability: spans, metrics, journals, trace export.
 
 The subsystem answers "where did the milliseconds go" for any run -
 an LP solve, an Appro rounding pass, a Heu migration, a DynamicRR
@@ -12,14 +12,18 @@ bandit round, a simulated slot::
         run_offline(Appro(), instance, workload)
     print(render_digest(digest_from_events(tracer.events())))
 
-Instrumented code never imports a concrete tracer; it calls
-:func:`get_tracer` and records through whatever is current.  The
-default is :data:`NULL_TRACER`, whose operations are no-ops, so
-untraced runs pay nothing measurable.  Sweeps enable tracing per
+Each quantity has one store: the :class:`Tracer` keeps spans, the
+:class:`MetricsRegistry` every count (solver nodes, rounding passes,
+bandit steps, event counts), and the decision :class:`Journal` what
+was decided.  Instrumented code never imports a concrete store; it
+calls :func:`get_tracer` / :func:`get_metrics` / :func:`get_journal`
+and records through whatever is current.  The defaults are no-ops, so
+uninstrumented runs pay nothing measurable.  Sweeps enable tracing per
 :class:`~repro.experiments.executor.RunSpec` (``--trace`` on the
-experiment CLIs); each worker traces its own runs and
-:func:`collect_sweep_trace` merges the fragments deterministically in
-canonical spec order.
+experiment CLIs): a traced run's trace is its spans followed by its
+registry's counters (:class:`~repro.telemetry.profiling.Capture`);
+each worker traces its own runs and :func:`collect_sweep_trace` merges
+the fragments deterministically in canonical spec order.
 
 Beyond in-process tracing, the subsystem persists observability
 *across* runs: :mod:`~repro.telemetry.ledger` condenses a sweep into a

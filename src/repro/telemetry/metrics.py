@@ -1,15 +1,15 @@
-"""Streaming service metrics: slot-indexed counters, gauges, histograms.
+"""Metrics: slot-indexed counters, gauges and histograms.
 
 The tracer (:mod:`repro.telemetry.tracer`) answers "where did the
-milliseconds go" for one bounded run; the decision journal
-(:mod:`repro.telemetry.audit`) records *what* was decided.  Neither
-helps an operator watching a **live, unbounded**
-:class:`~repro.service.loop.AdmissionService`: that needs flat-memory
-series that can be scraped at any instant.  This module is that
-runtime:
+milliseconds go" with spans; the decision journal
+(:mod:`repro.telemetry.audit`) records *what* was decided.  This
+module is the one store of *counts*: a traced or profiled sweep run
+counts into a fresh registry, and a **live, unbounded**
+:class:`~repro.service.loop.AdmissionService` keeps flat-memory series
+that can be scraped at any instant:
 
-* **counters** - monotonic totals (``registry.inc("service_shed_total")``)
-  keyed by name + labels;
+* **counters** - monotonic totals (``registry.inc("service_shed_total")``,
+  ``registry.inc("rounding_rounds", passes)``) keyed by name + labels;
 * **gauges** - last-write-wins instantaneous values
   (``registry.set_gauge("service_queue_depth", depth)``);
 * **histograms** - :class:`StreamingHistogram`: fixed log-scale
@@ -22,11 +22,12 @@ never draws randomness; recording is strictly passive.  Attaching a
 :class:`MetricsRegistry` to a run therefore cannot perturb journals,
 records, or checkpoints (the inertness property test pins this), and
 two runs of the same seed produce identical *deterministic* series.
-Wall-clock quantities (per-slot tick latency) may be observed into
-clearly named histograms (``*_seconds``) - they are advisory, exactly
-like ``runtime_s`` in the run ledger.  Wall-clock *reads* stay confined
-to the exposition layer (:mod:`repro.service.http`), which is DET010
-allowlisted for that reason.
+The host-measured series (:func:`host_measured`: per-slot tick latency
+in ``*_seconds`` histograms, ``service_alloc_*`` allocation gauges) are
+advisory, exactly like ``runtime_s`` in the run ledger.  Wall-clock
+*reads* stay confined to the exposition layer
+(:mod:`repro.service.http`), which is DET010 allowlisted for that
+reason.
 
 The module-level *current registry* defaults to :data:`NULL_REGISTRY`,
 a no-op mirroring :data:`~repro.telemetry.tracer.NULL_TRACER` and
@@ -38,24 +39,40 @@ Registry state round-trips through
 :meth:`~MetricsRegistry.restore_state`, and the admission service
 includes it in every :class:`~repro.service.checkpoint.ServiceCheckpoint`
 - a resumed service reports **continuous** (non-resetting) series.  The
-``*_seconds`` series are left out of the export, so a checkpoint's
-bytes depend only on the run; they restart on resume.
+host-measured series are left out of the export, so a checkpoint's
+bytes depend only on the run, profiled or not; they restart on resume.
 """
 
 from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError
-from .tracer import LabelKey, label_key
 
 #: Quantiles reported by every histogram snapshot (percent).
 SNAPSHOT_QUANTILES = (50.0, 95.0, 99.0)
 
-#: Name suffix of the series that measure wall-clock time.
-WALL_CLOCK_SUFFIX = "_seconds"
+#: Label set in canonical (sorted tuple) form.
+LabelKey = Tuple[Tuple[str, Any], ...]
+
+
+def label_key(labels: Mapping[str, Any]) -> LabelKey:
+    """A label set in canonical form."""
+    return tuple(sorted(labels.items()))
+
+
+def host_measured(series: str) -> bool:
+    """Whether a series (a bare name or a ``name{...}`` id) measures
+    the executing host rather than the run: wall-clock ``*_seconds``
+    and the ``--profile-mem`` allocation gauges ``service_alloc_*``.
+
+    Checkpoints leave these out, and deterministic comparisons skip
+    them.
+    """
+    name = series.partition("{")[0]
+    return name.endswith("_seconds") or name.startswith("service_alloc_")
 
 
 def series_name(name: str, labels: LabelKey) -> str:
@@ -324,10 +341,10 @@ class NullRegistry:
 class MetricsRegistry:
     """Deterministic, flat-memory metric store for a live service.
 
-    All three families are keyed by ``(name, sorted labels)`` exactly
-    like the tracer's counters.  Histograms are created lazily on first
-    :meth:`observe` with the registry's default geometry; call
-    :meth:`register_histogram` first to customize one.
+    All three families are keyed by ``(name, sorted labels)``.
+    Histograms are created lazily on first :meth:`observe` with the
+    registry's default geometry; call :meth:`register_histogram` first
+    to customize one.
 
     The registry tracks a *current slot* (:meth:`advance_slot`, fed by
     the admission service's tick loop) so histogram observations made
@@ -481,10 +498,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
         """Snapshot the registry's deterministic series for a service
-        checkpoint: every series but the wall-clock ``*_seconds``."""
+        checkpoint: every series but the :func:`host_measured` ones."""
         def run_keys(series):
             return [key for key in sorted(series)
-                    if not key[0].endswith(WALL_CLOCK_SUFFIX)]
+                    if not host_measured(key[0])]
 
         return {
             "slot": self.slot,

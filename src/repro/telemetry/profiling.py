@@ -21,12 +21,13 @@ span events; ``--trace-summary`` renders its digest):
 
 * **Deep capture** - :class:`Capture`, the one capture path of sweep
   runs and the service, wraps a block in a tracer, opt-in ``cProfile``
-  and opt-in ``tracemalloc``.  ``cProfile`` statistics
-  (:func:`capture_stats` / :func:`merge_stats`) are reduced to picklable
-  dicts so they ride home on :class:`~repro.sim.results.RunRecord`
-  like traces do, and opt-in ``tracemalloc`` top-N allocation sites
-  (:func:`capture_memory_top` / :func:`merge_memory`) for flat-RSS
-  claims.
+  and opt-in ``tracemalloc``; its trace is the tracer's spans followed
+  by the metrics registry's counters, the one store of counts.
+  ``cProfile`` statistics (:func:`capture_stats` / :func:`merge_stats`)
+  are reduced to picklable dicts so they ride home on
+  :class:`~repro.sim.results.RunRecord` like traces do, and opt-in
+  ``tracemalloc`` top-N allocation sites (:func:`capture_memory_top` /
+  :func:`merge_memory`) for flat-RSS claims.
 
 * **Flamegraph export** - :func:`folded_from_stats` expands the
   cProfile caller graph into collapsed-stack lines ("a;b;c 1234",
@@ -54,9 +55,9 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..exceptions import ConfigurationError
-from .metrics import series_name
+from .metrics import label_key, series_name
 from .summary import list_lines, run_key, span_index, table_lines
-from .tracer import Tracer, label_key, use_tracer
+from .tracer import Tracer, use_tracer
 
 #: Schema identifier of one serialized digest.
 DIGEST_SCHEMA = "repro.profile-digest/1"
@@ -270,10 +271,10 @@ def digest_from_events(events: Iterable[Mapping[str, Any]],
     :func:`repro.telemetry.summary.span_index`).  Span paths are
     the full ancestor chain joined with ``/``; a re-entrant span
     therefore lands on a *longer* path (``a/a``) instead of double
-    counting on ``a``.  Counter events fold in under the registry's
-    flat series id (:func:`~repro.telemetry.metrics.series_name`), so a
-    registry's counters, replayed into the trace by :class:`Capture`,
-    share one namespace with the tracer's own.
+    counting on ``a``.  Counter events - the registry's counters,
+    which :class:`Capture` appends to the spans - fold in under the
+    registry's flat series id
+    (:func:`~repro.telemetry.metrics.series_name`).
     """
     digest = ProfileDigest(runs=runs)
     span_events: List[Mapping[str, Any]] = []
@@ -666,20 +667,21 @@ class Capture:
         capture.digest, capture.stats, capture.memory
 
     Args:
-        trace: record the block's spans and counters on a fresh
-            :class:`~repro.telemetry.Tracer` (``capture.tracer``).
+        trace: record the block's spans on a fresh
+            :class:`~repro.telemetry.Tracer` (``capture.tracer``); on
+            exit ``events`` holds the trace.
         profile: trace, and also run the block under ``cProfile``; on
             exit ``digest`` holds the :class:`ProfileDigest` and
             ``stats`` the :func:`capture_stats` mapping.
         profile_mem: on exit ``memory`` holds the top ``tracemalloc``
             allocation sites (tracemalloc starts here unless already
             running).
-        registry: a metrics registry the block counts into; the caller
-            installs it.  On exit its counters join the trace as
-            counter events, so the trace and the digest read them in
-            the tracer's namespace.  A live service passes its own
+        registry: the metrics registry the block counts into; the
+            caller installs it.  The trace is the tracer's spans
+            followed by one counter record per registry counter, in
+            sorted series order.  A live service passes its own
             registry, which a resume restores from a checkpoint; a null
-            registry (``export_state()`` is None) adds nothing.
+            registry (``export_state()`` is None) adds no counters.
 
     Capture is observation only: the block computes the same results
     with it on or off.
@@ -696,6 +698,7 @@ class Capture:
 
             self._profiler = cProfile.Profile()
         self._stack = ExitStack()
+        self.events: Optional[List[Dict[str, Any]]] = None
         self.digest: Optional[ProfileDigest] = None
         self.stats: Optional[Dict[str, Any]] = None
         self.memory: Optional[List[Dict[str, Any]]] = None
@@ -727,9 +730,11 @@ class Capture:
             return
         state = (self.registry.export_state()
                  if self.registry is not None else None)
-        if state is not None:
-            for (name, labels), value in state["counters"].items():
-                self.tracer.count(name, value, **dict(labels))
+        counters = state["counters"] if state is not None else {}
+        self.events = self.tracer.events() + [
+            {"kind": "counter", "name": name, "labels": dict(labels),
+             "value": value}
+            for (name, labels), value in counters.items()]
         if self._profiler is not None:
-            self.digest = digest_from_events(self.tracer.events())
+            self.digest = digest_from_events(self.events)
             self.stats = capture_stats(self._profiler)

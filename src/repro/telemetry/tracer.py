@@ -1,23 +1,21 @@
-"""Process-local tracer: nested spans, counters, value records.
+"""Process-local tracer: nested, labelled wall-clock spans.
 
-A :class:`Tracer` collects three kinds of telemetry from an
-instrumented run:
+A :class:`Tracer` records **spans** - nested, labelled wall-clock
+intervals opened with ``with tracer.span("lp_solve", backend="scipy"):``.
+Spans carry their start order (``seq``), nesting ``depth``, and the
+``seq`` of their parent, so an exporter can reconstruct the call tree
+and a summary can compute exclusive (self) time.
 
-* **spans** - nested, labelled wall-clock intervals opened with
-  ``with tracer.span("lp_solve", backend="scipy"):``.  Spans carry
-  their start order (``seq``), nesting ``depth``, and the ``seq`` of
-  their parent, so an exporter can reconstruct the call tree and a
-  summary can compute exclusive (self) time;
-* **counters** - monotonic event counts (``tracer.count("drops")``,
-  ``tracer.count("bnb_nodes", 17)``) keyed by name + labels;
-* **values** - deterministic numeric observations
-  (``tracer.observe("threshold_mhz", 600.0)``) whose full sample list
-  is retained for distribution summaries (mean/p95).
+Spans are all a tracer keeps.  Counts live in the metrics registry
+(:mod:`repro.telemetry.metrics`), and what was decided - the bandit's
+threshold, eliminations and rewards among it - in the decision journal
+(:mod:`repro.telemetry.audit`).  A profiled or traced run's trace is
+the tracer's spans followed by the registry's counters
+(:class:`~repro.telemetry.profiling.Capture`).
 
-**Determinism convention.**  Everything a tracer records except span
-``start_s`` / ``duration_s`` must be a deterministic function of the
-run's seed: never ``observe()`` a wall-clock quantity (spans already
-measure time).  Under this convention the *canonical* form of a trace
+**Determinism convention.**  Everything a span records except
+``start_s`` / ``duration_s`` is a deterministic function of the run's
+seed, so the *canonical* form of a trace
 (:func:`repro.telemetry.export.canonical_events`) is bit-identical
 between serial and parallel sweep executions.
 
@@ -31,16 +29,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
-
-#: Label set in canonical (sorted tuple) form.
-LabelKey = Tuple[Tuple[str, Any], ...]
-
-
-def label_key(labels: Mapping[str, Any]) -> LabelKey:
-    """A label set in canonical form (the tracer's and the registry's)."""
-    return tuple(sorted(labels.items()))
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 class _SpanContext:
@@ -99,12 +88,6 @@ class NullTracer:
         """Return the shared no-op span."""
         return _NULL_SPAN
 
-    def count(self, name: str, value: float = 1.0, **labels) -> None:
-        """Discard a counter increment."""
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        """Discard a value observation."""
-
     def events(self) -> List[Dict[str, Any]]:
         """A null tracer never has events."""
         return []
@@ -114,7 +97,7 @@ class NullTracer:
 
 
 class Tracer:
-    """Collects spans, counters, and value observations.
+    """Collects spans.
 
     Args:
         clock: monotonic time source (seconds); injectable for tests.
@@ -127,8 +110,6 @@ class Tracer:
         self._clock = clock
         self._spans: List[Dict[str, Any]] = []
         self._stack: List[int] = []
-        self._counters: Dict[Tuple[str, LabelKey], float] = {}
-        self._values: Dict[Tuple[str, LabelKey], List[float]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -154,20 +135,6 @@ class Tracer:
         self._spans.append(record)
         return _SpanContext(self, record)
 
-    def count(self, name: str, value: float = 1.0, **labels) -> None:
-        """Add ``value`` to the monotonic counter ``name`` + labels."""
-        key = (name, label_key(labels))
-        self._counters[key] = self._counters.get(key, 0.0) + float(value)
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        """Append one numeric observation to ``name`` + labels.
-
-        Observe only run-deterministic quantities (see the module
-        docstring); wall-clock belongs in spans.
-        """
-        self._values.setdefault((name, label_key(labels)),
-                                []).append(float(value))
-
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -176,43 +143,18 @@ class Tracer:
         """Currently un-exited spans (0 between instrumented calls)."""
         return len(self._stack)
 
-    def counter(self, name: str, **labels) -> float:
-        """Current value of one counter (0.0 when never incremented)."""
-        return self._counters.get((name, label_key(labels)), 0.0)
-
-    def observations(self, name: str, **labels) -> List[float]:
-        """The recorded observations of one value series."""
-        return list(self._values.get((name, label_key(labels)), []))
-
     def events(self) -> List[Dict[str, Any]]:
-        """The trace as a flat, JSON-serializable event list.
-
-        Spans come first in start order, then counters, then value
-        series, both sorted by (name, labels) - a deterministic order
-        for a deterministic run.
-        """
-        out: List[Dict[str, Any]] = [dict(span) for span in self._spans]
-        for (name, labels) in sorted(self._counters):
-            out.append({"kind": "counter", "name": name,
-                        "labels": dict(labels),
-                        "value": self._counters[(name, labels)]})
-        for (name, labels) in sorted(self._values):
-            out.append({"kind": "value", "name": name,
-                        "labels": dict(labels),
-                        "values": list(self._values[(name, labels)])})
-        return out
+        """The spans as a flat, JSON-serializable list in start order
+        (a deterministic order for a deterministic run)."""
+        return [dict(span) for span in self._spans]
 
     def clear(self) -> None:
         """Drop everything recorded so far."""
         self._spans.clear()
         self._stack.clear()
-        self._counters.clear()
-        self._values.clear()
 
     def __repr__(self) -> str:
-        return (f"Tracer(spans={len(self._spans)}, "
-                f"counters={len(self._counters)}, "
-                f"values={len(self._values)})")
+        return f"Tracer(spans={len(self._spans)})"
 
 
 #: The shared no-op tracer (also the initial current tracer).

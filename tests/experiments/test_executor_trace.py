@@ -9,6 +9,7 @@ The two load-bearing properties:
   all of its wall time to named top-level spans.
 """
 
+import dataclasses
 
 from repro.baselines.greedy import GreedyOffline, GreedyOnline
 from repro.core.appro import Appro
@@ -96,22 +97,26 @@ class TestExpectedSpans:
     def test_offline_appro_spans(self):
         record = execute_run(offline_spec(trace=True, factory=Appro,
                                           num_requests=10))
-        names = {e["name"] for e in record.trace
-                 if e["kind"] == "span"}
+        names = [e["name"] for e in record.trace
+                 if e["kind"] == "span"]
         assert {"offline_run", "build_lp", "lp_solve",
-                "rounding"} <= names
-        counters = {e["name"] for e in record.trace
+                "rounding"} <= set(names)
+        counters = {e["name"]: e["value"] for e in record.trace
                     if e["kind"] == "counter"}
-        assert "rounding_rounds" in counters
+        # One registry inc per call, worth one per rounding pass.
+        assert counters["rounding_rounds"] == names.count("rounding")
 
     def test_online_dynamic_rr_spans(self):
-        record = execute_run(online_spec(trace=True, factory=DynamicRR))
-        names = {e["name"] for e in record.trace
-                 if e["kind"] == "span"}
-        assert {"slot_admission", "bandit_round"} <= names
-        values = {e["name"] for e in record.trace
-                  if e["kind"] == "value"}
-        assert "threshold_mhz" in values
+        record = execute_run(dataclasses.replace(
+            online_spec(trace=True, factory=DynamicRR), journal=True))
+        names = [e["name"] for e in record.trace
+                 if e["kind"] == "span"]
+        assert {"slot_admission", "bandit_round"} <= set(names)
+        # The trajectory is the journal's: one ARM_SELECTED per round.
+        selected = [e for e in record.journal
+                    if e["kind"] == "arm_selected"]
+        assert len(selected) == names.count("bandit_round") > 0
+        assert {e["kind"] for e in record.trace} == {"span", "counter"}
 
     def test_runner_trace_knob(self):
         sweep = run_offline_sweep(

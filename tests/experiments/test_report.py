@@ -85,11 +85,13 @@ def traced_driver(scale, workers=1, trace=False):
     with tracer.span("slot_admission"):
         with tracer.span("lp_solve"):
             pass
-    tracer.count("station_transitions_total", 3, direction="down")
-    tracer.count("station_transitions_total", 15, direction="up")
+    counters = [{"kind": "counter", "name": "station_transitions_total",
+                 "labels": {"direction": direction}, "value": value}
+                for direction, value in (("down", 3.0), ("up", 15.0))]
     sweep = SweepResult("num_requests")
     sweep.add(RunRecord("Appro", 10, 0, {"total_reward": 1.0},
-                        trace=tuple(tracer.events()) if trace else None))
+                        trace=(tuple(tracer.events() + counters)
+                               if trace else None)))
     return sweep
 
 

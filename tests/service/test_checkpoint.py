@@ -120,8 +120,9 @@ class TestResumeByteIdentity:
 
 
 class TestCheckpointBytes:
-    """A checkpoint's bytes depend only on the run: the wall-clock
-    ``*_seconds`` series stay out of its registry state."""
+    """A checkpoint's bytes depend only on the run: the host-measured
+    series (``*_seconds``, ``service_alloc_*``) stay out of its
+    registry state."""
 
     def run_in(self, directory, make_service_config, monkeypatch):
         """One metered run writing relative paths inside `directory`."""
@@ -149,6 +150,25 @@ class TestCheckpointBytes:
                  for name, _ in state[family]}
         assert "service_batch_size" in names
         assert not any(name.endswith("_seconds") for name in names)
+
+    def test_profiled_run_writes_the_plain_checkpoint(
+            self, tmp_path, monkeypatch):
+        """``--profile --profile-mem`` publishes allocation gauges; the
+        checkpoints and journal stay byte-identical to a plain run's."""
+        from repro.service.loadgen import run_loadgen
+
+        written = []
+        for name, profiled in (("plain", False), ("profiled", True)):
+            directory = tmp_path / name
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            run_loadgen(arrivals=1000, rate=8.0, policy="dynamicrr",
+                        journal_path="run.jsonl", checkpoint_path="run.ckpt",
+                        checkpoint_every=100, profile=profiled,
+                        profile_mem=profiled)
+            written.append(((directory / "run.ckpt").read_bytes(),
+                            (directory / "run.jsonl").read_bytes()))
+        assert written[0] == written[1]
 
     def test_wall_clock_series_restart_on_resume(
             self, make_service_config, tmp_path):
@@ -198,6 +218,20 @@ class TestCheckpointFiles:
                           "solve_state": None, "tracker": None},
             stream_state={"next_id": 3},
             journal=JournalCursor(), schema="repro.service-checkpoint/2")
+        path = tmp_path / "stale.ckpt"
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ConfigurationError, match="stale checkpoint"):
+            read_checkpoint(str(path))
+
+    def test_read_schema_3_checkpoint_raises(self, tmp_path):
+        """A /3 file still carries DynamicRR's ``cumulative_reward``."""
+        stale = ServiceCheckpoint(
+            config={"policy": "dynamicrr"}, slot=9,
+            engine_state={"slot": 9},
+            policy_state={"bandit": None, "tracker": None,
+                          "cumulative_reward": 0.0},
+            stream_state={"next_id": 3},
+            journal=JournalCursor(), schema="repro.service-checkpoint/3")
         path = tmp_path / "stale.ckpt"
         path.write_bytes(pickle.dumps(stale))
         with pytest.raises(ConfigurationError, match="stale checkpoint"):

@@ -26,7 +26,8 @@ from repro.service import AdmissionService
 from repro.service.loop import SlotReport
 from repro.sim.events import EventKind
 from repro.telemetry.audit import emit_many, use_journal
-from repro.telemetry.metrics import MetricsRegistry, use_metrics
+from repro.telemetry.metrics import (MetricsRegistry, host_measured,
+                                     use_metrics)
 
 
 # ----------------------------------------------------------------------
@@ -123,12 +124,6 @@ class FrozenService(AdmissionService):
 # ----------------------------------------------------------------------
 # Running both sides
 # ----------------------------------------------------------------------
-def _deterministic(series: str) -> bool:
-    name = series.split("{", 1)[0]
-    return not (name.endswith("_seconds")
-                or name.startswith("service_alloc_"))
-
-
 def run(service_cls, config, registry=None):
     """Drain one service; return everything the A/B compares."""
     service = service_cls(config, registry=registry)
@@ -148,7 +143,7 @@ def run(service_cls, config, registry=None):
         full = registry.snapshot()
         snapshot = {family: {series: value
                              for series, value in full[family].items()
-                             if _deterministic(series)}
+                             if not host_measured(series)}
                     for family in ("counters", "gauges", "histograms")}
     return dict(journal=journal, reports=reports,
                 counters=dict(service.counters), snapshot=snapshot,

@@ -3,8 +3,8 @@
 One greedy and one DynamicRR run, each stopped at a short horizon so
 requests are still pending or running when the service closes, and the
 DynamicRR run also checkpoints.  The golden file holds every counter
-and every deterministic gauge of the run's registry: wall-clock series
-(``*_seconds``) and the allocation gauges are left out.  Any change to
+and every deterministic gauge of the run's registry: the host-measured
+series (``metrics.host_measured``) are left out.  Any change to
 what the service meters shows up here as a named series with its old
 and new value.
 
@@ -23,7 +23,7 @@ import pytest
 from repro.config import (NetworkConfig, OnlineConfig, RequestConfig,
                           SimulationConfig)
 from repro.service import AdmissionService, ServiceConfig
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, host_measured
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "metrics_counters.json"
 
@@ -51,12 +51,6 @@ def _config(directory: pathlib.Path, **overrides) -> ServiceConfig:
     return ServiceConfig(**settings)
 
 
-def _deterministic(series: str) -> bool:
-    name = series.split("{", 1)[0]
-    return not (name.endswith("_seconds")
-                or name.startswith("service_alloc_"))
-
-
 def metered_series(name: str, directory: pathlib.Path) -> dict:
     """Counters and deterministic gauges after one service run."""
     registry = MetricsRegistry()
@@ -68,7 +62,7 @@ def metered_series(name: str, directory: pathlib.Path) -> dict:
     snapshot = registry.snapshot()
     return {family: {series: value
                      for series, value in snapshot[family].items()
-                     if _deterministic(series)}
+                     if not host_measured(series)}
             for family in ("counters", "gauges")}
 
 

@@ -24,7 +24,8 @@ from repro.experiments.settings import base_config
 from repro.service import AdmissionService, read_checkpoint
 from repro.telemetry import collect_sweep_journal
 from repro.telemetry.metrics import (NULL_REGISTRY, MetricsRegistry,
-                                     get_metrics, use_metrics)
+                                     get_metrics, host_measured,
+                                     use_metrics)
 
 #: Registry counters that are pure functions of the seeded run (the
 #: wall-clock latency histogram is deliberately excluded).
@@ -55,7 +56,7 @@ def deterministic_view(registry):
     snapshot = registry.snapshot()
     counters = {name: value
                 for name, value in snapshot["counters"].items()
-                if not name.endswith("_seconds")}
+                if not host_measured(name)}
     hist = registry.histogram("service_batch_size")
     return counters, (hist.snapshot() if hist is not None else None)
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.solver.branch_and_bound import solve_with_branch_and_bound
 from repro.solver.model import LinearProgram
 from repro.solver.scipy_backend import solve_lp_scipy
 from repro.solver.simplex import solve_with_simplex
+from repro.telemetry.metrics import MetricsRegistry, use_metrics
 
 
 def solve_bnb(lp, oracle=solve_lp_scipy):
@@ -40,6 +41,24 @@ class TestKnapsack:
         _obj, values = solve_bnb(self.make_knapsack())
         for val in values.values():
             assert val == pytest.approx(round(val))
+
+    def test_explored_nodes_count_into_the_registry(self):
+        relaxations = []
+
+        def oracle(lp):
+            relaxations.append(lp)
+            return solve_lp_scipy(lp)
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            solve_with_branch_and_bound(self.make_knapsack(), oracle)
+        # One relaxation per explored node, plus the root bound.
+        assert registry.counter("bnb_nodes") == len(relaxations) - 1 > 1
+
+    def test_node_budget_exhausted(self):
+        with pytest.raises(SolverError, match="exceeded 1 nodes"):
+            solve_with_branch_and_bound(self.make_knapsack(),
+                                        solve_lp_scipy, max_nodes=1)
 
 
 class TestGeneralInteger:

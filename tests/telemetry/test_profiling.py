@@ -38,9 +38,11 @@ def traced_run():
         with tracer.span("lp_solve"):
             with tracer.span("lp_solve"):
                 pass
-            tracer.count("lp_solves_total", 1, mode="cold")
-        tracer.count("simplex_iterations_total", 12, phase="primal")
-    return tracer.events()
+    return tracer.events() + [
+        {"kind": "counter", "name": "lp_solves_total",
+         "labels": {"mode": "cold"}, "value": 1.0},
+        {"kind": "counter", "name": "simplex_iterations_total",
+         "labels": {"phase": "primal"}, "value": 12.0}]
 
 
 def nested_trace():
@@ -90,20 +92,23 @@ class TestDigestFromEvents:
             'simplex_iterations_total{phase="primal"}'] == 12
 
     def test_registry_counters_share_the_namespace(self):
-        # The kept rule: a capture replays its registry's counters into
-        # the trace, so the digest reads them as tracer counters and a
-        # series both count into sums to one entry.
+        # The trace is the tracer's spans, then one counter record per
+        # registry counter in sorted series order; the digest reads
+        # the counters under their flat series ids.
         registry = MetricsRegistry()
         capture = Capture(profile=True, registry=registry)
         with capture:
-            registry.inc("rounding_admits_total", 5.0)
+            with get_tracer().span("rounding"):
+                registry.inc("rounding_rounds", 3.0)
             registry.inc("lp_solves_total", 2.0, mode="cold")
-            get_tracer().count("lp_solves_total", 1, mode="cold")
-        assert capture.digest.counters["rounding_admits_total"] == 5.0
-        assert capture.digest.counters['lp_solves_total{mode="cold"}'] \
-            == 3.0
-        assert {"kind": "counter", "name": "rounding_admits_total",
-                "labels": {}, "value": 5.0} in capture.tracer.events()
+        assert [(e["kind"], e["name"]) for e in capture.events] == [
+            ("span", "rounding"), ("counter", "lp_solves_total"),
+            ("counter", "rounding_rounds")]
+        assert capture.events[1] == {
+            "kind": "counter", "name": "lp_solves_total",
+            "labels": {"mode": "cold"}, "value": 2.0}
+        assert capture.digest.counters == {
+            'lp_solves_total{mode="cold"}': 2.0, "rounding_rounds": 3.0}
 
     def test_counter_owner_join(self):
         digest = digest_from_events(traced_run() + [
@@ -130,6 +135,7 @@ class TestCapture:
             with get_tracer().span("slot_admission"):
                 pass
         assert capture.digest.counters == {}
+        assert [e["kind"] for e in capture.events] == ["span"]
         assert capture.digest.spans["slot_admission"].calls == 1
         assert capture.stats
 

@@ -1,4 +1,4 @@
-"""Unit tests for the tracer core: spans, counters, values, nulls."""
+"""Unit tests for the tracer core: spans and the null tracer."""
 
 import pytest
 
@@ -64,45 +64,22 @@ class TestSpans:
     def test_clear(self):
         tracer = Tracer()
         with tracer.span("a"):
-            tracer.count("c")
-            tracer.observe("v", 1.0)
+            pass
         tracer.clear()
         assert tracer.events() == []
-
-
-class TestCountersAndValues:
-    def test_counter_accumulates(self):
-        tracer = Tracer()
-        tracer.count("drops")
-        tracer.count("drops", 3)
-        assert tracer.counter("drops") == 4.0
-
-    def test_counter_labels_are_separate_series(self):
-        tracer = Tracer()
-        tracer.count("nodes", 2, backend="bnb")
-        tracer.count("nodes", 5, backend="scipy")
-        assert tracer.counter("nodes", backend="bnb") == 2.0
-        assert tracer.counter("nodes", backend="scipy") == 5.0
-
-    def test_observe_keeps_samples(self):
-        tracer = Tracer()
-        for value in (1.0, 2.0, 3.0):
-            tracer.observe("threshold_mhz", value)
-        assert tracer.observations("threshold_mhz") == [1.0, 2.0, 3.0]
 
     def test_events_are_deterministically_ordered(self):
         def build():
             tracer = Tracer(clock=FakeClock())
-            tracer.count("b")
-            tracer.count("a")
-            tracer.observe("z", 1.0)
             with tracer.span("s"):
+                pass
+            with tracer.span("t"):
                 pass
             return tracer.events()
 
         assert build() == build()
-        kinds = [e["kind"] for e in build()]
-        assert kinds == ["span", "counter", "counter", "value"]
+        assert [(e["kind"], e["name"]) for e in build()] \
+            == [("span", "s"), ("span", "t")]
 
 
 class TestNullTracer:
@@ -112,12 +89,6 @@ class TestNullTracer:
         assert span is null.span("other")
         with span:
             pass
-        assert null.events() == []
-
-    def test_count_observe_noops(self):
-        null = NullTracer()
-        null.count("x", 5)
-        null.observe("y", 1.0)
         assert null.events() == []
 
     def test_enabled_flags(self):
