@@ -91,12 +91,20 @@ class ProblemInstance:
         return self.derived("max_num_slots", lambda: max(
             self.network.num_slots(sid) for sid in self.network.station_ids))
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Derived values are rebuilt on first use, and some are keyed by
+        # object identity, which neither a pickle nor a copy keeps.
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
+
     def derived(self, key: str, build: Callable[[], _T]) -> _T:
         """A value that depends on the instance alone, built on first use.
 
         Neither the network nor the config changes after construction,
         so such a value is computed once per instance and shared by
-        every later call under the same `key`.
+        every later call under the same `key`.  Pickles and copies of
+        the instance start without them.
         """
         try:
             return self._derived[key]

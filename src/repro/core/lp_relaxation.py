@@ -39,19 +39,28 @@ Only the expectations stay scalar: each reward prefix and each
 truncated rate is one 1-D dot, exactly as
 :meth:`~repro.requests.distributions.RateRewardDistribution.expected_reward_within`
 and ``expected_truncated_rate`` compute it, because a batched product
-would round differently.  A reward prefix is one dot per distinct
-(request, prefix length).  A truncated rate ``E[min(rho, c)]`` depends
-on the rate grid alone, so it is one dot per distinct
-(:attr:`~repro.requests.distributions.RateRewardDistribution.support_key`,
-cap): requests drawn on one :class:`~repro.requests.distributions.RateGrid`
-share it.  Variable and constraint names are produced only when a
-caller asks for them.
+would round differently.  A request's reward prefixes (one per number
+of rates that fit) are computed once per distribution
+(:meth:`~repro.requests.distributions.RateRewardDistribution.reward_prefixes`),
+so a request that stays pending is not re-priced every round.  Variable
+and constraint names are produced only when a caller asks for them.
 
 Every call builds a fresh model; DynamicRR builds one LP-PT per round.
-What depends on the network alone - every station's candidate rows,
-before the fair-share cap of LP-PT - is built once per instance
+What the build reads that does not depend on the round's requests is
+cached on the instance
 (:meth:`~repro.core.instance.ProblemInstance.derived`) and read by every
-later build; nothing else is carried between rounds.
+later build; nothing else is carried between rounds:
+
+* per instance, every station's candidate rows before the fair-share
+  cap of LP-PT, and per station slot the largest rate that fits the
+  capacity left after the slot offset;
+* per instance and |R_t| (the plain LP is its own entry), the distinct
+  fair-share-capped row caps and each row's cap, and, per rate support
+  (:attr:`~repro.requests.distributions.RateRewardDistribution.support_key`:
+  requests drawn on one :class:`~repro.requests.distributions.RateGrid`
+  share it), how many rates fit each station slot (one
+  ``searchsorted`` on the sorted support) and ``E[min(rho, cap)]`` at
+  every cap.
 """
 
 from __future__ import annotations
@@ -149,6 +158,12 @@ class _StationRows:
     row_rhs: np.ndarray
     #: The truncation cap of each row before any fair share (rate space).
     row_cap: np.ndarray
+    #: Station ``p``'s slots are ``slot_first[p] .. slot_first[p] + L_p``
+    #: in :attr:`slot_limit`.
+    slot_first: np.ndarray
+    #: Per station slot ``l``, the largest rate whose demand fits the
+    #: capacity left after the slot offset, plus :data:`_PROB_TOL`.
+    slot_limit: np.ndarray
 
 
 def _station_rows(instance: ProblemInstance) -> _StationRows:
@@ -168,6 +183,9 @@ def _station_rows(instance: ProblemInstance) -> _StationRows:
         row_m = np.arange(row_station.size) - row_first[row_station] + 1
         is_capacity = row_m > num_slots[row_station]
         threshold = row_m * slot_size / c_unit
+        slot_first = np.cumsum(num_slots) - num_slots
+        slot_station = np.repeat(np.arange(num_slots.size), num_slots)
+        slot = np.arange(slot_station.size) - slot_first[slot_station]
         arrays = dict(
             station_ids=np.array([bs.station_id for bs in stations],
                                  dtype=np.int64),
@@ -177,7 +195,10 @@ def _station_rows(instance: ProblemInstance) -> _StationRows:
             row_rhs=np.where(is_capacity, capacity_rate[row_station],
                              PREFIX_SLACK * threshold),
             row_cap=np.where(is_capacity, capacity_rate[row_station],
-                             threshold))
+                             threshold),
+            slot_first=slot_first,
+            slot_limit=((capacity[slot_station] - slot * slot_size) / c_unit
+                        + _PROB_TOL))
         for array in arrays.values():
             array.flags.writeable = False
         return _StationRows(
@@ -187,22 +208,75 @@ def _station_rows(instance: ProblemInstance) -> _StationRows:
     return instance.derived("lp_station_rows", build)
 
 
+class _CountTables:
+    """What a build reads that depends on the instance, the fair-share
+    count and a rate support alone; see :func:`_count_tables`."""
+
+    __slots__ = ("stations", "caps", "row_cap_at", "_supports")
+
+    def __init__(self, stations: _StationRows, caps: np.ndarray,
+                 row_cap_at: np.ndarray) -> None:
+        self.stations = stations
+        #: The distinct row caps, ascending (rate space).
+        self.caps = caps
+        #: Each candidate row's position in :attr:`caps`.
+        self.row_cap_at = row_cap_at
+        #: support key -> (rates, probabilities, fits, truncated).
+        self._supports: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
+
+    def support(self, key: Tuple[int, int], rates: np.ndarray,
+                probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(fits, truncated)`` of one support, computed once.
+
+        ``fits`` holds, per station slot, how many rates fit the
+        capacity left after the slot offset (one ``searchsorted`` on
+        the sorted support); ``truncated`` holds ``E[min(rho, cap)]``
+        per cap, one dot each as ``expected_truncated_rate`` takes it.
+        `key` is the support's
+        :attr:`~repro.requests.distributions.RateRewardDistribution.support_key`;
+        the entry keeps `rates` and `probs` (views of the keyed
+        arrays), so no other support can reuse their ids.
+        """
+        entry = self._supports.get(key)
+        if entry is None:
+            fits = np.searchsorted(rates, self.stations.slot_limit,
+                                   side="right")
+            truncated = np.array(list(map(probs.dot, np.minimum(
+                rates, self.caps[:, None]))), dtype=float)
+            fits.flags.writeable = truncated.flags.writeable = False
+            entry = self._supports[key] = (rates, probs, fits, truncated)
+        return entry[2], entry[3]
+
+
+def _count_tables(instance: ProblemInstance,
+                  fair_share_count: Optional[int]) -> _CountTables:
+    """The :class:`_CountTables` of the plain LP (`fair_share_count`
+    None) or of an LP-PT over that many requests, built once per
+    instance and count."""
+
+    def build() -> _CountTables:
+        stations = _station_rows(instance)
+        row_cap = stations.row_cap
+        if fair_share_count is not None:
+            share = stations.capacity / (fair_share_count * instance.c_unit)
+            row_cap = np.minimum(row_cap, share[stations.row_station])
+        caps, row_cap_at = np.unique(row_cap, return_inverse=True)
+        caps.flags.writeable = row_cap_at.flags.writeable = False
+        return _CountTables(stations, caps, row_cap_at)
+
+    return instance.derived(f"lp_count_tables_{fair_share_count}", build)
+
+
 def _build_model(lp: LinearProgram, instance: ProblemInstance,
                  requests: Sequence[ARRequest],
                  waiting: Mapping[int, float],
                  fair_share_count: Optional[int]) -> LpIndex:
     """Assemble the slot-indexed LP into `lp`; returns its index."""
-    slot_size, c_unit = instance.slot_size_mhz, instance.c_unit
-    stations = _station_rows(instance)
+    tables = _count_tables(instance, fair_share_count)
+    stations = tables.stations
     station_ids, position = stations.station_ids, stations.position
-    num_slots, capacity = stations.num_slots, stations.capacity
-    row_first, row_station = stations.row_first, stations.row_station
+    num_slots, row_station = stations.num_slots, stations.row_station
     row_width, row_rhs = stations.row_width, stations.row_rhs
-    row_cap = stations.row_cap
-    if fair_share_count is not None:
-        share = capacity / (fair_share_count * c_unit)
-        row_cap = np.minimum(row_cap, share[row_station])
-    caps, row_cap_at = np.unique(row_cap, return_inverse=True)
 
     # Blocks: one per feasible (request, station), in column order.
     block_req: List[int] = []
@@ -226,24 +300,29 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     if len(ranges) != len(requests):
         raise ConfigurationError("LP requests must have distinct ids")
 
-    # The distinct supports of the requests with columns, padded with
-    # +inf: requests drawn on one RateGrid share one support.
+    # The distinct supports of the requests with columns (requests
+    # drawn on one RateGrid share one) and each such request's reward
+    # prefixes, padded to the longest support.
     dists = [request.distribution for request in requests]
-    used = sorted(set(block_req))
     support_at: Dict[Tuple[int, int], int] = {}
-    supports: List[Tuple[np.ndarray, np.ndarray]] = []
+    fit_rows: List[np.ndarray] = []
+    trunc_rows: List[np.ndarray] = []
     support_of = np.zeros(len(requests), dtype=np.int64)
+    used = sorted(set(block_req))
+    prefixes = np.zeros((len(requests), max(
+        (dists[r].num_levels for r in used), default=0) + 1))
     for r in used:
         key = dists[r].support_key
         at = support_at.get(key)
         if at is None:
-            at = support_at[key] = len(supports)
-            supports.append((dists[r].rates_mbps, dists[r].probabilities))
+            at = support_at[key] = len(fit_rows)
+            fits, truncated = tables.support(key, dists[r].rates_mbps,
+                                             dists[r].probabilities)
+            fit_rows.append(fits)
+            trunc_rows.append(truncated)
         support_of[r] = at
-    levels = max((rates.size for rates, _ in supports), default=0)
-    rates = np.full((len(supports), levels), np.inf)
-    for at, (support_rates, _) in enumerate(supports):
-        rates[at, :support_rates.size] = support_rates
+        reward_prefixes = dists[r].reward_prefixes()
+        prefixes[r, :reward_prefixes.size] = reward_prefixes
 
     # Columns and their Eq. (8) objective: the reward prefix over the
     # ``k`` rates that fit the capacity left after the slot offset.
@@ -251,23 +330,15 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     col_req = block_req_arr[col_block]
     col_station = block_station_arr[col_block]
     col_slot = np.arange(col_block.size) - block_first[col_block]
-    max_rate = (capacity[col_station] - col_slot * slot_size) / c_unit
-    fits = (rates[support_of[col_req]]
-            <= (max_rate + _PROB_TOL)[:, None]).sum(axis=1)
+    fits = np.array(fit_rows, dtype=np.int64).reshape(
+        len(fit_rows), stations.slot_limit.size)[
+        support_of[col_req], stations.slot_first[col_station] + col_slot]
     index = LpIndex(request_id=np.array([r.request_id for r in requests],
                                         dtype=np.int64)[col_req],
                     station_id=station_ids[col_station],
                     slot=col_slot, ranges=ranges)
-    # One dot per distinct (request, k), as expected_reward_within.
-    distinct, where = np.unique(col_req * (levels + 1) + fits,
-                                return_inverse=True)
-    rewards = np.array([
-        supports[support_of[r]][1][:k] @ dists[r].rewards[:k]
-        for r, k in zip(*(part.tolist() for part in
-                          np.divmod(distinct, levels + 1)))],
-        dtype=float)[where]
     lp.add_columns(np.zeros(col_block.size), np.ones(col_block.size),
-                   rewards, index.variable_names)
+                   prefixes[col_req, fits], index.variable_names)
 
     # Constraint (9): each request starts in at most one slot; its
     # columns are one contiguous range, and the ranges tile all columns.
@@ -285,26 +356,22 @@ def _build_model(lp: LinearProgram, instance: ProblemInstance,
     # capacity - which is where the expected-reward awareness of the
     # objective actually bites.
     #
-    # Pairs (block, candidate row of its station), sorted by row; the
-    # stable sort keeps blocks - hence columns - ascending in a row.
-    pair_block = np.repeat(np.arange(block_first.size), block_width + 1)
-    pair_row = (np.arange(pair_block.size)
-                - np.repeat(np.cumsum(block_width + 1) - block_width - 1,
-                            block_width + 1)
-                + row_first[block_station_arr[pair_block]])
-    order = np.argsort(pair_row, kind="stable")
-    pair_block, pair_row = pair_block[order], pair_row[order]
-    # E[min(rho, cap)] per (support, cap), one dot each as in
-    # expected_truncated_rate.  Caps from ``caps[clip]`` on are at or
-    # above every top rate: they truncate nothing and share one column.
-    clip = int(np.searchsorted(caps, max(
-        (support_rates[-1] for support_rates, _ in supports), default=0.0)))
-    col_caps = caps[:clip + 1, None]
-    trunc = np.array([list(map(probs.dot, np.minimum(support_rates, col_caps)))
-                      for support_rates, probs in supports]
-                     ).reshape(len(supports), col_caps.size)
-    coef = trunc[support_of[block_req_arr[pair_block]],
-                 np.minimum(row_cap_at[pair_row], clip)]
+    # Pairs (block, candidate row of its station), by row: each row
+    # takes its station's blocks in ascending order, so columns ascend
+    # in a row.
+    by_station = np.argsort(block_station_arr, kind="stable")
+    at_station = np.bincount(block_station_arr, minlength=num_slots.size)
+    row_blocks = at_station[row_station]
+    pair_first = np.cumsum(row_blocks) - row_blocks
+    pair_row = np.repeat(np.arange(row_station.size), row_blocks)
+    pair_block = by_station[
+        np.arange(pair_row.size)
+        + np.repeat((np.cumsum(at_station) - at_station)[row_station]
+                    - pair_first, row_blocks)]
+    # E[min(rho, cap)] of the block's support at the row's cap.
+    coef = np.array(trunc_rows, dtype=float).reshape(
+        len(trunc_rows), tables.caps.size)[
+        support_of[block_req_arr[pair_block]], tables.row_cap_at[pair_row]]
     keep = coef > 0
     pair_block, pair_row, coef = pair_block[keep], pair_row[keep], coef[keep]
     width = row_width[pair_row]

@@ -119,9 +119,10 @@ class RateRewardDistribution:
     built by :meth:`on_grid` share their grid's arrays.
 
     ``E[rho]`` depends on the grid alone, so it is copied from the grid
-    instead of recomputed per call.  It is derived, not state: pickles
-    hold only the three arrays (a checkpoint's bytes do not depend on
-    the cache) and loading re-derives it.
+    instead of recomputed per call; :meth:`reward_prefixes` is computed
+    on first use.  Both are derived, not state: pickles hold only the
+    three arrays (a checkpoint's bytes do not depend on the caches) and
+    loading re-derives them.
     """
 
     def __init__(self, rates_mbps: Sequence[float],
@@ -162,6 +163,7 @@ class RateRewardDistribution:
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         del state["_expected_rate"]
+        state.pop("_reward_prefixes", None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -251,6 +253,24 @@ class RateRewardDistribution:
             return 0.0
         mask = self._rates <= max_rate_mbps + _PROB_TOL
         return float(self._probs[mask] @ self._rewards[mask])
+
+    def reward_prefixes(self) -> np.ndarray:
+        """Entry ``k`` is the expected reward over the ``k`` smallest
+        rates, ``k = 0..|DR|`` (read-only).
+
+        Each entry is the one dot :meth:`expected_reward_within` takes
+        for a cap that admits exactly ``k`` rates, so ``ER_{jil}`` of
+        Eq. (8) is an entry of this array.  Built on first use.
+        """
+        prefixes = self.__dict__.get("_reward_prefixes")
+        if prefixes is None:
+            probs, rewards = self._probs, self._rewards
+            prefixes = np.array([probs[:k] @ rewards[:k]
+                                 for k in range(probs.size + 1)],
+                                dtype=float)
+            prefixes.flags.writeable = False
+            self._reward_prefixes = prefixes
+        return prefixes
 
     def probability_within(self, max_rate_mbps: float) -> float:
         """``P[rho_j <= max_rate_mbps]``."""

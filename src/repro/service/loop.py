@@ -333,9 +333,7 @@ class AdmissionService:
             deferred: List = []
             if accepted:
                 metrics.inc("service_admitted_total", len(accepted))
-                still_pending = set(self._engine.pending_ids())
-                deferred = [request for request in accepted
-                            if request.request_id in still_pending]
+                deferred = self._engine.still_pending(accepted)
             emit_many(EventKind.ADMIT_DEFERRED, slot, deferred,
                       lambda request: dict(
                           request_id=request.request_id,

@@ -332,6 +332,24 @@ class OnlineEngine:
         """Ids of pending requests, in queue order."""
         return tuple(r.request_id for r in self._pending)
 
+    def still_pending(self, arrivals: Sequence[ARRequest]
+                      ) -> List[ARRequest]:
+        """Those of the last :meth:`step`'s `arrivals` still pending.
+
+        The step appends its arrivals to the queue and every removal
+        keeps queue order, so the ones left are the queue's tail, in
+        arrival order; only that tail is read.
+        """
+        pending = self._pending
+        left: List[ARRequest] = []
+        at = len(pending)
+        for request in reversed(arrivals):
+            if at and pending[at - 1].request_id == request.request_id:
+                at -= 1
+                left.append(request)
+        left.reverse()
+        return left
+
     def active_total(self) -> int:
         """Running streams across every station."""
         return len(self._active)

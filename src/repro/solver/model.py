@@ -9,9 +9,10 @@ the scalar :meth:`~LinearProgram.add_variable` /
 :meth:`~LinearProgram.add_constraint` used by ILP-RM and
 branch-and-bound are one-column / one-row appends to the same store.
 :meth:`~LinearProgram.csc_rows` (the HiGHS input) is the stacked
-``[A_ub; A_eq]`` in column-major order, sorted straight from the stored
-rows; :meth:`~LinearProgram.sparse_rows` is a concatenation of the
-stored arrays and :meth:`~LinearProgram.dense_rows` is that same CSR,
+``[A_ub; A_eq]`` in column-major order: the stored rows, stacked, as one
+CSR that scipy's C ``csr_tocsc`` transposes;
+:meth:`~LinearProgram.sparse_rows` is a concatenation of the stored
+arrays and :meth:`~LinearProgram.dense_rows` is that same CSR,
 densified.
 
 Names are a view.  A block append passes a callable that produces its
@@ -33,6 +34,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_tocsc
 
 from ..exceptions import ConfigurationError
 
@@ -258,7 +260,8 @@ class LinearProgram:
         Raises:
             ConfigurationError: on a bad sense, an out-of-range or
                 unsorted index, a NaN or infinite coefficient or
-                right-hand side, or a trivially infeasible empty row.
+                right-hand side, mismatched lengths, or a trivially
+                infeasible empty row.
         """
         if sense not in SENSES:
             raise ConfigurationError(
@@ -269,35 +272,49 @@ class LinearProgram:
         rhs = np.asarray(rhs, dtype=float)
         _require_finite(self.name, "coefficient", data)
         _require_finite(self.name, "right-hand side", rhs)
-        if indices.size and (indices.min() < 0
-                             or indices.max() >= self._num_cols):
+        # Read as unsigned, a negative index is huge: one pass checks
+        # both ends of the range.
+        if indices.size and indices.view(np.uint64).max() >= self._num_cols:
             bad = indices.min() if indices.min() < 0 else indices.max()
             raise ConfigurationError(
                 f"{self.name}: column index {bad} out of range "
                 f"[0, {self._num_cols})")
-        row_of = np.repeat(np.arange(row_nnz.size), row_nnz)
-        if np.any((np.diff(indices) <= 0) & (np.diff(row_of) == 0)):
+        ends = np.cumsum(row_nnz)
+        if (ends[-1] if ends.size else 0) != indices.size \
+                or data.size != indices.size or rhs.size != row_nnz.size \
+                or (row_nnz.size and row_nnz.min() < 0):
             raise ConfigurationError(
-                f"{self.name}: row indices must strictly increase")
+                f"{self.name}: row block lengths do not match its entries")
+        # An index may only fail to increase at the first entry of a row.
+        steps = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+        if steps.size:
+            row_start = np.zeros(indices.size + 1, dtype=bool)
+            row_start[ends - row_nnz] = True
+            if not row_start[steps].all():
+                raise ConfigurationError(
+                    f"{self.name}: row indices must strictly increase")
         # Exact comparison on purpose: only *structural* zeros are
         # dropped.  A near-zero coefficient is part of the formulation
         # and must reach the solver untouched.
-        nonzero = data != 0.0  # repro: noqa NUM001 -- structural zero-drop
-        if not nonzero.all():
+        if np.count_nonzero(data) < data.size:
+            nonzero = data != 0.0  # repro: noqa NUM001 -- structural zero-drop
+            row_of = np.repeat(np.arange(row_nnz.size), row_nnz)
             row_nnz = np.bincount(row_of[nonzero], minlength=row_nnz.size)
             indices, data = indices[nonzero], data[nonzero]
-        empty = rhs[row_nnz == 0]
-        infeasible = {"<=": empty < 0, ">=": empty > 0,
-                      "==": empty != 0}[sense]
-        if infeasible.any():
-            raise ConfigurationError(
-                f"{self.name}: empty constraint row with sense {sense} "
-                f"rhs {empty[infeasible][0]} is infeasible")
+        if not row_nnz.all():
+            empty = rhs[row_nnz == 0]
+            infeasible = {"<=": empty < 0, ">=": empty > 0,
+                          "==": empty != 0}[sense]
+            if infeasible.any():
+                raise ConfigurationError(
+                    f"{self.name}: empty constraint row with sense {sense} "
+                    f"rhs {empty[infeasible][0]} is infeasible")
         self._row_names.extend(names, "constraint", self.name)
         self._row_nnz.append(row_nnz)
         self._indices.append(indices)
         self._data.append(data)
-        self._sense.append(np.full(row_nnz.size, SENSES.index(sense)))
+        self._sense.append(np.full(row_nnz.size, SENSES.index(sense),
+                                   dtype=np.int8))
         self._rhs.append(rhs)
         self._num_rows += row_nnz.size
 
@@ -507,37 +524,43 @@ class LinearProgram:
 
         ``>=`` rows are negated and the ``==`` rows come after the
         others, as in :meth:`sparse_rows`; within a column the entries
-        ascend by stacked row.  One argsort of the stored entries by
-        ``(column, stacked row)`` gives the same ``indptr``, ``indices``
-        and ``data`` (int32, int32, float64) as stacking the two CSR
-        blocks and converting with ``tocsc()``.  The row bounds are
+        ascend by stacked row.  The stored rows, stacked, are one CSR
+        that scipy's C ``csr_tocsc`` (the kernel behind ``tocsc()``)
+        transposes, so ``indptr``, ``indices`` and ``data`` (int32,
+        int32, float64) are the bytes of stacking the two CSR blocks
+        and calling ``tocsc()``.  The row bounds are
         ``lhs = [-inf..., b_eq]`` and ``rhs = [b_ub, b_eq]``.
         """
         row_nnz, indices = self._row_nnz.array(), self._indices.array()
         data, rhs = self._data.array(), self._rhs.array()
         sense = self._sense.array()
-        ge = sense == _GE
-        if ge.any():
-            data = np.where(np.repeat(ge, row_nnz), -data, data)
-            rhs = np.where(ge, -rhs, rhs)
-        eq = sense == _EQ
-        num_rows = row_nnz.size
-        stacked = np.argsort(eq, kind="stable")
-        rank = np.empty(num_rows, dtype=np.int64)
-        rank[stacked] = np.arange(num_rows)
-        entry_row = np.repeat(rank, row_nnz)
-        order = np.argsort(indices * np.int64(max(num_rows, 1)) + entry_row,
-                           kind="stable")
-        indptr = np.zeros(self._num_cols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(indices, minlength=self._num_cols),
-                  out=indptr[1:])
-        num_ub = num_rows - int(np.count_nonzero(eq))
-        rhs = rhs[stacked]
+        num_rows, num_cols, nnz = row_nnz.size, self._num_cols, data.size
+        num_ub = num_rows
+        if sense.any():
+            ge = sense == _GE
+            if ge.any():
+                data = np.where(np.repeat(ge, row_nnz), -data, data)
+                rhs = np.where(ge, -rhs, rhs)
+            eq = sense == _EQ
+            num_ub -= int(np.count_nonzero(eq))
+            if num_ub < num_rows:
+                # Stable sorts of the row and entry flags keep each
+                # group in insertion order and move the == rows last.
+                stacked = np.argsort(eq, kind="stable")
+                entries = np.argsort(np.repeat(eq, row_nnz), kind="stable")
+                row_nnz, rhs = row_nnz[stacked], rhs[stacked]
+                indices, data = indices[entries], data[entries]
+        row_ptr = np.zeros(num_rows + 1, dtype=np.int32)
+        np.cumsum(row_nnz, out=row_ptr[1:])
+        indptr = np.empty(num_cols + 1, dtype=np.int32)
+        col_rows = np.empty(nnz, dtype=np.int32)
+        col_data = np.empty(nnz, dtype=float)
+        csr_tocsc(num_rows, num_cols, row_ptr, indices, data,
+                  indptr, col_rows, col_data)
         lhs = rhs.copy()
         lhs[:num_ub] = -np.inf
-        return CscRows(indptr=indptr,
-                       indices=entry_row[order].astype(np.int32),
-                       data=data[order], lhs=lhs, rhs=rhs, num_ub=num_ub)
+        return CscRows(indptr=indptr, indices=col_rows, data=col_data,
+                       lhs=lhs, rhs=rhs.copy(), num_ub=num_ub)
 
     def dense_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray]:

@@ -8,6 +8,8 @@ kept for validation and pedagogy.  Both backends consume the exact same
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Tuple
 
 import numpy as np
@@ -27,6 +29,13 @@ _HIGHS_OPTIONS = {"presolve": True, "output_flag": False,
                   "log_to_console": False}
 #: ``linprog``'s feasibility tolerance for its post-solve check.
 _CHECK_TOL = 1e-9
+#: The bound ``_check_result`` widens that tolerance to.
+_FEASIBLE_TOL = np.sqrt(_CHECK_TOL) * 10
+#: scipy's status and message for a HiGHS ``(status, message)`` pair.
+#: The mapping is pure and HiGHS reports a handful of pairs, so each
+#: is converted once.
+_status_message = functools.lru_cache(maxsize=64)(
+    _highs_to_scipy_status_message)
 
 
 def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
@@ -37,6 +46,44 @@ def _raise_for_status(lp: LinearProgram, status: int, message: str) -> None:
         raise UnboundedProblemError(f"{lp.name}: {message}")
     raise SolverError(f"{lp.name}: solver failed with status {status}: "
                       f"{message}")
+
+
+def _passes_check(x: np.ndarray, fun: float, slack: np.ndarray,
+                  num_ub: int, low: np.ndarray, high: np.ndarray) -> bool:
+    """``_check_result``'s feasibility predicate for ``integrality=None``.
+
+    ``fun`` is not NaN, ``x`` lies in ``[low - tol, high + tol]``, the
+    ``<=`` slack is at least ``-tol`` and the equality residual at most
+    ``tol`` in magnitude.  Every comparison is False on NaN, so a NaN
+    anywhere fails.
+    """
+    tol = _FEASIBLE_TOL
+    return bool(not math.isnan(fun)
+                and (x >= low - tol).all() and (x <= high + tol).all()
+                and (slack[:num_ub] >= -tol).all()
+                and (np.abs(slack[num_ub:]) <= tol).all())
+
+
+def _checked_status(res: dict, num_ub: int, low: np.ndarray,
+                    high: np.ndarray) -> Tuple[int, str]:
+    """scipy's status and message for a ``_highs_wrapper`` result, after
+    ``linprog``'s post-solve check.
+
+    A status-0 result with a solution that passes
+    :func:`_passes_check` is returned as it is, which is what
+    ``_check_result`` would return; every other result goes through
+    ``_check_result``, so its status and message stay scipy's.
+    """
+    status, message = _status_message(res.get("status"), res.get("message"))
+    # Without a solution there is no "slack"; the check then only turns
+    # a status 0 into 4.
+    x, fun, slack = res["x"], res["fun"], res.get("slack", np.empty(0))
+    if status == 0 and x is not None and _passes_check(
+            x, fun, slack, num_ub, low, high):
+        return status, message
+    return _check_result(x, fun, status, slack[:num_ub], slack[num_ub:],
+                         np.column_stack((low, high)), _CHECK_TOL, message,
+                         None)
 
 
 def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
@@ -59,23 +106,16 @@ def solve_lp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:
     """
     c = lp.objective_vector()
     if lp.maximize:
-        c = -c
+        np.negative(c, out=c)
     rows = lp.csc_rows()
     low, high = lp.lows(), lp.highs()
     res = _highs_wrapper(c, rows.indptr, rows.indices, rows.data, rows.lhs,
                          rows.rhs, low, high, np.empty(0, dtype=np.uint8),
                          _HIGHS_OPTIONS)
-    status, message = _highs_to_scipy_status_message(res.get("status"),
-                                                     res.get("message"))
-    # Without a solution there is no "slack"; the check then only turns
-    # a status 0 into 4.
-    x, slack = res["x"], res.get("slack", np.empty(0))
-    status, message = _check_result(
-        x, res["fun"], status, slack[:rows.num_ub], slack[rows.num_ub:],
-        np.column_stack((low, high)), _CHECK_TOL, message, None)
+    status, message = _checked_status(res, rows.num_ub, low, high)
     if status != 0:
         _raise_for_status(lp, status, message)
-    return lp.objective_value(x), x
+    return lp.objective_value(res["x"]), res["x"]
 
 
 def solve_ilp_scipy(lp: LinearProgram) -> Tuple[float, np.ndarray]:

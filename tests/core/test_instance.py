@@ -1,9 +1,13 @@
 """Unit tests for ProblemInstance construction and helpers."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.config import NetworkConfig, SimulationConfig
 from repro.core.instance import ProblemInstance
+from repro.core.lp_relaxation import build_lp_pt
 from repro.exceptions import ConfigurationError
 
 
@@ -50,6 +54,23 @@ class TestHelpers:
         ledger = small_instance.new_ledger()
         for sid in small_instance.network.station_ids:
             assert ledger.occupied_mhz(sid) == 0.0
+
+    @pytest.mark.parametrize("clone", [pickle.loads, copy.deepcopy])
+    def test_copies_start_without_derived_values(self, clone):
+        """Some derived values are keyed by object identity; a pickle or
+        a copy must rebuild them rather than carry stale keys."""
+        inst = ProblemInstance.build(seed=4)
+        workload = inst.new_workload(num_requests=5, seed=4)
+        lp, _ = build_lp_pt(inst, workload)
+        assert inst._derived
+        other = clone(pickle.dumps(inst) if clone is pickle.loads
+                      else inst)
+        assert other._derived == {}
+        assert other.max_num_slots() == inst.max_num_slots()
+        again, _ = build_lp_pt(other, workload)
+        assert again.objective_vector().tobytes() == \
+            lp.objective_vector().tobytes()
+        assert inst._derived
 
 
 class TestWorkloads:

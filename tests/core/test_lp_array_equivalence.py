@@ -8,7 +8,10 @@ feasible station, and 0-40 requests - both builders must hand HiGHS
 byte-for-byte the same problem: CSR arrays, right-hand sides,
 objective and bounds, plus the same variable and constraint names.
 On the HiGHS solution, ``options_table`` must equal the old name-keyed
-one.
+one.  The same holds when one build mixes rate grids of different
+sizes, and over a sequence of LP-PT builds on one instance whose
+|R_t| rises and falls, so the per-count tables are both built and
+reused.
 """
 
 import copy
@@ -114,6 +117,68 @@ def test_mixed_rate_grids_match_named_build(case, kind):
     old, old_index = build_named(instance, mixed, waiting)
     assert exported(lp) == exported(old)
     assert list(index.ranges) == list(old_index.by_request)
+
+
+def on_second_grid(requests, every=2):
+    """`requests`, with every `every`-th one redrawn on one shared second
+    :class:`RateGrid` that has two more levels than the first."""
+    grid, out = None, []
+    for k, request in enumerate(requests):
+        if k % every == 1:
+            dist = request.distribution
+            if grid is None:
+                grid = RateGrid.decaying(
+                    (dist.min_rate_mbps * 0.5, dist.max_rate_mbps * 1.2),
+                    dist.num_levels + 2, 0.8)
+            request = copy.deepcopy(request)
+            request.distribution = RateRewardDistribution.on_grid(
+                grid, np.linspace(1.0, 9.0, grid.rates.size))
+        out.append(request)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), kind=st.sampled_from(sorted(BUILDERS)))
+def test_two_rate_grids_of_different_sizes_match_named_build(case, kind):
+    """One R_t drawn on two RateGrids with different level counts: the
+    reward prefixes of the shorter support are padded, and each grid
+    keeps its own fitting counts and truncated rates."""
+    instance, requests, waiting = case
+    build, build_named = BUILDERS[kind]
+    mixed = on_second_grid(requests)
+    if len(mixed) > 1:
+        assert len({r.distribution.num_levels for r in mixed}) == 2
+    lp, index = build(instance, mixed, waiting)
+    old, old_index = build_named(instance, mixed, waiting)
+    assert exported(lp) == exported(old)
+    assert [c.name for c in lp.constraints] == old.constraint_names()
+    assert list(index.ranges) == list(old_index.by_request)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=cases(),
+       counts=st.lists(st.integers(0, 12), min_size=2, max_size=6))
+def test_lp_pt_builds_with_rising_and_falling_counts(case, counts):
+    """DynamicRR builds one LP-PT per slot on one instance, and |R_t|
+    goes up and down.  What depends on the instance and |R_t| alone is
+    built at the first build of each count and read by later ones;
+    every build, whether it builds or reads those tables, must equal
+    the named build.  Odd rounds mix in a second grid, so one count's
+    tables also serve two supports."""
+    instance, requests, waiting = case
+    seen = set()
+    for round_, count in enumerate(counts + counts[::-1]):
+        r_t = requests[round_ % 3:][:count]
+        if round_ % 2:
+            r_t = on_second_grid(r_t)
+        lp, index = build_lp_pt(instance, r_t, waiting)
+        old, old_index = build_named_lp_pt(instance, r_t, waiting)
+        assert exported(lp) == exported(old), (round_, len(r_t))
+        assert list(index.ranges) == list(old_index.by_request)
+        seen.add(max(len(r_t), 1))
+    assert sorted(key for key in instance._derived
+                  if key.startswith("lp_count_tables_")) == \
+        sorted(f"lp_count_tables_{count}" for count in seen)
 
 
 def test_some_cases_prune_every_station(small_instance, small_workload):

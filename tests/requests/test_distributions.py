@@ -1,5 +1,7 @@
 """Unit and property tests for the (rate, reward) joint distribution."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,22 @@ class TestExpectations:
 
     def test_reward_within_zero_cap(self, dist):
         assert dist.expected_reward_within(-1.0) == 0.0
+
+    def test_reward_prefixes_are_expected_reward_within(self, dist):
+        """Entry k is the exact value a cap admitting k rates gets."""
+        caps = [-1.0, 30.0, 45.0, 50.0]
+        assert dist.reward_prefixes().tolist() == \
+            [dist.expected_reward_within(cap) for cap in caps]
+        with pytest.raises(ValueError):
+            dist.reward_prefixes()[0] = 1.0
+
+    def test_reward_prefixes_stay_out_of_pickles(self, dist):
+        before = pickle.dumps(dist)
+        dist.reward_prefixes()
+        assert pickle.dumps(dist) == before
+        again = pickle.loads(before)
+        assert again.reward_prefixes().tolist() == \
+            dist.reward_prefixes().tolist()
         assert dist.expected_reward_within(10.0) == 0.0
 
     def test_reward_within_partial(self, dist):

@@ -1,18 +1,21 @@
 """Property test: HiGHS gets the model's CSC straight from its rows.
 
-:meth:`~repro.solver.model.LinearProgram.csc_rows` sorts the stored
-CSR entries into column-major order in one pass.  It replaced stacking
-the ``<=`` and ``==`` blocks of :meth:`~LinearProgram.sparse_rows` into
-one CSR and calling ``tocsc()``; that join is frozen below.  On random
-models with ``<=``, ``>=`` and ``==`` rows (interleaved, empty, and with
-structural zeros that the model drops) both must give the same bytes,
-and :func:`~repro.solver.interface.solve_lp` the same ``x`` and
-objective as a solve through the frozen join.
+:meth:`~repro.solver.model.LinearProgram.csc_rows` stacks the stored
+CSR rows and transposes them with scipy's C ``csr_tocsc``.  It replaced
+stacking the ``<=`` and ``==`` blocks of :meth:`~LinearProgram.sparse_rows`
+into one CSR and calling ``tocsc()``; that join is frozen below.  On
+random models with ``<=``, ``>=`` and ``==`` rows (interleaved, empty,
+and with structural zeros that the model drops), on one-sense and
+zero-row models, and on a model with no column, both must give the same
+bytes (int32 ``indptr`` and ``indices``), and
+:func:`~repro.solver.interface.solve_lp` the same ``x`` and objective
+as a solve through the frozen join.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -110,6 +113,43 @@ def test_csc_rows_equal_the_frozen_join(lp):
                           mine, theirs):
         assert same_bytes(a, b), name
     assert rows.num_ub == theirs[5]
+    assert rows.indptr.dtype == rows.indices.dtype == np.int32
+
+
+def one_sense_model(sense, num_rows):
+    """Three columns and `num_rows` rows, every one of `sense`."""
+    lp = LinearProgram(name=f"only{sense}")
+    lp.add_columns(np.zeros(3), np.ones(3), [1.0, 2.0, 3.0],
+                   ["a", "b", "c"])
+    if num_rows:
+        rows = [[0, 2], [1], [0, 1, 2], []][:num_rows]
+        rhs = {"<=": 2.0, ">=": -1.0, "==": 0.0}[sense]
+        lp.add_rows([len(cols) for cols in rows],
+                    [col for cols in rows for col in cols],
+                    [1.0 + k for k, cols in enumerate(rows) for _ in cols],
+                    sense, [rhs if cols else 0.0 for cols in rows],
+                    [f"r{k}" for k in range(len(rows))])
+    return lp
+
+
+@pytest.mark.parametrize("sense, num_rows", [
+    ("<=", 0), ("<=", 4), (">=", 4), ("==", 1), ("==", 4), (">=", 1)])
+def test_one_sense_and_zero_row_models(sense, num_rows):
+    lp = one_sense_model(sense, num_rows)
+    rows = lp.csc_rows()
+    for a, b in zip(rows[:5], frozen_join(lp)):
+        assert same_bytes(a, b)
+    assert rows.num_ub == (0 if sense == "==" else num_rows)
+    assert rows.indptr.dtype == rows.indices.dtype == np.int32
+    assert rows.indptr.tolist()[-1] == rows.indices.size
+
+
+def test_zero_column_model():
+    lp = LinearProgram(name="empty")
+    rows = lp.csc_rows()
+    for a, b in zip(rows[:5], frozen_join(lp)):
+        assert same_bytes(a, b)
+    assert rows.indptr.tolist() == [0]
 
 
 @settings(max_examples=60, deadline=None)
