@@ -138,10 +138,7 @@ class OnlineBaselinePolicy:
         self._slot = slot
         # Nothing starts or ends inside schedule(): one snapshot, with
         # the arithmetic of OnlineEngine.free_mhz, serves every request.
-        self._free = {station.station_id:
-                      max(0.0, station.effective_capacity_mhz
-                          - station.active_demand_mhz)
-                      for station in engine.station_loads()}
+        self._free = engine.station_free_mhz()
         placements = []
         planned = {sid: 0.0 for sid in engine.instance.network.station_ids}
         for request in self.order(slot, pending):

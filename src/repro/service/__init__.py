@@ -30,7 +30,7 @@ _EXPORTS = {
     "ServiceConfig": "loop",
     "SlotReport": "loop",
     "SERVICE_POLICIES": "loop",
-    "COUNTER_KEYS": "loop",
+    "TALLY_SERIES": "loop",
     "ServiceCheckpoint": "checkpoint",
     "JournalCursor": "checkpoint",
     "CHECKPOINT_SCHEMA": "checkpoint",

@@ -98,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="serve /metrics, /healthz, /readyz on this "
                            "port while the run drains (0 = pick a free "
                            "port, printed to stderr)")
-    load.add_argument("--no-metrics", action="store_true",
-                      help="run with the zero-overhead null registry "
-                           "instead of a live MetricsRegistry")
     _add_profile_flags(load)
 
     res = sub.add_parser(
@@ -116,9 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     res.add_argument("--metrics-port", type=int, default=None,
                      metavar="PORT",
                      help="serve the scrape endpoint while draining")
-    res.add_argument("--no-metrics", action="store_true",
-                     help="resume with the null registry (the "
-                          "checkpoint's metric series are dropped)")
     _add_profile_flags(res)
 
     stat = sub.add_parser(
@@ -167,14 +161,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             flush_every=args.flush_every,
             kill_at_slot=args.kill_at_slot,
             bench_path=args.bench, name=args.name,
-            metrics=not args.no_metrics,
             metrics_port=args.metrics_port,
             profile=args.profile, profile_out=args.profile_out,
             profile_mem=args.profile_mem)
     else:
         summary = run_resume(args.checkpoint, bench_path=args.bench,
                              name=args.name,
-                             metrics=not args.no_metrics,
                              metrics_port=args.metrics_port,
                              profile=args.profile,
                              profile_out=args.profile_out,

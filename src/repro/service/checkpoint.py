@@ -4,11 +4,12 @@ A checkpoint freezes everything the service needs to continue a run as
 if it had never stopped: the engine's queues and realization RNG, the
 policy's learning state (bandit and regret tracker), the arrival
 stream's position, the decision journal's cursor, and the service's
-cumulative counters.  The proof obligation - enforced by the property
-tests and the CI smoke job - is *journal byte-identity*: kill the
-service at any checkpointed slot, resume from disk, and the decision
-journal of the resumed run is byte-for-byte the journal of an
-uninterrupted run (``trace-diff`` exit 0).
+metrics registry - the one store of its cumulative tallies.  The proof
+obligation - enforced by the property tests and the CI smoke job - is
+*journal byte-identity*: kill the service at any checkpointed slot,
+resume from disk, and the decision journal of the resumed run is
+byte-for-byte the journal of an uninterrupted run (``trace-diff`` exit
+0).
 
 Files are written atomically (temp file + ``os.replace``) so a crash
 mid-checkpoint leaves the previous checkpoint intact; an I/O error does
@@ -25,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..exceptions import ConfigurationError, PersistenceError
@@ -37,8 +38,9 @@ from ..exceptions import ConfigurationError, PersistenceError
 #: ``workspace`` and ``solve_state`` keys from DynamicRR's
 #: ``policy_state``.  /4 dropped ``cumulative_reward`` from DynamicRR's
 #: ``policy_state`` (the registry's ``engine_reward_total`` is that
-#: quantity).
-CHECKPOINT_SCHEMA = "repro.service-checkpoint/4"
+#: quantity).  /5 dropped the ``counters`` field: the service's tallies
+#: are registry series, restored through ``metrics_state`` alone.
+CHECKPOINT_SCHEMA = "repro.service-checkpoint/5"
 
 
 @dataclass
@@ -72,10 +74,9 @@ class ServiceCheckpoint:
             stateless policies like the greedy baseline).
         stream_state: :meth:`PoissonArrivalStream.export_state` payload.
         journal: the decision journal's cursor.
-        counters: the service's cumulative metric counters.
-        metrics_state: :meth:`MetricsRegistry.export_state` payload
-            (None when the run used the null registry), restored on
-            resume so live series are continuous across the kill.
+        metrics_state: :meth:`MetricsRegistry.export_state` payload,
+            restored on resume so the service's tallies and every other
+            deterministic series are continuous across the kill.
     """
 
     config: Any
@@ -84,8 +85,7 @@ class ServiceCheckpoint:
     policy_state: Optional[Dict[str, Any]]
     stream_state: Dict[str, Any]
     journal: JournalCursor
-    counters: Dict[str, float] = field(default_factory=dict)
-    metrics_state: Optional[Dict[str, Any]] = None
+    metrics_state: Dict[str, Any]
     schema: str = CHECKPOINT_SCHEMA
 
 

@@ -91,8 +91,7 @@ def render_status(payload: Dict[str, Any],
     lines.append(f"reward   {counters.get('reward', 0.0):.2f} over "
                  f"{counters.get('slots', 0.0):.0f} slots")
 
-    latency = (histograms.get("service_slot_latency_seconds")
-               or status.get("slot_latency"))
+    latency = histograms.get("service_slot_latency_seconds")
     if latency and latency.get("count"):
         lines.append(
             "latency  p50={:.2f}ms p95={:.2f}ms p99={:.2f}ms "

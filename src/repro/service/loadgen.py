@@ -3,17 +3,18 @@
 ``python -m repro.service loadgen`` replays a synthetic Poisson
 arrival stream through an :class:`~repro.service.loop.AdmissionService`
 at a configurable rate, reports sustained throughput (requests/sec),
-p50/p95/p99 per-slot latency (from the service's bounded streaming
-histogram - RSS stays flat at any arrival count), final queue depth,
-and peak RSS, and writes the result as a ``BENCH_service.json`` run
-manifest - the same format the bench-regression CI job diffs, with the
-wall-clock metrics classified advisory (see
-:data:`repro.telemetry.ledger.WALL_CLOCK_METRICS`).
+p50/p95/p99 per-slot latency (from the registry's bounded streaming
+``service_slot_latency_seconds`` histogram - RSS stays flat at any
+arrival count), the run's tallies, and peak RSS, and writes the result
+as a ``BENCH_service.json`` run manifest - the same format the
+bench-regression CI job diffs, with the wall-clock metrics classified
+advisory (see :data:`repro.telemetry.ledger.WALL_CLOCK_METRICS`).
 
-Runs are metered by default: a live
-:class:`~repro.telemetry.metrics.MetricsRegistry` rides the service
-(scrapeable via ``--metrics-port``), and its state checkpoints with
-the service so a resumed run's counters continue instead of resetting.
+Every run is metered: the service records into a live
+:class:`~repro.telemetry.metrics.MetricsRegistry` (scrapeable via
+``--metrics-port``), the one store of its tallies, and the registry's
+state checkpoints with the service so a resumed run's counters
+continue instead of resetting.
 
 ``--kill-at-slot`` simulates a crash: the loop abandons the service
 without flushing, exactly like a SIGKILL.  ``python -m repro.service
@@ -31,7 +32,6 @@ from typing import Any, Dict, Optional
 from ..config import SimulationConfig
 from ..telemetry import profiling
 from ..telemetry.ledger import make_manifest, write_bench
-from ..telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from .loop import AdmissionService, ServiceConfig
 
 
@@ -72,12 +72,14 @@ def _metrics_row(service: AdmissionService,
 
     ``requests_per_s`` and the latency percentiles are wall-clock and
     compare advisory-only in bench-diff; every other entry is a pure
-    function of config + seed and gates normally.  Percentiles come
-    from the service's streaming histogram - no per-slot sample list
+    function of config + seed and gates normally.  Every entry reads the
+    service's registry: the tallies through :attr:`AdmissionService.
+    counters`, the percentiles from its streaming
+    ``service_slot_latency_seconds`` histogram - no per-slot sample list
     exists anywhere, so RSS stays flat at 10^6+ arrivals.
     """
     counters = service.counters
-    latency = service.slot_latency
+    latency = service.metrics.histogram("service_slot_latency_seconds")
     rate = counters["arrivals"] / elapsed_s if elapsed_s > 0 else 0.0
     return {
         "num_arrivals": counters["arrivals"],
@@ -134,7 +136,6 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                 kill_at_slot: Optional[int] = None,
                 bench_path: Optional[str] = None,
                 name: str = "service",
-                metrics: bool = True,
                 metrics_port: Optional[int] = None,
                 profile: bool = False,
                 profile_out: Optional[str] = None,
@@ -147,8 +148,6 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
             summary then carries ``"killed": True`` and no bench file
             is written.
         bench_path: write a ``BENCH_<name>.json`` manifest here.
-        metrics: attach a live :class:`MetricsRegistry` (the default;
-            ``False`` runs with the zero-overhead null registry).
         metrics_port: additionally serve `/metrics` / `/healthz` /
             `/readyz` on this port while the run drains (0 = pick a
             free port; printed to stderr).
@@ -168,11 +167,10 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                           checkpoint_path=checkpoint_path,
                           checkpoint_every=checkpoint_every,
                           flush_every=flush_every)
-    registry = MetricsRegistry() if metrics else NULL_REGISTRY
-    service = AdmissionService(config, registry=registry)
+    service = AdmissionService(config)
     capture = profiling.Capture(profile=bool(profile or profile_out),
                                 profile_mem=profile_mem,
-                                registry=registry)
+                                registry=service.metrics)
     began = time.perf_counter()  # repro: noqa DET010 -- advisory runtime metric
     killed_summary: Optional[Dict[str, Any]] = None
     with capture:
@@ -183,10 +181,9 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
                     killed_summary = {
                         "killed": True,
                         "slot": report.outcome.slot,
-                        "counters": dict(service.counters)}
-                    if registry.enabled:
-                        killed_summary["registry_counters"] = \
-                            registry.snapshot()["counters"]
+                        "counters": service.counters,
+                        "registry_counters":
+                            service.metrics.snapshot()["counters"]}
                     break
         elif metrics_port is not None:
             _serve_with_endpoint(service, metrics_port)
@@ -205,21 +202,18 @@ def run_loadgen(arrivals: int = 50_000, rate: float = 8.0,
 def run_resume(checkpoint_path: str,
                bench_path: Optional[str] = None,
                name: str = "service",
-               metrics: bool = True,
                metrics_port: Optional[int] = None,
                profile: bool = False,
                profile_out: Optional[str] = None,
                profile_mem: bool = False) -> Dict[str, Any]:
     """Resume a killed service from its checkpoint and run to drain.
 
-    With ``metrics`` (the default) the checkpoint's registry state is
-    restored into a fresh registry, so the reported series continue
-    from their pre-kill values.  The ``profile*`` knobs mirror
-    :func:`run_loadgen` and cover only the resumed portion.
+    The checkpoint's registry state is restored into a fresh
+    registry, so the reported tallies and series continue from their
+    pre-kill values.  The ``profile*`` knobs mirror :func:`run_loadgen`
+    and cover only the resumed portion.
     """
-    registry = MetricsRegistry() if metrics else None
-    service = AdmissionService.resume(checkpoint_path,
-                                      registry=registry)
+    service = AdmissionService.resume(checkpoint_path)
     capture = profiling.Capture(profile=bool(profile or profile_out),
                                 profile_mem=profile_mem,
                                 registry=service.metrics)
@@ -249,10 +243,8 @@ def finish_run(service: AdmissionService, elapsed_s: float,
         "resumed": resumed,
         "policy": service.config.policy,
         "metrics": row,
+        "registry_counters": service.metrics.snapshot()["counters"],
     }
-    if service.metrics.enabled:
-        summary["registry_counters"] = \
-            service.metrics.snapshot()["counters"]
     digest = captured.digest if captured else None
     memory = captured.memory if captured else None
     if digest is not None:

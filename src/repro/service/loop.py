@@ -18,6 +18,11 @@ uninterrupted run (see :mod:`repro.service.checkpoint`).
 
 Every event the loop emits goes to the decision journal; a resume is
 counted on ``/metrics`` (``service_resumes_total``) and never journaled.
+The service's metrics registry is the one store of its tallies:
+:attr:`AdmissionService.counters`, ``status()["counters"]`` and the
+:class:`SlotReport` totals are views of its series
+(:data:`TALLY_SERIES`), restored on resume with the rest of the
+registry.
 
 The synchronous core is :meth:`AdmissionService.tick` (one slot);
 :meth:`AdmissionService.serve` drives it as an asyncio coroutine in
@@ -30,7 +35,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from ..baselines import GreedyOnline, RandomOnline
 from ..config import SimulationConfig
@@ -43,8 +48,7 @@ from ..rng import RngForks
 from ..sim.events import EventKind
 from ..sim.online_engine import OnlineEngine, SlotOutcome
 from ..telemetry.audit import Journal, emit, emit_many, use_journal
-from ..telemetry.metrics import (MetricsRegistry, StreamingHistogram,
-                                 get_metrics, use_metrics)
+from ..telemetry.metrics import MetricsRegistry, use_metrics
 from .checkpoint import (JournalCursor, ServiceCheckpoint,
                          read_checkpoint, truncate_journal,
                          write_checkpoint)
@@ -52,17 +56,22 @@ from .checkpoint import (JournalCursor, ServiceCheckpoint,
 #: Policies the service can run (name -> needs an RNG fork).
 SERVICE_POLICIES = ("greedy", "dynamicrr", "random")
 
-#: Cumulative counter keys, in reporting order.
-COUNTER_KEYS = ("arrivals", "accepted", "shed", "deferred", "started",
-                "completed", "dropped", "reward", "slots")
+#: Tally -> the registry counter holding it, in reporting order
+#: (``arrivals`` is not stored: it is ``accepted + shed``).
+TALLY_SERIES: Tuple[Tuple[str, str], ...] = (
+    ("accepted", "engine_arrivals_total"),
+    ("shed", "service_shed_total"),
+    ("deferred", "service_deferred_total"),
+    ("started", "engine_starts_total"),
+    ("completed", "engine_completions_total"),
+    ("dropped", "engine_drops_total"),
+    ("reward", "engine_reward_total"),
+    ("slots", "service_slots_total"),
+)
 
 #: Slot cadence of the allocation-watermark gauges (only published
 #: while ``tracemalloc`` is tracing, i.e. under ``--profile-mem``).
 _ALLOC_SAMPLE_SLOTS = 64
-
-#: Sliding-window length (in slots) of the service's streaming
-#: slot-latency histogram.
-LATENCY_WINDOW_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -147,8 +156,9 @@ class ServiceConfig:
 class SlotReport:
     """What one service slot did (the :meth:`AdmissionService.tick`
     result): the engine's outcome, the ingress decisions the service
-    made around it, and the run's cumulative tallies so far - so
-    callers watching the loop never re-derive totals from the journal.
+    made around it, and the run's cumulative tallies so far (read from
+    the registry) - so callers watching the loop never re-derive totals
+    from the journal.
     """
 
     outcome: SlotOutcome
@@ -177,12 +187,15 @@ class AdmissionService:
 
     Args:
         config: the run's definition (validated here).
-        registry: the metrics registry instrumentation writes to
-            (default: the ambient registry from
-            :func:`~repro.telemetry.metrics.get_metrics`, normally the
-            no-op null registry).  :meth:`tick` installs it as current
-            for the slot, so engine/policy/solver instrumentation all
-            land in the same registry.
+        registry: the live metrics registry the run records into
+            (default: a fresh :class:`MetricsRegistry`); it is the one
+            store of the run's tallies.  :meth:`tick` installs it as
+            current for the slot, so engine/policy/solver
+            instrumentation all land in the same registry.
+
+    Raises:
+        ConfigurationError: when ``registry`` is a disabled (null)
+            registry, which could hold no tallies.
 
     Use :meth:`resume` to rebuild a service from a checkpoint instead
     of constructing one directly.
@@ -192,8 +205,14 @@ class AdmissionService:
                  registry: Optional[MetricsRegistry] = None,
                  _checkpoint: Optional[ServiceCheckpoint] = None) -> None:
         config.validate()
+        if registry is None:
+            registry = MetricsRegistry()
+        elif not registry.enabled:
+            raise ConfigurationError(
+                "the admission service needs a live MetricsRegistry: "
+                "its tallies are registry series")
         self.config = config
-        self._metrics = registry if registry is not None else get_metrics()
+        self._metrics = registry
         forks = RngForks(config.sim.seed)
         self._instance = ProblemInstance.build(config.sim,
                                                seed=config.sim.seed)
@@ -210,13 +229,6 @@ class AdmissionService:
             rng=forks.child("service.engine"))
         self._policy = _make_policy(config, forks)
         self._journal: Optional[Journal] = None
-        self.counters: Dict[str, float] = {key: 0.0
-                                           for key in COUNTER_KEYS}
-        #: Per-slot wall-clock latencies (seconds): bounded log-scale
-        #: histogram with a slot-keyed sliding window, so p50/p95/p99
-        #: stay available at flat memory over unbounded runs.
-        self.slot_latency = StreamingHistogram(
-            window_slots=LATENCY_WINDOW_SLOTS)
         self.last_checkpoint_slot: Optional[int] = None
         #: The message of the PersistenceError a tick raised, if any: the
         #: journal or checkpoint on disk may have fallen behind, so the
@@ -239,10 +251,11 @@ class AdmissionService:
         The decision journal file (when configured) is truncated back
         to the checkpoint's byte cursor and reopened in append mode, so
         the continued journal is byte-identical to an uninterrupted
-        run's.  When the checkpoint carries metrics state and
-        ``registry`` is a live one, the state is restored into it -
-        counters continue from their pre-kill values instead of
-        resetting - and ``service_resumes_total`` counts the resume.
+        run's.  The checkpoint's metrics state is restored into
+        ``registry`` (default: a fresh one) - the tallies and every
+        other deterministic series continue from their pre-kill values
+        instead of resetting - and ``service_resumes_total`` counts the
+        resume.
         """
         checkpoint = read_checkpoint(checkpoint_path)
         return cls(checkpoint.config, registry=registry,
@@ -280,7 +293,6 @@ class AdmissionService:
             self._policy.restore_state(checkpoint.policy_state)
         self._engine.restore_state(checkpoint.engine_state)
         self._stream.restore_state(checkpoint.stream_state)
-        self.counters.update(checkpoint.counters)
         self._metrics.restore_state(checkpoint.metrics_state)
         self.last_checkpoint_slot = checkpoint.slot
         self._metrics.inc("service_resumes_total")
@@ -330,57 +342,47 @@ class AdmissionService:
                       lambda request_id: dict(request_id=request_id,
                                               value=depth))
             outcome = self._engine.step(self._policy, slot, accepted)
-            deferred: List = []
-            if accepted:
-                metrics.inc("service_admitted_total", len(accepted))
-                deferred = self._engine.still_pending(accepted)
+            deferred = (self._engine.still_pending(accepted)
+                        if accepted else [])
             emit_many(EventKind.ADMIT_DEFERRED, slot, deferred,
                       lambda request: dict(
                           request_id=request.request_id,
                           value=float(outcome.pending_after)))
-            # Account before checkpointing so the checkpoint's
-            # counters include the slot it closes.
-            self._account(outcome, len(shed), len(deferred))
-            if metrics.enabled:
-                metrics.inc("service_slots_total")
-                metrics.set_gauge("service_queue_depth",
-                                  float(outcome.pending_after))
-                metrics.set_gauge("service_active_requests",
-                                  float(outcome.active_after))
-                metrics.observe("service_batch_size",
-                                float(len(accepted) + len(shed)), slot=slot)
+            # Count the slot before checkpointing so the checkpoint's
+            # registry includes the slot it closes.
+            metrics.inc("service_slots_total")
+            metrics.observe("service_batch_size",
+                            float(len(accepted) + len(shed)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
-        self.slot_latency.observe(tick_seconds, slot)
-        if metrics.enabled:
-            metrics.observe("service_slot_latency_seconds",
-                            tick_seconds, slot=slot)
-            # Allocation watermarks, published only while a profiler
-            # (loadgen --profile-mem) has tracemalloc running; sampled
-            # sparsely - the snapshot-free watermark read is cheap, but
-            # there is no reason to touch it every slot.  Flat gauges
-            # across a long run are the service's flat-RSS claim, live.
-            # Nothing traces unless tracemalloc was imported.
-            tracemalloc = (sys.modules.get("tracemalloc")
-                           if slot % _ALLOC_SAMPLE_SLOTS == 0 else None)
-            if tracemalloc is not None and tracemalloc.is_tracing():
-                current_b, peak_b = tracemalloc.get_traced_memory()
-                metrics.set_gauge("service_alloc_current_kb",
-                                  current_b / 1024.0)
-                metrics.set_gauge("service_alloc_peak_kb",
-                                  peak_b / 1024.0)
+        metrics.observe("service_slot_latency_seconds", tick_seconds,
+                        slot=slot)
+        # Allocation watermarks, published only while a profiler
+        # (loadgen --profile-mem) has tracemalloc running; sampled
+        # sparsely - the snapshot-free watermark read is cheap, but
+        # there is no reason to touch it every slot.  Flat gauges
+        # across a long run are the service's flat-RSS claim, live.
+        # Nothing traces unless tracemalloc was imported.
+        tracemalloc = (sys.modules.get("tracemalloc")
+                       if slot % _ALLOC_SAMPLE_SLOTS == 0 else None)
+        if tracemalloc is not None and tracemalloc.is_tracing():
+            current_b, peak_b = tracemalloc.get_traced_memory()
+            metrics.set_gauge("service_alloc_current_kb",
+                              current_b / 1024.0)
+            metrics.set_gauge("service_alloc_peak_kb", peak_b / 1024.0)
         if self._stream.exhausted and outcome.pending_after == 0 \
                 and outcome.active_after == 0:
             self.done = True
         elif slot >= self.config.horizon_slots - 1:
             self.done = True
+        tallies = self.counters
         return SlotReport(outcome=outcome, num_shed=len(shed),
                           num_deferred=len(deferred),
                           checkpointed=checkpointed,
-                          admitted_total=int(self.counters["accepted"]),
-                          deferred_total=int(self.counters["deferred"]),
-                          shed_total=int(self.counters["shed"]),
-                          dropped_total=int(self.counters["dropped"]))
+                          admitted_total=int(tallies["accepted"]),
+                          deferred_total=int(tallies["deferred"]),
+                          shed_total=int(tallies["shed"]),
+                          dropped_total=int(tallies["dropped"]))
 
     async def serve(self, max_slots: Optional[int] = None) -> int:
         """Drive :meth:`tick` as a coroutine until drained.
@@ -442,25 +444,11 @@ class AdmissionService:
             policy_state=policy_state,
             stream_state=self._stream.export_state(),
             journal=cursor,
-            counters=dict(self.counters),
             metrics_state=self._metrics.export_state(),
         )
         write_checkpoint(self.config.checkpoint_path, checkpoint)
         self.last_checkpoint_slot = slot
         return True
-
-    def _account(self, outcome: SlotOutcome, num_shed: int,
-                 num_deferred: int) -> None:
-        counters = self.counters
-        counters["arrivals"] += outcome.num_arrivals + num_shed
-        counters["accepted"] += outcome.num_arrivals
-        counters["shed"] += num_shed
-        counters["deferred"] += num_deferred
-        counters["started"] += outcome.num_started
-        counters["completed"] += outcome.num_completed
-        counters["dropped"] += outcome.num_dropped
-        counters["reward"] += outcome.slot_reward
-        counters["slots"] += 1
 
     # Introspection -----------------------------------------------------
     @property
@@ -474,9 +462,18 @@ class AdmissionService:
         return self._journal
 
     @property
-    def metrics(self):
-        """The registry instrumentation writes to (possibly null)."""
+    def metrics(self) -> MetricsRegistry:
+        """The registry the run records into (the store of its tallies)."""
         return self._metrics
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        """The run's cumulative tallies, read from the registry: a new
+        dict of ``arrivals`` and the :data:`TALLY_SERIES` keys."""
+        counter = self._metrics.counter
+        tallies = {key: counter(series) for key, series in TALLY_SERIES}
+        return {"arrivals": tallies["accepted"] + tallies["shed"],
+                **tallies}
 
     def status(self) -> Dict[str, object]:
         """A JSON-able live-state summary (the `/metrics?format=json`
@@ -490,9 +487,7 @@ class AdmissionService:
             "queue_limit": self.config.queue_limit,
             "last_checkpoint_slot": self.last_checkpoint_slot,
             "checkpoint_every": self.config.checkpoint_every,
-            "counters": {key: self.counters[key]
-                         for key in COUNTER_KEYS},
-            "slot_latency": self.slot_latency.snapshot(),
+            "counters": self.counters,
         }
 
     def __repr__(self) -> str:

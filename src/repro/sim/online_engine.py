@@ -243,9 +243,12 @@ class OnlineEngine:
             Tuple[Tuple[int, ...], Tuple[float, ...], float]] = {}
         self._min_offset: float = math.inf
         self._load: Optional[Dict[int, Tuple[int, float]]] = None
-        #: ``(slot, load snapshot, view)`` of the last station_loads().
-        self._station_view: Optional[Tuple[int, Dict[int, Tuple[int, float]],
-                                           Tuple[StationLoad, ...]]] = None
+        #: ``(slot or None, load snapshot, view, free MHz by station)``
+        #: of the last station_loads(); the slot keys it only when the
+        #: engine has outages, the one thing the slot changes in a view.
+        self._station_view: Optional[Tuple[
+            Optional[int], Dict[int, Tuple[int, float]],
+            Tuple[StationLoad, ...], Dict[int, float]]] = None
         arrivals: Dict[int, List[ARRequest]] = {}
         for request in self._requests:
             arrivals.setdefault(request.arrival_slot, []).append(request)
@@ -271,24 +274,40 @@ class OnlineEngine:
         return (self._loads() if load is None else load).get(station_id,
                                                              (0, 0.0))
 
-    def station_loads(self) -> Tuple[StationLoad, ...]:
-        """Every station at the current slot, in station id order.
-
-        One snapshot per slot and load change: repeated calls in between
-        return the same tuple.
-        """
+    def _station_snapshot(self) -> Tuple[
+            Optional[int], Dict[int, Tuple[int, float]],
+            Tuple[StationLoad, ...], Dict[int, float]]:
+        """The cached ``station_loads`` view and its free capacities,
+        rebuilt once per load change (and, with outages, per slot)."""
         load = self._loads()
-        slot = self.clock.current_slot
+        slot = self.clock.current_slot if self._outages else None
         cached = self._station_view
-        if cached is None or cached[0] != slot or cached[1] is not load:
+        if cached is None or cached[1] is not load or cached[0] != slot:
             network = self.instance.network
             view = tuple(
                 StationLoad(sid, network.station(sid).capacity_mhz,
-                            self.is_down(sid, slot),
-                            *load.get(sid, (0, 0.0)))
+                            self.is_down(sid), *load.get(sid, (0, 0.0)))
                 for sid in network.station_ids)
-            cached = self._station_view = (slot, load, view)
-        return cached[2]
+            free = {station.station_id:
+                    max(0.0, station.effective_capacity_mhz
+                        - station.active_demand_mhz)
+                    for station in view}
+            cached = self._station_view = (slot, load, view, free)
+        return cached
+
+    def station_loads(self) -> Tuple[StationLoad, ...]:
+        """Every station at the current slot, in station id order.
+
+        One snapshot per load change (per slot too, with outages):
+        repeated calls in between return the same tuple.
+        """
+        return self._station_snapshot()[2]
+
+    def station_free_mhz(self) -> Dict[int, float]:
+        """Station id -> :meth:`free_mhz`, from the same snapshot as
+        :meth:`station_loads`.  The dict is shared: do not mutate it.
+        """
+        return self._station_snapshot()[3]
 
     def active_count(self, station_id: int) -> int:
         """Active requests currently served by a station."""

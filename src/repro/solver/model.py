@@ -27,7 +27,6 @@ exists.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -574,11 +573,17 @@ class LinearProgram:
     def objective_value(self, x: np.ndarray) -> float:
         """Objective value of a column-ordered assignment.
 
-        A plain left-to-right Python sum of ``objective * x``, so the
-        value does not depend on how a BLAS would order a dot product.
+        The products ``objective * x`` summed strictly left to right
+        (``np.add.accumulate`` has no pairwise or compensated path), so
+        the value depends neither on how a BLAS would order a dot
+        product nor on the Python version's ``sum()``.  Adding ``0.0``
+        gives the sign of zero an accumulator started at ``0.0`` would:
+        an all-zero sum is ``+0.0``.  An empty model is worth ``0.0``.
         """
-        return float(sum(map(operator.mul, self._obj.array().tolist(),
-                             np.asarray(x, dtype=float).tolist())))
+        products = self._obj.array() * np.asarray(x, dtype=float)
+        if not products.size:
+            return 0.0
+        return float(np.add.accumulate(products)[-1]) + 0.0
 
     def values_of(self, x: np.ndarray) -> Dict[str, float]:
         """A column-ordered assignment keyed by variable name."""

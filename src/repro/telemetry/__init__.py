@@ -71,8 +71,7 @@ from .profiling import (COUNTER_OWNERS, DIGEST_SCHEMA,
                         PROFILE_SET_SCHEMA, ProfileDigest, SpanProfile,
                         canonical_digest, collect_sweep_profiles,
                         counter_owner, digest_from_events,
-                        folded_from_digest, folded_from_stats,
-                        load_profile_set,
+                        folded_from_stats, load_profile_set,
                         merge_digests, merge_memory, merge_stats,
                         render_digest, render_memory_top,
                         write_folded, write_profile_set)
@@ -128,7 +127,6 @@ __all__ = [
     "diff_ledgers",
     "diff_manifests",
     "diff_profile_sets",
-    "folded_from_digest",
     "folded_from_stats",
     "get_tracer",
     "git_revision",

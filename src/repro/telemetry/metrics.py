@@ -11,7 +11,7 @@ that can be scraped at any instant:
 * **counters** - monotonic totals (``registry.inc("service_shed_total")``,
   ``registry.inc("rounding_rounds", passes)``) keyed by name + labels;
 * **gauges** - last-write-wins instantaneous values
-  (``registry.set_gauge("service_queue_depth", depth)``);
+  (``registry.set_gauge("engine_pending", depth)``);
 * **histograms** - :class:`StreamingHistogram`: fixed log-scale
   buckets (bounded memory at any arrival count) plus a **ring-buffer
   sliding window keyed by slot index**, never by wall clock, so the
@@ -518,8 +518,7 @@ class MetricsRegistry:
         """Install a snapshot produced by :meth:`export_state`.
 
         ``None`` (the null registry's export) leaves the registry
-        untouched, so resuming an unmetered checkpoint into a metered
-        service starts its series from zero instead of failing.
+        untouched.
         """
         if state is None:
             return

@@ -31,9 +31,7 @@ span events; ``--trace-summary`` renders its digest):
 
 * **Flamegraph export** - :func:`folded_from_stats` expands the
   cProfile caller graph into collapsed-stack lines ("a;b;c 1234",
-  weights in microseconds) loadable by speedscope and flamegraph.pl,
-  and :func:`folded_from_digest` does the same exactly (no
-  approximation) for the instrumented span tree.
+  weights in microseconds) loadable by speedscope and flamegraph.pl.
 
 ``python -m repro.experiments perf-diff`` (see
 :mod:`repro.telemetry.perfdiff`) compares two digests and localizes
@@ -516,17 +514,6 @@ def merge_stats(stats_list: Iterable[Mapping[str, Any]]
     return merged
 
 
-def top_functions(stats: Mapping[str, Any], top: int = 15,
-                  key: str = "tt") -> List[Tuple[str, Dict[str, Any]]]:
-    """The hottest functions of a stats mapping, by ``tt`` or ``ct``."""
-    if key not in ("tt", "ct"):
-        raise ConfigurationError(f"sort key must be tt or ct, got {key!r}")
-    ordered = sorted(stats.items(),
-                     key=lambda item: (-float(item[1].get(key, 0.0)),
-                                       item[0]))
-    return [(func, dict(row)) for func, row in ordered[:max(0, top)]]
-
-
 def folded_from_stats(stats: Mapping[str, Any],
                       max_depth: int = 64,
                       min_weight_us: int = 1) -> List[str]:
@@ -576,19 +563,6 @@ def folded_from_stats(stats: Mapping[str, Any],
         weight = int(round(weights[line] * 1e6))
         if weight >= min_weight_us:
             lines.append(f"{line} {weight}")
-    return lines
-
-
-def folded_from_digest(digest: Union[ProfileDigest, Mapping[str, Any]],
-                       min_weight_us: int = 1) -> List[str]:
-    """Collapsed-stack lines from a digest's span tree (exact)."""
-    if not isinstance(digest, ProfileDigest):
-        digest = ProfileDigest.from_dict(digest)
-    lines = []
-    for path in sorted(digest.spans):
-        weight = int(round(digest.spans[path].self_s * 1e6))
-        if weight >= min_weight_us:
-            lines.append(f"{path.replace(PATH_SEP, ';')} {weight}")
     return lines
 
 

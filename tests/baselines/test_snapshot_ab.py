@@ -8,7 +8,10 @@ At every schedule call of all four baselines, with and without an
 outage, the snapshot must equal ``engine.free_mhz`` for every station
 and ``fastest_feasible`` must equal ``feasible_stations(r, t)[:1]`` for
 every pending request.  A frozen copy of Greedy's old placement rule
-must also journal the same run byte for byte.
+must also journal the same run byte for byte.  The snapshot is the
+engine's ``station_free_mhz``, rebuilt on a load change and, with
+outages, on every slot: a run whose load stays still across the outage
+window edges checks that it follows them.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ def checked(policy, calls):
         network = engine.instance.network
         assert policy._free == {sid: engine.free_mhz(sid)
                                 for sid in network.station_ids}, slot
+        assert policy._free is engine.station_free_mhz(), slot
         for request in pending:
             fastest = engine.fastest_feasible(request, slot)
             assert ([] if fastest is None else [fastest]) == \
@@ -98,6 +102,19 @@ def test_snapshot_and_fastest_match_engine(small_instance, crowded_workload,
     assert len(calls) == HORIZON
     assert sum(pending for _, pending in calls) > HORIZON
     assert result.num_admitted > 0
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_snapshot_follows_outage_edges_under_a_still_load(small_instance,
+                                                          name):
+    """Requests arrive at slot 0 only, so after they start or drop the
+    load snapshot stays the same object over every outage edge."""
+    workload = small_instance.new_workload(num_requests=4, seed=5,
+                                           horizon_slots=1)
+    calls = []
+    policy = checked(POLICIES[name](), calls)
+    journal_of(small_instance, workload, policy, OUTAGES)
+    assert len(calls) == HORIZON
 
 
 def test_fastest_feasible_at_every_slot(small_instance, crowded_workload):

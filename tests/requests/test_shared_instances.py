@@ -72,7 +72,8 @@ def test_checkpoint_round_trip_keeps_distributions(requests, tmp_path):
     write_checkpoint(path, ServiceCheckpoint(
         config=None, slot=0,
         engine_state={"pending": copy.deepcopy(requests)},
-        policy_state=None, stream_state={}, journal=JournalCursor()))
+        policy_state=None, stream_state={}, journal=JournalCursor(),
+        metrics_state={}))
     restored = read_checkpoint(path).engine_state["pending"]
     assert len(restored) == len(requests)
     for before, after in zip(requests, restored):

@@ -195,13 +195,15 @@ class TestCheckpointFiles:
             engine_state={"slot": 9}, policy_state=None,
             stream_state={"next_id": 3},
             journal=JournalCursor(events_recorded=5, byte_position=120),
-            counters={"arrivals": 3.0})
+            metrics_state={"slot": 9, "counters": {
+                ("service_slots_total", ()): 10.0}})
         path = str(tmp_path / "c.ckpt")
         write_checkpoint(path, checkpoint)
         loaded = read_checkpoint(path)
         assert loaded.slot == 9
         assert loaded.journal.byte_position == 120
-        assert loaded.counters == {"arrivals": 3.0}
+        assert loaded.metrics_state == checkpoint.metrics_state
+        assert not hasattr(loaded, "counters")
 
     def test_read_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -217,7 +219,8 @@ class TestCheckpointFiles:
             policy_state={"bandit": None, "workspace": None,
                           "solve_state": None, "tracker": None},
             stream_state={"next_id": 3},
-            journal=JournalCursor(), schema="repro.service-checkpoint/2")
+            journal=JournalCursor(), metrics_state={},
+            schema="repro.service-checkpoint/2")
         path = tmp_path / "stale.ckpt"
         path.write_bytes(pickle.dumps(stale))
         with pytest.raises(ConfigurationError, match="stale checkpoint"):
@@ -231,7 +234,22 @@ class TestCheckpointFiles:
             policy_state={"bandit": None, "tracker": None,
                           "cumulative_reward": 0.0},
             stream_state={"next_id": 3},
-            journal=JournalCursor(), schema="repro.service-checkpoint/3")
+            journal=JournalCursor(), metrics_state={},
+            schema="repro.service-checkpoint/3")
+        path = tmp_path / "stale.ckpt"
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ConfigurationError, match="stale checkpoint"):
+            read_checkpoint(str(path))
+
+    def test_read_schema_4_checkpoint_raises(self, tmp_path):
+        """A /4 file still carries the service's private ``counters``
+        beside the registry state that now holds them alone."""
+        stale = ServiceCheckpoint(
+            config={"policy": "greedy"}, slot=9,
+            engine_state={"slot": 9}, policy_state=None,
+            stream_state={"next_id": 3}, journal=JournalCursor(),
+            metrics_state={}, schema="repro.service-checkpoint/4")
+        stale.counters = {"arrivals": 3.0}
         path = tmp_path / "stale.ckpt"
         path.write_bytes(pickle.dumps(stale))
         with pytest.raises(ConfigurationError, match="stale checkpoint"):
@@ -299,7 +317,7 @@ class TestWriteFailures:
     def test_error_is_a_repro_error(self, tmp_path, monkeypatch):
         checkpoint = ServiceCheckpoint(
             config={}, slot=1, engine_state={}, policy_state=None,
-            stream_state={}, journal=JournalCursor())
+            stream_state={}, journal=JournalCursor(), metrics_state={})
 
         def fail(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -29,11 +29,11 @@ def payload(slot=10, scraped=100.0, **counter_overrides):
             "pending": 3, "active": 7, "queue_limit": 64,
             "last_checkpoint_slot": 8, "checkpoint_every": 4,
             "counters": counters,
-            "slot_latency": {"count": 10, "p50": 0.001,
-                             "p95": 0.004, "p99": 0.009},
         },
         "metrics": {
-            "counters": {}, "gauges": {}, "histograms": {},
+            "counters": {}, "gauges": {},
+            "histograms": {"service_slot_latency_seconds": {
+                "count": 10, "p50": 0.001, "p95": 0.004, "p99": 0.009}},
         },
         "scraped_unix": scraped,
     }
@@ -77,12 +77,12 @@ class TestRenderStatus:
         rich["metrics"]["gauges"] = {
             "bandit_surviving_arms": 5.0,
             "bandit_threshold_mhz": 1200.0,
-            "service_queue_depth": 3.0,
+            "engine_pending": 3.0,
         }
         frame = render_status(rich)
         assert "surviving_arms=5" in frame
         assert "threshold_mhz=1.2e+03" in frame
-        assert "service_queue_depth" not in frame
+        assert "engine_pending" not in frame
 
     def test_minimal_payload_does_not_crash(self):
         assert render_status({})  # renders a header line regardless

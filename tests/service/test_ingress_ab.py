@@ -26,8 +26,7 @@ from repro.service import AdmissionService
 from repro.service.loop import SlotReport
 from repro.sim.events import EventKind
 from repro.telemetry.audit import emit_many, use_journal
-from repro.telemetry.metrics import (MetricsRegistry, host_measured,
-                                     use_metrics)
+from repro.telemetry.metrics import host_measured, use_metrics
 
 
 # ----------------------------------------------------------------------
@@ -61,11 +60,12 @@ class FrozenService(AdmissionService):
 
     Copied from the tick before shed arrivals were skipped, minus the
     wall-clock latency and allocation series, which the A/B does not
-    compare.
+    compare, and with the tallies read from the registry like today's
+    tick.
     """
 
-    def __init__(self, config, registry=None):
-        super().__init__(config, registry=registry)
+    def __init__(self, config):
+        super().__init__(config)
         stream = self._stream
         self._stream = FrozenStream(stream._generator, stream._mean,
                                     rng=stream._rng, limit=stream._limit)
@@ -89,7 +89,6 @@ class FrozenService(AdmissionService):
             outcome = self._engine.step(self._policy, slot, accepted)
             deferred: List = []
             if accepted:
-                metrics.inc("service_admitted_total", len(accepted))
                 still_pending = set(self._engine.pending_ids())
                 deferred = [request for request in accepted
                             if request.request_id in still_pending]
@@ -97,15 +96,9 @@ class FrozenService(AdmissionService):
                       lambda request: dict(
                           request_id=request.request_id,
                           value=float(outcome.pending_after)))
-            self._account(outcome, len(shed), len(deferred))
-            if metrics.enabled:
-                metrics.inc("service_slots_total")
-                metrics.set_gauge("service_queue_depth",
-                                  float(outcome.pending_after))
-                metrics.set_gauge("service_active_requests",
-                                  float(outcome.active_after))
-                metrics.observe("service_batch_size",
-                                float(len(batch)), slot=slot)
+            metrics.inc("service_slots_total")
+            metrics.observe("service_batch_size",
+                            float(len(batch)), slot=slot)
             checkpointed = self._maybe_checkpoint(slot)
         if self._stream.exhausted and outcome.pending_after == 0 \
                 and outcome.active_after == 0:
@@ -124,9 +117,9 @@ class FrozenService(AdmissionService):
 # ----------------------------------------------------------------------
 # Running both sides
 # ----------------------------------------------------------------------
-def run(service_cls, config, registry=None):
+def run(service_cls, config):
     """Drain one service; return everything the A/B compares."""
-    service = service_cls(config, registry=registry)
+    service = service_cls(config)
     reports = []
     checkpoints = []
     while not service.done:
@@ -138,13 +131,11 @@ def run(service_cls, config, registry=None):
     service.close()
     with open(config.journal_path, "rb") as handle:
         journal = handle.read()
-    snapshot = None
-    if registry is not None:
-        full = registry.snapshot()
-        snapshot = {family: {series: value
-                             for series, value in full[family].items()
-                             if not host_measured(series)}
-                    for family in ("counters", "gauges", "histograms")}
+    full = service.metrics.snapshot()
+    snapshot = {family: {series: value
+                         for series, value in full[family].items()
+                         if not host_measured(series)}
+                for family in ("counters", "gauges", "histograms")}
     return dict(journal=journal, reports=reports,
                 counters=dict(service.counters), snapshot=snapshot,
                 checkpoints=checkpoints, service=service)
@@ -162,11 +153,10 @@ CASES = {
 }
 
 
-def run_both(config, live_registry):
+def run_both(config):
     """The new and the frozen service over the same files, in turn (the
     paths are part of the config a checkpoint stores)."""
-    return [run(service_cls, config,
-                registry=MetricsRegistry() if live_registry else None)
+    return [run(service_cls, config)
             for service_cls in (AdmissionService, FrozenService)]
 
 
@@ -174,8 +164,7 @@ def run_both(config, live_registry):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_new_ingress_matches_building_everything(
         make_service_config, case, policy):
-    new, old = run_both(make_service_config(policy=policy, **CASES[case]),
-                        live_registry=True)
+    new, old = run_both(make_service_config(policy=policy, **CASES[case]))
     assert new["counters"]["shed"] > 0
     assert new["journal"] == old["journal"]
     assert new["reports"] == old["reports"]
@@ -193,11 +182,10 @@ def test_new_ingress_matches_building_everything(
 @pytest.mark.parametrize("policy", ["greedy", "dynamicrr"])
 def test_checkpoint_bytes_match_building_everything(
         make_service_config, tmp_path, policy):
-    # A null registry keeps wall-clock series out of the checkpoints.
+    # Checkpoints leave the wall-clock series out of the registry state.
     new, old = run_both(make_service_config(
         policy=policy, checkpoint_path=str(tmp_path / "service.ckpt"),
-        checkpoint_every=4, **CASES["rate64-queue64"]),
-        live_registry=False)
+        checkpoint_every=4, **CASES["rate64-queue64"]))
     assert len(new["checkpoints"]) > 3
     assert new["checkpoints"] == old["checkpoints"]
 

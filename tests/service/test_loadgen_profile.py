@@ -3,8 +3,7 @@
 A 2000-arrival, rate-8 greedy loadgen is profiled end to end.  Its
 canonical digest (span calls plus counters, wall clock stripped) is
 pinned in ``golden/loadgen_profile_digest.json``, together with the
-digest of the same run without a registry and the digest of a resume
-after a kill.  The resumed run's counters include the values its
+digest of a resume after a kill.  The resumed run's counters include the values its
 checkpoint restored, so the golden also pins how the service's own
 registry folds into the digest.
 
@@ -51,8 +50,6 @@ def recorded_digests(directory: pathlib.Path) -> dict:
     """Canonical digest of each profiled run the golden pins."""
     return {
         "loadgen": canonical_digest(profiled_loadgen()["profile"]),
-        "no_metrics": canonical_digest(
-            profiled_loadgen(metrics=False)["profile"]),
         "resume": canonical_digest(
             killed_then_resumed(directory)["profile"]),
     }
@@ -69,7 +66,7 @@ class TestLoadgenProfile:
         assert canonical_digest(summary["profile"]) == golden["loadgen"]
         assert golden["loadgen"]["spans"]["slot_admission"]["calls"] \
             == 294
-        assert len(golden["loadgen"]["counters"]) == 9
+        assert len(golden["loadgen"]["counters"]) == 8
 
     def test_folded_and_memory_rows_written(self, tmp_path):
         folded = tmp_path / "service.folded"
@@ -97,12 +94,6 @@ class TestLoadgenProfile:
         manifest = json.loads(bench.read_text())
         assert manifest["profiles"]["loadgen"] == summary["profile"]
         assert manifest["metrics"]["loadgen"] == summary["metrics"]
-
-    def test_profile_without_metrics(self, golden):
-        summary = profiled_loadgen(metrics=False)
-        assert "registry_counters" not in summary
-        assert canonical_digest(summary["profile"]) \
-            == golden["no_metrics"]
 
     def test_kill_then_profiled_resume(self, tmp_path, golden):
         summary = killed_then_resumed(tmp_path)

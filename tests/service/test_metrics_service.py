@@ -6,8 +6,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.exceptions import ConfigurationError
 from repro.service import AdmissionService
-from repro.telemetry.metrics import MetricsRegistry
+from repro.service.loop import TALLY_SERIES
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 def run_to_drain(service):
@@ -28,18 +32,17 @@ class TestRegistryWiring:
             registry=registry)
         run_to_drain(service)
         counters = service.counters
-        assert registry.counter("service_shed_total") == \
-            counters["shed"]
-        assert registry.counter("service_admitted_total") == \
-            counters["accepted"]
-        assert registry.counter("service_deferred_total") == \
-            counters["deferred"]
-        assert registry.counter("service_slots_total") == \
-            counters["slots"]
-        assert registry.counter("engine_completions_total") == \
-            counters["completed"]
-        assert registry.counter("engine_arrivals_total") == \
-            counters["accepted"]
+        assert list(counters) == ["arrivals"] + [
+            key for key, _ in TALLY_SERIES]
+        for key, series in TALLY_SERIES:
+            assert counters[key] == registry.counter(series), key
+        assert counters["arrivals"] == \
+            counters["accepted"] + counters["shed"]
+        assert counters["shed"] > 0
+        # A view, not a copy the caller could corrupt the tallies with.
+        counters["shed"] = -1.0
+        assert service.counters["shed"] == \
+            registry.counter("service_shed_total")
 
     def test_registry_tracks_slot_and_latency_histogram(
             self, make_service_config):
@@ -66,12 +69,19 @@ class TestRegistryWiring:
         assert registry.gauge("bandit_surviving_arms") is not None
         assert registry.gauge("bandit_threshold_mhz") is not None
 
-    def test_default_registry_is_the_ambient_null(
+    def test_default_registry_is_a_fresh_live_one(
             self, make_service_config):
         service = AdmissionService(make_service_config(max_arrivals=10))
+        other = AdmissionService(make_service_config(max_arrivals=10))
         run_to_drain(service)
-        assert service.metrics.enabled is False
-        assert service.metrics.snapshot()["counters"] == {}
+        assert service.metrics.enabled is True
+        assert service.metrics is not other.metrics
+        assert service.metrics.counter("service_slots_total") == \
+            service.counters["slots"] > 0
+
+    def test_disabled_registry_is_refused(self, make_service_config):
+        with pytest.raises(ConfigurationError, match="live"):
+            AdmissionService(make_service_config(), registry=NULL_REGISTRY)
 
 
 class TestSlotReportCumulative:
@@ -115,7 +125,10 @@ class TestLiveIntrospection:
         assert set(status["counters"]) == {
             "arrivals", "accepted", "shed", "deferred", "started",
             "completed", "dropped", "reward", "slots"}
-        assert status["slot_latency"]["count"] == 1
+        assert status["counters"] == service.counters
+        assert "slot_latency" not in status
+        assert service.metrics.histogram(
+            "service_slot_latency_seconds").count == 1
         run_to_drain(service)
         assert service.status()["done"] is True
 

@@ -9,6 +9,12 @@ from the live state - checked while the policy schedules and after
 every slot, for every online policy, with and without an outage.  The
 same runs check ``still_pending`` (a slot's arrivals left pending, read
 from the queue's tail) against the service tick's old set scan.
+
+The ``station_loads`` view and its free capacities are keyed on the
+load snapshot, and on the slot only when the engine has outages; a run
+whose load stays still across outage window edges checks that the view
+follows the edges, and that without outages it is reused between load
+changes.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from repro.core.dynamic_rr import DynamicRR
 from repro.core.latency import meets_deadline
 from repro.requests.request import ARRequest
 from repro.sim.events import EventKind
-from repro.sim.online_engine import OnlineEngine
+from repro.sim.online_engine import OnlineEngine, StationLoad
 from repro.telemetry.audit import Journal, use_journal
 
 HORIZON = 40
+OUTAGES = {0: (5, 20), 3: (12, 30)}
 
 
 # ----------------------------------------------------------------------
@@ -46,6 +53,17 @@ def frozen_active_demand_mhz(engine, station_id):
 def frozen_free_mhz(engine, station_id):
     return max(0.0, engine.station_capacity_mhz(station_id)
                - frozen_active_demand_mhz(engine, station_id))
+
+
+def frozen_station_loads(engine, slot):
+    """The per-slot view built afresh from the live running set."""
+    network = engine.instance.network
+    return tuple(
+        StationLoad(sid, network.station(sid).capacity_mhz,
+                    engine.is_down(sid, slot),
+                    frozen_active_count(engine, sid),
+                    frozen_active_demand_mhz(engine, sid))
+        for sid in network.station_ids)
 
 
 def frozen_feasible_stations(model, request, waiting_ms):
@@ -79,6 +97,10 @@ def assert_views_match(engine, slot, pending):
     assert engine.total_free_mhz() == float(sum(
         frozen_free_mhz(engine, sid)
         for sid in engine.instance.network.station_ids))
+    assert engine.station_loads() == frozen_station_loads(engine, slot)
+    assert engine.station_free_mhz() == {
+        sid: frozen_free_mhz(engine, sid)
+        for sid in engine.instance.network.station_ids}
     model = engine.instance.latency
     for request in pending:
         assert engine.feasible_stations(request, slot) == \
@@ -124,7 +146,7 @@ def crowded_workload(small_instance):
                                        horizon_slots=HORIZON)
 
 
-@pytest.mark.parametrize("outages", [None, {0: (5, 20), 3: (12, 30)}],
+@pytest.mark.parametrize("outages", [None, OUTAGES],
                          ids=["no-outage", "outage"])
 @pytest.mark.parametrize("name", sorted(POLICIES))
 def test_cached_views_equal_fresh_scans(small_instance, crowded_workload,
@@ -167,6 +189,42 @@ def test_cached_views_equal_fresh_scans(small_instance, crowded_workload,
     # Some slots kept part of their arrivals pending (HeuKKT never
     # does; Random seldom).
     assert mixed > 0 or name in ("heukkt", "random")
+
+
+@pytest.mark.parametrize("outages", [None, OUTAGES],
+                         ids=["no-outage", "outage"])
+def test_station_view_follows_outage_edges_under_a_still_load(
+        small_instance, outages):
+    """A few requests start at slot 0 and nothing arrives after, so the
+    load snapshot stays the same object over long stretches, outage
+    window edges included."""
+    requests = small_instance.new_workload(num_requests=4, seed=5,
+                                           horizon_slots=1)
+    engine = OnlineEngine(small_instance, requests, horizon_slots=HORIZON,
+                          rng=0, outages=outages)
+    policy = GreedyOnline()
+    policy.begin(engine)
+    edges = {slot for start, end in (outages or {}).values()
+             for slot in (start, end + 1)}
+    still_edges = reused = 0
+    load = view = None
+    for t in engine.clock.ticks():
+        engine.step(policy, t, requests if t == 0 else ())
+        same_load = engine._loads() is load
+        load = engine._loads()
+        previous, view = view, engine.station_loads()
+        assert view == frozen_station_loads(engine, t), f"slot {t}"
+        assert engine.station_free_mhz() == {
+            sid: frozen_free_mhz(engine, sid)
+            for sid in small_instance.network.station_ids}, f"slot {t}"
+        still_edges += same_load and t in edges
+        reused += view is previous
+    if outages:
+        # Every edge fell in a still stretch: only the slot moved.
+        assert still_edges == len(edges)
+    else:
+        # Without outages, a still load serves one view across slots.
+        assert reused > HORIZON // 2
 
 
 def test_restore_state_drops_the_caches(small_instance, crowded_workload):

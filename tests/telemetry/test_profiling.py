@@ -11,10 +11,9 @@ from repro.telemetry import Tracer, get_tracer
 from repro.telemetry.profiling import (
     COUNTER_OWNERS, DIGEST_SCHEMA, PROFILE_SET_SCHEMA, ProfileDigest,
     SpanProfile, canonical_digest, capture_memory_top, capture_stats,
-    counter_base, digest_from_events, folded_from_digest,
-    folded_from_stats, load_profile_set, merge_digests, merge_memory,
-    Capture, merge_stats, render_digest, render_memory_top,
-    top_functions, write_folded, write_profile_set)
+    counter_base, digest_from_events, folded_from_stats,
+    load_profile_set, merge_digests, merge_memory, Capture, merge_stats,
+    render_digest, render_memory_top, write_folded, write_profile_set)
 from repro.telemetry.export import collect_sweep_trace
 from repro.telemetry.metrics import (NULL_REGISTRY, MetricsRegistry,
                                      series_name)
@@ -300,10 +299,6 @@ class TestStats:
         some = next(iter(one))
         assert merged[some]["calls"] == 2 * one[some]["calls"]
 
-    def test_top_functions(self):
-        rows = top_functions(capture_stats(_busy_profile()), top=5)
-        assert 0 < len(rows) <= 5
-
     def test_folded_lines_have_weights(self, tmp_path):
         lines = folded_from_stats(capture_stats(_busy_profile()))
         assert lines
@@ -313,11 +308,6 @@ class TestStats:
             assert stack
         out = write_folded(tmp_path / "p.folded", lines)
         assert out.read_text().count("\n") == len(lines)
-
-    def test_folded_from_digest(self):
-        lines = folded_from_digest(digest_from_events(traced_run()))
-        stacks = {line.rsplit(" ", 1)[0] for line in lines}
-        assert "offline_run;lp_solve;lp_solve" in stacks
 
 
 class TestMemory:
