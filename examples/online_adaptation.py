@@ -8,7 +8,10 @@ under algorithm DynamicRR (Algorithm 3) and reports:
   survived, how often each was played),
 * the reward/latency outcome against the online baselines on the same
   arrivals,
-* the empirical regret curve of the threshold bandit.
+* the empirical regret curve of the threshold bandit, rebuilt from
+  DynamicRR's decision journal: each round's arm from its
+  ``ARM_SELECTED`` event, its reward from that slot's ``START``
+  rewards (raw reward units).
 
 Run:
     python examples/online_adaptation.py [seed]
@@ -18,6 +21,9 @@ import sys
 
 from repro import (DynamicRR, GreedyOnline, HeuKktOnline, OcorpOnline,
                    OnlineEngine, ProblemInstance, SimulationConfig)
+from repro.bandits.regret import RegretTracker
+from repro.experiments.report import bandit_rounds
+from repro.telemetry.audit import Journal, use_journal
 
 HORIZON = 150
 NUM_REQUESTS = 350
@@ -35,6 +41,7 @@ def main(seed: int = 5) -> None:
           f"{'avg latency':>12}")
     results = {}
     dynamic_policy = None
+    journal = Journal()
     for factory in (DynamicRR, GreedyOnline, OcorpOnline,
                     HeuKktOnline):
         policy = factory()
@@ -42,10 +49,13 @@ def main(seed: int = 5) -> None:
                                          horizon_slots=HORIZON)
         engine = OnlineEngine(instance, workload, horizon_slots=HORIZON,
                               rng=seed)
-        result = engine.run(policy)
-        results[result.algorithm] = result
         if isinstance(policy, DynamicRR):
             dynamic_policy = policy
+            with use_journal(journal):
+                result = engine.run(policy)
+        else:
+            result = engine.run(policy)
+        results[result.algorithm] = result
         print(f"{result.algorithm:>10} {result.total_reward:>10.0f} "
               f"{result.num_admitted:>9} "
               f"{result.average_latency_ms():>9.1f} ms")
@@ -65,14 +75,18 @@ def main(seed: int = 5) -> None:
     print(f"\nExploitation choice: C^th = "
           f"{dynamic_policy.current_threshold_mhz():.0f} MHz")
 
-    curve = dynamic_policy.tracker.regret_curve()
+    tracker = RegretTracker()
+    for rounds in bandit_rounds(journal.events()).values():
+        for _slot, arm, _threshold, reward, _eliminated in rounds:
+            tracker.record(arm, reward)
+    curve = tracker.regret_curve()
     if curve.size:
         marks = [int(curve.size * f) - 1 for f in (0.25, 0.5, 0.75, 1.0)]
-        print("Empirical regret (vs best played arm): "
+        print("Empirical regret (vs best played arm, reward $): "
               + ", ".join(f"t={m + 1}:{curve[m]:.1f}" for m in marks))
         print("Theorem 3 shape bound at T: "
               f"{bandit.regret_bound(lipschitz_eta=0.001):.1f} "
-              "(up to constants)")
+              "(normalized rewards, up to constants)")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,12 @@ first served share), which is the slot whose arm admitted it.
 Bandit reward normalization: arm samples are the slot reward divided by
 a fixed scale (an estimate of the maximum achievable per-slot reward),
 clipped to [0, 1] so the confidence radius calibration applies.
+
+The policy's state is flat over an unbounded slot stream: the bandit's
+per-arm statistics, the rounding RNG and the reward scale.  The
+learning trajectory - each round's arm and reward - is history, and
+the decision journal holds it (``ARM_SELECTED`` and that slot's
+``START`` rewards; see :func:`~repro.experiments.report.bandit_rounds`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..bandits.lipschitz import LipschitzBandit
-from ..bandits.regret import RegretTracker
 from ..config import OnlineConfig
 from ..requests.request import ARRequest
 from ..rng import RngLike, ensure_rng
@@ -82,9 +87,6 @@ class DynamicRR:
         self._bandit: Optional[LipschitzBandit] = None
         self._reward_scale = 1.0
         self._selected_this_slot = False
-        self._last_arm_value: Optional[float] = None
-        #: Regret accounting of the latest run (for the Theorem 3 bench).
-        self.tracker = RegretTracker()
 
     # ------------------------------------------------------------------
     # OnlinePolicy surface
@@ -108,7 +110,6 @@ class DynamicRR:
             policy=policy,
             explore_fraction=0.2,
             confidence_scale=self.config.confidence_scale)
-        self.tracker = RegretTracker()
         self._reward_scale = self._estimate_reward_scale(engine)
 
     def schedule(self, slot: int,
@@ -126,7 +127,6 @@ class DynamicRR:
         with tracer.span("bandit_round", algorithm=self.name):
             threshold = self._bandit.select_value()
             self._selected_this_slot = True
-            self._last_arm_value = threshold
             emit(EventKind.ARM_SELECTED, slot,
                  arm=self._bandit.grid.nearest_arm(threshold),
                  value=threshold)
@@ -160,7 +160,7 @@ class DynamicRR:
         The learning trajectory is the journal's: each round's
         ``ARM_SELECTED`` (the threshold played), its ``START`` rewards
         and the ``ARM_ELIMINATED`` events emitted here (see
-        :func:`~repro.experiments.report.bandit_diagnostics_markdown`).
+        :func:`~repro.experiments.report.bandit_rounds`).
         """
         if not self._selected_this_slot or self._bandit is None:
             return
@@ -176,8 +176,6 @@ class DynamicRR:
         self._bandit.record(normalized)
         if before is not None:
             self._emit_eliminations(slot, before, set(active_arms()))
-        arm = self._bandit.grid.nearest_arm(self._last_arm_value)
-        self.tracker.record(arm, normalized)
         if metrics.enabled and active_arms is not None:
             metrics.set_gauge("bandit_surviving_arms",
                               float(len(active_arms())))
@@ -254,17 +252,15 @@ class DynamicRR:
     # Checkpoint/restore (streaming service)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot everything :meth:`begin` initializes plus learning."""
+        """Snapshot everything :meth:`begin` initializes plus the
+        bandit's arm statistics."""
         import copy
 
-        bandit, tracker = copy.deepcopy((self._bandit, self.tracker))
         return {
-            "bandit": bandit,
-            "tracker": tracker,
+            "bandit": copy.deepcopy(self._bandit),
             "rng_state": self._rng.bit_generator.state,
             "reward_scale": self._reward_scale,
             "selected_this_slot": self._selected_this_slot,
-            "last_arm_value": self._last_arm_value,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -274,11 +270,9 @@ class DynamicRR:
         overwrites the fresh learning state with the checkpointed one.
         """
         self._bandit = state["bandit"]
-        self.tracker = state["tracker"]
         self._rng.bit_generator.state = state["rng_state"]
         self._reward_scale = state["reward_scale"]
         self._selected_this_slot = state["selected_this_slot"]
-        self._last_arm_value = state["last_arm_value"]
         # EpsilonGreedy shares the policy RNG with the rounding RNG at
         # construction; re-bind so the restored run keeps sharing it.
         if self._bandit is not None and self._bandit.policy is not None \

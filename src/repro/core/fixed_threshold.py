@@ -50,7 +50,7 @@ class FixedThresholdRR(DynamicRR):
         super().begin(engine)
         # Degenerate the grid: a single-arm Lipschitz bandit returning
         # the constant threshold keeps the select/record protocol (and
-        # the tracker) intact with zero learning.
+        # the journal's ARM_SELECTED rounds) intact with zero learning.
         from ..bandits.lipschitz import LipschitzBandit
         self._bandit = LipschitzBandit(
             low=self.threshold_mhz, high=self.threshold_mhz,

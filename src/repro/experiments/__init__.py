@@ -17,9 +17,6 @@ from .executor import (RunSpec, execute_run, execute_specs,
 from .runner import (build_offline_specs, build_online_specs,
                      run_offline_sweep, run_online_sweep)
 from .figures import figure3, figure4, figure5, figure6
-from .validation import (ShapeCheck, check_dominates, check_monotone,
-                         check_saturates, check_winner_everywhere,
-                         validate_all)
 from .reporting import render_ascii_plot, render_figure, render_table
 
 __all__ = [
@@ -42,10 +39,4 @@ __all__ = [
     "render_table",
     "render_ascii_plot",
     "render_figure",
-    "ShapeCheck",
-    "check_dominates",
-    "check_monotone",
-    "check_saturates",
-    "check_winner_everywhere",
-    "validate_all",
 ]

@@ -22,7 +22,8 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..config import OnlineConfig
 from ..sim.events import EventKind
@@ -99,28 +100,17 @@ _ELIMINATED = EventKind.ARM_ELIMINATED.value
 _START = EventKind.START.value
 
 
-def bandit_diagnostics_markdown(journal: Sequence[Dict],
-                                num_arms: int = OnlineConfig.num_arms,
-                                max_rows: int = 10) -> Optional[str]:
-    """Render the DynamicRR learning trajectory from a merged journal.
+def bandit_rounds(journal: Iterable[Dict]) -> Dict[Tuple, List[List]]:
+    """Every learning run's bandit rounds, walked from a journal.
 
-    Each ``ARM_SELECTED`` opens a bandit round and gives its threshold.
-    The round's surviving arms are ``num_arms`` minus the
-    ``ARM_ELIMINATED`` events so far, and its cumulative reward the
-    running sum of the rounds' ``START`` rewards, each round's summed
-    in journal order as the engine sums a slot's.  The first journaled
-    learning run is rendered as a round-by-round table - the Theorem 3
-    regret curve made inspectable.  Returns None when no run played an
-    arm (e.g. an offline-only report).
-
-    Args:
-        journal: a merged journal, tagged as
-            :func:`~repro.telemetry.export.collect_sweep_trace` tags.
-        num_arms: the runs' arm-grid size; the figure drivers build
-            DynamicRR on the default :class:`OnlineConfig`.
-        max_rows: table rows before rounds are sampled.
+    Each ``ARM_SELECTED`` opens a round ``[slot, arm, threshold,
+    reward, eliminated]``: the round's reward is the sum of that slot's
+    ``START`` rewards, in journal order as the engine sums a slot's,
+    and ``eliminated`` counts that slot's ``ARM_ELIMINATED`` events.
+    Runs are keyed by the ``(figure, run, algorithm, x, seed)`` tags of
+    :func:`~repro.telemetry.export.collect_sweep_trace`; the events of
+    an untagged journal form one run.
     """
-    # Per run: one [slot, threshold, reward, eliminated] row per round.
     runs: Dict[Tuple, List[List]] = {}
     for event in journal:
         kind = event.get("kind")
@@ -131,21 +121,44 @@ def bandit_diagnostics_markdown(journal: Sequence[Dict],
                event.get("seed"))
         if kind == _SELECTED:
             runs.setdefault(key, []).append(
-                [event["slot"], event["value"], 0.0, 0])
+                [event["slot"], event["arm"], event["value"], 0.0, 0])
             continue
         rounds = runs.get(key)
         if rounds and rounds[-1][0] == event["slot"]:
             if kind == _START:
-                rounds[-1][2] += event["reward"]
+                rounds[-1][3] += event["reward"]
             else:
-                rounds[-1][3] += 1
+                rounds[-1][4] += 1
+    return runs
+
+
+def bandit_diagnostics_markdown(journal: Sequence[Dict],
+                                num_arms: int = OnlineConfig.num_arms,
+                                max_rows: int = 10) -> Optional[str]:
+    """Render the DynamicRR learning trajectory from a merged journal.
+
+    The rounds are :func:`bandit_rounds`'.  A round's surviving arms
+    are ``num_arms`` minus the ``ARM_ELIMINATED`` events so far, and
+    its cumulative reward the running sum of the rounds' rewards.  The
+    first journaled learning run is rendered as a round-by-round table
+    - the Theorem 3 regret curve made inspectable.  Returns None when
+    no run played an arm (e.g. an offline-only report).
+
+    Args:
+        journal: a merged journal, tagged as
+            :func:`~repro.telemetry.export.collect_sweep_trace` tags.
+        num_arms: the runs' arm-grid size; every figure builds
+            DynamicRR on the default :class:`OnlineConfig`.
+        max_rows: table rows before rounds are sampled.
+    """
+    runs = bandit_rounds(journal)
     if not runs:
         return None
     first_key = sorted(runs)[0]
     figure, _run, algorithm, x, seed = first_key
     trajectory = []  # (threshold, surviving arms, cumulative reward)
     alive, total = num_arms, 0.0
-    for _slot, threshold, reward, eliminated in runs[first_key]:
+    for _slot, _arm, threshold, reward, eliminated in runs[first_key]:
         alive -= eliminated
         total += reward
         trajectory.append((threshold, alive, total))

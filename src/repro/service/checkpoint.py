@@ -2,7 +2,7 @@
 
 A checkpoint freezes everything the service needs to continue a run as
 if it had never stopped: the engine's queues and realization RNG, the
-policy's learning state (bandit and regret tracker), the arrival
+policy's learning state (the bandit's arm statistics), the arrival
 stream's position, the decision journal's cursor, and the service's
 metrics registry - the one store of its cumulative tallies.  The proof
 obligation - enforced by the property tests and the CI smoke job - is
@@ -39,8 +39,12 @@ from ..exceptions import ConfigurationError, PersistenceError
 #: ``policy_state``.  /4 dropped ``cumulative_reward`` from DynamicRR's
 #: ``policy_state`` (the registry's ``engine_reward_total`` is that
 #: quantity).  /5 dropped the ``counters`` field: the service's tallies
-#: are registry series, restored through ``metrics_state`` alone.
-CHECKPOINT_SCHEMA = "repro.service-checkpoint/5"
+#: are registry series, restored through ``metrics_state`` alone.  /6
+#: dropped the histograms' sliding-window ring and the registry's slot
+#: from ``metrics_state``, and DynamicRR's per-round ``tracker`` and
+#: ``last_arm_value`` from ``policy_state`` (the journal holds the
+#: learning trajectory).
+CHECKPOINT_SCHEMA = "repro.service-checkpoint/6"
 
 
 @dataclass

@@ -66,8 +66,8 @@ def build_config(arrivals: int, rate: float, policy: str = "greedy",
     )
 
 
-def _metrics_row(service: AdmissionService,
-                 elapsed_s: float) -> Dict[str, float]:
+def _metrics_row(service: AdmissionService, elapsed_s: float,
+                 restored_arrivals: float) -> Dict[str, float]:
     """The loadgen's headline metric row (deterministic counts first).
 
     ``requests_per_s`` and the latency percentiles are wall-clock and
@@ -77,10 +77,13 @@ def _metrics_row(service: AdmissionService,
     counters`, the percentiles from its streaming
     ``service_slot_latency_seconds`` histogram - no per-slot sample list
     exists anywhere, so RSS stays flat at 10^6+ arrivals.
+    ``requests_per_s`` counts only the arrivals made in ``elapsed_s``:
+    a resumed run's ``restored_arrivals`` came before it.
     """
     counters = service.counters
     latency = service.metrics.histogram("service_slot_latency_seconds")
-    rate = counters["arrivals"] / elapsed_s if elapsed_s > 0 else 0.0
+    made = counters["arrivals"] - restored_arrivals
+    rate = made / elapsed_s if elapsed_s > 0 else 0.0
     return {
         "num_arrivals": counters["arrivals"],
         "num_accepted": counters["accepted"],
@@ -214,6 +217,7 @@ def run_resume(checkpoint_path: str,
     and cover only the resumed portion.
     """
     service = AdmissionService.resume(checkpoint_path)
+    restored_arrivals = service.counters["arrivals"]
     capture = profiling.Capture(profile=bool(profile or profile_out),
                                 profile_mem=profile_mem,
                                 registry=service.metrics)
@@ -226,18 +230,24 @@ def run_resume(checkpoint_path: str,
         service.close()
     elapsed = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
     return finish_run(service, elapsed, bench_path=bench_path,
-                      name=name, resumed=True, captured=capture,
+                      name=name, restored_arrivals=restored_arrivals,
+                      captured=capture,
                       profile_out=profile_out)
 
 
 def finish_run(service: AdmissionService, elapsed_s: float,
                bench_path: Optional[str] = None,
                name: str = "service",
-               resumed: bool = False,
+               restored_arrivals: Optional[float] = None,
                captured: Optional[profiling.Capture] = None,
                profile_out: Optional[str] = None) -> Dict[str, Any]:
-    """Build the summary (and optionally the bench manifest)."""
-    row = _metrics_row(service, elapsed_s)
+    """Build the summary (and optionally the bench manifest).
+
+    ``restored_arrivals`` is None for a fresh run; a resumed run passes
+    the arrivals its checkpoint restored.
+    """
+    resumed = restored_arrivals is not None
+    row = _metrics_row(service, elapsed_s, restored_arrivals or 0.0)
     summary: Dict[str, Any] = {
         "killed": False,
         "resumed": resumed,

@@ -335,7 +335,6 @@ class AdmissionService:
                    - self._engine.pending_count())
         slot, accepted, shed = self._stream.next_batch(room)
         self._engine.clock.advance_to(slot)
-        metrics.advance_slot(slot)
         with use_journal(self._journal), use_metrics(metrics):
             depth = float(self._engine.pending_count() + len(accepted))
             emit_many(EventKind.SHED, slot, shed,
@@ -352,11 +351,10 @@ class AdmissionService:
             # registry includes the slot it closes.
             metrics.inc("service_slots_total")
             metrics.observe("service_batch_size",
-                            float(len(accepted) + len(shed)), slot=slot)
+                            float(len(accepted) + len(shed)))
             checkpointed = self._maybe_checkpoint(slot)
         tick_seconds = time.perf_counter() - began  # repro: noqa DET010 -- advisory runtime metric
-        metrics.observe("service_slot_latency_seconds", tick_seconds,
-                        slot=slot)
+        metrics.observe("service_slot_latency_seconds", tick_seconds)
         # Allocation watermarks, published only while a profiler
         # (loadgen --profile-mem) has tracemalloc running; sampled
         # sparsely - the snapshot-free watermark read is cheap, but

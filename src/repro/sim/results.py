@@ -150,25 +150,6 @@ class SweepResult:
                               for x in all_xs]
         return out
 
-    def winner_at(self, x: float, metric: str,
-                  higher_is_better: bool = True) -> str:
-        """Algorithm with the best mean metric at one swept value."""
-        best_name, best_val = None, None
-        for algorithm in self.algorithms():
-            xs, means, _ = self.series(algorithm, metric)
-            if x not in xs:
-                continue
-            val = means[xs.index(x)]
-            better = (best_val is None
-                      or (higher_is_better and val > best_val)
-                      or (not higher_is_better and val < best_val))
-            if better:
-                best_name, best_val = algorithm, val
-        if best_name is None:
-            raise ConfigurationError(
-                f"no records at {self.x_label}={x}")
-        return best_name
-
 
 def aggregate_records(records: Sequence[RunRecord],
                       x_label: str) -> SweepResult:

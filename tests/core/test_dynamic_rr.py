@@ -8,6 +8,7 @@ from repro.config import (NetworkConfig, OnlineConfig, RequestConfig,
                           SimulationConfig)
 from repro.core.dynamic_rr import DynamicRR
 from repro.core.instance import ProblemInstance
+from repro.experiments.report import bandit_rounds
 from repro.sim.online_engine import OnlineEngine
 from repro.telemetry.audit import InvariantMonitor, Journal, use_journal
 
@@ -68,10 +69,26 @@ class TestBehaviour:
             if decision.reward > 0:
                 assert decision.deadline_met
 
-    def test_tracker_records_plays(self, small_instance,
+    def test_journal_records_plays(self, small_instance,
                                    online_workload):
-        policy, _ = run_dynamic(small_instance, online_workload)
-        assert policy.tracker.num_steps > 0
+        """The journal's rounds are the bandit's: each arm's plays and
+        its mean normalized reward, rebuilt from ``ARM_SELECTED`` and
+        that slot's ``START`` rewards, match the arm statistics."""
+        journal = Journal()
+        with use_journal(journal):
+            policy, _ = run_dynamic(small_instance, online_workload)
+        [rounds] = bandit_rounds(journal.events()).values()
+        assert rounds
+        samples = {}
+        for _slot, arm, _threshold, reward, _eliminated in rounds:
+            samples.setdefault(arm, []).append(
+                min(1.0, max(0.0, reward / policy._reward_scale)))
+        arms = policy.bandit.policy
+        for arm in range(policy.bandit.grid.num_arms):
+            assert arms.count(arm) == len(samples.get(arm, []))
+            if arm in samples:
+                assert arms.mean(arm) == pytest.approx(
+                    sum(samples[arm]) / len(samples[arm]))
 
     def test_deterministic_given_seed(self, small_instance):
         a_wl = small_instance.new_workload(20, seed=2, horizon_slots=40)

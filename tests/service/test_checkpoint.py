@@ -23,6 +23,7 @@ from repro.service import (AdmissionService, ServiceCheckpoint,
                            read_checkpoint, truncate_journal,
                            write_checkpoint)
 from repro.service.checkpoint import JournalCursor
+from repro.service.loadgen import build_config
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.export import read_jsonl
 from repro.telemetry.tracediff import first_divergence
@@ -255,6 +256,24 @@ class TestCheckpointFiles:
         with pytest.raises(ConfigurationError, match="stale checkpoint"):
             read_checkpoint(str(path))
 
+    def test_read_schema_5_checkpoint_raises(self, tmp_path):
+        """A /5 file still carries the histograms' sliding-window ring
+        and DynamicRR's per-round ``tracker``."""
+        stale = ServiceCheckpoint(
+            config={"policy": "dynamicrr"}, slot=9,
+            engine_state={"slot": 9},
+            policy_state={"bandit": None, "tracker": None,
+                          "last_arm_value": None},
+            stream_state={"next_id": 3}, journal=JournalCursor(),
+            metrics_state={"slot": 9, "histogram_window_slots": 256,
+                           "counters": {}, "gauges": {},
+                           "histograms": {}},
+            schema="repro.service-checkpoint/5")
+        path = tmp_path / "stale.ckpt"
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ConfigurationError, match="stale checkpoint"):
+            read_checkpoint(str(path))
+
     def test_read_garbage_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a pickle")
@@ -326,3 +345,28 @@ class TestWriteFailures:
         with pytest.raises(ReproError):
             write_checkpoint(str(tmp_path / "c.ckpt"), checkpoint)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFlatState:
+    def test_learning_and_metrics_state_stay_flat(self, tmp_path):
+        """Over an unbounded slot stream the checkpointed policy and
+        metrics state must not grow: DynamicRR keeps its arm
+        statistics, not a per-round history, and histograms keep
+        lifetime buckets, not a per-slot ring.  5,000 arrivals at 8 per
+        slot, checkpoints 576 slots apart."""
+        path = str(tmp_path / "flat.ckpt")
+        service = AdmissionService(build_config(
+            5000, 8.0, policy="dynamicrr", queue_limit=64,
+            checkpoint_path=path, checkpoint_every=64))
+        sizes = {}
+        while not service.done and len(sizes) < 10:
+            report = service.tick()
+            if report.checkpointed:
+                checkpoint = read_checkpoint(path)
+                sizes[report.outcome.slot] = (
+                    len(pickle.dumps(checkpoint.policy_state))
+                    + len(pickle.dumps(checkpoint.metrics_state)))
+        service.close()
+        first, last = min(sizes), max(sizes)
+        assert last - first >= 500
+        assert sizes[last] - sizes[first] < 1024, sizes

@@ -76,7 +76,6 @@ class FrozenService(AdmissionService):
         metrics = self._metrics
         slot, batch = self._stream.next_batch()
         self._engine.clock.advance_to(slot)
-        metrics.advance_slot(slot)
         with use_journal(self._journal), use_metrics(metrics):
             room = max(0, self.config.queue_limit
                        - self._engine.pending_count())
@@ -97,8 +96,7 @@ class FrozenService(AdmissionService):
                           request_id=request.request_id,
                           value=float(outcome.pending_after)))
             metrics.inc("service_slots_total")
-            metrics.observe("service_batch_size",
-                            float(len(batch)), slot=slot)
+            metrics.observe("service_batch_size", float(len(batch)))
             checkpointed = self._maybe_checkpoint(slot)
         if self._stream.exhausted and outcome.pending_after == 0 \
                 and outcome.active_after == 0:

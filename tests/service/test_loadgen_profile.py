@@ -19,7 +19,9 @@ import tempfile
 
 import pytest
 
+from repro.service import read_checkpoint
 from repro.service.loadgen import run_loadgen, run_resume
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import canonical_digest
 
 GOLDEN = (pathlib.Path(__file__).parent / "golden"
@@ -109,6 +111,27 @@ class TestLoadgenProfile:
         summary = run_loadgen(arrivals=ARRIVALS, rate=RATE)
         assert "profile" not in summary
         assert "profile_mem" not in summary
+
+
+class TestResumedRate:
+    def test_rate_counts_only_the_resumed_arrivals(self, tmp_path):
+        """A resumed run's ``requests_per_s`` divides the arrivals made
+        after the resume by the resumed wall time: the arrivals its
+        checkpoint restored were made before it."""
+        checkpoint = str(tmp_path / "service.ckpt")
+        run_loadgen(arrivals=ARRIVALS, rate=RATE,
+                    checkpoint_path=checkpoint,
+                    checkpoint_every=CHECKPOINT_EVERY,
+                    kill_at_slot=KILL_AT_SLOT)
+        restored = MetricsRegistry()
+        restored.restore_state(read_checkpoint(checkpoint).metrics_state)
+        restored_arrivals = (restored.counter("engine_arrivals_total")
+                             + restored.counter("service_shed_total"))
+        assert restored_arrivals > 0
+        row = run_resume(checkpoint)["metrics"]
+        assert row["num_arrivals"] == ARRIVALS
+        assert row["requests_per_s"] * row["runtime_s"] == pytest.approx(
+            ARRIVALS - restored_arrivals)
 
 
 if __name__ == "__main__":

@@ -50,7 +50,8 @@ class TestRegistryWiring:
         service = AdmissionService(make_service_config(max_arrivals=30),
                                    registry=registry)
         run_to_drain(service)
-        assert registry.slot == service.engine.clock.current_slot
+        assert registry.counter("service_slots_total") \
+            == service.engine.clock.current_slot + 1
         latency = registry.histogram("service_slot_latency_seconds")
         assert latency is not None
         assert latency.count == service.counters["slots"]

@@ -82,19 +82,6 @@ class TestSeries:
         assert math.isnan(table["C"][1])
 
 
-class TestWinner:
-    def test_winner_higher_better(self, sweep):
-        assert sweep.winner_at(100, "total_reward") == "A"
-
-    def test_winner_lower_better(self, sweep):
-        assert sweep.winner_at(100, "avg_latency_ms",
-                               higher_is_better=False) == "B"
-
-    def test_winner_missing_x(self, sweep):
-        with pytest.raises(ConfigurationError):
-            sweep.winner_at(300, "total_reward")
-
-
 class TestAggregate:
     def test_aggregate_records(self):
         records = [record("A", 1, 0, 1.0), record("A", 2, 0, 2.0)]
